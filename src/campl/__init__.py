@@ -7,7 +7,7 @@ from .elaborate import prepare
 from .lexer import LexError, tokenize
 from .parser import parse_program, parse_source
 from .printer import roundtrip_print
-from .runtime import Machine, Outcome, OutcomeKind, boot, run_to_completion
+from .runtime import Machine, Outcome, OutcomeKind, boot
 from .services import ServiceConfig, drain_output
 
 __version__ = "0.1.0"
@@ -16,6 +16,6 @@ __all__ = [
     "CheckFailure", "LexError", "Machine", "Outcome", "OutcomeKind",
     "ParseFailure", "ServiceConfig", "TypedProgram", "boot",
     "check_program", "drain_output", "parse_program", "parse_source",
-    "prepare", "roundtrip_print", "run_to_completion", "tokenize",
+    "prepare", "roundtrip_print", "tokenize",
     "__version__",
 ]

@@ -21,10 +21,14 @@ from .model import (
     IntLit, Link, NegIntro, NegT, Par, Plug, Polarity, Pos, ProcDef,
     ProcSignature, ProtoApp, ProtocolDecl, Put, PutVal, Race, SeqType,
     SeqUVar, SourceProgram, Split, StoreOf, StoreType, StringLit, Tensor,
-    UVar, Use, VarRef, allowed_commands, unfold_handle,
+    UVar, Use, VarRef, allowed_commands, map_command, map_signature,
+    map_type, type_parts, unfold_handle,
     BOOL, CHAR, INT, STRING,
 )
 from .services import BUILTIN_DECLS, CONSOLE
+
+
+_VARS = (UVar, SeqUVar)
 
 
 class UnifyClash(Exception):
@@ -36,11 +40,12 @@ class UnifyClash(Exception):
 
 class Unifier:
     """Most-general unification over channel and sequential types, with an
-    occurs check so recursion must go through declared protocol names."""
+    occurs check so recursion must go through declared protocol names.
+    Channel and sequential variables share one numbering and one
+    substitution."""
 
     def __init__(self):
-        self.chan_sub: dict[int, object] = {}
-        self.seq_sub: dict[int, object] = {}
+        self.sub: dict[int, object] = {}
         self._next = 0
 
     def fresh_chan(self) -> UVar:
@@ -51,175 +56,80 @@ class Unifier:
         self._next += 1
         return SeqUVar(self._next)
 
-    def resolve_chan(self, t):
-        while isinstance(t, UVar) and t.uid in self.chan_sub:
-            t = self.chan_sub[t.uid]
+    def resolve(self, t):
+        """Follow solved variables from `t` to a constructor or an unsolved
+        variable."""
+        k = type(t)
+        while k is UVar or k is SeqUVar:
+            s = self.sub.get(t.uid)
+            if s is None:
+                break
+            t, k = s, type(s)
         return t
 
-    def resolve_seq(self, t):
-        while isinstance(t, SeqUVar) and t.uid in self.seq_sub:
-            t = self.seq_sub[t.uid]
-        return t
-
-    def unify_chan(self, a, b) -> None:
-        a = self.resolve_chan(a)
-        b = self.resolve_chan(b)
+    def unify(self, a, b) -> None:
+        """Unify two channel types or two sequential types."""
+        a = self.resolve(a)
+        b = self.resolve(b)
         if a is b or a == b:
             return
-        if isinstance(a, UVar):
-            self._bind_chan(a, b)
+        ka, kb = type(a), type(b)
+        if ka not in _VARS and kb in _VARS:
+            a, b, ka, kb = b, a, kb, ka
+        if ka in _VARS:
+            if self._occurs(a.uid, b):
+                raise UnifyClash(a, self.zonk(b))
+            self.sub[a.uid] = b
             return
-        if isinstance(b, UVar):
-            self._bind_chan(b, a)
-            return
-        if isinstance(a, Put) and isinstance(b, Put):
-            self.unify_seq(a.msg, b.msg)
-            self.unify_chan(a.rest, b.rest)
-            return
-        if isinstance(a, Get) and isinstance(b, Get):
-            self.unify_seq(a.msg, b.msg)
-            self.unify_chan(a.rest, b.rest)
-            return
-        if isinstance(a, Tensor) and isinstance(b, Tensor):
-            self.unify_chan(a.left, b.left)
-            self.unify_chan(a.right, b.right)
-            return
-        if isinstance(a, Par) and isinstance(b, Par):
-            self.unify_chan(a.left, b.left)
-            self.unify_chan(a.right, b.right)
-            return
-        if isinstance(a, NegT) and isinstance(b, NegT):
-            self.unify_chan(a.inner, b.inner)
-            return
-        if isinstance(a, ProtoApp) and isinstance(b, ProtoApp) \
-                and a.name == b.name and len(a.args) == len(b.args):
-            for x, y in zip(a.args, b.args):
-                self.unify_seq(x, y)
-            return
-        if isinstance(a, CoprotoApp) and isinstance(b, CoprotoApp) \
-                and a.name == b.name and len(a.args) == len(b.args):
-            for x, y in zip(a.args, b.args):
-                self.unify_seq(x, y)
-            return
-        raise UnifyClash(self.zonk_chan(a), self.zonk_chan(b))
+        if ka is StoreType and kb is StoreType:
+            # The flattened parts below cannot tell the sections apart.
+            x, y = a.sig, b.sig
+            if (len(x.seq_params) != len(y.seq_params)
+                    or len(x.in_chans) != len(y.in_chans)
+                    or len(x.out_chans) != len(y.out_chans)):
+                raise UnifyClash(a, b)
+        if ka is kb and getattr(a, "name", None) == \
+                getattr(b, "name", None):
+            xs, ys = type_parts(a), type_parts(b)
+            if len(xs) == len(ys):
+                for x, y in zip(xs, ys):
+                    self.unify(x, y)
+                return
+        raise UnifyClash(self.zonk(a), self.zonk(b))
 
-    def _bind_chan(self, var: UVar, t) -> None:
-        if self._occurs_chan(var.uid, t):
-            raise UnifyClash(var, self.zonk_chan(t))
-        self.chan_sub[var.uid] = t
-
-    def unify_seq(self, a, b) -> None:
-        a = self.resolve_seq(a)
-        b = self.resolve_seq(b)
-        if a == b:
-            return
-        if isinstance(a, SeqUVar):
-            if self._occurs_seq(a.uid, b):
-                raise UnifyClash(a, self.zonk_seq(b))
-            self.seq_sub[a.uid] = b
-            return
-        if isinstance(b, SeqUVar):
-            return self.unify_seq(b, a)
-        if isinstance(a, StoreType) and isinstance(b, StoreType):
-            self._unify_sig(a.sig, b.sig)
-            return
-        raise UnifyClash(self.zonk_seq(a), self.zonk_seq(b))
-
-    def _unify_sig(self, a: ProcSignature, b: ProcSignature) -> None:
-        if (len(a.seq_params) != len(b.seq_params)
-                or len(a.in_chans) != len(b.in_chans)
-                or len(a.out_chans) != len(b.out_chans)):
-            raise UnifyClash(StoreType(a), StoreType(b))
-        for x, y in zip(a.seq_params, b.seq_params):
-            self.unify_seq(x, y)
-        for x, y in zip(a.in_chans + a.out_chans, b.in_chans + b.out_chans):
-            self.unify_chan(x, y)
-
-    def _occurs_chan(self, uid: int, t) -> bool:
-        t = self.resolve_chan(t) if isinstance(t, UVar) else t
-        if isinstance(t, UVar):
-            return t.uid == uid
-        if isinstance(t, (Put, Get)):
-            return (self._occurs_seq_in_chan(uid, t.msg)
-                    or self._occurs_chan(uid, t.rest))
-        if isinstance(t, (Tensor, Par)):
-            return self._occurs_chan(uid, t.left) or \
-                self._occurs_chan(uid, t.right)
-        if isinstance(t, NegT):
-            return self._occurs_chan(uid, t.inner)
-        if isinstance(t, (ProtoApp, CoprotoApp)):
-            return any(self._occurs_seq_in_chan(uid, a) for a in t.args)
+    def _occurs(self, uid: int, t) -> bool:
+        """Whether variable `uid` occurs anywhere in `t`, channel and
+        sequential components alike."""
+        if type(t) in _VARS:
+            if t.uid == uid:
+                return True
+            t = self.sub.get(t.uid)
+            return t is not None and self._occurs(uid, t)
+        for part in type_parts(t):
+            if self._occurs(uid, part):
+                return True
         return False
 
-    def _occurs_seq_in_chan(self, uid: int, t) -> bool:
-        t = self.resolve_seq(t) if isinstance(t, SeqUVar) else t
-        if isinstance(t, StoreType):
-            sig = t.sig
-            return any(self._occurs_chan(uid, c)
-                       for c in sig.in_chans + sig.out_chans)
-        return False
-
-    def _occurs_seq(self, uid: int, t) -> bool:
-        t = self.resolve_seq(t) if isinstance(t, SeqUVar) else t
-        if isinstance(t, SeqUVar):
-            return t.uid == uid
-        if isinstance(t, StoreType):
-            return any(self._occurs_seq(uid, s) for s in t.sig.seq_params)
-        return False
-
-    def zonk_chan(self, t):
-        t = self.resolve_chan(t)
-        if isinstance(t, Put):
-            return Put(self.zonk_seq(t.msg), self.zonk_chan(t.rest))
-        if isinstance(t, Get):
-            return Get(self.zonk_seq(t.msg), self.zonk_chan(t.rest))
-        if isinstance(t, Tensor):
-            return Tensor(self.zonk_chan(t.left), self.zonk_chan(t.right))
-        if isinstance(t, Par):
-            return Par(self.zonk_chan(t.left), self.zonk_chan(t.right))
-        if isinstance(t, NegT):
-            return NegT(self.zonk_chan(t.inner))
-        if isinstance(t, ProtoApp):
-            return ProtoApp(t.name, tuple(self.zonk_seq(a) for a in t.args))
-        if isinstance(t, CoprotoApp):
-            return CoprotoApp(t.name, tuple(self.zonk_seq(a) for a in t.args))
-        return t
-
-    def zonk_seq(self, t):
-        t = self.resolve_seq(t)
-        if isinstance(t, StoreType):
-            return StoreType(self.zonk_sig(t.sig))
-        return t
+    def zonk(self, t):
+        """`t` with every solved variable replaced by its solution."""
+        k = type(t)
+        while k is UVar or k is SeqUVar:
+            s = self.sub.get(t.uid)
+            if s is None:
+                return t
+            t, k = s, type(s)
+        return map_type(t, self.zonk)
 
     def zonk_sig(self, sig: ProcSignature) -> ProcSignature:
-        return ProcSignature(
-            tuple(self.zonk_seq(t) for t in sig.seq_params),
-            tuple(self.zonk_chan(t) for t in sig.in_chans),
-            tuple(self.zonk_chan(t) for t in sig.out_chans),
-        )
+        return map_signature(sig, self.zonk)
 
 
-def has_uvars_chan(t) -> bool:
-    if isinstance(t, UVar):
+def has_uvars(t) -> bool:
+    if type(t) in _VARS:
         return True
-    if isinstance(t, (Put, Get)):
-        return has_uvars_seq(t.msg) or has_uvars_chan(t.rest)
-    if isinstance(t, (Tensor, Par)):
-        return has_uvars_chan(t.left) or has_uvars_chan(t.right)
-    if isinstance(t, NegT):
-        return has_uvars_chan(t.inner)
-    if isinstance(t, (ProtoApp, CoprotoApp)):
-        return any(has_uvars_seq(a) for a in t.args)
-    return False
-
-
-def has_uvars_seq(t) -> bool:
-    if isinstance(t, SeqUVar):
-        return True
-    if isinstance(t, StoreType):
-        return (any(has_uvars_seq(s) for s in t.sig.seq_params)
-                or any(has_uvars_chan(c)
-                       for c in t.sig.in_chans + t.sig.out_chans))
+    for part in type_parts(t):
+        if has_uvars(part):
+            return True
     return False
 
 
@@ -434,9 +344,9 @@ class Checker:
 
     def _finalize_sig(self, d: ProcDef) -> None:
         solved = self.uni.zonk_sig(self.sigs[d.name].sig)
-        unsolved = [t for t in solved.seq_params if has_uvars_seq(t)]
+        unsolved = [t for t in solved.seq_params if has_uvars(t)]
         unsolved += [t for t in solved.in_chans + solved.out_chans
-                     if has_uvars_chan(t)]
+                     if has_uvars(t)]
         if unsolved:
             self._diag(dk.UNIFICATION_FAILURE, d.pos,
                        f"could not infer a complete signature for "
@@ -460,7 +370,7 @@ class Checker:
         bad = [t for t in sig.in_chans
                if not (isinstance(t, CoprotoApp) and t.name == CONSOLE)]
         for t in bad:
-            if has_uvars_chan(t):
+            if has_uvars(t):
                 continue   # already reported as underdetermined
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        f"run may hold only service channels, found {t}")
@@ -471,28 +381,28 @@ class Checker:
     def _audit_created_types(self) -> None:
         for site in self.plug_sites:
             for name, t in site.chan_types.items():
-                if mentions_service(self.uni.zonk_chan(t)):
+                if mentions_service(self.uni.zonk(t)):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"plug creates channel {name!r} carrying the "
                                f"service type {CONSOLE}; only run receives "
                                f"service channels", channel=name)
         for site in self.fork_sites:
             for t in site.components:
-                if mentions_service(self.uni.zonk_chan(t)):
+                if mentions_service(self.uni.zonk(t)):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"fork creates a channel carrying the "
                                f"service type {CONSOLE}")
 
     def _zonk_sites(self) -> None:
         for site in self.plug_sites:
-            site.chan_types = {n: self.uni.zonk_chan(t)
+            site.chan_types = {n: self.uni.zonk(t)
                                for n, t in site.chan_types.items()}
         for i, site in enumerate(self.fork_sites):
             self.fork_sites[i] = ForkSite(
                 site.proc, site.pos,
-                tuple(self.uni.zonk_chan(t) for t in site.components))
+                tuple(self.uni.zonk(t) for t in site.components))
         for o in self.occurrences:
-            o.type = self.uni.zonk_chan(o.type)
+            o.type = self.uni.zonk(o.type)
 
     # -- per-process checking --------------------------------------------
 
@@ -524,7 +434,7 @@ class _BodyChecker:
     def fail(self, kind: str, pos: Pos, message: str,
              channel: str | None = None, chan_type=None):
         rendered = None if chan_type is None else str(
-            self.uni.zonk_chan(chan_type))
+            self.uni.zonk(chan_type))
         self.c._diag(kind, pos, message, channel, rendered)
         raise _BodyError()
 
@@ -660,26 +570,26 @@ class _BodyChecker:
         """Force the channel's head to the value-message constructor that
         makes `command` legal at the entry's polarity."""
         want_put = (command == "put") == (entry.pol is OUTPUT)
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
             head = (Put if want_put else Get)(self.uni.fresh_seq(),
                                               self.uni.fresh_chan())
-            self.uni.unify_chan(resolved, head)
+            self.uni.unify(resolved, head)
             return head
         self.legality(chan, entry, command, pos, resolved)
         return resolved   # Put or Get with the right orientation
 
     def expect_topbot(self, chan: str, entry: ChanEntry, command: str,
                       pos: Pos) -> None:
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
-            self.uni.unify_chan(resolved, TOPBOT)
+            self.uni.unify(resolved, TOPBOT)
             return
         self.legality(chan, entry, command, pos, resolved)
 
     def unify_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
         try:
-            self.uni.unify_chan(a, b)
+            self.uni.unify(a, b)
         except UnifyClash as e:
             self.fail(dk.UNIFICATION_FAILURE, pos,
                       f"cannot reconcile {e.a} with {e.b}"
@@ -688,7 +598,7 @@ class _BodyChecker:
 
     def unify_seq_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
         try:
-            self.uni.unify_seq(a, b)
+            self.uni.unify(a, b)
         except UnifyClash as e:
             self.fail(dk.SEQ_MISMATCH, pos,
                       f"sequential type mismatch: {e.a} vs {e.b}",
@@ -750,11 +660,11 @@ class _BodyChecker:
     def force_app(self, chan: str, entry: ChanEntry, decl: ProtocolDecl,
                   command: str, pos: Pos):
         ctor = ProtoApp if decl.kind is DeclKind.PROTOCOL else CoprotoApp
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
             app = ctor(decl.name,
                        tuple(self.uni.fresh_seq() for _ in decl.seq_params))
-            self.uni.unify_chan(resolved, app)
+            self.uni.unify(resolved, app)
         else:
             self.legality(chan, entry, command, pos, resolved)
             if not isinstance(resolved, ctor) or resolved.name != decl.name:
@@ -842,10 +752,10 @@ class _BodyChecker:
                 self.fail(dk.LINEARITY_REUSE, arm.pos,
                           f"raced channel {arm.chan!r} is not live",
                           channel=arm.chan)
-            resolved = self.uni.resolve_chan(entry.type)
+            resolved = self.uni.resolve(entry.type)
             want = Get if entry.pol is OUTPUT else Put
             if isinstance(resolved, UVar):
-                self.uni.unify_chan(resolved,
+                self.uni.unify(resolved,
                                     want(self.uni.fresh_seq(),
                                          self.uni.fresh_chan()))
             elif not isinstance(resolved, want):
@@ -866,10 +776,10 @@ class _BodyChecker:
     def check_fork(self, cmd: Fork, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "fork")
         want = Tensor if entry.pol is OUTPUT else Par
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
             resolved = want(self.uni.fresh_chan(), self.uni.fresh_chan())
-            self.uni.unify_chan(entry.type, resolved)
+            self.uni.unify(entry.type, resolved)
         else:
             self.legality(cmd.chan, entry, "fork", cmd.pos, resolved)
         self.note(cmd.pos, cmd.chan, entry, "fork")
@@ -916,10 +826,10 @@ class _BodyChecker:
     def check_split(self, cmd: Split, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "split")
         want = Par if entry.pol is OUTPUT else Tensor
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
             resolved = want(self.uni.fresh_chan(), self.uni.fresh_chan())
-            self.uni.unify_chan(entry.type, resolved)
+            self.uni.unify(entry.type, resolved)
         else:
             self.legality(cmd.chan, entry, "split", cmd.pos, resolved)
         self.note(cmd.pos, cmd.chan, entry, "split")
@@ -1067,11 +977,11 @@ class _BodyChecker:
                                       f"process {cmd.callee!r}")
 
     def check_use(self, cmd: Use, seq_ctx, chan_ctx):
-        st = self.uni.resolve_seq(self.expr_type(cmd.stored, seq_ctx))
+        st = self.uni.resolve(self.expr_type(cmd.stored, seq_ctx))
         if not isinstance(st, StoreType):
             self.fail(dk.SEQ_MISMATCH, cmd.pos,
                       f"use needs a stored process, found "
-                      f"{self.uni.zonk_seq(st)}; annotate the value if its "
+                      f"{self.uni.zonk(st)}; annotate the value if its "
                       f"type cannot be inferred here")
         sig = st.sig
         in_names = tuple(f"<in{i}>" for i in range(len(sig.in_chans)))
@@ -1130,10 +1040,10 @@ class _BodyChecker:
 
     def check_neg(self, cmd: NegIntro, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "neg")
-        resolved = self.uni.resolve_chan(entry.type)
+        resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
             inner = self.uni.fresh_chan()
-            self.uni.unify_chan(resolved, NegT(inner))
+            self.uni.unify(resolved, NegT(inner))
         elif isinstance(resolved, NegT):
             inner = resolved.inner
         else:
@@ -1154,7 +1064,7 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     names = list(procs)
     edges: dict[str, list[str]] = {n: [] for n in names}
     for name, d in procs.items():
-        for ref in _body_refs(d.body):
+        for ref in _refs(d):
             if ref in procs and ref not in edges[name]:
                 edges[name].append(ref)
 
@@ -1192,38 +1102,27 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     return out
 
 
-def _body_refs(body: Body):
-    for cmd in body:
-        if isinstance(cmd, Call):
-            yield cmd.callee
-            for e in cmd.seq_args:
-                yield from _expr_refs(e)
-        elif isinstance(cmd, Use):
-            yield from _expr_refs(cmd.stored)
-            for e in cmd.seq_args:
-                yield from _expr_refs(e)
-        elif isinstance(cmd, PutVal):
-            yield from _expr_refs(cmd.expr)
-        elif isinstance(cmd, HCase):
-            for a in cmd.arms:
-                yield from _body_refs(a.body)
-        elif isinstance(cmd, Fork):
-            for a in cmd.arms:
-                yield from _body_refs(a.body)
-        elif isinstance(cmd, Race):
-            for a in cmd.arms:
-                yield from _body_refs(a.body)
-        elif isinstance(cmd, Plug):
-            for b in cmd.branches:
-                yield from _body_refs(b)
+def _refs(d: ProcDef) -> list[str]:
+    """Names of the processes `d` calls or stores, in order of mention."""
+    refs: list[str] = []
 
+    def expr(e):
+        if type(e) is StoreOf:
+            if isinstance(e.target, str):
+                refs.append(e.target)
+            else:
+                body(e.target.body)
+        return e
 
-def _expr_refs(e: Expr):
-    if isinstance(e, StoreOf):
-        if isinstance(e.target, str):
-            yield e.target
-        else:
-            yield from _body_refs(e.target.body)
+    def body(b):
+        for cmd in b:
+            if type(cmd) is Call:
+                refs.append(cmd.callee)
+            map_command(cmd, body, expr)
+        return b
+
+    body(d.body)
+    return refs
 
 
 def check_program(src: SourceProgram) -> TypedProgram:

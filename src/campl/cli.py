@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .checker import check_program
+from .checker import TypedProgram, check_program
 from .diagnostics import CheckFailure, Diagnostic, ParseFailure
 from .elaborate import prepare
 from .model import ProcDef, SourceProgram
@@ -47,6 +47,14 @@ def _parse(path: str, as_json: bool) -> SourceProgram:
         raise SystemExit(1)
 
 
+def _check(program: SourceProgram, path: str, as_json: bool) -> TypedProgram:
+    try:
+        return check_program(program)
+    except CheckFailure as e:
+        _emit(e.errors, path, as_json)
+        raise SystemExit(1)
+
+
 def _lint_run_position(program: SourceProgram) -> None:
     procs = [d for d in program.decls if isinstance(d, ProcDef)]
     if procs and any(d.name == "run" for d in procs) \
@@ -68,11 +76,7 @@ def check(file: str, json_diagnostics: bool) -> None:
     """Type-check FILE; silent and exit 0 when it is well-typed."""
     program = _parse(file, json_diagnostics)
     _lint_run_position(program)
-    try:
-        check_program(program)
-    except CheckFailure as e:
-        _emit(e.errors, file, json_diagnostics)
-        raise SystemExit(1)
+    _check(program, file, json_diagnostics)
 
 
 @main.command()
@@ -92,12 +96,10 @@ def run(file: str, seed: int, script_path: str | None, trace: bool,
         max_steps: int, unchecked: bool, json_diagnostics: bool) -> None:
     """Execute FILE to completion on the deterministic machine."""
     program = _parse(file, json_diagnostics)
-    if not unchecked:
-        try:
-            check_program(program)
-        except CheckFailure as e:
-            _emit(e.errors, file, json_diagnostics)
-            raise SystemExit(1)
+    if unchecked:
+        exec_program = prepare(program)
+    else:
+        exec_program = _check(program, file, json_diagnostics).exec_program
     if script_path is not None:
         with open(script_path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -108,7 +110,7 @@ def run(file: str, seed: int, script_path: str | None, trace: bool,
     if trace:
         hook = lambda ev: click.echo(ev.render(), err=True)
     try:
-        machine = boot(prepare(program), seed, services, hook)
+        machine = boot(exec_program, seed, services, hook)
         outcome = machine.run_to_completion(max_steps)
     except (BootError, ScriptExhausted, MachineFault) as e:
         click.echo(f"error: {e}", err=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import NO_POS, Pos
+from .model import Pos
 
 # Kind names are part of the tool's stable output format.
 LEX_ERROR = "LexError"
@@ -67,7 +67,3 @@ class CheckFailure(Exception):
     def __init__(self, errors: list[Diagnostic]):
         super().__init__(f"{len(errors)} type error(s)")
         self.errors = errors
-
-
-def dummy_pos() -> Pos:
-    return NO_POS

@@ -9,63 +9,28 @@ by fork, split, and neg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
-    Body, Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut,
-    Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm, SourceProgram,
-    Split, StoreOf, Use,
+    Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link, NegIntro, OnDo,
+    Plug, ProcDef, PutVal, Race, SourceProgram, Split, StoreOf, Use,
+    map_command,
 )
 
 
 def desugar_body(body: Body, default: str | None = None) -> Body:
+    sub = desugar_body if default is None else (
+        lambda b: desugar_body(b, default))
     out = []
     for cmd in body:
-        if isinstance(cmd, OnDo):
+        if type(cmd) is OnDo:
             out.extend(desugar_body(cmd.body, cmd.chan))
             continue
-        out.append(_desugar_cmd(cmd, default))
+        cmd = map_command(cmd, sub, _desugar_expr)
+        if default is not None and getattr(cmd, "chan", "") is None:
+            cmd = replace(cmd, chan=default)
+        out.append(cmd)
     return tuple(out)
-
-
-def _desugar_cmd(cmd, default):
-    fill = lambda c: c if c is not None else default
-    if isinstance(cmd, PutVal):
-        return PutVal(_desugar_expr(cmd.expr), fill(cmd.chan), pos=cmd.pos)
-    if isinstance(cmd, GetVal):
-        return GetVal(cmd.binder, fill(cmd.chan), pos=cmd.pos)
-    if isinstance(cmd, HPut):
-        return HPut(cmd.handle, fill(cmd.chan), pos=cmd.pos)
-    if isinstance(cmd, Close):
-        return Close(fill(cmd.chan), pos=cmd.pos)
-    if isinstance(cmd, Halt):
-        return Halt(fill(cmd.chan), pos=cmd.pos)
-    if isinstance(cmd, HCase):
-        arms = tuple(HCaseArm(a.handle, desugar_body(a.body, default),
-                              pos=a.pos) for a in cmd.arms)
-        return HCase(fill(cmd.chan), arms, pos=cmd.pos)
-    if isinstance(cmd, Fork):
-        a, b = cmd.arms
-        return Fork(fill(cmd.chan),
-                    (ForkArm(a.name, desugar_body(a.body, default), pos=a.pos),
-                     ForkArm(b.name, desugar_body(b.body, default), pos=b.pos)),
-                    pos=cmd.pos)
-    if isinstance(cmd, Split):
-        return Split(fill(cmd.chan), cmd.left, cmd.right, pos=cmd.pos)
-    if isinstance(cmd, Plug):
-        return Plug(tuple(desugar_body(b, default) for b in cmd.branches),
-                    pos=cmd.pos)
-    if isinstance(cmd, Race):
-        return Race(tuple(RaceArm(a.chan, desugar_body(a.body, default),
-                                  pos=a.pos) for a in cmd.arms), pos=cmd.pos)
-    if isinstance(cmd, Call):
-        return Call(cmd.callee, tuple(_desugar_expr(e) for e in cmd.seq_args),
-                    cmd.in_chans, cmd.out_chans, pos=cmd.pos)
-    if isinstance(cmd, Use):
-        return Use(_desugar_expr(cmd.stored),
-                   tuple(_desugar_expr(e) for e in cmd.seq_args),
-                   cmd.in_chans, cmd.out_chans, pos=cmd.pos)
-    return cmd
 
 
 def _desugar_expr(e):

@@ -223,6 +223,53 @@ class ProcSignature:
     out_chans: tuple[ChanType, ...] = ()
 
 
+# ---------------------------------------------------------------------------
+# type traversal: every pass over types recurses through these two, so a new
+# constructor is taught to the checker and resolver here, once.
+
+def type_parts(t) -> tuple:
+    """The channel and sequential types directly inside `t`, in order; a
+    stored process contributes its whole signature."""
+    k = type(t)
+    if k is Put or k is Get:
+        return (t.msg, t.rest)
+    if k is Tensor or k is Par:
+        return (t.left, t.right)
+    if k is NegT:
+        return (t.inner,)
+    if k is ProtoApp or k is CoprotoApp:
+        return t.args
+    if k is StoreType:
+        sig = t.sig
+        return sig.seq_params + sig.in_chans + sig.out_chans
+    return ()
+
+
+def map_type(t, f):
+    """`t` rebuilt with `f` applied to each of its `type_parts`; atoms and
+    variables come back unchanged."""
+    k = type(t)
+    if k is BaseSeq or k is TopBot:
+        return t
+    if k is Put or k is Get:
+        return k(f(t.msg), f(t.rest))
+    if k is Tensor or k is Par:
+        return k(f(t.left), f(t.right))
+    if k is NegT:
+        return NegT(f(t.inner))
+    if k is ProtoApp or k is CoprotoApp:
+        return k(t.name, tuple(map(f, t.args)))
+    if k is StoreType:
+        return StoreType(map_signature(t.sig, f))
+    return t
+
+
+def map_signature(sig: ProcSignature, f) -> ProcSignature:
+    return ProcSignature(tuple(map(f, sig.seq_params)),
+                         tuple(map(f, sig.in_chans)),
+                         tuple(map(f, sig.out_chans)))
+
+
 def render_signature(sig: ProcSignature) -> str:
     seqs = ", ".join(str(t) for t in sig.seq_params)
     ins = ", ".join(str(t) for t in sig.in_chans)
@@ -293,51 +340,6 @@ def allowed_commands(t: ChanType, p: Polarity) -> frozenset[str]:
     raise ValueError(f"allowed_commands on non-ground type {t!r}")
 
 
-def subst_seq(t: SeqType, seq_map: dict[str, SeqType],
-              state_map: dict[str, ChanType]) -> SeqType:
-    if isinstance(t, SeqVar):
-        return seq_map.get(t.name, t)
-    if isinstance(t, StoreType):
-        return StoreType(subst_signature(t.sig, seq_map, state_map))
-    return t
-
-
-def subst_chan(t: ChanType, seq_map: dict[str, SeqType],
-               state_map: dict[str, ChanType]) -> ChanType:
-    if isinstance(t, StateVar):
-        return state_map.get(t.name, t)
-    if isinstance(t, Put):
-        return Put(subst_seq(t.msg, seq_map, state_map),
-                   subst_chan(t.rest, seq_map, state_map))
-    if isinstance(t, Get):
-        return Get(subst_seq(t.msg, seq_map, state_map),
-                   subst_chan(t.rest, seq_map, state_map))
-    if isinstance(t, Tensor):
-        return Tensor(subst_chan(t.left, seq_map, state_map),
-                      subst_chan(t.right, seq_map, state_map))
-    if isinstance(t, Par):
-        return Par(subst_chan(t.left, seq_map, state_map),
-                   subst_chan(t.right, seq_map, state_map))
-    if isinstance(t, NegT):
-        return NegT(subst_chan(t.inner, seq_map, state_map))
-    if isinstance(t, ProtoApp):
-        return ProtoApp(t.name, tuple(subst_seq(a, seq_map, state_map)
-                                      for a in t.args))
-    if isinstance(t, CoprotoApp):
-        return CoprotoApp(t.name, tuple(subst_seq(a, seq_map, state_map)
-                                        for a in t.args))
-    return t
-
-
-def subst_signature(sig: ProcSignature, seq_map: dict[str, SeqType],
-                    state_map: dict[str, ChanType]) -> ProcSignature:
-    return ProcSignature(
-        tuple(subst_seq(t, seq_map, state_map) for t in sig.seq_params),
-        tuple(subst_chan(t, seq_map, state_map) for t in sig.in_chans),
-        tuple(subst_chan(t, seq_map, state_map) for t in sig.out_chans),
-    )
-
-
 def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:
     """Expand `handle` of `decl` at the application `app`: sequential
     parameters are replaced by the application's arguments and the state
@@ -350,13 +352,15 @@ def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:
         raise ValueError(f"{decl.name} expects {len(decl.seq_params)} "
                          f"argument(s), got {len(args)}")
     seq_map = dict(zip(decl.seq_params, args))
-    return subst_chan(h.body, seq_map, {decl.state_var: app})
 
-
-def type_equal(a: ChanType, b: ChanType) -> bool:
-    """Structural equality.  Protocol applications compare by name and
-    arguments; a folded application is never equal to its unfolding."""
-    return a == b
+    def subst(t):
+        k = type(t)
+        if k is SeqVar:
+            return seq_map.get(t.name, t)
+        if k is StateVar:
+            return app if t.name == decl.state_var else t
+        return map_type(t, subst)
+    return subst(h.body)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +552,51 @@ Command = Union[PutVal, GetVal, HPut, HCase, Close, Halt, Fork, Split,
                 Plug, Race, Call, Use, Link, NegIntro, OnDo]
 
 Body = tuple[Command, ...]
+
+
+# ---------------------------------------------------------------------------
+# command traversal: the one place that knows which commands nest bodies and
+# hold expressions.
+
+def sub_bodies(cmd) -> tuple[Body, ...]:
+    """The command sequences nested directly inside `cmd`, in order."""
+    k = type(cmd)
+    if k is HCase or k is Fork or k is Race:
+        return tuple(a.body for a in cmd.arms)
+    if k is Plug:
+        return cmd.branches
+    if k is OnDo:
+        return (cmd.body,)
+    return ()
+
+
+def map_command(cmd, body, expr):
+    """`cmd` rebuilt with `body` applied to each of its `sub_bodies` and
+    `expr` to each expression it holds, in source order.  Commands with
+    neither come back unchanged."""
+    k = type(cmd)
+    if k is PutVal:
+        return PutVal(expr(cmd.expr), cmd.chan, cmd.pos)
+    if k is Call:
+        return Call(cmd.callee, tuple(map(expr, cmd.seq_args)),
+                    cmd.in_chans, cmd.out_chans, cmd.pos)
+    if k is Use:
+        return Use(expr(cmd.stored), tuple(map(expr, cmd.seq_args)),
+                   cmd.in_chans, cmd.out_chans, cmd.pos)
+    if k is HCase:
+        return HCase(cmd.chan, tuple(HCaseArm(a.handle, body(a.body), a.pos)
+                                     for a in cmd.arms), cmd.pos)
+    if k is Fork:
+        return Fork(cmd.chan, tuple(ForkArm(a.name, body(a.body), a.pos)
+                                    for a in cmd.arms), cmd.pos)
+    if k is Race:
+        return Race(tuple(RaceArm(a.chan, body(a.body), a.pos)
+                          for a in cmd.arms), cmd.pos)
+    if k is Plug:
+        return Plug(tuple(map(body, cmd.branches)), cmd.pos)
+    if k is OnDo:
+        return OnDo(cmd.chan, body(cmd.body), cmd.pos)
+    return cmd
 
 
 # ---------------------------------------------------------------------------

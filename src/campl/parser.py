@@ -26,7 +26,7 @@ from .model import (
     NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
     ProtocolDecl, Put, PutVal, Race, RaceArm, SeqVar, Split, StateVar,
     StoreOf, StoreType, StringLit, SourceProgram, Tensor, Use, VarRef,
-    pos_field,
+    map_command, map_signature, map_type, pos_field, sub_bodies,
 )
 from .services import BUILTIN_DECLS
 
@@ -161,7 +161,7 @@ class Parser:
         sig = None
         if self.at("::"):
             self.take()
-            sig = self.parse_signature()
+            sig = self.parse_signature("=", EOF)
         self.expect("=")
 
         seq_params = self.parse_name_list()
@@ -186,31 +186,29 @@ class Parser:
                 break
         return tuple(names)
 
-    def parse_signature(self) -> ProcSignature:
-        seqs = []
-        while not self.at("|"):
-            seqs.append(self.parse_seq_type())
-            if self.at(","):
-                self.take()
-            else:
-                break
+    def parse_signature(self, *end: str) -> ProcSignature:
+        """`seqs | ins => outs`, with the output list ending at one of
+        `end`, which stays unread."""
+        seqs = self._comma_list(self.parse_seq_type, "|")
         self.expect("|")
-        ins = []
-        while not self.at("=>"):
-            ins.append(self.parse_chan_type())
-            if self.at(","):
-                self.take()
-            else:
-                break
+        ins = self._comma_list(self.parse_chan_type, "=>")
         self.expect("=>")
-        outs = []
-        while not (self.at("=") or self.peek().kind == EOF):
-            outs.append(self.parse_chan_type())
-            if self.at(","):
-                self.take()
-            else:
+        return ProcSignature(seqs, ins,
+                             self._comma_list(self.parse_chan_type, *end))
+
+    def _comma_list(self, item, *stops: str) -> tuple:
+        """`item`s separated by commas, up to a token whose text (keyword
+        or operator) or kind is one of `stops`; that token stays unread."""
+        items = []
+        while True:
+            t = self.peek()
+            if t.kind in stops or (t.text in stops and t.kind in (KW, OP)):
                 break
-        return ProcSignature(tuple(seqs), tuple(ins), tuple(outs))
+            items.append(item())
+            if not self.at(","):
+                break
+            self.take()
+        return tuple(items)
 
     def parse_protocol(self) -> ProtocolDecl:
         kw = self.take()   # protocol | coprotocol
@@ -283,7 +281,7 @@ class Parser:
             if t.text == "Store":
                 self.take()
                 self.expect("(")
-                sig = self._parse_paren_signature()
+                sig = self.parse_signature(")")
                 self.expect(")")
                 return StoreType(sig)
             self.take()
@@ -296,32 +294,6 @@ class Parser:
             self.expect("]")
             return STRING_T
         raise ParseError("expected a sequential type", t)
-
-    def _parse_paren_signature(self) -> ProcSignature:
-        seqs = []
-        while not self.at("|"):
-            seqs.append(self.parse_seq_type())
-            if self.at(","):
-                self.take()
-            else:
-                break
-        self.expect("|")
-        ins = []
-        while not self.at("=>"):
-            ins.append(self.parse_chan_type())
-            if self.at(","):
-                self.take()
-            else:
-                break
-        self.expect("=>")
-        outs = []
-        while not self.at(")"):
-            outs.append(self.parse_chan_type())
-            if self.at(","):
-                self.take()
-            else:
-                break
-        return ProcSignature(tuple(seqs), tuple(ins), tuple(outs))
 
     def parse_chan_type(self):
         left = self.parse_chan_atom()
@@ -364,13 +336,7 @@ class Parser:
         self.take()
         if self.at("("):
             self.take()
-            args = []
-            while not (self.at("|") or self.at(")")):
-                args.append(self.parse_seq_type())
-                if self.at(","):
-                    self.take()
-                else:
-                    break
+            args = self._comma_list(self.parse_seq_type, "|", ")")
             if self.at("|"):
                 self.take()
                 if not self.at(")"):
@@ -378,7 +344,7 @@ class Parser:
                         "channel-type parameters are not supported after "
                         "'|' in a protocol application", self.peek())
             self.expect(")")
-            return ChanName(t.text, tuple(args), pos=t.pos)
+            return ChanName(t.text, args, pos=t.pos)
         return ChanName(t.text, None, pos=t.pos)
 
     # -- bodies and commands ------------------------------------------------
@@ -550,13 +516,7 @@ class Parser:
 
     def _parse_call_args(self):
         self.expect("(")
-        seq_args = []
-        while not self.at("|"):
-            seq_args.append(self.parse_expr())
-            if self.at(","):
-                self.take()
-            else:
-                break
+        seq_args = self._comma_list(self.parse_expr, "|")
         self.expect("|")
         ins = self.parse_name_list()
         outs: tuple[str, ...] = ()
@@ -564,7 +524,7 @@ class Parser:
             self.take()
             outs = self.parse_name_list()
         self.expect(")")
-        return tuple(seq_args), ins, outs
+        return seq_args, ins, outs
 
     def _parse_arm_block(self, parent_indent: int, what: str):
         first = self.peek()
@@ -648,29 +608,13 @@ class Parser:
 def _check_bare_commands(body: tuple, inside_on: bool,
                          errors: list[Diagnostic]) -> None:
     for cmd in body:
-        if isinstance(cmd, OnDo):
-            _check_bare_commands(cmd.body, True, errors)
-            continue
-        chan = getattr(cmd, "chan", "n/a")
-        if chan is None and not inside_on:
+        if not inside_on and getattr(cmd, "chan", "n/a") is None:
             errors.append(Diagnostic(
                 PARSE_ERROR, cmd.pos,
                 "this command needs a channel: write 'on <channel>' or "
                 "wrap it in an 'on ... do' block"))
-        for sub in _sub_bodies(cmd):
-            _check_bare_commands(sub, inside_on, errors)
-
-
-def _sub_bodies(cmd) -> list[tuple]:
-    if isinstance(cmd, HCase):
-        return [a.body for a in cmd.arms]
-    if isinstance(cmd, Fork):
-        return [a.body for a in cmd.arms]
-    if isinstance(cmd, Race):
-        return [a.body for a in cmd.arms]
-    if isinstance(cmd, Plug):
-        return list(cmd.branches)
-    return []
+        for sub in sub_bodies(cmd):
+            _check_bare_commands(sub, inside_on or type(cmd) is OnDo, errors)
 
 
 class _Resolver:
@@ -697,110 +641,63 @@ class _Resolver:
     def _resolve_protocol(self, d: ProtocolDecl) -> ProtocolDecl:
         scope = (set(d.seq_params), d.state_var)
         handles = tuple(
-            HandleDef(h.name, self._chan(h.body, scope, h.pos), pos=h.pos)
+            HandleDef(h.name, self._type(h.body, scope), pos=h.pos)
             for h in d.handles)
         return ProtocolDecl(d.name, d.kind, d.seq_params, d.state_var,
                             handles, pos=d.pos)
 
     def _resolve_proc(self, d: ProcDef) -> ProcDef:
-        sig = self._signature(d.signature, d.pos) if d.signature else None
+        sig = (map_signature(d.signature, lambda t: self._type(t, None))
+               if d.signature else None)
         body = self._body(d.body)
         return ProcDef(d.name, sig, d.seq_params, d.in_params, d.out_params,
                        body, pos=d.pos)
 
-    def _signature(self, sig: ProcSignature, pos: Pos) -> ProcSignature:
-        return ProcSignature(
-            tuple(self._seq(t, None, pos) for t in sig.seq_params),
-            tuple(self._chan(t, None, pos) for t in sig.in_chans),
-            tuple(self._chan(t, None, pos) for t in sig.out_chans),
-        )
-
     def _body(self, body: tuple) -> tuple:
-        out = []
-        for cmd in body:
-            if isinstance(cmd, PutVal):
-                cmd = PutVal(self._expr(cmd.expr), cmd.chan, pos=cmd.pos)
-            elif isinstance(cmd, Use):
-                cmd = Use(self._expr(cmd.stored),
-                          tuple(self._expr(e) for e in cmd.seq_args),
-                          cmd.in_chans, cmd.out_chans, pos=cmd.pos)
-            elif isinstance(cmd, Call):
-                cmd = Call(cmd.callee,
-                           tuple(self._expr(e) for e in cmd.seq_args),
-                           cmd.in_chans, cmd.out_chans, pos=cmd.pos)
-            elif isinstance(cmd, OnDo):
-                cmd = OnDo(cmd.chan, self._body(cmd.body), pos=cmd.pos)
-            elif isinstance(cmd, HCase):
-                cmd = HCase(cmd.chan,
-                            tuple(HCaseArm(a.handle, self._body(a.body),
-                                           pos=a.pos) for a in cmd.arms),
-                            pos=cmd.pos)
-            elif isinstance(cmd, Fork):
-                a, b = cmd.arms
-                cmd = Fork(cmd.chan,
-                           (ForkArm(a.name, self._body(a.body), pos=a.pos),
-                            ForkArm(b.name, self._body(b.body), pos=b.pos)),
-                           pos=cmd.pos)
-            elif isinstance(cmd, Race):
-                cmd = Race(tuple(RaceArm(a.chan, self._body(a.body),
-                                         pos=a.pos) for a in cmd.arms),
-                           pos=cmd.pos)
-            elif isinstance(cmd, Plug):
-                cmd = Plug(tuple(self._body(b) for b in cmd.branches),
-                           pos=cmd.pos)
-            out.append(cmd)
-        return tuple(out)
+        return tuple(map_command(cmd, self._body, self._expr) for cmd in body)
 
     def _expr(self, e: Expr) -> Expr:
         if isinstance(e, StoreOf) and isinstance(e.target, ProcDef):
             return StoreOf(self._resolve_proc(e.target), pos=e.pos)
         return e
 
-    def _seq(self, t, scope, pos: Pos):
-        if isinstance(t, SeqName):
-            if scope is not None and t.name in scope[0]:
+    def _type(self, t, scope):
+        """Resolve the raw names in `t`.  `scope` holds a declaration's
+        sequential parameters and state variable; None outside one."""
+        def go(t):
+            k = type(t)
+            if k is SeqName:
+                if scope is not None and t.name in scope[0]:
+                    return SeqVar(t.name)
+                self.errors.append(Diagnostic(
+                    PARSE_ERROR, t.pos,
+                    f"unknown sequential type {t.name!r}"))
                 return SeqVar(t.name)
-            self.errors.append(Diagnostic(
-                PARSE_ERROR, t.pos, f"unknown sequential type {t.name!r}"))
-            return SeqVar(t.name)
-        if isinstance(t, StoreType):
-            return StoreType(self._signature(t.sig, pos))
-        return t
-
-    def _chan(self, t, scope, pos: Pos):
-        if isinstance(t, ChanName):
-            if scope is not None and t.args is None and t.name == scope[1]:
-                return StateVar(t.name)
-            decl = self.table.get(t.name)
-            if decl is None:
-                self.errors.append(Diagnostic(
-                    PARSE_ERROR, t.pos,
-                    f"unknown channel type {t.name!r}"))
-                return ProtoApp(t.name, ())
-            args = tuple(self._seq(a, scope, pos) for a in (t.args or ()))
-            if len(args) != len(decl.seq_params):
-                self.errors.append(Diagnostic(
-                    PARSE_ERROR, t.pos,
-                    f"{t.name} expects {len(decl.seq_params)} type "
-                    f"argument(s), got {len(args)}"))
-            ctor = (ProtoApp if decl.kind is DeclKind.PROTOCOL
-                    else CoprotoApp)
-            return ctor(t.name, args)
-        if isinstance(t, Put):
-            return Put(self._seq(t.msg, scope, pos),
-                       self._chan(t.rest, scope, pos))
-        if isinstance(t, Get):
-            return Get(self._seq(t.msg, scope, pos),
-                       self._chan(t.rest, scope, pos))
-        if isinstance(t, Tensor):
-            return Tensor(self._chan(t.left, scope, pos),
-                          self._chan(t.right, scope, pos))
-        if isinstance(t, Par):
-            return Par(self._chan(t.left, scope, pos),
-                       self._chan(t.right, scope, pos))
-        if isinstance(t, NegT):
-            return NegT(self._chan(t.inner, scope, pos))
-        return t
+            if k is ChanName:
+                if scope is not None and t.args is None \
+                        and t.name == scope[1]:
+                    return StateVar(t.name)
+                decl = self.table.get(t.name)
+                if decl is None:
+                    self.errors.append(Diagnostic(
+                        PARSE_ERROR, t.pos,
+                        f"unknown channel type {t.name!r}"))
+                    return ProtoApp(t.name, ())
+                args = tuple(map(go, t.args or ()))
+                if len(args) != len(decl.seq_params):
+                    self.errors.append(Diagnostic(
+                        PARSE_ERROR, t.pos,
+                        f"{t.name} expects {len(decl.seq_params)} type "
+                        f"argument(s), got {len(args)}"))
+                ctor = (ProtoApp if decl.kind is DeclKind.PROTOCOL
+                        else CoprotoApp)
+                return ctor(t.name, args)
+            if k is StoreType and scope is not None:
+                # A stored process's signature cannot see the declaration's
+                # parameters.
+                return self._type(t, None)
+            return map_type(t, go)
+        return go(t)
 
 
 def parse_program(tokens: list[Token]) -> SourceProgram:

@@ -449,10 +449,8 @@ class Machine:
             ev = self._event(p, "RACE", arm.chan)
             self._advance(p, push=arm.body)
             return ev
-        if isinstance(cmd, Call):
-            return self._exec_call(p, cmd)
-        if isinstance(cmd, Use):
-            return self._exec_use(p, cmd)
+        if isinstance(cmd, (Call, Use)):
+            return self._exec_invoke(p, cmd)
         if isinstance(cmd, Link):
             return self._exec_link(p, cmd)
         if isinstance(cmd, NegIntro):
@@ -653,57 +651,41 @@ class Machine:
                 self._reap(lch)
         return ev
 
-    def _exec_call(self, p: ProcessInstance, cmd: Call) -> TraceEvent:
-        d = self.program.procs.get(cmd.callee)
-        if d is None:
-            raise MachineFault("IllegalCommand",
-                               f"call to unknown process {cmd.callee!r}")
+    def _exec_invoke(self, p: ProcessInstance, cmd: Call | Use
+                     ) -> TraceEvent:
+        """Replace `p`'s continuation with a called or stored process."""
+        if type(cmd) is Call:
+            verb, d = "call", self.program.procs.get(cmd.callee)
+            if d is None:
+                raise MachineFault("IllegalCommand",
+                                   f"call to unknown process {cmd.callee!r}")
+            target, name, seq_env = f"call to {d.name!r}", d.name, {}
+        else:
+            value = self._eval(p, cmd.stored)
+            if not isinstance(value, StoredProc):
+                raise MachineFault("IllegalCommand",
+                                   f"use of a non-process value "
+                                   f"{value.render()}")
+            verb, d = "use", value.proc
+            target, name = f"use of {d.name!r}", f"use:{d.name}"
+            seq_env = dict(value.env)
         if (len(cmd.seq_args) != len(d.seq_params)
                 or len(cmd.chan_args) != len(d.chan_params)):
             raise MachineFault("IllegalCommand",
-                               f"call to {cmd.callee!r} with mismatched "
-                               f"argument counts")
-        seq_env = {}
-        for name, e in zip(d.seq_params, cmd.seq_args):
-            seq_env[name] = self._eval(p, e)
+                               f"{target} with mismatched argument counts")
+        for param, e in zip(d.seq_params, cmd.seq_args):
+            seq_env[param] = self._eval(p, e)
         chan_env = {}
         for param, arg in zip(d.chan_params, cmd.chan_args):
             if arg not in p.chan_env:
                 raise MachineFault("IllegalCommand",
-                                   f"call passes unknown channel {arg!r}")
+                                   f"{verb} passes unknown channel {arg!r}")
             chan_env[param] = p.chan_env[arg]
-        p.name = cmd.callee
+        p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
         p.frames = [[d.body, 0]]
-        return self._event(p, "CALL", None, cmd.callee)
-
-    def _exec_use(self, p: ProcessInstance, cmd: Use) -> TraceEvent:
-        value = self._eval(p, cmd.stored)
-        if not isinstance(value, StoredProc):
-            raise MachineFault("IllegalCommand",
-                               f"use of a non-process value "
-                               f"{value.render()}")
-        d = value.proc
-        if (len(cmd.seq_args) != len(d.seq_params)
-                or len(cmd.chan_args) != len(d.chan_params)):
-            raise MachineFault("IllegalCommand",
-                               f"use of {d.name!r} with mismatched "
-                               f"argument counts")
-        seq_env = dict(value.env)
-        for name, e in zip(d.seq_params, cmd.seq_args):
-            seq_env[name] = self._eval(p, e)
-        chan_env = {}
-        for param, arg in zip(d.chan_params, cmd.chan_args):
-            if arg not in p.chan_env:
-                raise MachineFault("IllegalCommand",
-                                   f"use passes unknown channel {arg!r}")
-            chan_env[param] = p.chan_env[arg]
-        p.name = f"use:{d.name}"
-        p.seq_env = seq_env
-        p.chan_env = chan_env
-        p.frames = [[d.body, 0]]
-        return self._event(p, "USE", None, d.name)
+        return self._event(p, verb.upper(), None, d.name)
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
         lcid, lend = self._binding(p, cmd.left)
@@ -785,8 +767,3 @@ def boot(program: ExecProgram, seed: int = 0,
     """Create and boot a machine: one process for `run`, one service
     channel per service parameter in its context, RNG seeded."""
     return Machine(program, seed, services, trace_hook).boot()
-
-
-def run_to_completion(machine: Machine,
-                      max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
-    return machine.run_to_completion(max_steps)

@@ -141,9 +141,3 @@ class ConsoleEndpoint:
             self._cursor += 1
             return line
         return input()
-
-
-def console_dispatch(endpoint: ConsoleEndpoint, msg) -> object | None:
-    """Feed one incoming message to the endpoint; returns the reply
-    message to enqueue back toward the program, if any."""
-    return endpoint.handle(msg)

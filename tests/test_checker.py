@@ -155,24 +155,40 @@ def test_signatures_deleted_from_explicit_program_infer_the_same():
 def test_unifier_direct_substitution():
     u = Unifier()
     x, y = u.fresh_chan(), u.fresh_chan()
-    u.unify_chan(x, Put(STRING, y))
-    u.unify_chan(y, TOPBOT)
-    assert u.zonk_chan(x) == Put(STRING, TOPBOT)
+    u.unify(x, Put(STRING, y))
+    u.unify(y, TOPBOT)
+    assert u.zonk(x) == Put(STRING, TOPBOT)
 
 
 def test_unifier_occurs_check():
     u = Unifier()
     x = u.fresh_chan()
     with pytest.raises(UnifyClash):
-        u.unify_chan(x, Put(STRING, x))
+        u.unify(x, Put(STRING, x))
+
+
+def test_unifier_occurs_check_sees_store_channel_types():
+    u = Unifier()
+    s = u.fresh_seq()
+    with pytest.raises(UnifyClash):
+        u.unify(s, StoreType(ProcSignature((), (Put(s, TOPBOT),), ())))
+
+
+def test_unifier_occurs_check_sees_nested_store_seq_params():
+    u = Unifier()
+    x = u.fresh_chan()
+    inner = StoreType(ProcSignature((), (x,), ()))
+    outer = StoreType(ProcSignature((inner,), (), ()))
+    with pytest.raises(UnifyClash):
+        u.unify(x, Put(outer, TOPBOT))
 
 
 def test_unifier_store_signatures():
     u = Unifier()
     s = u.fresh_seq()
     sig = ProcSignature((), (TOPBOT,), ())
-    u.unify_seq(s, StoreType(sig))
-    assert u.zonk_seq(s) == StoreType(sig)
+    u.unify(s, StoreType(sig))
+    assert u.zonk(s) == StoreType(sig)
 
 
 def test_bare_recursion_needs_a_protocol():

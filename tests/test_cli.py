@@ -175,6 +175,30 @@ def test_run_parse_error_exits_one(runner, tmp_path):
     assert r.exit_code == 1
 
 
+def test_check_reports_a_cyclic_store_type_without_a_traceback(
+        runner, tmp_path):
+    # q's input carries a value whose type is q's own stored signature.
+    src = tmp_path / "occurs.campl"
+    src.write_text("proc q =\n"
+                   "    | i => -> do\n"
+                   "        get v on i\n"
+                   "        halt i\n"
+                   "\nproc p =\n"
+                   "    | => o -> do\n"
+                   "        put store(q) on o\n"
+                   "        halt o\n"
+                   "\nproc run =\n"
+                   "    | => -> plug\n"
+                   "        p( | => ch )\n"
+                   "        q( | ch => )\n")
+    r = runner.invoke(main, ["check", str(src)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert "Traceback" not in r.stderr
+    assert ":14:9: UnificationFailure: " in r.stderr
+    assert "on channel 'ch'" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # dump-ast
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from campl.model import (
     BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, CoprotoApp, DeclKind,
     Get, HandleDef, NegT, Par, ProtoApp, ProtocolDecl, Put, SeqVar,
-    StateVar, Tensor, UnknownHandle, allowed_commands, type_equal,
-    unfold_handle,
+    StateVar, Tensor, UnknownHandle, allowed_commands, unfold_handle,
 )
 
 PASS_MESSAGES = ProtocolDecl(
@@ -103,28 +102,28 @@ def test_both_ends_form_a_complement_pair(t):
 
 @given(chan_types())
 def test_type_equal_reflexive(t):
-    assert type_equal(t, t)
+    assert t == t
 
 
 @given(chan_types(), chan_types())
 def test_type_equal_symmetric(a, b):
-    assert type_equal(a, b) == type_equal(b, a)
+    assert (a == b) == (b == a)
 
 
 @given(chan_types(), chan_types(), chan_types())
 @settings(max_examples=60)
 def test_type_equal_transitive(a, b, c):
-    if type_equal(a, b) and type_equal(b, c):
-        assert type_equal(a, c)
+    if a == b and b == c:
+        assert a == c
 
 
 def test_type_equal_examples():
-    assert type_equal(TOPBOT, TOPBOT)
-    assert not type_equal(Put(STRING, TOPBOT), Get(STRING, TOPBOT))
+    assert TOPBOT == TOPBOT
+    assert Put(STRING, TOPBOT) != Get(STRING, TOPBOT)
     # Iso-recursion: a folded application is not its unfolding.
     folded = ProtoApp("PassMessages", (STRING,))
     unfolded = Put(STRING, folded)
-    assert not type_equal(folded, unfolded)
+    assert folded != unfolded
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from campl.runtime import (
 )
 from campl.services import (
     CONSOLE_DECL, ConsoleEndpoint, ScriptExhausted, ServiceConfig,
-    console_dispatch, drain_output,
+    drain_output,
 )
 from conftest import corpus_text
 
@@ -27,10 +27,10 @@ def test_console_declaration_shape():
 def test_hello_world_dispatch_sequence():
     cfg = ServiceConfig.from_script([])
     ep = ConsoleEndpoint(cfg)
-    assert console_dispatch(ep, HandleMsg("ConsolePut")) is None
-    assert console_dispatch(ep, ValMsg(StringV("Hello World!"))) is None
-    assert console_dispatch(ep, HandleMsg("ConsoleClose")) is None
-    assert console_dispatch(ep, CloseMsg()) is None
+    assert ep.handle(HandleMsg("ConsolePut")) is None
+    assert ep.handle(ValMsg(StringV("Hello World!"))) is None
+    assert ep.handle(HandleMsg("ConsoleClose")) is None
+    assert ep.handle(CloseMsg()) is None
     assert ep.closed
     assert drain_output(cfg) == ["Hello World!"]
 
@@ -38,23 +38,23 @@ def test_hello_world_dispatch_sequence():
 def test_console_get_pops_script_lines():
     cfg = ServiceConfig.from_script(["hi"])
     ep = ConsoleEndpoint(cfg)
-    reply = console_dispatch(ep, HandleMsg("ConsoleGet"))
+    reply = ep.handle(HandleMsg("ConsoleGet"))
     assert isinstance(reply, ValMsg) and reply.value == StringV("hi")
     with pytest.raises(ScriptExhausted):
-        console_dispatch(ep, HandleMsg("ConsoleGet"))
+        ep.handle(HandleMsg("ConsoleGet"))
 
 
 def test_console_get_exhausted_on_empty_script():
     ep = ConsoleEndpoint(ServiceConfig.from_script([]))
     with pytest.raises(ScriptExhausted):
-        console_dispatch(ep, HandleMsg("ConsoleGet"))
+        ep.handle(HandleMsg("ConsoleGet"))
 
 
 def test_drain_output_is_idempotent():
     cfg = ServiceConfig.from_script([])
     ep = ConsoleEndpoint(cfg)
-    console_dispatch(ep, HandleMsg("ConsolePut"))
-    console_dispatch(ep, ValMsg(StringV("once")))
+    ep.handle(HandleMsg("ConsolePut"))
+    ep.handle(ValMsg(StringV("once")))
     assert drain_output(cfg) == ["once"]
     assert drain_output(cfg) == ["once"]
     got = drain_output(cfg)
@@ -66,8 +66,8 @@ def test_echo_stream_receives_lines():
     sink = io.StringIO()
     cfg = ServiceConfig.from_script([], echo=sink)
     ep = ConsoleEndpoint(cfg)
-    console_dispatch(ep, HandleMsg("ConsolePut"))
-    console_dispatch(ep, ValMsg(StringV("streamed")))
+    ep.handle(HandleMsg("ConsolePut"))
+    ep.handle(ValMsg(StringV("streamed")))
     assert sink.getvalue() == "streamed\n"
 
 
