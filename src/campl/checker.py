@@ -11,6 +11,7 @@ mistakes in different processes are all reported in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
@@ -196,6 +197,8 @@ class ProtocolTable:
 
 @dataclass
 class ChanEntry:
+    """A live channel's current type and polarity.  Never mutated, so
+    copies of a context share their entries."""
     type: object
     pol: Polarity
 
@@ -250,7 +253,15 @@ class TypedProgram:
     plug_sites: list[PlugSite]
     fork_sites: list[ForkSite]
     arm_sites: list[ArmSite]
-    occurrences: list[Occurrence]
+    raw_occurrences: list[Occurrence]
+    unifier: Unifier
+
+    @cached_property
+    def occurrences(self) -> list[Occurrence]:
+        """Every channel use, with its type zonked on first read."""
+        for o in self.raw_occurrences:
+            o.type = self.unifier.zonk(o.type)
+        return self.raw_occurrences
 
     def signature_of(self, name: str) -> ProcSignature:
         return self.procs[name].signature
@@ -264,12 +275,6 @@ _TERMINATED = "terminated"
 _OPEN = "open"
 
 
-@dataclass
-class _SigInfo:
-    sig: ProcSignature
-    explicit: bool
-
-
 class Checker:
     def __init__(self, src: SourceProgram):
         self.src = src
@@ -279,7 +284,7 @@ class Checker:
         self.table = ProtocolTable.build(
             [d for d in src.decls if isinstance(d, ProtocolDecl)],
             self.errors)
-        self.sigs: dict[str, _SigInfo] = {}
+        self.sigs: dict[str, ProcSignature] = {}
         self.plug_sites: list[PlugSite] = []
         self.fork_sites: list[ForkSite] = []
         self.arm_sites: list[ArmSite] = []
@@ -295,7 +300,8 @@ class Checker:
                 self.sigs[name] = self._initial_sig(procs[name])
             for name in group:
                 try:
-                    self._check_proc(procs[name])
+                    _BodyChecker(self, name).check_def(procs[name],
+                                                       self.sigs[name], {})
                 except _BodyError:
                     pass
         # Signatures may only become ground once callers constrain them
@@ -309,41 +315,36 @@ class Checker:
             self.errors.sort(key=sort_key)
             raise CheckFailure(self.errors)
         checked = {
-            name: CheckedProc(name, self.uni.zonk_sig(self.sigs[name].sig),
+            name: CheckedProc(name, self.uni.zonk_sig(self.sigs[name]),
                               procs[name])
             for name in procs
         }
-        self._zonk_sites()
         return TypedProgram(self.src, self.exec_program, checked, self.table,
                             self.plug_sites, self.fork_sites, self.arm_sites,
-                            self.occurrences)
+                            self.occurrences, self.uni)
 
-    def _initial_sig(self, d: ProcDef) -> _SigInfo:
-        if d.signature is not None:
-            sig = d.signature
-            if (len(sig.seq_params) != len(d.seq_params)
-                    or len(sig.in_chans) != len(d.in_params)
-                    or len(sig.out_chans) != len(d.out_params)):
-                self._diag(dk.ARITY_MISMATCH, d.pos,
-                           f"signature of {d.name!r} lists "
-                           f"{len(sig.seq_params)}|{len(sig.in_chans)}"
-                           f"=>{len(sig.out_chans)} but the context line "
-                           f"binds {len(d.seq_params)}|{len(d.in_params)}"
-                           f"=>{len(d.out_params)}")
-                sig = ProcSignature(
-                    tuple(self.uni.fresh_seq() for _ in d.seq_params),
-                    tuple(self.uni.fresh_chan() for _ in d.in_params),
-                    tuple(self.uni.fresh_chan() for _ in d.out_params))
-                return _SigInfo(sig, False)
-            return _SigInfo(sig, True)
-        sig = ProcSignature(
+    def _initial_sig(self, d: ProcDef) -> ProcSignature:
+        """`d`'s declared signature, or fresh variables when it has none or
+        one that does not match its context line."""
+        sig = d.signature
+        if sig is not None:
+            if (len(sig.seq_params) == len(d.seq_params)
+                    and len(sig.in_chans) == len(d.in_params)
+                    and len(sig.out_chans) == len(d.out_params)):
+                return sig
+            self._diag(dk.ARITY_MISMATCH, d.pos,
+                       f"signature of {d.name!r} lists "
+                       f"{len(sig.seq_params)}|{len(sig.in_chans)}"
+                       f"=>{len(sig.out_chans)} but the context line "
+                       f"binds {len(d.seq_params)}|{len(d.in_params)}"
+                       f"=>{len(d.out_params)}")
+        return ProcSignature(
             tuple(self.uni.fresh_seq() for _ in d.seq_params),
             tuple(self.uni.fresh_chan() for _ in d.in_params),
             tuple(self.uni.fresh_chan() for _ in d.out_params))
-        return _SigInfo(sig, False)
 
     def _finalize_sig(self, d: ProcDef) -> None:
-        solved = self.uni.zonk_sig(self.sigs[d.name].sig)
+        solved = self.uni.zonk_sig(self.sigs[d.name])
         unsolved = [t for t in solved.seq_params if has_uvars(t)]
         unsolved += [t for t in solved.in_chans + solved.out_chans
                      if has_uvars(t)]
@@ -357,7 +358,7 @@ class Checker:
         d = self.exec_program.procs.get("run")
         if d is None:
             return
-        sig = self.uni.zonk_sig(self.sigs["run"].sig)
+        sig = self.uni.zonk_sig(self.sigs["run"])
         if sig.seq_params:
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        "run cannot take sequential parameters")
@@ -379,43 +380,24 @@ class Checker:
                        "run may hold at most one Console channel")
 
     def _audit_created_types(self) -> None:
+        """Zonk every plug and fork site's types in place and reject those
+        that carry the service type."""
         for site in self.plug_sites:
             for name, t in site.chan_types.items():
-                if mentions_service(self.uni.zonk(t)):
+                t = site.chan_types[name] = self.uni.zonk(t)
+                if mentions_service(t):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"plug creates channel {name!r} carrying the "
                                f"service type {CONSOLE}; only run receives "
                                f"service channels", channel=name)
         for site in self.fork_sites:
+            site.components = tuple(self.uni.zonk(t)
+                                    for t in site.components)
             for t in site.components:
-                if mentions_service(self.uni.zonk(t)):
+                if mentions_service(t):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"fork creates a channel carrying the "
                                f"service type {CONSOLE}")
-
-    def _zonk_sites(self) -> None:
-        for site in self.plug_sites:
-            site.chan_types = {n: self.uni.zonk(t)
-                               for n, t in site.chan_types.items()}
-        for i, site in enumerate(self.fork_sites):
-            self.fork_sites[i] = ForkSite(
-                site.proc, site.pos,
-                tuple(self.uni.zonk(t) for t in site.components))
-        for o in self.occurrences:
-            o.type = self.uni.zonk(o.type)
-
-    # -- per-process checking --------------------------------------------
-
-    def _check_proc(self, d: ProcDef) -> None:
-        sig = self.sigs[d.name].sig
-        seq_ctx = dict(zip(d.seq_params, sig.seq_params))
-        chan_ctx: dict[str, ChanEntry] = {}
-        for name, t in zip(d.in_params, sig.in_chans):
-            chan_ctx[name] = ChanEntry(t, INPUT)
-        for name, t in zip(d.out_params, sig.out_chans):
-            chan_ctx[name] = ChanEntry(t, OUTPUT)
-        body = _BodyChecker(self, d.name)
-        body.require_complete(d.body, seq_ctx, chan_ctx, d.pos)
 
     def _diag(self, kind: str, pos: Pos, message: str,
               channel: str | None = None,
@@ -438,12 +420,19 @@ class _BodyChecker:
         self.c._diag(kind, pos, message, channel, rendered)
         raise _BodyError()
 
-    def require_complete(self, body: Body, seq_ctx, chan_ctx,
-                         pos: Pos) -> None:
-        state, ctx = self.check_body(body, seq_ctx, chan_ctx)
+    def check_def(self, d: ProcDef, sig: ProcSignature, seq_ctx) -> None:
+        """Check `d`'s body under `sig`, with `seq_ctx` as the enclosing
+        sequential scope; the body must consume every channel."""
+        seq_ctx = dict(seq_ctx)
+        seq_ctx.update(zip(d.seq_params, sig.seq_params))
+        chan_ctx = {name: ChanEntry(t, INPUT)
+                    for name, t in zip(d.in_params, sig.in_chans)}
+        chan_ctx.update((name, ChanEntry(t, OUTPUT))
+                        for name, t in zip(d.out_params, sig.out_chans))
+        state, ctx = self.check_body(d.body, seq_ctx, chan_ctx)
         if state is _OPEN and ctx:
             names = ", ".join(sorted(ctx))
-            self.fail(dk.LINEARITY_DROP, body[-1].pos if body else pos,
+            self.fail(dk.LINEARITY_DROP, d.body[-1].pos if d.body else d.pos,
                       f"body ends with live channel(s): {names}",
                       channel=sorted(ctx)[0])
 
@@ -492,14 +481,14 @@ class _BodyChecker:
             return self.check_hcase(cmd, seq_ctx, chan_ctx, last)
         if isinstance(cmd, Close):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "close")
-            self.expect_topbot(cmd.chan, entry, "close", cmd.pos)
+            self.shape(cmd.chan, entry, "close", cmd.pos, lambda: TOPBOT)
             del chan_ctx[cmd.chan]
             self.note(cmd.pos, cmd.chan, entry, "close")
             # Closing the last live channel may end the body.
             return _TERMINATED if (last and not chan_ctx) else _OPEN
         if isinstance(cmd, Halt):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "halt")
-            self.expect_topbot(cmd.chan, entry, "halt", cmd.pos)
+            self.shape(cmd.chan, entry, "halt", cmd.pos, lambda: TOPBOT)
             del chan_ctx[cmd.chan]
             if chan_ctx:
                 names = ", ".join(sorted(chan_ctx))
@@ -565,27 +554,25 @@ class _BodyChecker:
                   f"(allows {', '.join(sorted(allowed))} at {entry.pol})",
                   channel=chan, chan_type=resolved)
 
-    def expect_head(self, chan: str, entry: ChanEntry, command: str,
-                    pos: Pos):
-        """Force the channel's head to the value-message constructor that
-        makes `command` legal at the entry's polarity."""
-        want_put = (command == "put") == (entry.pol is OUTPUT)
+    def shape(self, chan: str, entry: ChanEntry, command: str, pos: Pos,
+              fresh):
+        """The outermost constructor of the channel's type.  A variable is
+        solved to `fresh()`, the constructor that makes `command` legal at
+        the entry's polarity; any other type must allow `command`."""
         resolved = self.uni.resolve(entry.type)
         if isinstance(resolved, UVar):
-            head = (Put if want_put else Get)(self.uni.fresh_seq(),
-                                              self.uni.fresh_chan())
+            head = fresh()
             self.uni.unify(resolved, head)
             return head
         self.legality(chan, entry, command, pos, resolved)
-        return resolved   # Put or Get with the right orientation
+        return resolved
 
-    def expect_topbot(self, chan: str, entry: ChanEntry, command: str,
-                      pos: Pos) -> None:
-        resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            self.uni.unify(resolved, TOPBOT)
-            return
-        self.legality(chan, entry, command, pos, resolved)
+    def expect_head(self, chan: str, entry: ChanEntry, command: str,
+                    pos: Pos):
+        """The Put or Get at the channel's head for a value `command`."""
+        want = Put if (command == "put") == (entry.pol is OUTPUT) else Get
+        return self.shape(chan, entry, command, pos, lambda: want(
+            self.uni.fresh_seq(), self.uni.fresh_chan()))
 
     def unify_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
         try:
@@ -624,24 +611,16 @@ class _BodyChecker:
 
     def store_type(self, e: StoreOf, seq_ctx) -> SeqType:
         if isinstance(e.target, str):
-            info = self.c.sigs.get(e.target)
-            if info is None:
+            sig = self.c.sigs.get(e.target)
+            if sig is None:
                 self.fail(dk.ILLEGAL_COMMAND, e.pos,
                           f"store of unknown process {e.target!r}")
-            return StoreType(info.sig)
+            return StoreType(sig)
         # Inline definition: check it now against its mandatory signature.
         d = e.target
-        sig = d.signature
-        inner_seq = dict(seq_ctx)
-        inner_seq.update(zip(d.seq_params, sig.seq_params))
-        inner_chan: dict[str, ChanEntry] = {}
-        for name, t in zip(d.in_params, sig.in_chans):
-            inner_chan[name] = ChanEntry(t, INPUT)
-        for name, t in zip(d.out_params, sig.out_chans):
-            inner_chan[name] = ChanEntry(t, OUTPUT)
-        sub = _BodyChecker(self.c, f"{self.proc}.store")
-        sub.require_complete(d.body, inner_seq, inner_chan, d.pos)
-        return StoreType(sig)
+        _BodyChecker(self.c, f"{self.proc}.store").check_def(
+            d, d.signature, seq_ctx)
+        return StoreType(d.signature)
 
     # -- structured commands ----------------------------------------------
 
@@ -660,19 +639,12 @@ class _BodyChecker:
     def force_app(self, chan: str, entry: ChanEntry, decl: ProtocolDecl,
                   command: str, pos: Pos):
         ctor = ProtoApp if decl.kind is DeclKind.PROTOCOL else CoprotoApp
-        resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            app = ctor(decl.name,
-                       tuple(self.uni.fresh_seq() for _ in decl.seq_params))
-            self.uni.unify(resolved, app)
-        else:
-            self.legality(chan, entry, command, pos, resolved)
-            if not isinstance(resolved, ctor) or resolved.name != decl.name:
-                self.fail(dk.HANDLE_UNKNOWN, pos,
-                          f"handle belongs to {decl.name}, but {chan!r} has "
-                          f"type {resolved}", channel=chan,
-                          chan_type=resolved)
-            app = resolved
+        app = self.shape(chan, entry, command, pos, lambda: ctor(
+            decl.name, tuple(self.uni.fresh_seq() for _ in decl.seq_params)))
+        if not isinstance(app, ctor) or app.name != decl.name:
+            self.fail(dk.HANDLE_UNKNOWN, pos,
+                      f"handle belongs to {decl.name}, but {chan!r} has "
+                      f"type {app}", channel=chan, chan_type=app)
         return app
 
     def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx, last: bool):
@@ -703,12 +675,10 @@ class _BodyChecker:
         self.note(cmd.pos, cmd.chan, entry, "hcase")
         results = []
         for arm in cmd.arms:
-            arm_seq = dict(seq_ctx)
-            arm_ctx = {n: ChanEntry(en.type, en.pol)
-                       for n, en in chan_ctx.items()}
+            arm_ctx = dict(chan_ctx)
             arm_ctx[cmd.chan] = ChanEntry(
                 unfold_handle(decl, arm.handle, app), entry.pol)
-            results.append(self.check_body(arm.body, arm_seq, arm_ctx))
+            results.append(self.check_body(arm.body, dict(seq_ctx), arm_ctx))
         return self.merge_arms(cmd, "hcase", chan_ctx, results)
 
     def merge_arms(self, cmd, kind: str, chan_ctx, results):
@@ -767,24 +737,18 @@ class _BodyChecker:
             self.note(arm.pos, arm.chan, entry, "race")
         results = []
         for arm in cmd.arms:
-            arm_seq = dict(seq_ctx)
-            arm_ctx = {n: ChanEntry(en.type, en.pol)
-                       for n, en in chan_ctx.items()}
-            results.append(self.check_body(arm.body, arm_seq, arm_ctx))
+            results.append(self.check_body(arm.body, dict(seq_ctx),
+                                           dict(chan_ctx)))
         return self.merge_arms(cmd, "race", chan_ctx, results)
 
     def check_fork(self, cmd: Fork, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "fork")
         want = Tensor if entry.pol is OUTPUT else Par
-        resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            resolved = want(self.uni.fresh_chan(), self.uni.fresh_chan())
-            self.uni.unify(entry.type, resolved)
-        else:
-            self.legality(cmd.chan, entry, "fork", cmd.pos, resolved)
+        resolved = self.shape(cmd.chan, entry, "fork", cmd.pos, lambda: want(
+            self.uni.fresh_chan(), self.uni.fresh_chan()))
+        components = (resolved.left, resolved.right)
         self.note(cmd.pos, cmd.chan, entry, "fork")
-        self.c.fork_sites.append(ForkSite(
-            self.proc, cmd.pos, (resolved.left, resolved.right)))
+        self.c.fork_sites.append(ForkSite(self.proc, cmd.pos, components))
         rest = {n: e for n, e in chan_ctx.items() if n != cmd.chan}
         frees = []
         for arm in cmd.arms:
@@ -805,15 +769,13 @@ class _BodyChecker:
                       f"fork branches leave channel(s) unused: "
                       f"{', '.join(sorted(uncovered))}",
                       channel=sorted(uncovered)[0])
-        components = (resolved.left, resolved.right)
         consumed_sets = []
-        for arm, component in zip(cmd.arms, components):
-            arm_ctx = {n: ChanEntry(rest[n].type, rest[n].pol)
-                       for n in rest if n in free_chans(arm.body)}
+        for arm, component, free in zip(cmd.arms, components, frees):
+            # `free` lacks only the binder, which is not in `rest`.
+            arm_ctx = {n: e for n, e in rest.items() if n in free}
             arm_ctx[arm.name] = ChanEntry(component, entry.pol)
             consumed_sets.append(frozenset(arm_ctx))
-            sub_seq = dict(seq_ctx)
-            state, ctx = self.check_body(arm.body, sub_seq, arm_ctx)
+            state, ctx = self.check_body(arm.body, dict(seq_ctx), arm_ctx)
             if state is _OPEN and ctx:
                 self.fail(dk.LINEARITY_DROP, arm.pos,
                           f"fork branch {arm.name!r} ends with live "
@@ -826,12 +788,8 @@ class _BodyChecker:
     def check_split(self, cmd: Split, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "split")
         want = Par if entry.pol is OUTPUT else Tensor
-        resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            resolved = want(self.uni.fresh_chan(), self.uni.fresh_chan())
-            self.uni.unify(entry.type, resolved)
-        else:
-            self.legality(cmd.chan, entry, "split", cmd.pos, resolved)
+        resolved = self.shape(cmd.chan, entry, "split", cmd.pos, lambda: want(
+            self.uni.fresh_chan(), self.uni.fresh_chan()))
         self.note(cmd.pos, cmd.chan, entry, "split")
         del chan_ctx[cmd.chan]
         for name in (cmd.left, cmd.right):
@@ -908,8 +866,7 @@ class _BodyChecker:
         for idx, branch in enumerate(cmd.branches):
             branch_ctx: dict[str, ChanEntry] = {}
             for name in frees[idx] & live:
-                branch_ctx[name] = ChanEntry(chan_ctx[name].type,
-                                             chan_ctx[name].pol)
+                branch_ctx[name] = chan_ctx[name]
             for name in frees[idx] - live:
                 branch_ctx[name] = ChanEntry(types[name],
                                              polarity_of[name][idx])
@@ -928,9 +885,8 @@ class _BodyChecker:
         if len(branch) != 1 or not isinstance(branch[0], Call):
             return None
         call = branch[0]
-        info = self.c.sigs.get(call.callee)
         target = self.c.exec_program.procs.get(call.callee)
-        if info is None or target is None:
+        if call.callee not in self.c.sigs or target is None:
             return None
         params = target.chan_params
         for param, arg in zip(params, call.chan_args):
@@ -967,11 +923,10 @@ class _BodyChecker:
 
     def check_call(self, cmd: Call, seq_ctx, chan_ctx):
         target = self.c.exec_program.procs.get(cmd.callee)
-        info = self.c.sigs.get(cmd.callee)
-        if target is None or info is None:
+        sig = self.c.sigs.get(cmd.callee)
+        if target is None or sig is None:
             self.fail(dk.ILLEGAL_COMMAND, cmd.pos,
                       f"call to unknown process {cmd.callee!r}")
-        sig = info.sig
         return self._check_invocation(cmd, sig, target.in_params,
                                       target.out_params, seq_ctx, chan_ctx,
                                       f"process {cmd.callee!r}")
@@ -1040,14 +995,8 @@ class _BodyChecker:
 
     def check_neg(self, cmd: NegIntro, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "neg")
-        resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            inner = self.uni.fresh_chan()
-            self.uni.unify(resolved, NegT(inner))
-        elif isinstance(resolved, NegT):
-            inner = resolved.inner
-        else:
-            self.legality(cmd.chan, entry, "neg", cmd.pos, resolved)
+        inner = self.shape(cmd.chan, entry, "neg", cmd.pos,
+                           lambda: NegT(self.uni.fresh_chan())).inner
         if cmd.fresh in chan_ctx and cmd.fresh != cmd.chan:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
                       f"neg binder {cmd.fresh!r} shadows a live channel",

@@ -8,6 +8,8 @@ shape the layout.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
 from .model import Pos
@@ -54,12 +56,16 @@ class LexError(Exception):
         return Pos(self.line, self.col)
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c == "_")
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalnum() or c == "_")
+# One group per token class, named by its token kind, tried in order:
+# comments before ints so that `--` starts a comment, and each operator
+# before its prefixes.  The digit and word classes are ASCII only.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ ]+|--[^\n]*)
+  | (?P<newline>\n)
+  | (?P<int>-?[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>\(\*\)|\(\+\)|\|=\||->|=>|::|[()|=\[\],])
+""", re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -69,126 +75,38 @@ def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0
     n = len(src)
-
-    def error(msg: str, l: int | None = None, c: int | None = None):
-        raise LexError(msg, l if l is not None else line,
-                       c if c is not None else col)
-
     while i < n:
-        c = src[i]
-        if c == "\t":
-            error("tab character; indent with spaces")
-        if c == "\n":
-            i += 1
+        col = i - line_start + 1
+        m = _TOKEN.match(src, i)
+        if m is None:
+            c = src[i]
+            if c == '"':
+                value, i = _scan_string(src, i, line, col)
+                toks.append(Token(STRING, value, line, col))
+            elif c == "'":
+                value, i = _scan_char(src, i, line, col)
+                toks.append(Token(CHARLIT, value, line, col))
+            elif c == "\t":
+                raise LexError("tab character; indent with spaces", line, col)
+            elif c == ":":
+                raise LexError("expected '::'", line, col)
+            else:
+                raise LexError(f"unexpected character {c!r}", line, col)
+            continue
+        kind = m.lastgroup
+        i = m.end()
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c == " ":
-            i += 1
-            col += 1
-            continue
-        if c == "-" and i + 1 < n and src[i + 1] == "-":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if c == "-" and i + 1 < n and src[i + 1] == ">":
-            toks.append(Token(OP, "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c == "-" and i + 1 < n and src[i + 1].isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token(INT, src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token(INT, src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(src[j]):
-                j += 1
-            text = src[i:j]
-            kind = KW if text in KEYWORDS else IDENT
-            toks.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            value, i, col = _scan_string(src, i, line, col)
-            toks.append(Token(STRING, value, start_line, start_col))
-            continue
-        if c == "'":
-            value, i, col = _scan_char(src, i, line, col)
-            toks.append(Token(CHARLIT, value, start_line, start_col))
-            continue
-        if c == "(":
-            if src[i:i + 3] == "(*)":
-                toks.append(Token(OP, "(*)", start_line, start_col))
-                i += 3
-                col += 3
-                continue
-            if src[i:i + 3] == "(+)":
-                toks.append(Token(OP, "(+)", start_line, start_col))
-                i += 3
-                col += 3
-                continue
-            toks.append(Token(OP, "(", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "|":
-            if src[i:i + 3] == "|=|":
-                toks.append(Token(OP, "|=|", start_line, start_col))
-                i += 3
-                col += 3
-                continue
-            toks.append(Token(OP, "|", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "=":
-            if i + 1 < n and src[i + 1] == ">":
-                toks.append(Token(OP, "=>", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            toks.append(Token(OP, "=", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == ":":
-            if i + 1 < n and src[i + 1] == ":":
-                toks.append(Token(OP, "::", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            error("expected '::'")
-        if c in ")],[":
-            toks.append(Token(OP, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == ",":
-            toks.append(Token(OP, ",", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        error(f"unexpected character {c!r}")
-
+            line_start = i
+        elif kind != "blank":
+            # Interned, so a name or operator repeated across the source
+            # and the AST built from it is one string object.
+            text = sys.intern(m.group())
+            if kind == IDENT and text in KEYWORDS:
+                kind = KW
+            toks.append(Token(kind, text, line, col))
     toks.append(Token(EOF, "", line, 0))
     return toks
 
@@ -197,47 +115,47 @@ _ESCAPES = {"n": "\n", '"': '"', "'": "'", "\\": "\\"}
 
 
 def _scan_string(src: str, i: int, line: int, col: int):
+    """Scan the string literal whose quote is at `src[i]`, column `col`;
+    returns its value and the index past the closing quote."""
     n = len(src)
     j = i + 1
-    c2 = col + 1
     out: list[str] = []
     while j < n:
         c = src[j]
         if c == "\n":
-            raise LexError("unterminated string literal", line, col)
+            break
         if c == "\t":
-            raise LexError("tab character; indent with spaces", line, c2)
+            raise LexError("tab character; indent with spaces", line,
+                           col + j - i)
         if c == "\\":
             if j + 1 >= n or src[j + 1] not in _ESCAPES:
-                raise LexError("bad escape in string literal", line, c2)
+                raise LexError("bad escape in string literal", line,
+                               col + j - i)
             out.append(_ESCAPES[src[j + 1]])
             j += 2
-            c2 += 2
             continue
         if c == '"':
-            return "".join(out), j + 1, c2 + 1
+            return "".join(out), j + 1
         out.append(c)
         j += 1
-        c2 += 1
     raise LexError("unterminated string literal", line, col)
 
 
 def _scan_char(src: str, i: int, line: int, col: int):
+    """Scan the character literal whose quote is at `src[i]`; returns its
+    value and the index past the closing quote."""
     n = len(src)
     j = i + 1
-    c2 = col + 1
     if j >= n or src[j] == "\n":
         raise LexError("unterminated character literal", line, col)
     if src[j] == "\\":
         if j + 1 >= n or src[j + 1] not in _ESCAPES:
-            raise LexError("bad escape in character literal", line, c2)
+            raise LexError("bad escape in character literal", line, col + 1)
         value = _ESCAPES[src[j + 1]]
         j += 2
-        c2 += 2
     else:
         value = src[j]
         j += 1
-        c2 += 1
     if j >= n or src[j] != "'":
         raise LexError("unterminated character literal", line, col)
-    return value, j + 1, c2 + 1
+    return value, j + 1

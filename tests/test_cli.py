@@ -199,6 +199,19 @@ def test_check_reports_a_cyclic_store_type_without_a_traceback(
     assert "on channel 'ch'" in r.stderr
 
 
+def test_check_reports_a_non_ascii_digit_as_a_lex_error(runner, tmp_path):
+    src = tmp_path / "digit.campl"
+    src.write_text("proc run =\n"
+                   "    | console => -> do\n"
+                   "        put \u00b2 on console\n"
+                   "        close console\n", encoding="utf-8")
+    r = runner.invoke(main, ["check", str(src)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert "Traceback" not in r.stderr
+    assert ":3:13: LexError: unexpected character '\u00b2'" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # dump-ast
 

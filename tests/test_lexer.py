@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from campl.lexer import LexError, tokenize
+from campl.lexer import CHARLIT, EOF, INT, STRING, LexError, tokenize
 
 
 def kinds_and_texts(source):
@@ -97,3 +99,79 @@ def test_keywords_are_exactly_the_reserved_set():
 def test_crlf_normalized():
     toks = tokenize("close a\r\nclose b")
     assert [t.line for t in toks if t.kind == "kw"] == [1, 2]
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    ("proc run =\n\thalt ch", "tab character; indent with spaces", 2, 1),
+    ('put "a\tb" on x', "tab character; indent with spaces", 1, 7),
+    ("proc f : stuff", "expected '::'", 1, 8),
+    ("put $x", "unexpected character '$'", 1, 5),
+    ("put é", "unexpected character 'é'", 1, 5),
+    ("close a\nput - 5", "unexpected character '-'", 2, 5),
+    ("put -", "unexpected character '-'", 1, 5),
+    ('put "oops\nhalt', "unterminated string literal", 1, 5),
+    ('put "oops', "unterminated string literal", 1, 5),
+    ("put 'a\nhalt", "unterminated character literal", 1, 5),
+    ("put '\n", "unterminated character literal", 1, 5),
+    ("put 'a", "unterminated character literal", 1, 5),
+    ("put '", "unterminated character literal", 1, 5),
+    ('put "a\\qb"', "bad escape in string literal", 1, 7),
+    ("put '\\q'", "bad escape in character literal", 1, 6),
+    ('put "ab\\', "bad escape in string literal", 1, 8),
+])
+def test_lex_error_positions(source, message, line, col):
+    with pytest.raises(LexError) as e:
+        tokenize(source)
+    assert (e.value.message, e.value.line, e.value.col) == \
+        (message, line, col)
+
+
+@pytest.mark.parametrize("source, want", [
+    ("f( | a => )-- c", [("ident", "f", 1, 1), ("op", "(", 1, 2),
+                         ("op", "|", 1, 4), ("ident", "a", 1, 6),
+                         ("op", "=>", 1, 8), ("op", ")", 1, 11)]),
+    ("-5", [("int", "-5", 1, 1)]),
+    ("->", [("op", "->", 1, 1)]),
+    ("|=|", [("op", "|=|", 1, 1)]),
+])
+def test_token_positions(source, want):
+    toks = tokenize(source)
+    assert [(t.kind, t.text, t.line, t.col) for t in toks[:-1]] == want
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eof", 1, 0)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digits_are_unexpected_characters(digit):
+    with pytest.raises(LexError) as e:
+        tokenize(f"put {digit} on x")
+    assert (e.value.message, e.value.line, e.value.col) == \
+        (f"unexpected character {digit!r}", 1, 5)
+
+
+# Token pieces plus the characters that make each error path fire.
+_PIECES = st.sampled_from([
+    " ", "  ", "\n", "\r", "\r\n", "\t", "-", "--", "->", "=>", "=", "::",
+    ":", "(", ")", "(*)", "(+)", "|", "|=|", "[", "]", ",", "*", "+", ">",
+    '"', "'", "\\", "\\n", "a", "Z", "_", "put", "on", "x1", "0", "42",
+    "\u00e9", "\u00b2", "\u0663", "$",
+])
+
+
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_tokens_sit_at_their_positions(source):
+    try:
+        toks = tokenize(source)
+    except LexError:
+        return
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for t in toks:
+        if t.kind == EOF:
+            continue
+        line = lines[t.line - 1]
+        if t.kind in (STRING, CHARLIT):
+            assert line[t.col - 1] == ('"' if t.kind == STRING else "'")
+            continue
+        assert line[t.col - 1:t.col - 1 + len(t.text)] == t.text
+        if t.kind == INT:
+            assert t.text.isascii()
+            int(t.text)
