@@ -118,13 +118,13 @@ class BootError(Exception):
 # ---------------------------------------------------------------------------
 # machine state
 
-SERVICE = "service"
-PENDING = "pending"
-
-
 @dataclass
 class EndState:
-    owner: object          # pid (int) | (SERVICE, label) | None
+    """One end of a channel.  `owner` is the pid holding it; the
+    ConsoleEndpoint serving it; None; or, for an end a fork created and no
+    split has claimed yet, the carrier channel's EndState whose holder
+    will claim it."""
+    owner: object
     closed: bool = False
 
 
@@ -214,6 +214,9 @@ class Machine:
         self.trace: list[TraceEvent] = []
         self._next_pid = 0
         self._next_cid = 0
+        # cid of a channel fused away by |=| while its far end was still
+        # pending -> (fused cid, that end's index there), for the split
+        self._fused: dict[int, tuple[int, int]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -243,10 +246,10 @@ class Machine:
         proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
         for name in run.in_params:
             ch = self._new_channel(name)
-            ch.ends[0].owner = (SERVICE, name)
+            ch.ends[0].owner = self.services[ch.cid] = \
+                ConsoleEndpoint(self.config)
             ch.ends[1].owner = pid
             chan_env[name] = (ch.cid, 1)
-            self.services[ch.cid] = ConsoleEndpoint(self.config)
         self.processes[pid] = proc
         self._drain_services()
         return self
@@ -344,17 +347,14 @@ class Machine:
     # -- invariants ---------------------------------------------------------
 
     def resolve_owner(self, owner):
-        """Follow pending far-end markers to the process that currently
-        holds the channel carrying the not-yet-consumed rewire."""
+        """Follow a pending end's links to the pid or service that will
+        claim it.  An acyclic chain visits each EndState at most once, so
+        a longer one is a cycle (faulty unchecked programs only)."""
         hops = 0
-        while (isinstance(owner, tuple) and len(owner) == 3
-               and owner[0] == PENDING):
-            ch = self.channels.get(owner[1])
-            if ch is None:
-                return None
-            owner = ch.ends[owner[2]].owner
+        while isinstance(owner, EndState):
+            owner = owner.owner
             hops += 1
-            if hops > len(self.channels) + 1:
+            if hops > 2 * self._next_cid:
                 return None
         return owner
 
@@ -489,9 +489,7 @@ class Machine:
         for cid, end in p.chan_env.values():
             ch = self.channels.get(cid)
             if ch is not None and ch.ends[end].owner == p.pid:
-                ch.ends[end].owner = None
-                ch.ends[end].closed = True
-                self._reap(ch)
+                self._release(cid, end)
         p.chan_env.clear()
 
     def _pop(self, p: ProcessInstance, chan: str, want, command: str):
@@ -515,10 +513,21 @@ class Machine:
         ch.ends[end].closed = True
         self._reap(ch)
 
+    def _release(self, cid: int, end: int) -> None:
+        """Close and disown one end of a channel, if it is still there."""
+        ch = self.channels.get(cid)
+        if ch is not None:
+            ch.ends[end].owner = None
+            ch.ends[end].closed = True
+            self._reap(ch)
+
     def _reap(self, ch: ChannelState) -> None:
         if ch.ends[0].closed and ch.ends[1].closed:
             self.channels.pop(ch.cid, None)
             self.services.pop(ch.cid, None)
+            # pending ends that would be claimed through these now resolve
+            # to no one
+            ch.ends[0].owner = ch.ends[1].owner = None
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, IntLit):
@@ -546,109 +555,78 @@ class Machine:
         raise MachineFault("IllegalCommand",
                            f"cannot evaluate {type(e).__name__}")
 
-    def _spawn(self, name: str, seq_env: dict, chan_env: dict,
-               body) -> ProcessInstance:
-        pid = self._new_pid()
-        proc = ProcessInstance(pid, name, seq_env, chan_env, [[body, 0]])
-        self.processes[pid] = proc
-        for cid, end in chan_env.values():
-            self.channels[cid].ends[end].owner = pid
-        return proc
+    def _hand_off(self, p: ProcessInstance, children: list) -> None:
+        """Replace `p` by `children`, each (name, body, names the body
+        uses, its new bindings).  Each of `p`'s channels goes to the first
+        child that uses it; the rest are released."""
+        del self.processes[p.pid]
+        rest = dict(p.chan_env)
+        for name, body, uses, env in children:
+            for n in uses & rest.keys() - env.keys():
+                env[n] = rest.pop(n)
+            pid = self._new_pid()
+            self.processes[pid] = ProcessInstance(
+                pid, name, dict(p.seq_env), env, [[body, 0]])
+            for cid, end in env.values():
+                self.channels[cid].ends[end].owner = pid
+        for cid, end in rest.values():
+            self._release(cid, end)
 
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
         cid, end = self._binding(p, cmd.chan)
+        del p.chan_env[cmd.chan]
         ch = self.channels[cid]
-        arms = cmd.arms
-        new_chs = []
-        for arm in arms:
-            nch = self._new_channel(arm.name)
-            nch.ends[end].owner = None          # set by spawn below
-            # The far end is claimed when the peer dequeues the rewire;
-            # until then it belongs to whoever holds the old channel's far
-            # end, which may itself migrate through further forks.
-            nch.ends[1 - end].owner = (PENDING, cid, 1 - end)
-            new_chs.append(nch)
-        ch.queues[end].append(RewireMsg(new_chs[0].cid, new_chs[1].cid))
-        ch.ends[end].closed = True
-        ch.ends[end].owner = None
-
-        rest = {n: b for n, b in p.chan_env.items() if n != cmd.chan}
-        claimed: set[str] = set()
-        ev = self._event(p, "FORK", cmd.chan,
-                         f"{arms[0].name}#{new_chs[0].cid},"
-                         f"{arms[1].name}#{new_chs[1].cid}", cid=cid)
-        del self.processes[p.pid]
-        for arm, nch in zip(arms, new_chs):
-            names = free_chans(arm.body) - {arm.name}
-            slice_env = {n: rest[n] for n in rest
-                         if n in names and n not in claimed}
-            claimed |= set(slice_env)
-            slice_env[arm.name] = (nch.cid, end)
-            self._spawn(f"{p.name}.{arm.name}", dict(p.seq_env), slice_env,
-                        arm.body)
-        for n, (lcid, lend) in rest.items():
-            if n not in claimed:
-                lch = self.channels.get(lcid)
-                if lch is not None:
-                    lch.ends[lend].owner = None
-                    lch.ends[lend].closed = True
-                    self._reap(lch)
-        self._reap(ch)
+        # The forker's children take end 0 of each new channel.  End 1
+        # waits for the peer's split; until then it is claimed through
+        # the carrier's far end, whose holder may change meanwhile.
+        new = [self._new_channel(arm.name) for arm in cmd.arms]
+        for nch in new:
+            nch.ends[1].owner = ch.ends[1 - end]
+        ch.queues[end].append(RewireMsg(new[0].cid, new[1].cid))
+        ev = self._event(p, "FORK", cmd.chan, ",".join(
+            f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
+            cid=cid)
+        self._release(cid, end)
+        self._hand_off(p, [
+            (f"{p.name}.{arm.name}", arm.body, free_chans(arm.body),
+             {arm.name: (nch.cid, 0)}) for arm, nch in zip(cmd.arms, new)])
         return ev
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
         msg = self._pop(p, cmd.chan, RewireMsg, "split")
-        cid, end = p.chan_env.pop(cmd.chan)
-        ch = self.channels[cid]
-        ch.ends[end].closed = True
-        ch.ends[end].owner = None
-        self._reap(ch)
-        # The splitting side keeps its end index on both new channels.
+        self._release(*p.chan_env.pop(cmd.chan))
         for name, ncid in ((cmd.left, msg.cid_left),
                            (cmd.right, msg.cid_right)):
-            nch = self.channels[ncid]
-            nch.ends[end].owner = p.pid
+            end = 1
+            while ncid in self._fused:
+                ncid, end = self._fused.pop(ncid)
+            self.channels[ncid].ends[end].owner = p.pid
             p.chan_env[name] = (ncid, end)
         self._advance(p)
         return self._event(p, "SPLIT", cmd.left, f"{cmd.right}",
                            cid=msg.cid_left)
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
-        live = set(p.chan_env)
         frees = [free_chans(b) for b in cmd.branches]
-        plugged = sorted(set().union(*frees) - live)
-        made: dict[str, ChannelState] = {}
-        next_end: dict[str, int] = {}
+        users: dict[str, list[int]] = {}
+        for i, names in enumerate(frees):
+            for name in names - p.chan_env.keys():
+                users.setdefault(name, []).append(i)
+        plugged = sorted(users)
+        envs: list[dict] = [{} for _ in frees]
         for name in plugged:
-            owners = [i for i, f in enumerate(frees) if name in f]
-            if len(owners) != 2:
+            if len(users[name]) != 2:
                 raise MachineFault(
                     "IllegalCommand",
                     f"plug channel {name!r} must join exactly two branches")
-            made[name] = self._new_channel(name)
-            next_end[name] = 0
-        ev = self._event(p, "PLUG", None,
-                         ",".join(plugged) if plugged else None)
-        claimed: set[str] = set()
-        del self.processes[p.pid]
-        for idx, branch in enumerate(cmd.branches):
-            env: dict[str, tuple[int, int]] = {}
-            for name in frees[idx] & live:
-                if name not in claimed:
-                    env[name] = p.chan_env[name]
-                    claimed.add(name)
-            for name in frees[idx] - live:
-                ch = made[name]
-                env[name] = (ch.cid, next_end[name])
-                next_end[name] += 1
-            self._spawn(f"{p.name}/{idx}", dict(p.seq_env), env, branch)
-        for n in live - claimed:
-            lcid, lend = p.chan_env[n]
-            lch = self.channels.get(lcid)
-            if lch is not None:
-                lch.ends[lend].owner = None
-                lch.ends[lend].closed = True
-                self._reap(lch)
+            cid = self._new_channel(name).cid
+            for end, i in enumerate(users[name]):
+                envs[i][name] = (cid, end)
+        ev = self._event(p, "PLUG", None, ",".join(plugged) or None)
+        self._hand_off(p, [
+            (f"{p.name}/{i}", body, names, env)
+            for i, (body, names, env) in enumerate(
+                zip(cmd.branches, frees, envs))])
         return ev
 
     def _exec_invoke(self, p: ProcessInstance, cmd: Call | Use
@@ -692,51 +670,36 @@ class Machine:
         rcid, rend = self._binding(p, cmd.right)
         lch = self.channels[lcid]
         rch = self.channels[rcid]
-        peer_l = lch.ends[1 - lend]
-        peer_r = rch.ends[1 - rend]
         fused = self._new_channel(f"{lch.label}|=|{rch.label}")
-        fused.ends[0] = EndState(peer_l.owner, peer_l.closed)
-        fused.ends[1] = EndState(peer_r.owner, peer_r.closed)
+        fused.ends[:] = lch.ends[1 - lend], rch.ends[1 - rend]
+        # A pending end this process would have claimed goes to the
+        # opposite peer, which now receives what was sent this way.
+        lch.ends[lend].owner = fused.ends[1]
+        rch.ends[rend].owner = fused.ends[0]
         # Toward the right peer: what this process already sent that way,
         # then whatever the left peer had in flight toward this process.
         fused.queues[0].extend(rch.queues[rend])
         fused.queues[0].extend(lch.queues[1 - lend])
         fused.queues[1].extend(lch.queues[lend])
         fused.queues[1].extend(rch.queues[1 - rend])
-        self._rebind_channel(lcid, fused.cid, 1 - lend, 0)
-        self._rebind_channel(rcid, fused.cid, 1 - rend, 1)
-        for och in self.channels.values():
-            for e in och.ends:
-                if not (isinstance(e.owner, tuple) and len(e.owner) == 3
-                        and e.owner[0] == PENDING):
-                    continue
-                if e.owner[1] == lcid:
-                    e.owner = (PENDING, fused.cid,
-                               0 if e.owner[2] == 1 - lend else 1)
-                elif e.owner[1] == rcid:
-                    e.owner = (PENDING, fused.cid,
-                               1 if e.owner[2] == 1 - rend else 0)
-        if lcid in self.services:
-            self.services[fused.cid] = self.services.pop(lcid)
-        if rcid in self.services:
-            self.services[fused.cid] = self.services.pop(rcid)
-        self.channels.pop(lcid, None)
-        self.channels.pop(rcid, None)
+        for old, end, new_end in ((lch, 1 - lend, 0), (rch, 1 - rend, 1)):
+            owner = old.ends[end].owner
+            if isinstance(owner, EndState):
+                self._fused[old.cid] = (fused.cid, new_end)
+            elif isinstance(owner, int) and owner in self.processes:
+                env = self.processes[owner].chan_env
+                for name, binding in env.items():
+                    if binding == (old.cid, end):
+                        env[name] = (fused.cid, new_end)
+            if old.cid in self.services:
+                self.services[fused.cid] = self.services.pop(old.cid)
+            self.channels.pop(old.cid, None)
         ev = self._event(p, "LINK", cmd.left,
                          f"{cmd.right}->#{fused.cid}", cid=lcid)
         p.chan_env.clear()
         del self.processes[p.pid]
         self._reap(fused)
         return ev
-
-    def _rebind_channel(self, old_cid: int, new_cid: int, old_end: int,
-                        new_end: int) -> None:
-        owner = self.channels[old_cid].ends[old_end].owner
-        if isinstance(owner, int) and owner in self.processes:
-            q = self.processes[owner]
-            for name, (cid, end) in list(q.chan_env.items()):
-                if cid == old_cid and end == old_end:
-                    q.chan_env[name] = (new_cid, new_end)
 
     # -- services ------------------------------------------------------------
 
@@ -746,9 +709,7 @@ class Machine:
             ch = self.channels.get(cid)
             if endpoint is None or ch is None:
                 continue
-            service_end = 0 if ch.ends[0].owner == (SERVICE, ch.label) \
-                else next(i for i in (0, 1)
-                          if not isinstance(ch.ends[i].owner, int))
+            service_end = 0 if ch.ends[0].owner is endpoint else 1
             incoming = ch.queues[1 - service_end]
             outgoing = ch.queues[service_end]
             while incoming:

@@ -10,10 +10,11 @@ depth 3.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from campl.model import (
     BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, BoolLit, Call, CharLit,
-    Close, Fork, ForkArm, Get, GetVal, Halt, IntLit, Plug, ProcDef,
+    Close, Fork, ForkArm, Get, GetVal, Halt, IntLit, Link, Plug, ProcDef,
     ProcSignature, Put, PutVal, SourceProgram, Split, StringLit, Tensor,
     Par, Polarity,
 )
@@ -145,3 +146,26 @@ def gen_program(seed: int) -> SourceProgram:
     decls.append(ProcDef("run", None, (), (), (),
                          (Plug(tuple(branches)),)))
     return SourceProgram(tuple(decls))
+
+
+FWD = ProcDef("fwd", None, (), ("a",), ("b",), (Link("a", "b"),))
+
+
+def with_forwarder(program: SourceProgram, first: bool,
+                   pick: int = 0) -> SourceProgram:
+    """Route plugged channel `e{pick}` (modulo the channel count) of a
+    `gen_program` program through `fwd = | a => b -> a |=| b`.  The
+    holder of its output end keeps the name `e{pick}`; the holder of its
+    input end gets the fresh name `fw`.  The `fwd` branch goes first or
+    last in the plug."""
+    *decls, run = program.decls
+    (plug,) = run.body
+    name = f"e{pick % (len(plug.branches) - 1)}"
+    branches = []
+    for (call,) in plug.branches:
+        ins = tuple("fw" if c == name else c for c in call.in_chans)
+        branches.append((replace(call, in_chans=ins),))
+    fwd = (Call("fwd", (), (name,), ("fw",)),)
+    branches = [fwd] + branches if first else branches + [fwd]
+    return SourceProgram((*decls, FWD,
+                          replace(run, body=(Plug(tuple(branches)),))))

@@ -10,7 +10,7 @@ from campl.runtime import (
     boot, resolve_race,
 )
 from campl.services import ServiceConfig, drain_output
-from conftest import corpus_text
+from conftest import corpus_text, run_watched
 
 
 def run_corpus(name, seed=0, script=(), max_steps=100_000):
@@ -190,12 +190,7 @@ def test_corpus_topology_clean_at_every_step():
         prog = parse_source(corpus_text(name))
         check_program(prog)
         m = boot(prepare(prog), services=ServiceConfig.from_script([]))
-        while True:
-            m.assert_invariants()
-            p = m.pick()
-            if p is None:
-                break
-            m.step(p)
+        run_watched(m)
         assert not m.processes
 
 
@@ -331,6 +326,150 @@ def test_link_fuses_and_forwards():
     gets = [ev for ev in out.trace if ev.kind == "GET"]
     assert gets and gets[0].payload == "9"
     assert any(ev.kind == "LINK" for ev in out.trace)
+
+
+LINK_AFTER_FORK = (
+    "proc joiner :: | Put(Int|TopBot), TopBot (*) TopBot => "
+    "TopBot (*) TopBot =\n"
+    "    | z, a => b -> do\n"
+    "        get v on z\n"
+    "        close z\n"
+    "        a |=| b\n"
+    "\nproc talker :: | => TopBot (*) TopBot =\n"
+    "    | => x -> fork x as\n"
+    "        l -> halt l\n"
+    "        r -> halt r\n"
+    "\nproc zsender :: | => Put(Int|TopBot) =\n"
+    "    | => z -> do\n"
+    "        put 1 on z\n"
+    "        halt z\n"
+    "\nproc hearer :: | TopBot (*) TopBot => =\n"
+    "    | y => -> do\n"
+    "        split y into p, q\n"
+    "        close p\n"
+    "        halt q\n"
+    "\nproc run =\n"
+    "    | => -> plug\n"
+    "{branches}")
+
+
+def _run_watched_text(src):
+    prog = parse_source(src)
+    check_program(prog)
+    m = boot(prepare(prog), services=ServiceConfig.from_script([]))
+    run_watched(m)
+    assert not m.processes and not m.channels
+    return m
+
+
+JOINER, TALKER = "joiner( | z, x => y )", "talker( | => x )"
+
+
+@pytest.mark.parametrize("order", [(JOINER, TALKER), (TALKER, JOINER)],
+                         ids=["joiner", "talker"])
+def test_link_forwards_a_rewire_to_the_end_that_splits(order):
+    # The fork's new channels hold the forker at end 0 and the splitter at
+    # end 1, whatever ends the carrier had before the link fused it: with
+    # joiner first, talker forks at end 1 of x and hearer splits at end 1
+    # of the fused channel.
+    branches = [*order, "zsender( | => z )", "hearer( | y => )"]
+    m = _run_watched_text(LINK_AFTER_FORK.format(
+        branches="".join(f"        {b}\n" for b in branches)))
+    kinds = [ev.kind for ev in m.trace]
+    assert kinds.index("FORK") < kinds.index("LINK") < kinds.index("SPLIT")
+
+
+def test_rewire_in_flight_through_a_chain_of_forwarders():
+    # Each |=| after the fork adds one link to the pending ends' chain
+    # while the channel count stays at three.
+    stages = "".join(f"        fwd( | x{i} => x{i + 1} )\n" for i in range(6))
+    src = ("proc talker :: | => TopBot (*) TopBot =\n"
+           "    | => x -> fork x as\n"
+           "        l -> halt l\n"
+           "        r -> halt r\n"
+           "\nproc fwd :: | TopBot (*) TopBot => TopBot (*) TopBot =\n"
+           "    | a => b -> a |=| b\n"
+           "\nproc hearer :: | TopBot (*) TopBot => =\n"
+           "    | y => -> do\n"
+           "        split y into p, q\n"
+           "        close p\n"
+           "        halt q\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        talker( | => x0 )\n" + stages +
+           "        hearer( | x6 => )\n")
+    m = _run_watched_text(src)
+    assert [ev.kind for ev in m.trace].count("LINK") == 6
+
+
+def test_split_claims_an_end_that_links_moved():
+    # A fork arm links its new channel before the peer splits, and the
+    # holder of the other end links it again: the split follows both
+    # fusions to the channel the pending end now sits in.
+    src = ("proc talker :: | Put(Int|TopBot) => Put(Int|TopBot) (*) TopBot =\n"
+           "    | w => x -> fork x as\n"
+           "        l -> l |=| w\n"
+           "        r -> halt r\n"
+           "\nproc ksender :: | => TopBot =\n"
+           "    | => k -> halt k\n"
+           "\nproc fwd :: | Put(Int|TopBot) => Put(Int|TopBot) =\n"
+           "    | u => w -> plug\n"
+           "        ksender( | => k )\n"
+           "        do\n"
+           "            close k\n"
+           "            u |=| w\n"
+           "\nproc usender :: | => Put(Int|TopBot) =\n"
+           "    | => u -> do\n"
+           "        put 5 on u\n"
+           "        halt u\n"
+           "\nproc zmaker :: | => Put(Int|TopBot) =\n"
+           "    | => z -> plug\n"
+           "        ksender( | => k )\n"
+           "        do\n"
+           "            close k\n"
+           "            put 1 on z\n"
+           "            halt z\n"
+           "\nproc hearer :: | Put(Int|TopBot) (*) TopBot, Put(Int|TopBot) => =\n"
+           "    | y, z => -> do\n"
+           "        get v on z\n"
+           "        close z\n"
+           "        split y into p, q\n"
+           "        get u on p\n"
+           "        close p\n"
+           "        halt q\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        talker( | w => x )\n"
+           "        fwd( | u => w )\n"
+           "        usender( | => u )\n"
+           "        hearer( | x, z => )\n"
+           "        zmaker( | => z )\n")
+    m = _run_watched_text(src)
+    kinds = [ev.kind for ev in m.trace]
+    assert kinds.count("LINK") == 2
+    assert kinds.index("LINK") < kinds.index("SPLIT")
+    assert [ev.payload for ev in m.trace if ev.kind == "GET"] == ["1", "5"]
+
+
+def test_pending_end_of_a_closed_carrier_is_unowned():
+    # Unchecked: the peer halts the carrier instead of splitting it, so no
+    # one will ever claim the far ends of the fork's new channels.
+    src = ("proc talker =\n"
+           "    | => x -> fork x as\n"
+           "        l -> halt l\n"
+           "        r -> halt r\n"
+           "\nproc hearer =\n"
+           "    | y => -> halt y\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        talker( | => x )\n"
+           "        hearer( | x => )\n")
+    m = boot(prepare(parse_source(src)),
+             services=ServiceConfig.from_script([]))
+    with pytest.raises(MachineFault) as e:
+        m.run_to_completion()
+    assert str(e.value) == ("Conservation: live channel l#1 has an "
+                            "unowned end")
 
 
 def test_neg_flips_the_session_direction():

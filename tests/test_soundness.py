@@ -16,7 +16,8 @@ from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import OutcomeKind, boot
 from campl.services import ServiceConfig
-from genprog import gen_program
+from conftest import run_watched
+from genprog import gen_program, with_forwarder
 
 
 def _one_mutation(lines: list[str], r: random.Random) -> None:
@@ -81,3 +82,19 @@ def test_every_accepted_mutant_runs_clean():
     # the harness must exercise both sides to mean anything
     assert accepted >= 20
     assert rejected >= 20
+
+
+def test_generated_programs_run_clean_through_a_forwarder():
+    # One plugged channel goes through `fwd = | a => b -> a |=| b`, whose
+    # branch is spawned first or last, so |=| runs before or after the
+    # channel's ends fork, split and move.
+    for seed in range(300):
+        for first in (True, False):
+            text = roundtrip_print(
+                with_forwarder(gen_program(seed), first, seed))
+            typed = check_program(parse_source(text))
+            machine = boot(typed.exec_program, seed=seed,
+                           services=ServiceConfig.from_script([]))
+            run_watched(machine)
+            assert not machine.processes and not machine.channels, \
+                f"seed {seed}, fwd first={first}:\n{text}"
