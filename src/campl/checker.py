@@ -11,7 +11,6 @@ mistakes in different processes are all reported in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
@@ -151,45 +150,37 @@ def mentions_service(t) -> bool:
 # ---------------------------------------------------------------------------
 # protocol registry
 
-class ProtocolTable:
-    def __init__(self):
-        self.decls: dict[str, ProtocolDecl] = {}
-        self.by_handle: dict[str, ProtocolDecl] = {}
-
-    @classmethod
-    def build(cls, decls: list[ProtocolDecl],
-              errors: list[Diagnostic]) -> "ProtocolTable":
-        table = cls()
-        for d in BUILTIN_DECLS.values():
-            table.decls[d.name] = d
-            for h in d.handles:
-                table.by_handle[h.name] = d
-        for d in decls:
-            if d.name in table.decls:
+def _handle_decls(decls: list[ProtocolDecl],
+                  errors: list[Diagnostic]) -> dict[str, ProtocolDecl]:
+    """Handle name -> declaration, built-ins included.  Declaration and
+    handle names must be unique, and no handle may mention the service
+    type."""
+    names = set(BUILTIN_DECLS)
+    by_handle = {h.name: d for d in BUILTIN_DECLS.values()
+                 for h in d.handles}
+    for d in decls:
+        if d.name in names:
+            errors.append(Diagnostic(
+                dk.HANDLE_DUPLICATE, d.pos,
+                f"declaration name {d.name!r} is already taken"))
+            continue
+        names.add(d.name)
+        for h in d.handles:
+            if h.name in by_handle:
+                other = by_handle[h.name].name
                 errors.append(Diagnostic(
-                    dk.HANDLE_DUPLICATE, d.pos,
-                    f"declaration name {d.name!r} is already taken"))
+                    dk.HANDLE_DUPLICATE, h.pos,
+                    f"handle name {h.name!r} is already used by "
+                    f"{other}; handle names must be globally unique"))
                 continue
-            table.decls[d.name] = d
-            for h in d.handles:
-                if h.name in table.by_handle:
-                    other = table.by_handle[h.name].name
-                    errors.append(Diagnostic(
-                        dk.HANDLE_DUPLICATE, h.pos,
-                        f"handle name {h.name!r} is already used by "
-                        f"{other}; handle names must be globally unique"))
-                    continue
-                table.by_handle[h.name] = d
-            for h in d.handles:
-                if mentions_service(h.body):
-                    errors.append(Diagnostic(
-                        dk.ILLEGAL_COMMAND, h.pos,
-                        f"handle {h.name!r} mentions the service type "
-                        f"{CONSOLE}; service channels cannot be declared"))
-        return table
-
-    def decl_of_handle(self, handle: str) -> ProtocolDecl | None:
-        return self.by_handle.get(handle)
+            by_handle[h.name] = d
+        for h in d.handles:
+            if mentions_service(h.body):
+                errors.append(Diagnostic(
+                    dk.ILLEGAL_COMMAND, h.pos,
+                    f"handle {h.name!r} mentions the service type "
+                    f"{CONSOLE}; service channels cannot be declared"))
+    return by_handle
 
 
 # ---------------------------------------------------------------------------
@@ -205,66 +196,25 @@ class ChanEntry:
 
 @dataclass
 class PlugSite:
-    proc: str
     pos: Pos
     chan_types: dict[str, object]
-    chan_polarity: dict[str, tuple[int, int]]   # name -> (output br, input br)
 
 
 @dataclass
 class ForkSite:
-    proc: str
     pos: Pos
     components: tuple[object, object]
 
 
 @dataclass
-class ArmSite:
-    proc: str
-    pos: Pos
-    kind: str                       # hcase | race | fork
-    consumed: tuple[frozenset[str], ...]
-
-
-@dataclass
-class Occurrence:
-    proc: str
-    pos: Pos
-    chan: str
-    type: object
-    polarity: Polarity
-    command: str
-
-
-@dataclass
-class CheckedProc:
-    name: str
-    signature: ProcSignature
-    definition: ProcDef
-
-
-@dataclass
 class TypedProgram:
-    """Checker output: solved signatures plus per-site annotations."""
-    source: SourceProgram
+    """Checker output: the program readied for the machine, every
+    process's solved signature, and the solved types of the channels each
+    plug and fork creates."""
     exec_program: ExecProgram
-    procs: dict[str, CheckedProc]
-    protocols: ProtocolTable
+    signatures: dict[str, ProcSignature]
     plug_sites: list[PlugSite]
     fork_sites: list[ForkSite]
-    arm_sites: list[ArmSite]
-    raw_occurrences: list[Occurrence]
-    unifier: Unifier
-
-    @cached_property
-    def occurrences(self) -> list[Occurrence]:
-        """Every channel use, with its type zonked on first read."""
-        for o in self.raw_occurrences:
-            o.type = self.unifier.zonk(o.type)
-        return self.raw_occurrences
-
-    def signature_of(self, name: str) -> ProcSignature:
-        return self.procs[name].signature
 
 
 class _BodyError(Exception):
@@ -277,51 +227,43 @@ _OPEN = "open"
 
 class Checker:
     def __init__(self, src: SourceProgram):
-        self.src = src
         self.exec_program = prepare(src)
         self.errors: list[Diagnostic] = []
         self.uni = Unifier()
-        self.table = ProtocolTable.build(
+        self.handles = _handle_decls(
             [d for d in src.decls if isinstance(d, ProtocolDecl)],
             self.errors)
         self.sigs: dict[str, ProcSignature] = {}
         self.plug_sites: list[PlugSite] = []
         self.fork_sites: list[ForkSite] = []
-        self.arm_sites: list[ArmSite] = []
-        self.occurrences: list[Occurrence] = []
 
     # -- driver ---------------------------------------------------------
 
     def run(self) -> TypedProgram:
         procs = self.exec_program.procs
-        order = _scc_order(procs)
-        for group in order:
+        for group in _scc_order(procs):
             for name in group:
                 self.sigs[name] = self._initial_sig(procs[name])
             for name in group:
                 try:
-                    _BodyChecker(self, name).check_def(procs[name],
-                                                       self.sigs[name], {})
+                    self.check_def(procs[name], self.sigs[name], {})
                 except _BodyError:
                     pass
         # Signatures may only become ground once callers constrain them
         # (the peer across a plug often pins a message type), so audit
         # completeness after the whole program has been visited.
-        for name in procs:
-            self._finalize_sig(procs[name])
-        self._check_run_shape()
+        signatures = {name: self.uni.zonk_sig(self.sigs[name])
+                      for name in procs}
+        for name, sig in signatures.items():
+            self._finalize_sig(procs[name], sig)
+        if "run" in procs:
+            self._check_run_shape(procs["run"], signatures["run"])
         self._audit_created_types()
         if self.errors:
             self.errors.sort(key=sort_key)
             raise CheckFailure(self.errors)
-        checked = {
-            name: CheckedProc(name, self.uni.zonk_sig(self.sigs[name]),
-                              procs[name])
-            for name in procs
-        }
-        return TypedProgram(self.src, self.exec_program, checked, self.table,
-                            self.plug_sites, self.fork_sites, self.arm_sites,
-                            self.occurrences, self.uni)
+        return TypedProgram(self.exec_program, signatures, self.plug_sites,
+                            self.fork_sites)
 
     def _initial_sig(self, d: ProcDef) -> ProcSignature:
         """`d`'s declared signature, or fresh variables when it has none or
@@ -343,8 +285,7 @@ class Checker:
             tuple(self.uni.fresh_chan() for _ in d.in_params),
             tuple(self.uni.fresh_chan() for _ in d.out_params))
 
-    def _finalize_sig(self, d: ProcDef) -> None:
-        solved = self.uni.zonk_sig(self.sigs[d.name])
+    def _finalize_sig(self, d: ProcDef, solved: ProcSignature) -> None:
         unsolved = [t for t in solved.seq_params if has_uvars(t)]
         unsolved += [t for t in solved.in_chans + solved.out_chans
                      if has_uvars(t)]
@@ -354,11 +295,7 @@ class Checker:
                        f"{d.name!r}; underdetermined type(s): "
                        f"{', '.join(str(t) for t in unsolved)}")
 
-    def _check_run_shape(self) -> None:
-        d = self.exec_program.procs.get("run")
-        if d is None:
-            return
-        sig = self.uni.zonk_sig(self.sigs["run"])
+    def _check_run_shape(self, d: ProcDef, sig: ProcSignature) -> None:
         if sig.seq_params:
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        "run cannot take sequential parameters")
@@ -405,19 +342,12 @@ class Checker:
         self.errors.append(Diagnostic(kind, pos, message, channel,
                                       chan_type))
 
-
-class _BodyChecker:
-    def __init__(self, checker: Checker, proc: str):
-        self.c = checker
-        self.uni = checker.uni
-        self.proc = proc
-
     # Records a diagnostic and aborts the current body.
     def fail(self, kind: str, pos: Pos, message: str,
              channel: str | None = None, chan_type=None):
         rendered = None if chan_type is None else str(
             self.uni.zonk(chan_type))
-        self.c._diag(kind, pos, message, channel, rendered)
+        self._diag(kind, pos, message, channel, rendered)
         raise _BodyError()
 
     def check_def(self, d: ProcDef, sig: ProcSignature, seq_ctx) -> None:
@@ -466,24 +396,21 @@ class _BodyChecker:
             vt = self.expr_type(cmd.expr, seq_ctx)
             self.unify_seq_or_fail(vt, head.msg, cmd.pos, cmd.chan)
             self.advance(cmd.chan, chan_ctx, head.rest)
-            self.note(cmd.pos, cmd.chan, entry, "put")
             return _OPEN
         if isinstance(cmd, GetVal):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "get")
             head = self.expect_head(cmd.chan, entry, "get", cmd.pos)
             seq_ctx[cmd.binder] = head.msg
             self.advance(cmd.chan, chan_ctx, head.rest)
-            self.note(cmd.pos, cmd.chan, entry, "get")
             return _OPEN
         if isinstance(cmd, HPut):
             return self.check_hput(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, HCase):
-            return self.check_hcase(cmd, seq_ctx, chan_ctx, last)
+            return self.check_hcase(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, Close):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "close")
             self.shape(cmd.chan, entry, "close", cmd.pos, lambda: TOPBOT)
             del chan_ctx[cmd.chan]
-            self.note(cmd.pos, cmd.chan, entry, "close")
             # Closing the last live channel may end the body.
             return _TERMINATED if (last and not chan_ctx) else _OPEN
         if isinstance(cmd, Halt):
@@ -495,7 +422,6 @@ class _BodyChecker:
                 self.fail(dk.LINEARITY_DROP, cmd.pos,
                           f"halt on {cmd.chan!r} while other channel(s) are "
                           f"still live: {names}", channel=cmd.chan)
-            self.note(cmd.pos, cmd.chan, entry, "halt")
             return _TERMINATED
         if isinstance(cmd, Fork):
             return self.check_fork(cmd, seq_ctx, chan_ctx)
@@ -504,7 +430,7 @@ class _BodyChecker:
         if isinstance(cmd, Plug):
             return self.check_plug(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, Race):
-            return self.check_race(cmd, seq_ctx, chan_ctx, last)
+            return self.check_race(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, Call):
             return self.check_call(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, Use):
@@ -528,11 +454,6 @@ class _BodyChecker:
                       f"channel {chan!r} is not live here (already consumed "
                       f"or never bound)", channel=chan)
         return entry
-
-    def note(self, pos: Pos, chan: str, entry: ChanEntry,
-             command: str) -> None:
-        self.c.occurrences.append(Occurrence(
-            self.proc, pos, chan, entry.type, entry.pol, command))
 
     def advance(self, chan: str, chan_ctx, new_type) -> None:
         chan_ctx[chan] = ChanEntry(new_type, chan_ctx[chan].pol)
@@ -611,29 +532,27 @@ class _BodyChecker:
 
     def store_type(self, e: StoreOf, seq_ctx) -> SeqType:
         if isinstance(e.target, str):
-            sig = self.c.sigs.get(e.target)
+            sig = self.sigs.get(e.target)
             if sig is None:
                 self.fail(dk.ILLEGAL_COMMAND, e.pos,
                           f"store of unknown process {e.target!r}")
             return StoreType(sig)
         # Inline definition: check it now against its mandatory signature.
         d = e.target
-        _BodyChecker(self.c, f"{self.proc}.store").check_def(
-            d, d.signature, seq_ctx)
+        self.check_def(d, d.signature, seq_ctx)
         return StoreType(d.signature)
 
     # -- structured commands ----------------------------------------------
 
     def check_hput(self, cmd: HPut, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "hput")
-        decl = self.c.table.decl_of_handle(cmd.handle)
+        decl = self.handles.get(cmd.handle)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"unknown handle {cmd.handle!r}", channel=cmd.chan)
         app = self.force_app(cmd.chan, entry, decl, "hput", cmd.pos)
         unfolded = unfold_handle(decl, cmd.handle, app)
         self.advance(cmd.chan, chan_ctx, unfolded)
-        self.note(cmd.pos, cmd.chan, entry, "hput")
         return _OPEN
 
     def force_app(self, chan: str, entry: ChanEntry, decl: ProtocolDecl,
@@ -647,16 +566,16 @@ class _BodyChecker:
                       f"type {app}", channel=chan, chan_type=app)
         return app
 
-    def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx, last: bool):
+    def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "hcase")
-        decl = self.c.table.decl_of_handle(cmd.arms[0].handle)
+        decl = self.handles.get(cmd.arms[0].handle)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.arms[0].pos,
                       f"unknown handle {cmd.arms[0].handle!r}",
                       channel=cmd.chan)
         seen = set()
         for arm in cmd.arms:
-            owner = self.c.table.decl_of_handle(arm.handle)
+            owner = self.handles.get(arm.handle)
             if owner is None or owner.name != decl.name:
                 self.fail(dk.HANDLE_UNKNOWN, arm.pos,
                           f"handle {arm.handle!r} does not belong to "
@@ -672,7 +591,6 @@ class _BodyChecker:
                       f"{decl.name}; missing: {', '.join(missing)}",
                       channel=cmd.chan)
         app = self.force_app(cmd.chan, entry, decl, "hcase", cmd.pos)
-        self.note(cmd.pos, cmd.chan, entry, "hcase")
         results = []
         for arm in cmd.arms:
             arm_ctx = dict(chan_ctx)
@@ -688,11 +606,6 @@ class _BodyChecker:
         def closed(state, ctx):
             return state is _TERMINATED or not ctx
 
-        before = frozenset(chan_ctx)
-        self.c.arm_sites.append(ArmSite(
-            self.proc, cmd.pos, kind,
-            tuple(before - frozenset(ctx or {}) if st is _OPEN else before
-                  for st, ctx in results)))
         if all(closed(st, ctx) for st, ctx in results):
             return _TERMINATED
         if any(closed(st, ctx) for st, ctx in results):
@@ -715,7 +628,7 @@ class _BodyChecker:
         chan_ctx.update(base)
         return _OPEN
 
-    def check_race(self, cmd: Race, seq_ctx, chan_ctx, last: bool):
+    def check_race(self, cmd: Race, seq_ctx, chan_ctx):
         for arm in cmd.arms:
             entry = chan_ctx.get(arm.chan)
             if entry is None:
@@ -734,7 +647,6 @@ class _BodyChecker:
                           f"next step is not a value get (type {resolved} "
                           f"at {entry.pol})", channel=arm.chan,
                           chan_type=resolved)
-            self.note(arm.pos, arm.chan, entry, "race")
         results = []
         for arm in cmd.arms:
             results.append(self.check_body(arm.body, dict(seq_ctx),
@@ -747,8 +659,7 @@ class _BodyChecker:
         resolved = self.shape(cmd.chan, entry, "fork", cmd.pos, lambda: want(
             self.uni.fresh_chan(), self.uni.fresh_chan()))
         components = (resolved.left, resolved.right)
-        self.note(cmd.pos, cmd.chan, entry, "fork")
-        self.c.fork_sites.append(ForkSite(self.proc, cmd.pos, components))
+        self.fork_sites.append(ForkSite(cmd.pos, components))
         rest = {n: e for n, e in chan_ctx.items() if n != cmd.chan}
         frees = []
         for arm in cmd.arms:
@@ -769,19 +680,15 @@ class _BodyChecker:
                       f"fork branches leave channel(s) unused: "
                       f"{', '.join(sorted(uncovered))}",
                       channel=sorted(uncovered)[0])
-        consumed_sets = []
         for arm, component, free in zip(cmd.arms, components, frees):
             # `free` lacks only the binder, which is not in `rest`.
             arm_ctx = {n: e for n, e in rest.items() if n in free}
             arm_ctx[arm.name] = ChanEntry(component, entry.pol)
-            consumed_sets.append(frozenset(arm_ctx))
             state, ctx = self.check_body(arm.body, dict(seq_ctx), arm_ctx)
             if state is _OPEN and ctx:
                 self.fail(dk.LINEARITY_DROP, arm.pos,
                           f"fork branch {arm.name!r} ends with live "
                           f"channel(s): {', '.join(sorted(ctx))}")
-        self.c.arm_sites.append(ArmSite(self.proc, cmd.pos, "fork",
-                                        tuple(consumed_sets)))
         chan_ctx.clear()
         return _TERMINATED
 
@@ -790,7 +697,6 @@ class _BodyChecker:
         want = Par if entry.pol is OUTPUT else Tensor
         resolved = self.shape(cmd.chan, entry, "split", cmd.pos, lambda: want(
             self.uni.fresh_chan(), self.uni.fresh_chan()))
-        self.note(cmd.pos, cmd.chan, entry, "split")
         del chan_ctx[cmd.chan]
         for name in (cmd.left, cmd.right):
             if name in chan_ctx:
@@ -833,7 +739,6 @@ class _BodyChecker:
                 occurrences[name].append(idx)
         polarity_of: dict[str, dict[int, Polarity]] = {}
         types: dict[str, UVar] = {n: self.uni.fresh_chan() for n in plugged}
-        pol_sites: dict[str, tuple[int, int]] = {}
         for name, where in occurrences.items():
             if len(where) != 2:
                 self.fail(dk.PLUG_POLARITY_MISMATCH, cmd.pos,
@@ -849,19 +754,15 @@ class _BodyChecker:
             elif second is None:
                 second = first.flipped()
             elif first is second:
-                self.c._diag(dk.PLUG_POLARITY_MISMATCH, cmd.pos,
+                self._diag(dk.PLUG_POLARITY_MISMATCH, cmd.pos,
                              f"plugged channel {name!r} is used at polarity "
                              f"{first} by both branches; it needs one output "
                              f"and one input end", channel=name)
                 second = first.flipped()   # repair so checking continues
             polarity_of[name] = {where[0]: first, where[1]: second}
-            out_br = where[0] if first is OUTPUT else where[1]
-            in_br = where[1] if first is OUTPUT else where[0]
-            pol_sites[name] = (out_br, in_br)
 
         self._plug_graph(cmd, occurrences, len(cmd.branches))
-        self.c.plug_sites.append(PlugSite(self.proc, cmd.pos,
-                                          dict(types), pol_sites))
+        self.plug_sites.append(PlugSite(cmd.pos, types))
 
         for idx, branch in enumerate(cmd.branches):
             branch_ctx: dict[str, ChanEntry] = {}
@@ -885,8 +786,8 @@ class _BodyChecker:
         if len(branch) != 1 or not isinstance(branch[0], Call):
             return None
         call = branch[0]
-        target = self.c.exec_program.procs.get(call.callee)
-        if call.callee not in self.c.sigs or target is None:
+        target = self.exec_program.procs.get(call.callee)
+        if call.callee not in self.sigs or target is None:
             return None
         params = target.chan_params
         for param, arg in zip(params, call.chan_args):
@@ -922,8 +823,8 @@ class _BodyChecker:
                       "channels")
 
     def check_call(self, cmd: Call, seq_ctx, chan_ctx):
-        target = self.c.exec_program.procs.get(cmd.callee)
-        sig = self.c.sigs.get(cmd.callee)
+        target = self.exec_program.procs.get(cmd.callee)
+        sig = self.sigs.get(cmd.callee)
         if target is None or sig is None:
             self.fail(dk.ILLEGAL_COMMAND, cmd.pos,
                       f"call to unknown process {cmd.callee!r}")
@@ -965,7 +866,6 @@ class _BodyChecker:
                           f"channel {name!r} is a {entry.pol} end but the "
                           f"{what} needs a {pol} end", channel=name)
             self.unify_or_fail(entry.type, want, cmd.pos, name)
-            self.note(cmd.pos, name, entry, "call")
             del chan_ctx[name]
         if chan_ctx:
             names = ", ".join(sorted(chan_ctx))
@@ -983,8 +883,6 @@ class _BodyChecker:
                       f"{cmd.left!r} and {cmd.right!r} are {a.pol} ends",
                       channel=cmd.left)
         self.unify_or_fail(a.type, b.type, cmd.pos, cmd.left)
-        self.note(cmd.pos, cmd.left, a, "|=|")
-        self.note(cmd.pos, cmd.right, b, "|=|")
         del chan_ctx[cmd.left]
         del chan_ctx[cmd.right]
         if chan_ctx:
@@ -1001,7 +899,6 @@ class _BodyChecker:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
                       f"neg binder {cmd.fresh!r} shadows a live channel",
                       channel=cmd.fresh)
-        self.note(cmd.pos, cmd.chan, entry, "neg")
         del chan_ctx[cmd.chan]
         chan_ctx[cmd.fresh] = ChanEntry(inner, entry.pol.flipped())
         return _OPEN

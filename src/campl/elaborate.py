@@ -48,13 +48,12 @@ def desugar_proc(d: ProcDef) -> ProcDef:
 class ExecProgram:
     """A program readied for checking or execution: every process body is
     fully desugared."""
-    source: SourceProgram
     procs: dict[str, ProcDef]
 
 
 def prepare(src: SourceProgram) -> ExecProgram:
     procs = {name: desugar_proc(d) for name, d in src.procs.items()}
-    return ExecProgram(src, procs)
+    return ExecProgram(procs)
 
 
 def free_chans(body: Body) -> frozenset[str]:

@@ -406,17 +406,20 @@ class Machine:
         if isinstance(cmd, PutVal):
             value = self._eval(p, cmd.expr)
             self._outgoing(p, cmd.chan).append(ValMsg(value))
+            ev = self._event(p, "PUT", cmd.chan, value.render())
             self._advance(p)
-            return self._event(p, "PUT", cmd.chan, value.render())
+            return ev
         if isinstance(cmd, GetVal):
             msg = self._pop(p, cmd.chan, ValMsg, "get")
             p.seq_env[cmd.binder] = msg.value
+            ev = self._event(p, "GET", cmd.chan, msg.value.render())
             self._advance(p)
-            return self._event(p, "GET", cmd.chan, msg.value.render())
+            return ev
         if isinstance(cmd, HPut):
             self._outgoing(p, cmd.chan).append(HandleMsg(cmd.handle))
+            ev = self._event(p, "HPUT", cmd.chan, cmd.handle)
             self._advance(p)
-            return self._event(p, "HPUT", cmd.chan, cmd.handle)
+            return ev
         if isinstance(cmd, HCase):
             msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
             arm = next((a for a in cmd.arms if a.handle == msg.handle), None)

@@ -57,7 +57,7 @@ def test_explicit_types_accepted_verbatim():
     site = typed.plug_sites[0]
     assert site.chan_types["ch"] == want
     assert str(want) == "Put([Char]|Get(Int|TopBot))"
-    sig = typed.signature_of("server")
+    sig = typed.signatures["server"]
     assert sig == ProcSignature((INT,), (want,), ())
 
 
@@ -422,27 +422,58 @@ def test_checking_is_deterministic():
     src = corpus_text("listing7.campl")
     t1 = check_text(src)
     t2 = check_text(src)
-    assert [render_signature(t1.signature_of(n)) for n in t1.procs] == \
-        [render_signature(t2.signature_of(n)) for n in t2.procs]
+    assert [render_signature(t1.signatures[n]) for n in t1.signatures] == \
+        [render_signature(t2.signatures[n]) for n in t2.signatures]
     e1 = errors_of(corpus_text("appendix_b.campl"))
     e2 = errors_of(corpus_text("appendix_b.campl"))
     assert [(d.kind, d.pos, d.message) for d in e1] == \
         [(d.kind, d.pos, d.message) for d in e2]
 
 
-def test_sibling_arm_consumption_recorded():
-    typed = check_text(corpus_text("listing7.campl"))
-    hcases = [s for s in typed.arm_sites if s.kind == "hcase"]
-    assert hcases
-    for site in hcases:
-        first = site.consumed[0]
-        assert all(c == first for c in site.consumed)
-    typed5 = check_text(corpus_text("listing5.campl"))
-    forks = [s for s in typed5.arm_sites if s.kind == "fork"]
-    assert forks
-    for site in forks:
-        a, b = site.consumed
-        assert not (a & b)
+_TWO = ("protocol Two(| ) => S =\n"
+        "    L :: TopBot => S\n"
+        "    R :: TopBot => S\n"
+        "\n")
+
+
+@pytest.mark.parametrize("src,line,col,message", [
+    (_TWO + "proc p :: | Two(| ), TopBot => =\n"
+            "    | c, d => -> hcase c of\n"
+            "        L -> do\n"
+            "            close c\n"
+            "            halt d\n"
+            "        R -> close c\n",
+     6, 18, "hcase arms disagree: some terminate and some leave channels "
+            "live"),
+    (_TWO + "proc p :: | Two(| ), TopBot, TopBot => =\n"
+            "    | c, d, e => -> do\n"
+            "        hcase c of\n"
+            "            L -> close d\n"
+            "            R -> close e\n"
+            "        close c\n"
+            "        halt d\n",
+     7, 9, "hcase arms consume different channel sets"),
+    ("proc p :: | Put(Int|TopBot), Put(Int|TopBot), TopBot => =\n"
+     "    | a, b, d => -> race\n"
+     "        a -> do\n"
+     "            get x on a\n"
+     "            get y on b\n"
+     "            close a\n"
+     "            close d\n"
+     "            halt b\n"
+     "        b -> do\n"
+     "            get y on b\n"
+     "            get x on a\n"
+     "            close a\n"
+     "            close b\n",
+     2, 21, "race arms disagree: some terminate and some leave channels "
+            "live"),
+], ids=["hcase-some-terminate", "hcase-different-sets",
+        "race-some-terminate"])
+def test_sibling_arms_must_consume_alike(src, line, col, message):
+    [d] = errors_of(src)
+    assert (d.kind, d.pos.line, d.pos.col, d.message) == \
+        (dk.LINEARITY_DROP, line, col, message)
 
 
 def test_fork_components_annotated():
@@ -464,13 +495,6 @@ def test_plug_connectivity_required():
            "        a2( | => y )\n"
            "        a1( | y => )\n")
     assert dk.PLUG_CYCLE in kinds_of(src)
-
-
-def test_occurrences_are_annotated():
-    typed = check_text(corpus_text("appendix_c.campl"))
-    puts = [o for o in typed.occurrences
-            if o.command == "put" and o.proc == "server"]
-    assert puts and str(puts[0].type) == "Get(Int|TopBot)"
 
 
 def test_split_binder_shadowing_rejected():

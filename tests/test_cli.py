@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
-from conftest import CORPUS
+from conftest import CORPUS, corpus_text
 
 
 @pytest.fixture()
@@ -50,6 +50,21 @@ def test_check_json_diagnostics(runner):
     assert any(o["channel"] == "ch" for o in objs)
 
 
+def test_json_diagnostic_names_the_inferred_channel_type(runner, tmp_path):
+    # With the server's `put server_id` turned into a get, `ch` is an input
+    # end at the inferred type Get(Int|TopBot), which allows only put.
+    lines = corpus_text("appendix_c.campl").splitlines(keepends=True)
+    lines[4] = lines[4].replace("put server_id", "get y")
+    p = tmp_path / "getget.campl"
+    p.write_text("".join(lines))
+    r = runner.invoke(main, ["check", str(p), "--json-diagnostics"])
+    assert r.exit_code == 1
+    [o] = [json.loads(line) for line in r.stderr.splitlines()
+           if line.startswith("{")]
+    assert (o["line"], o["col"], o["kind"], o["channel"], o["type"]) == \
+        (5, 13, "PolarityViolation", "ch", "Get(Int|TopBot)")
+
+
 def test_diagnostic_text_format(runner):
     r = runner.invoke(main, ["check", corpus("appendix_b.campl")])
     line = next(l for l in r.stderr.splitlines() if "Mismatch" in l)
@@ -79,6 +94,44 @@ def test_run_rejects_ill_typed_program(runner):
     r = runner.invoke(main, ["run", corpus("appendix_b.campl")])
     assert r.exit_code == 1
     assert r.stdout == ""
+
+
+_PING = ("protocol Ping(| ) => S =\n"
+         "    Hi :: TopBot => S\n"
+         "\nproc sender :: | => Ping(| ) =\n"
+         "    | => ch -> hput Hi on ch\n"
+         "\nproc receiver :: | Ping(| ) => =\n"
+         "    | ch => -> hcase ch of\n"
+         "        Hi -> close ch\n"
+         "\nproc run =\n"
+         "    | => -> plug\n"
+         "        sender( | => ch )\n"
+         "        receiver( | ch => )\n")
+
+
+def _drop_line(text: str, lineno: int) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:lineno - 1] + lines[lineno:])
+
+
+@pytest.mark.parametrize("text,event", [
+    (_drop_line(corpus_text("appendix_c.campl"), 6),
+     "#5 pid=2 PUT ch=ch#0 payload=5"),
+    (_drop_line(corpus_text("appendix_c.campl"), 13),
+     "#6 pid=1 GET ch=ch#0 payload=5"),
+    (_PING, "#2 pid=1 HPUT ch=ch#0 payload=Hi"),
+], ids=["put", "get", "hput"])
+def test_unchecked_trace_names_the_channel_of_a_last_command(
+        runner, tmp_path, text, event):
+    # Each program has a process that ends on this command with the channel
+    # still live; its event must still name the channel's id.
+    p = tmp_path / "leak.campl"
+    p.write_text(text)
+    r = runner.invoke(main, ["run", str(p), "--unchecked", "--trace",
+                             "--seed", "3"])
+    assert r.exit_code == 0
+    assert event in r.stderr.splitlines()
+    assert "#-1" not in r.stderr
 
 
 def test_run_unchecked_appendix_b_deadlocks_exit_three(runner):
