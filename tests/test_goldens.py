@@ -32,8 +32,59 @@ SEEDS = range(10)
 STDIN_SCRIPT = "first line\nsecond line\nthird line\n"
 
 # Unchecked programs that fault at run time (exit 1).  Between them they
-# reach every fault message of process invocation.
+# reach every fault message of process invocation, and the topology
+# monitor's cycle (after a plug and after a |=|) and conservation (a
+# fork's pending ends, directly and through a |=|) faults.
 FAULTS = {
+    "cycle_plug.campl": (
+        "proc a =\n"
+        "    | => x, y -> do\n"
+        "        close x\n"
+        "        halt y\n"
+        "\nproc b =\n"
+        "    | x, y => -> do\n"
+        "        close x\n"
+        "        halt y\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        a( | => x, y )\n"
+        "        b( | x, y => )\n"),
+    "conservation_pending.campl": (
+        "proc talker =\n"
+        "    | => x -> fork x as\n"
+        "        l -> halt l\n"
+        "        r -> halt r\n"
+        "\nproc hearer =\n"
+        "    | y => -> halt y\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        talker( | => x )\n"
+        "        hearer( | x => )\n"),
+    "conservation_linked.campl": (
+        "proc talker =\n"
+        "    | => x -> fork x as\n"
+        "        l -> halt l\n"
+        "        r -> halt r\n"
+        "\nproc joiner =\n"
+        "    | a => b -> a |=| b\n"
+        "\nproc hearer =\n"
+        "    | y => -> halt y\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        talker( | => x )\n"
+        "        joiner( | x => y )\n"
+        "        hearer( | y => )\n"),
+    "link_cycle.campl": (
+        "proc talker =\n"
+        "    | => x -> do\n"
+        "        get v on x\n"
+        "        halt x\n"
+        "\nproc joiner =\n"
+        "    | a => -> a |=| a\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        talker( | => x )\n"
+        "        joiner( | x => )\n"),
     "desync.campl": (
         "proc a =\n"
         "    | => ch -> do\n"
