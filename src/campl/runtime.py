@@ -6,9 +6,16 @@ channels, each with one FIFO queue per direction.  One command of one
 process runs per step; among the processes whose next command can make
 progress, the smallest pid goes first.  Races are the only consumers of
 the seeded RNG, so a (program, seed, input script) triple fixes the whole
-trace.  A topology monitor asserts after every step that the graph of
-processes and live channels stays an acyclic forest and that every live
-channel has exactly one owner per end.
+trace.
+
+A topology monitor checks before every step that the graph of processes
+and live channels is an acyclic forest and that every end of a live
+channel has an owner.  The first check, and any check not made right
+after one step, scans the whole network.  Otherwise it checks only what
+that step recorded: nothing after a value, handle, race, call, use or neg
+step; the pending ends of released ends; and the channels the step
+created, for cycles among themselves.  Whatever a local check flags goes
+to the full scan, which raises the fault.
 """
 
 from __future__ import annotations
@@ -123,9 +130,12 @@ class EndState:
     """One end of a channel.  `owner` is the pid holding it; the
     ConsoleEndpoint serving it; None; or, for an end a fork created and no
     split has claimed yet, the carrier channel's EndState whose holder
-    will claim it."""
+    will claim it.  `links` holds the ends a fork left pending whose claim
+    passes through this one, directly or through ends a |=| redirected to
+    it; some may have been claimed since."""
     owner: object
     closed: bool = False
+    links: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -217,6 +227,15 @@ class Machine:
         # cid of a channel fused away by |=| while its far end was still
         # pending -> (fused cid, that end's index there), for the split
         self._fused: dict[int, tuple[int, int]] = {}
+        # For the monitor: the step count at the last passed check, and
+        # the channels created and the ends released or redirected since.
+        self._checked_at: int | None = None
+        self._added: list[int] = []
+        self._released: list[EndState] = []
+        # False once a call or use bound one end to two names: a later
+        # step may then move an end its binder does not own, which the
+        # local checks do not model, so every check is the full one.
+        self._local_checks = True
 
     # -- construction -----------------------------------------------------
 
@@ -230,6 +249,7 @@ class Machine:
         self._next_cid += 1
         ch = ChannelState(cid, label, [EndState(None), EndState(None)])
         self.channels[cid] = ch
+        self._added.append(cid)
         return ch
 
     def boot(self) -> "Machine":
@@ -306,9 +326,11 @@ class Machine:
         return []
 
     def pick(self) -> ProcessInstance | None:
-        for pid in sorted(self.processes):
-            if self.enabled(self.processes[pid]):
-                return self.processes[pid]
+        # Pids only grow and processes enter the table when created, so
+        # its order is pid order.
+        for p in self.processes.values():
+            if self.enabled(p):
+                return p
         return None
 
     # -- running -----------------------------------------------------------
@@ -358,9 +380,10 @@ class Machine:
                 return None
         return owner
 
-    def check_topology(self) -> list[int]:
-        """Union-find acyclicity over live channels; returns the channel
-        ids that closed a cycle (empty when the graph is a forest)."""
+    def check_topology(self, cids: list[int] | None = None) -> list[int]:
+        """Union-find acyclicity over live channels, or over the live ones
+        among `cids`; returns the channel ids that closed a cycle (empty
+        when those channels form a forest)."""
         parent: dict[object, object] = {}
 
         def find(x):
@@ -371,9 +394,9 @@ class Machine:
             return x
 
         bad: list[int] = []
-        for cid in sorted(self.channels):
-            ch = self.channels[cid]
-            if not ch.live:
+        for cid in sorted(self.channels) if cids is None else cids:
+            ch = self.channels.get(cid)
+            if ch is None or not ch.live:
                 continue
             a = self.resolve_owner(ch.ends[0].owner)
             b = self.resolve_owner(ch.ends[1].owner)
@@ -387,6 +410,38 @@ class Machine:
         return bad
 
     def assert_invariants(self) -> None:
+        """Raise the fault `check_invariants` would raise on this state.
+
+        Right after one step of a machine whose last check passed, only
+        that step's record is checked.  The network was then a forest with
+        every live end owned.  A step that changes ownership replaces one
+        process or channel by a small tree: plug and fork hand each of the
+        process's channels to one child, so those lead into disjoint
+        subtrees, and |=| joins its two peers by one channel.  A new cycle
+        must therefore close among the channels the step created.  An end
+        loses its owner only through an end the step released or
+        redirected (a fork whose carrier's far end has no owner releases
+        the carrier's last end), and such ends keep their pending ends in
+        `links`.  When a local check flags anything, the full check
+        decides and builds the fault.
+        """
+        if not (self._local_checks and self._checked_at == self.steps - 1
+                and self._step_checks_pass()):
+            self.check_invariants()
+        self._checked_at = self.steps
+        self._added.clear()
+        self._released.clear()
+
+    def _step_checks_pass(self) -> bool:
+        resolve = self.resolve_owner
+        for e in self._released:
+            if any(resolve(pending) is None for pending in e.links):
+                return False
+        return not (self._added and self.check_topology(self._added))
+
+    def check_invariants(self) -> None:
+        """The full check, and the tests' reference: acyclicity over every
+        live channel, then an owner for every end of one."""
         bad = self.check_topology()
         if bad:
             raise MachineFault(
@@ -522,6 +577,7 @@ class Machine:
         if ch is not None:
             ch.ends[end].owner = None
             ch.ends[end].closed = True
+            self._released.append(ch.ends[end])
             self._reap(ch)
 
     def _reap(self, ch: ChannelState) -> None:
@@ -531,6 +587,7 @@ class Machine:
             # pending ends that would be claimed through these now resolve
             # to no one
             ch.ends[0].owner = ch.ends[1].owner = None
+            self._released += ch.ends
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, IntLit):
@@ -583,8 +640,10 @@ class Machine:
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
         new = [self._new_channel(arm.name) for arm in cmd.arms]
+        far = ch.ends[1 - end]
         for nch in new:
-            nch.ends[1].owner = ch.ends[1 - end]
+            nch.ends[1].owner = far
+        far.links += tuple(nch.ends[1] for nch in new)
         ch.queues[end].append(RewireMsg(new[0].cid, new[1].cid))
         ev = self._event(p, "FORK", cmd.chan, ",".join(
             f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
@@ -662,6 +721,8 @@ class Machine:
                 raise MachineFault("IllegalCommand",
                                    f"{verb} passes unknown channel {arg!r}")
             chan_env[param] = p.chan_env[arg]
+        if len(set(chan_env.values())) < len(chan_env):
+            self._local_checks = False
         p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
@@ -677,8 +738,12 @@ class Machine:
         fused.ends[:] = lch.ends[1 - lend], rch.ends[1 - rend]
         # A pending end this process would have claimed goes to the
         # opposite peer, which now receives what was sent this way.
-        lch.ends[lend].owner = fused.ends[1]
-        rch.ends[rend].owner = fused.ends[0]
+        for old, end, to in ((lch, lend, fused.ends[1]),
+                             (rch, rend, fused.ends[0])):
+            moved = old.ends[end]
+            moved.owner = to
+            to.links += moved.links
+            self._released.append(moved)
         # Toward the right peer: what this process already sent that way,
         # then whatever the left peer had in flight toward this process.
         fused.queues[0].extend(rch.queues[rend])
@@ -707,7 +772,8 @@ class Machine:
     # -- services ------------------------------------------------------------
 
     def _drain_services(self) -> None:
-        for cid in sorted(self.services):
+        # A snapshot in cid order (the table's order): _reap pops from it.
+        for cid in tuple(self.services):
             endpoint = self.services.get(cid)
             ch = self.channels.get(cid)
             if endpoint is None or ch is None:

@@ -2,6 +2,8 @@ import pathlib
 
 import pytest
 
+from campl.runtime import MachineFault
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
@@ -36,13 +38,45 @@ def assert_ownership_agrees(machine) -> None:
                     f"live #{cid}.{end} resolves to {owner!r}"
 
 
-def run_watched(machine, max_steps: int = 50_000) -> None:
-    """Step `machine` until no process can move, asserting the topology
-    invariants and ownership agreement before every step."""
-    for _ in range(max_steps):
+def assert_monitor_agrees(machine) -> None:
+    """Run the full reference check and then the incremental monitor on
+    the same state: both pass, or both raise the same fault, which is
+    raised again."""
+    try:
+        machine.check_invariants()
+        expected = None
+    except MachineFault as e:
+        expected = str(e)
+    try:
         machine.assert_invariants()
+    except MachineFault as e:
+        assert str(e) == expected, f"monitor raised {e}; the reference " \
+            f"{'passed' if expected is None else 'raised ' + expected}"
+        raise
+    assert expected is None, f"monitor passed; the reference raised " \
+        f"{expected}"
+
+
+def assert_schedule_agrees(machine):
+    """The process and service tables are in id order, and `pick` returns
+    the first enabled process in sorted pid order.  Returns that pick."""
+    assert list(machine.processes) == sorted(machine.processes)
+    assert list(machine.services) == sorted(machine.services)
+    p = machine.pick()
+    expected = next((machine.processes[pid] for pid in sorted(
+        machine.processes) if machine.enabled(machine.processes[pid])), None)
+    assert p is expected
+    return p
+
+
+def run_watched(machine, max_steps: int = 50_000) -> None:
+    """Step `machine` until no process can move, checking before every
+    step that the monitor agrees with its reference, that ownership
+    agrees, and that the scheduler picks what a sorted scan would."""
+    for _ in range(max_steps):
+        assert_monitor_agrees(machine)
         assert_ownership_agrees(machine)
-        p = machine.pick()
+        p = assert_schedule_agrees(machine)
         if p is None:
             return
         machine.step(p)
