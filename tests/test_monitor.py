@@ -19,8 +19,7 @@ from campl.printer import roundtrip_print
 from campl.runtime import BootError, Machine, MachineFault, boot
 from campl.services import ScriptExhausted, ServiceConfig
 from conftest import (
-    CORPUS, ROOT, assert_monitor_agrees, assert_ownership_agrees,
-    assert_schedule_agrees,
+    CORPUS, ROOT, assert_monitor_agrees, assert_schedule_agrees,
 )
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, STDIN_SCRIPT
