@@ -22,6 +22,9 @@ import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
+from test_runtime import (
+    FORWARDER_CHAIN, JOINER, SPLIT_AFTER_LINKS, TALKER, link_after_fork,
+)
 
 HERE = pathlib.Path(__file__).resolve().parent
 CORPUS = HERE.parent / "corpus"
@@ -147,6 +150,16 @@ FAULTS = {
 }
 
 
+# Checked programs whose |=| fuses a channel while a fork's ends are still
+# pending (the corpus has no |=|).
+LINKS = {
+    "link_after_fork_joiner.campl": link_after_fork(JOINER, TALKER),
+    "link_after_fork_talker.campl": link_after_fork(TALKER, JOINER),
+    "forwarder_chain.campl": FORWARDER_CHAIN,
+    "split_after_links.campl": SPLIT_AFTER_LINKS,
+}
+
+
 def cases() -> dict[str, list[str]]:
     """Case id -> CLI arguments, relative to a directory holding the
     corpus, the fault programs and `stdin.txt`."""
@@ -161,6 +174,10 @@ def cases() -> dict[str, list[str]]:
         out[f"unchecked-deadlock/appendix_b.campl/seed{s}"] = [
             "run", "appendix_b.campl", "--unchecked", "--trace", "--seed",
             str(s), "--stdin", "stdin.txt"]
+    for f in sorted(LINKS):
+        for s in range(3):
+            out[f"run-link/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
+                                            str(s), "--stdin", "stdin.txt"]
     for f in sorted(FAULTS):
         out[f"unchecked-fault/{f}"] = ["run", f, "--unchecked", "--trace",
                                        "--stdin", "stdin.txt"]
@@ -173,7 +190,7 @@ def cases() -> dict[str, list[str]]:
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
-    for name, text in FAULTS.items():
+    for name, text in {**LINKS, **FAULTS}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "stdin.txt").write_text(STDIN_SCRIPT, encoding="utf-8")
 

@@ -352,6 +352,14 @@ LINK_AFTER_FORK = (
     "    | => -> plug\n"
     "{branches}")
 
+JOINER, TALKER = "joiner( | z, x => y )", "talker( | => x )"
+
+
+def link_after_fork(first: str, second: str) -> str:
+    branches = [first, second, "zsender( | => z )", "hearer( | y => )"]
+    return LINK_AFTER_FORK.format(
+        branches="".join(f"        {b}\n" for b in branches))
+
 
 def _run_watched_text(src):
     prog = parse_source(src)
@@ -362,9 +370,6 @@ def _run_watched_text(src):
     return m
 
 
-JOINER, TALKER = "joiner( | z, x => y )", "talker( | => x )"
-
-
 @pytest.mark.parametrize("order", [(JOINER, TALKER), (TALKER, JOINER)],
                          ids=["joiner", "talker"])
 def test_link_forwards_a_rewire_to_the_end_that_splits(order):
@@ -372,79 +377,83 @@ def test_link_forwards_a_rewire_to_the_end_that_splits(order):
     # end 1, whatever ends the carrier had before the link fused it: with
     # joiner first, talker forks at end 1 of x and hearer splits at end 1
     # of the fused channel.
-    branches = [*order, "zsender( | => z )", "hearer( | y => )"]
-    m = _run_watched_text(LINK_AFTER_FORK.format(
-        branches="".join(f"        {b}\n" for b in branches)))
+    m = _run_watched_text(link_after_fork(*order))
     kinds = [ev.kind for ev in m.trace]
     assert kinds.index("FORK") < kinds.index("LINK") < kinds.index("SPLIT")
 
 
+# Each |=| after the fork adds one link to the pending ends' chain while
+# the channel count stays at three.
+FORWARDER_CHAIN = (
+    "proc talker :: | => TopBot (*) TopBot =\n"
+    "    | => x -> fork x as\n"
+    "        l -> halt l\n"
+    "        r -> halt r\n"
+    "\nproc fwd :: | TopBot (*) TopBot => TopBot (*) TopBot =\n"
+    "    | a => b -> a |=| b\n"
+    "\nproc hearer :: | TopBot (*) TopBot => =\n"
+    "    | y => -> do\n"
+    "        split y into p, q\n"
+    "        close p\n"
+    "        halt q\n"
+    "\nproc run =\n"
+    "    | => -> plug\n"
+    "        talker( | => x0 )\n"
+    + "".join(f"        fwd( | x{i} => x{i + 1} )\n" for i in range(6)) +
+    "        hearer( | x6 => )\n")
+
+
 def test_rewire_in_flight_through_a_chain_of_forwarders():
-    # Each |=| after the fork adds one link to the pending ends' chain
-    # while the channel count stays at three.
-    stages = "".join(f"        fwd( | x{i} => x{i + 1} )\n" for i in range(6))
-    src = ("proc talker :: | => TopBot (*) TopBot =\n"
-           "    | => x -> fork x as\n"
-           "        l -> halt l\n"
-           "        r -> halt r\n"
-           "\nproc fwd :: | TopBot (*) TopBot => TopBot (*) TopBot =\n"
-           "    | a => b -> a |=| b\n"
-           "\nproc hearer :: | TopBot (*) TopBot => =\n"
-           "    | y => -> do\n"
-           "        split y into p, q\n"
-           "        close p\n"
-           "        halt q\n"
-           "\nproc run =\n"
-           "    | => -> plug\n"
-           "        talker( | => x0 )\n" + stages +
-           "        hearer( | x6 => )\n")
-    m = _run_watched_text(src)
+    m = _run_watched_text(FORWARDER_CHAIN)
     assert [ev.kind for ev in m.trace].count("LINK") == 6
 
 
+# A fork arm links its new channel before the peer splits, and the holder
+# of the other end links it again: the split follows both fusions to the
+# channel the pending end now sits in.
+SPLIT_AFTER_LINKS = (
+    "proc talker :: | Put(Int|TopBot) => Put(Int|TopBot) (*) TopBot =\n"
+    "    | w => x -> fork x as\n"
+    "        l -> l |=| w\n"
+    "        r -> halt r\n"
+    "\nproc ksender :: | => TopBot =\n"
+    "    | => k -> halt k\n"
+    "\nproc fwd :: | Put(Int|TopBot) => Put(Int|TopBot) =\n"
+    "    | u => w -> plug\n"
+    "        ksender( | => k )\n"
+    "        do\n"
+    "            close k\n"
+    "            u |=| w\n"
+    "\nproc usender :: | => Put(Int|TopBot) =\n"
+    "    | => u -> do\n"
+    "        put 5 on u\n"
+    "        halt u\n"
+    "\nproc zmaker :: | => Put(Int|TopBot) =\n"
+    "    | => z -> plug\n"
+    "        ksender( | => k )\n"
+    "        do\n"
+    "            close k\n"
+    "            put 1 on z\n"
+    "            halt z\n"
+    "\nproc hearer :: | Put(Int|TopBot) (*) TopBot, Put(Int|TopBot) => =\n"
+    "    | y, z => -> do\n"
+    "        get v on z\n"
+    "        close z\n"
+    "        split y into p, q\n"
+    "        get u on p\n"
+    "        close p\n"
+    "        halt q\n"
+    "\nproc run =\n"
+    "    | => -> plug\n"
+    "        talker( | w => x )\n"
+    "        fwd( | u => w )\n"
+    "        usender( | => u )\n"
+    "        hearer( | x, z => )\n"
+    "        zmaker( | => z )\n")
+
+
 def test_split_claims_an_end_that_links_moved():
-    # A fork arm links its new channel before the peer splits, and the
-    # holder of the other end links it again: the split follows both
-    # fusions to the channel the pending end now sits in.
-    src = ("proc talker :: | Put(Int|TopBot) => Put(Int|TopBot) (*) TopBot =\n"
-           "    | w => x -> fork x as\n"
-           "        l -> l |=| w\n"
-           "        r -> halt r\n"
-           "\nproc ksender :: | => TopBot =\n"
-           "    | => k -> halt k\n"
-           "\nproc fwd :: | Put(Int|TopBot) => Put(Int|TopBot) =\n"
-           "    | u => w -> plug\n"
-           "        ksender( | => k )\n"
-           "        do\n"
-           "            close k\n"
-           "            u |=| w\n"
-           "\nproc usender :: | => Put(Int|TopBot) =\n"
-           "    | => u -> do\n"
-           "        put 5 on u\n"
-           "        halt u\n"
-           "\nproc zmaker :: | => Put(Int|TopBot) =\n"
-           "    | => z -> plug\n"
-           "        ksender( | => k )\n"
-           "        do\n"
-           "            close k\n"
-           "            put 1 on z\n"
-           "            halt z\n"
-           "\nproc hearer :: | Put(Int|TopBot) (*) TopBot, Put(Int|TopBot) => =\n"
-           "    | y, z => -> do\n"
-           "        get v on z\n"
-           "        close z\n"
-           "        split y into p, q\n"
-           "        get u on p\n"
-           "        close p\n"
-           "        halt q\n"
-           "\nproc run =\n"
-           "    | => -> plug\n"
-           "        talker( | w => x )\n"
-           "        fwd( | u => w )\n"
-           "        usender( | => u )\n"
-           "        hearer( | x, z => )\n"
-           "        zmaker( | => z )\n")
-    m = _run_watched_text(src)
+    m = _run_watched_text(SPLIT_AFTER_LINKS)
     kinds = [ev.kind for ev in m.trace]
     assert kinds.count("LINK") == 2
     assert kinds.index("LINK") < kinds.index("SPLIT")
