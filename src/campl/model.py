@@ -627,7 +627,3 @@ class SourceProgram:
     @property
     def procs(self) -> dict[str, ProcDef]:
         return {d.name: d for d in self.decls if isinstance(d, ProcDef)}
-
-    @property
-    def protocol_decls(self) -> dict[str, ProtocolDecl]:
-        return {d.name: d for d in self.decls if isinstance(d, ProtocolDecl)}

@@ -364,8 +364,6 @@ class Parser:
         while self.peek().kind != EOF and self.peek().col == col:
             cmds.append(self.parse_command())
             self._block_guard(col)
-        if not cmds:
-            raise ParseError("expected at least one command", first)
         return cmds
 
     def _block_guard(self, col: int) -> None:
@@ -471,11 +469,7 @@ class Parser:
         col = first.col
         branches = []
         while self.peek().kind != EOF and self.peek().col == col:
-            if self.at("do"):
-                self.take()
-                branches.append(tuple(self.parse_command_block(col)))
-            else:
-                branches.append((self.parse_command(),))
+            branches.append(self.parse_body(col))
             self._block_guard(col)
         if len(branches) < 2:
             raise ParseError("plug needs at least two branches", kw)

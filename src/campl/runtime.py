@@ -103,8 +103,10 @@ class CloseMsg:
 
 @dataclass
 class RewireMsg:
+    """A fork's message to the splitter: the ends it will claim, and the
+    left channel's id at the fork, which its SPLIT event prints."""
     cid_left: int
-    cid_right: int
+    ends: tuple[EndState, EndState]
 
 
 class MachineFault(Exception):
@@ -125,17 +127,21 @@ class BootError(Exception):
 # ---------------------------------------------------------------------------
 # machine state
 
-@dataclass
+@dataclass(eq=False)
 class EndState:
-    """One end of a channel.  `owner` is the pid holding it; the
-    ConsoleEndpoint serving it; None; or, for an end a fork created and no
-    split has claimed yet, the carrier channel's EndState whose holder
-    will claim it.  `links` holds the ends a fork left pending whose claim
-    passes through this one, directly or through ends a |=| redirected to
-    it; some may have been claimed since."""
-    owner: object
+    """One end of a channel, and what a process binds a name to.  `cid`
+    and `index` say where it sits now: a |=| that moves it into the fused
+    channel re-points them, so every holder follows.  `owner` is the pid
+    holding it; the ConsoleEndpoint serving it; None; or, for an end a
+    fork created and no split has claimed yet, the carrier channel's
+    EndState whose holder will claim it.  `links` holds the ends a fork
+    left pending whose claim passes through this one, directly or through
+    ends a |=| redirected to it; some may have been claimed since."""
+    cid: int
+    index: int
+    owner: object = None
     closed: bool = False
-    links: tuple = field(default=(), repr=False, compare=False)
+    links: tuple = field(default=(), repr=False)
 
 
 @dataclass
@@ -157,7 +163,7 @@ class ProcessInstance:
     pid: int
     name: str
     seq_env: dict[str, Value]
-    chan_env: dict[str, tuple[int, int]]     # name -> (cid, end)
+    chan_env: dict[str, EndState]
     frames: list[list]                       # stack of [body, index]
 
     def next_command(self):
@@ -218,15 +224,14 @@ class Machine:
         self.config = services if services is not None else ServiceConfig()
         self.trace_hook = trace_hook
         self.processes: dict[int, ProcessInstance] = {}
+        # Processes bind names to the EndStates in these channels' `ends`,
+        # which a |=| re-points when it moves them.
         self.channels: dict[int, ChannelState] = {}
         self.services: dict[int, ConsoleEndpoint] = {}
         self.steps = 0
         self.trace: list[TraceEvent] = []
         self._next_pid = 0
         self._next_cid = 0
-        # cid of a channel fused away by |=| while its far end was still
-        # pending -> (fused cid, that end's index there), for the split
-        self._fused: dict[int, tuple[int, int]] = {}
         # For the monitor: the step count at the last passed check, and
         # the channels created and the ends released or redirected since.
         self._checked_at: int | None = None
@@ -247,7 +252,7 @@ class Machine:
     def _new_channel(self, label: str) -> ChannelState:
         cid = self._next_cid
         self._next_cid += 1
-        ch = ChannelState(cid, label, [EndState(None), EndState(None)])
+        ch = ChannelState(cid, label, [EndState(cid, 0), EndState(cid, 1)])
         self.channels[cid] = ch
         self._added.append(cid)
         return ch
@@ -262,39 +267,38 @@ class Machine:
         if run.out_params:
             raise BootError("run cannot take output channels")
         pid = self._new_pid()
-        chan_env: dict[str, tuple[int, int]] = {}
+        chan_env: dict[str, EndState] = {}
         proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
         for name in run.in_params:
             ch = self._new_channel(name)
             ch.ends[0].owner = self.services[ch.cid] = \
                 ConsoleEndpoint(self.config)
             ch.ends[1].owner = pid
-            chan_env[name] = (ch.cid, 1)
+            chan_env[name] = ch.ends[1]
         self.processes[pid] = proc
         self._drain_services()
         return self
 
     # -- scheduling --------------------------------------------------------
 
-    def _binding(self, p: ProcessInstance, name: str | None
-                 ) -> tuple[int, int]:
+    def _binding(self, p: ProcessInstance, name: str | None) -> EndState:
         if name is None or name not in p.chan_env:
             raise MachineFault("IllegalCommand",
                                f"process {p.pid} does not hold channel "
                                f"{name!r}")
-        cid, end = p.chan_env[name]
-        if cid not in self.channels:
+        e = p.chan_env[name]
+        if e.cid not in self.channels:
             raise MachineFault("IllegalCommand",
                                f"channel {name!r} is gone")
-        return cid, end
+        return e
 
     def _incoming(self, p: ProcessInstance, name: str) -> deque:
-        cid, end = self._binding(p, name)
-        return self.channels[cid].queues[1 - end]
+        e = self._binding(p, name)
+        return self.channels[e.cid].queues[1 - e.index]
 
     def _outgoing(self, p: ProcessInstance, name: str) -> deque:
-        cid, end = self._binding(p, name)
-        return self.channels[cid].queues[end]
+        e = self._binding(p, name)
+        return self.channels[e.cid].queues[e.index]
 
     def enabled(self, p: ProcessInstance) -> bool:
         cmd = p.next_command()
@@ -320,9 +324,9 @@ class Machine:
     def waiting_on(self, p: ProcessInstance) -> list[int]:
         cmd = p.next_command()
         if isinstance(cmd, (GetVal, HCase, Split)):
-            return [p.chan_env[cmd.chan][0]]
+            return [p.chan_env[cmd.chan].cid]
         if isinstance(cmd, Race):
-            return [p.chan_env[a.chan][0] for a in cmd.arms]
+            return [p.chan_env[a.chan].cid for a in cmd.arms]
         return []
 
     def pick(self) -> ProcessInstance | None:
@@ -512,11 +516,11 @@ class Machine:
         if isinstance(cmd, Link):
             return self._exec_link(p, cmd)
         if isinstance(cmd, NegIntro):
-            binding = self._binding(p, cmd.chan)
+            e = self._binding(p, cmd.chan)
             del p.chan_env[cmd.chan]
-            p.chan_env[cmd.fresh] = binding
+            p.chan_env[cmd.fresh] = e
             self._advance(p)
-            return self._event(p, "NEG", cmd.fresh, None, cid=binding[0])
+            return self._event(p, "NEG", cmd.fresh, None, cid=e.cid)
         raise MachineFault("IllegalCommand",
                            f"cannot execute {type(cmd).__name__}")
 
@@ -526,7 +530,7 @@ class Machine:
                payload: str | None = None, cid: int | None = None
                ) -> TraceEvent:
         if chan is not None and cid is None:
-            cid = p.chan_env[chan][0] if chan in p.chan_env else -1
+            cid = p.chan_env[chan].cid if chan in p.chan_env else -1
         return TraceEvent(self.steps, p.pid, kind, chan, cid, payload)
 
     def _advance(self, p: ProcessInstance, push=None) -> None:
@@ -544,10 +548,9 @@ class Machine:
         self.processes.pop(p.pid, None)
         # Checked programs always end with an empty channel environment;
         # under --unchecked a leak just detaches the ends.
-        for cid, end in p.chan_env.values():
-            ch = self.channels.get(cid)
-            if ch is not None and ch.ends[end].owner == p.pid:
-                self._release(cid, end)
+        for e in p.chan_env.values():
+            if e.owner == p.pid:
+                self._release(e)
         p.chan_env.clear()
 
     def _pop(self, p: ProcessInstance, chan: str, want, command: str):
@@ -564,20 +567,20 @@ class Machine:
         return msg
 
     def _close_end(self, p: ProcessInstance, chan: str) -> None:
-        cid, end = self._binding(p, chan)
+        e = self._binding(p, chan)
         del p.chan_env[chan]
-        ch = self.channels[cid]
-        ch.queues[end].append(CloseMsg())
-        ch.ends[end].closed = True
+        ch = self.channels[e.cid]
+        ch.queues[e.index].append(CloseMsg())
+        e.closed = True
         self._reap(ch)
 
-    def _release(self, cid: int, end: int) -> None:
-        """Close and disown one end of a channel, if it is still there."""
-        ch = self.channels.get(cid)
+    def _release(self, e: EndState) -> None:
+        """Close and disown one end, if its channel is still there."""
+        ch = self.channels.get(e.cid)
         if ch is not None:
-            ch.ends[end].owner = None
-            ch.ends[end].closed = True
-            self._released.append(ch.ends[end])
+            e.owner = None
+            e.closed = True
+            self._released.append(e)
             self._reap(ch)
 
     def _reap(self, ch: ChannelState) -> None:
@@ -627,43 +630,40 @@ class Machine:
             pid = self._new_pid()
             self.processes[pid] = ProcessInstance(
                 pid, name, dict(p.seq_env), env, [[body, 0]])
-            for cid, end in env.values():
-                self.channels[cid].ends[end].owner = pid
-        for cid, end in rest.values():
-            self._release(cid, end)
+            for e in env.values():
+                e.owner = pid
+        for e in rest.values():
+            self._release(e)
 
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
-        cid, end = self._binding(p, cmd.chan)
+        e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
-        ch = self.channels[cid]
+        ch = self.channels[e.cid]
         # The forker's children take end 0 of each new channel.  End 1
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
         new = [self._new_channel(arm.name) for arm in cmd.arms]
-        far = ch.ends[1 - end]
-        for nch in new:
-            nch.ends[1].owner = far
-        far.links += tuple(nch.ends[1] for nch in new)
-        ch.queues[end].append(RewireMsg(new[0].cid, new[1].cid))
+        far = ch.ends[1 - e.index]
+        pending = tuple(nch.ends[1] for nch in new)
+        for pe in pending:
+            pe.owner = far
+        far.links += pending
+        ch.queues[e.index].append(RewireMsg(new[0].cid, pending))
         ev = self._event(p, "FORK", cmd.chan, ",".join(
             f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
-            cid=cid)
-        self._release(cid, end)
+            cid=e.cid)
+        self._release(e)
         self._hand_off(p, [
             (f"{p.name}.{arm.name}", arm.body, free_chans(arm.body),
-             {arm.name: (nch.cid, 0)}) for arm, nch in zip(cmd.arms, new)])
+             {arm.name: nch.ends[0]}) for arm, nch in zip(cmd.arms, new)])
         return ev
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
         msg = self._pop(p, cmd.chan, RewireMsg, "split")
-        self._release(*p.chan_env.pop(cmd.chan))
-        for name, ncid in ((cmd.left, msg.cid_left),
-                           (cmd.right, msg.cid_right)):
-            end = 1
-            while ncid in self._fused:
-                ncid, end = self._fused.pop(ncid)
-            self.channels[ncid].ends[end].owner = p.pid
-            p.chan_env[name] = (ncid, end)
+        self._release(p.chan_env.pop(cmd.chan))
+        for name, e in zip((cmd.left, cmd.right), msg.ends):
+            e.owner = p.pid
+            p.chan_env[name] = e
         self._advance(p)
         return self._event(p, "SPLIT", cmd.left, f"{cmd.right}",
                            cid=msg.cid_left)
@@ -681,9 +681,8 @@ class Machine:
                 raise MachineFault(
                     "IllegalCommand",
                     f"plug channel {name!r} must join exactly two branches")
-            cid = self._new_channel(name).cid
-            for end, i in enumerate(users[name]):
-                envs[i][name] = (cid, end)
+            for e, i in zip(self._new_channel(name).ends, users[name]):
+                envs[i][name] = e
         ev = self._event(p, "PLUG", None, ",".join(plugged) or None)
         self._hand_off(p, [
             (f"{p.name}/{i}", body, names, env)
@@ -730,17 +729,19 @@ class Machine:
         return self._event(p, verb.upper(), None, d.name)
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
-        lcid, lend = self._binding(p, cmd.left)
-        rcid, rend = self._binding(p, cmd.right)
-        lch = self.channels[lcid]
-        rch = self.channels[rcid]
+        left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
+        lch, lend = self.channels[left.cid], left.index
+        rch, rend = self.channels[right.cid], right.index
         fused = self._new_channel(f"{lch.label}|=|{rch.label}")
         fused.ends[:] = lch.ends[1 - lend], rch.ends[1 - rend]
+        # The peers' ends move into the fused channel, and whoever holds or
+        # will claim them follows.  Right first: an end that is both
+        # (a |=| a) stays at index 0.
+        for index in (1, 0):
+            fused.ends[index].cid, fused.ends[index].index = fused.cid, index
         # A pending end this process would have claimed goes to the
         # opposite peer, which now receives what was sent this way.
-        for old, end, to in ((lch, lend, fused.ends[1]),
-                             (rch, rend, fused.ends[0])):
-            moved = old.ends[end]
+        for moved, to in ((left, fused.ends[1]), (right, fused.ends[0])):
             moved.owner = to
             to.links += moved.links
             self._released.append(moved)
@@ -750,20 +751,12 @@ class Machine:
         fused.queues[0].extend(lch.queues[1 - lend])
         fused.queues[1].extend(lch.queues[lend])
         fused.queues[1].extend(rch.queues[1 - rend])
-        for old, end, new_end in ((lch, 1 - lend, 0), (rch, 1 - rend, 1)):
-            owner = old.ends[end].owner
-            if isinstance(owner, EndState):
-                self._fused[old.cid] = (fused.cid, new_end)
-            elif isinstance(owner, int) and owner in self.processes:
-                env = self.processes[owner].chan_env
-                for name, binding in env.items():
-                    if binding == (old.cid, end):
-                        env[name] = (fused.cid, new_end)
+        for old in (lch, rch):
             if old.cid in self.services:
                 self.services[fused.cid] = self.services.pop(old.cid)
             self.channels.pop(old.cid, None)
         ev = self._event(p, "LINK", cmd.left,
-                         f"{cmd.right}->#{fused.cid}", cid=lcid)
+                         f"{cmd.right}->#{fused.cid}", cid=lch.cid)
         p.chan_env.clear()
         del self.processes[p.pid]
         self._reap(fused)

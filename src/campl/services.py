@@ -38,7 +38,6 @@ CONSOLE_DECL = ProtocolDecl(
 )
 
 BUILTIN_DECLS = {CONSOLE: CONSOLE_DECL}
-RESERVED_HANDLES = {CONSOLE_PUT, CONSOLE_GET, CONSOLE_CLOSE}
 
 
 class ScriptExhausted(Exception):

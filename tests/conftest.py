@@ -18,18 +18,21 @@ def corpus_text(name: str) -> str:
 
 
 def assert_ownership_agrees(machine) -> None:
-    """Every (cid, end) a live process binds is owned by that process in
-    the channel table and bound by no other process, and every end of a
-    live channel resolves to a live process or a service (any owner that
-    is not a pid)."""
-    holder: dict[tuple[int, int], int] = {}
+    """Every end a live process binds sits where it says in the channel
+    table, is owned by that process and is bound by no other process, and
+    every end of a live channel resolves to a live process or a service
+    (any owner that is not a pid)."""
+    holder: dict = {}
     for pid, p in machine.processes.items():
-        for name, (cid, end) in p.chan_env.items():
-            assert holder.setdefault((cid, end), pid) == pid, \
-                f"#{cid}.{end} is bound by pids {holder[cid, end]} and {pid}"
-            assert machine.channels[cid].ends[end].owner == pid, \
-                f"pid {pid} binds {name!r} to #{cid}.{end}, which it " \
-                f"does not own"
+        for name, e in p.chan_env.items():
+            assert holder.setdefault(e, pid) == pid, \
+                f"#{e.cid}.{e.index} is bound by pids {holder[e]} and {pid}"
+            assert machine.channels[e.cid].ends[e.index] is e, \
+                f"pid {pid} binds {name!r} to an end not at #{e.cid}." \
+                f"{e.index}"
+            assert e.owner == pid, \
+                f"pid {pid} binds {name!r} to #{e.cid}.{e.index}, which " \
+                f"it does not own"
     for cid, ch in machine.channels.items():
         for end, e in enumerate(ch.ends):
             owner = machine.resolve_owner(e.owner)

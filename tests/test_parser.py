@@ -79,7 +79,7 @@ def test_on_do_blocks_parse_as_sugar_nodes():
 
 def test_protocol_declaration_shape():
     prog = parse_source(corpus_text("listing7.campl"))
-    decl = prog.protocol_decls["PassMessages"]
+    decl = next(d for d in prog.decls if d.name == "PassMessages")
     assert isinstance(decl, ProtocolDecl)
     assert decl.seq_params == ("A",)
     assert decl.state_var == "S"

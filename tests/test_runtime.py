@@ -155,7 +155,8 @@ def test_step_limit_outcome():
 # topology monitor
 
 def _wire(machine, cid, a, b):
-    ch = ChannelState(cid, f"c{cid}", [EndState(a), EndState(b)])
+    ch = ChannelState(cid, f"c{cid}", [EndState(cid, 0, a),
+                                       EndState(cid, 1, b)])
     machine.channels[cid] = ch
     return ch
 
@@ -458,6 +459,45 @@ def test_split_claims_an_end_that_links_moved():
     assert kinds.count("LINK") == 2
     assert kinds.index("LINK") < kinds.index("SPLIT")
     assert [ev.payload for ev in m.trace if ev.kind == "GET"] == ["1", "5"]
+
+
+def test_every_holder_of_a_moved_end_follows_the_link():
+    # Unchecked: `twice` gets x's end as both `a` and `b`, and its plug
+    # hands the two names to `left` and `right`.  When `joiner`'s |=| moves
+    # that end into the fused channel, both holders follow it: `left`
+    # receives through the fused channel, and `right` then finds the end
+    # `left` closed.
+    src = ("proc twice =\n"
+           "    | a, b => -> plug\n"
+           "        left( | a => )\n"
+           "        right( | b => )\n"
+           "\nproc left =\n"
+           "    | a => -> do\n"
+           "        get v on a\n"
+           "        halt a\n"
+           "\nproc right =\n"
+           "    | b => -> do\n"
+           "        get w on b\n"
+           "        halt b\n"
+           "\nproc joiner =\n"
+           "    | x => y -> x |=| y\n"
+           "\nproc sender =\n"
+           "    | => y -> do\n"
+           "        put 1 on y\n"
+           "        halt y\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        twice( | x, x => )\n"
+           "        joiner( | x => y )\n"
+           "        sender( | => y )\n")
+    m = boot(prepare(parse_source(src)),
+             services=ServiceConfig.from_script([]))
+    with pytest.raises(MachineFault) as e:
+        m.run_to_completion()
+    assert str(e.value) == "IllegalCommand: channel 'b' is gone"
+    assert [ev.render() for ev in m.trace][-3:] == [
+        "#9 pid=4 GET ch=a#2 payload=1", "#10 pid=4 HALT ch=a#2",
+        "#11 pid=5 CALL payload=right"]
 
 
 def test_pending_end_of_a_closed_carrier_is_unowned():

@@ -1,15 +1,20 @@
 """The benchmark's per-layer tracer patches campl by attribute name, so a
 refactor that drops or renames one of those names breaks the benchmark
-with an AttributeError.  These tests load the tracer from its file and
-check every name it reaches."""
+with an AttributeError, and its hand-driven run loop must replay the
+machine's own.  These tests load the tracer from its file, check every
+name it reaches, and compare the traces of both loops."""
 
 import importlib.util
 
 import pytest
 
 import campl.runtime
-from campl.runtime import Machine
-from conftest import ROOT
+from campl.checker import check_program
+from campl.parser import parse_source
+from campl.runtime import Machine, boot
+from campl.services import ServiceConfig
+from conftest import ROOT, corpus_text
+from test_runtime import FORWARDER_CHAIN
 
 
 def _load_tracer():
@@ -43,3 +48,21 @@ def test_tracer_installs_and_restores_its_patches():
         pass
     assert (Machine.run_to_completion, Machine.enabled,
             campl.runtime.resolve_race) == originals
+
+
+@pytest.mark.parametrize("text", [corpus_text("listing7.campl"),
+                                  FORWARDER_CHAIN],
+                         ids=["listing7", "forwarder_chain"])
+def test_tracer_loop_replays_run_to_completion(text):
+    # The benchmark drives assert_invariants, pick and step by hand; its
+    # trace must be the one the machine's own loop produces.
+    program = check_program(parse_source(text)).exec_program
+    plain = boot(program, services=ServiceConfig.from_script([])
+                 ).run_to_completion()
+    tracer = TRACER.Tracer()
+    with tracer.installed():
+        traced = boot(program, services=ServiceConfig.from_script([])
+                      ).run_to_completion()
+    assert (traced.kind, traced.steps) == (plain.kind, plain.steps)
+    assert plain.done
+    assert tracer.collect_machines() == [TRACER.trace_digest(plain.trace)]
