@@ -8,14 +8,14 @@ from .lexer import LexError, tokenize
 from .parser import parse_program, parse_source
 from .printer import roundtrip_print
 from .runtime import Machine, Outcome, OutcomeKind, boot
-from .services import ServiceConfig, drain_output
+from .services import ServiceConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckFailure", "LexError", "Machine", "Outcome", "OutcomeKind",
     "ParseFailure", "ServiceConfig", "TypedProgram", "boot",
-    "check_program", "drain_output", "parse_program", "parse_source",
-    "prepare", "roundtrip_print", "tokenize",
+    "check_program", "parse_program", "parse_source", "prepare",
+    "roundtrip_print", "tokenize",
     "__version__",
 ]

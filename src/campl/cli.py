@@ -34,7 +34,7 @@ def _load(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         click.echo(f"cannot read {path}: {e}", err=True)
         raise SystemExit(2)
 
@@ -101,9 +101,8 @@ def run(file: str, seed: int, script_path: str | None, trace: bool,
     else:
         exec_program = _check(program, file, json_diagnostics).exec_program
     if script_path is not None:
-        with open(script_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        services = ServiceConfig.from_script(lines, echo=sys.stdout)
+        services = ServiceConfig.from_script(
+            _load(script_path).splitlines(), echo=sys.stdout)
     else:
         services = ServiceConfig.live()
     hook = None

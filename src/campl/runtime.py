@@ -2,11 +2,12 @@
 unchecked) programs.
 
 Processes are command-sequence continuations over a table of two-ended
-channels, each with one FIFO queue per direction.  One command of one
-process runs per step; among the processes whose next command can make
-progress, the smallest pid goes first.  Races are the only consumers of
-the seeded RNG, so a (program, seed, input script) triple fixes the whole
-trace.
+channels; each end holds a FIFO inbox of the messages sent to it.  Values
+are the program's own literal nodes and stored processes.  One command of
+one process runs per step; among the processes whose next command can
+make progress, the smallest pid goes first.  Races are the only consumers
+of the seeded RNG, so a (program, seed, input script) triple fixes the
+whole trace.
 
 A topology monitor checks before every step that the graph of processes
 and live channels is an acyclic forest and that every end of a live
@@ -32,7 +33,9 @@ from .model import (
     IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split, StoreOf,
     StringLit, Use, VarRef,
 )
-from .services import ConsoleEndpoint, ServiceConfig
+from .services import (
+    CONSOLE_CLOSE, CONSOLE_GET, CONSOLE_PUT, ScriptExhausted, ServiceConfig,
+)
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -41,49 +44,25 @@ DEFAULT_MAX_STEPS = 100_000
 # values and messages
 
 @dataclass(frozen=True)
-class IntV:
-    value: int
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class CharV:
-    value: str
-
-    def render(self) -> str:
-        return f"'{self.value}'"
-
-
-@dataclass(frozen=True)
-class StringV:
-    value: str
-
-    def render(self) -> str:
-        return f'"{self.value}"'
-
-
-@dataclass(frozen=True)
-class BoolV:
-    value: bool
-
-    def render(self) -> str:
-        return "True" if self.value else "False"
-
-
-@dataclass(frozen=True)
 class StoredProc:
     """A process encoded as a sequential value: its definition plus the
     captured variable environment.  Channels are never captured."""
     proc: ProcDef
     env: tuple
 
-    def render(self) -> str:
-        return f"store({self.proc.name})"
+
+Value = IntLit | CharLit | StringLit | BoolLit | StoredProc
 
 
-Value = IntV | CharV | StringV | BoolV | StoredProc
+def render(value: Value) -> str:
+    """A value as the trace prints it."""
+    if isinstance(value, StoredProc):
+        return f"store({value.proc.name})"
+    if isinstance(value, CharLit):
+        return f"'{value.value}'"
+    if isinstance(value, StringLit):
+        return f'"{value.value}"'
+    return str(value.value)
 
 
 @dataclass
@@ -117,11 +96,81 @@ class MachineFault(Exception):
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
-        self.fault_message = message
 
 
 class BootError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# the Console service
+
+_IDLE = "idle"
+_AWAIT_VAL = "await-val"
+_CLOSING = "closing"
+
+
+class ConsoleEndpoint:
+    """State machine for one Console channel's service end.
+
+    Driven by the machine with the messages that arrive in the service
+    end's inbox; replies are returned to be sent the other way.
+    """
+
+    def __init__(self, config: ServiceConfig):
+        self.config = config
+        self.phase = _IDLE
+        self.closed = False
+        self._cursor = 0
+
+    def handle(self, msg) -> object | None:
+        if self.phase == _AWAIT_VAL:
+            if isinstance(msg, ValMsg) and isinstance(msg.value, StringLit):
+                self._emit(msg.value.value)
+                self.phase = _IDLE
+                return None
+            raise MachineFault("IllegalCommand",
+                               "console expected a string after ConsolePut")
+        if self.phase == _CLOSING:
+            if isinstance(msg, CloseMsg):
+                self.closed = True
+                return None
+            raise MachineFault("IllegalCommand",
+                               "console expected close after ConsoleClose")
+        # idle
+        if isinstance(msg, HandleMsg):
+            if msg.handle == CONSOLE_PUT:
+                self.phase = _AWAIT_VAL
+                return None
+            if msg.handle == CONSOLE_GET:
+                return ValMsg(StringLit(self._read_line()))
+            if msg.handle == CONSOLE_CLOSE:
+                self.phase = _CLOSING
+                return None
+            raise MachineFault("IllegalCommand",
+                               f"console got unknown handle {msg.handle}")
+        if isinstance(msg, CloseMsg):
+            # Tolerated for unchecked programs that close without the handle.
+            self.closed = True
+            return None
+        raise MachineFault("IllegalCommand",
+                           f"console cannot dispatch on {type(msg).__name__}")
+
+    def _emit(self, line: str) -> None:
+        self.config.outputs.append(line)
+        if self.config.echo is not None:
+            print(line, file=self.config.echo, flush=True)
+
+    def _read_line(self) -> str:
+        if self.config.scripted:
+            if self._cursor >= len(self.config.script):
+                raise ScriptExhausted(
+                    "console input script exhausted: a ConsoleGet had no "
+                    "line to deliver")
+            line = self.config.script[self._cursor]
+            self._cursor += 1
+            return line
+        return input()
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +185,14 @@ class EndState:
     fork created and no split has claimed yet, the carrier channel's
     EndState whose holder will claim it.  `links` holds the ends a fork
     left pending whose claim passes through this one, directly or through
-    ends a |=| redirected to it; some may have been claimed since."""
+    ends a |=| redirected to it; some may have been claimed since.
+    `inbox` holds the messages sent to this end, oldest first."""
     cid: int
     index: int
     owner: object = None
     closed: bool = False
     links: tuple = field(default=(), repr=False)
+    inbox: deque = field(default_factory=deque, repr=False)
 
 
 @dataclass
@@ -149,9 +200,6 @@ class ChannelState:
     cid: int
     label: str
     ends: list[EndState]
-    # queues[d] carries messages sent from end d toward end 1-d
-    queues: tuple[deque, deque] = field(
-        default_factory=lambda: (deque(), deque()))
 
     @property
     def live(self) -> bool:
@@ -293,12 +341,11 @@ class Machine:
         return e
 
     def _incoming(self, p: ProcessInstance, name: str) -> deque:
-        e = self._binding(p, name)
-        return self.channels[e.cid].queues[1 - e.index]
+        return self._binding(p, name).inbox
 
     def _outgoing(self, p: ProcessInstance, name: str) -> deque:
         e = self._binding(p, name)
-        return self.channels[e.cid].queues[e.index]
+        return self.channels[e.cid].ends[1 - e.index].inbox
 
     def enabled(self, p: ProcessInstance) -> bool:
         cmd = p.next_command()
@@ -465,13 +512,13 @@ class Machine:
         if isinstance(cmd, PutVal):
             value = self._eval(p, cmd.expr)
             self._outgoing(p, cmd.chan).append(ValMsg(value))
-            ev = self._event(p, "PUT", cmd.chan, value.render())
+            ev = self._event(p, "PUT", cmd.chan, render(value))
             self._advance(p)
             return ev
         if isinstance(cmd, GetVal):
             msg = self._pop(p, cmd.chan, ValMsg, "get")
             p.seq_env[cmd.binder] = msg.value
-            ev = self._event(p, "GET", cmd.chan, msg.value.render())
+            ev = self._event(p, "GET", cmd.chan, render(msg.value))
             self._advance(p)
             return ev
         if isinstance(cmd, HPut):
@@ -570,7 +617,7 @@ class Machine:
         e = self._binding(p, chan)
         del p.chan_env[chan]
         ch = self.channels[e.cid]
-        ch.queues[e.index].append(CloseMsg())
+        ch.ends[1 - e.index].inbox.append(CloseMsg())
         e.closed = True
         self._reap(ch)
 
@@ -593,14 +640,8 @@ class Machine:
             self._released += ch.ends
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
-        if isinstance(e, IntLit):
-            return IntV(e.value)
-        if isinstance(e, CharLit):
-            return CharV(e.value)
-        if isinstance(e, StringLit):
-            return StringV(e.value)
-        if isinstance(e, BoolLit):
-            return BoolV(e.value)
+        if isinstance(e, (IntLit, CharLit, StringLit, BoolLit)):
+            return e
         if isinstance(e, VarRef):
             if e.name not in p.seq_env:
                 raise MachineFault("IllegalCommand",
@@ -648,7 +689,7 @@ class Machine:
         for pe in pending:
             pe.owner = far
         far.links += pending
-        ch.queues[e.index].append(RewireMsg(new[0].cid, pending))
+        far.inbox.append(RewireMsg(new[0].cid, pending))
         ev = self._event(p, "FORK", cmd.chan, ",".join(
             f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
             cid=e.cid)
@@ -704,7 +745,7 @@ class Machine:
             if not isinstance(value, StoredProc):
                 raise MachineFault("IllegalCommand",
                                    f"use of a non-process value "
-                                   f"{value.render()}")
+                                   f"{render(value)}")
             verb, d = "use", value.proc
             target, name = f"use of {d.name!r}", f"use:{d.name}"
             seq_env = dict(value.env)
@@ -730,10 +771,9 @@ class Machine:
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
-        lch, lend = self.channels[left.cid], left.index
-        rch, rend = self.channels[right.cid], right.index
+        lch, rch = self.channels[left.cid], self.channels[right.cid]
         fused = self._new_channel(f"{lch.label}|=|{rch.label}")
-        fused.ends[:] = lch.ends[1 - lend], rch.ends[1 - rend]
+        fused.ends[:] = lch.ends[1 - left.index], rch.ends[1 - right.index]
         # The peers' ends move into the fused channel, and whoever holds or
         # will claim them follows.  Right first: an end that is both
         # (a |=| a) stays at index 0.
@@ -745,12 +785,10 @@ class Machine:
             moved.owner = to
             to.links += moved.links
             self._released.append(moved)
-        # Toward the right peer: what this process already sent that way,
-        # then whatever the left peer had in flight toward this process.
-        fused.queues[0].extend(rch.queues[rend])
-        fused.queues[0].extend(lch.queues[1 - lend])
-        fused.queues[1].extend(lch.queues[lend])
-        fused.queues[1].extend(rch.queues[1 - rend])
+        # Each peer keeps what this process already sent it, then receives
+        # what the other peer had in flight toward this process.
+        fused.ends[1].inbox.extend(left.inbox)
+        fused.ends[0].inbox.extend(right.inbox)
         for old in (lch, rch):
             if old.cid in self.services:
                 self.services[fused.cid] = self.services.pop(old.cid)
@@ -771,15 +809,14 @@ class Machine:
             ch = self.channels.get(cid)
             if endpoint is None or ch is None:
                 continue
-            service_end = 0 if ch.ends[0].owner is endpoint else 1
-            incoming = ch.queues[1 - service_end]
-            outgoing = ch.queues[service_end]
-            while incoming:
-                reply = endpoint.handle(incoming.popleft())
+            service, peer = (ch.ends if ch.ends[0].owner is endpoint
+                             else ch.ends[::-1])
+            while service.inbox:
+                reply = endpoint.handle(service.inbox.popleft())
                 if reply is not None:
-                    outgoing.append(reply)
+                    peer.inbox.append(reply)
                 if endpoint.closed:
-                    ch.ends[service_end].closed = True
+                    service.closed = True
                     self._reap(ch)
                     break
 

@@ -20,7 +20,7 @@ from campl.model import (
 )
 from campl.parser import parse_source
 from campl.runtime import OutcomeKind, boot
-from campl.services import ServiceConfig, drain_output
+from campl.services import ServiceConfig
 from conftest import CORPUS, corpus_text
 from genprog import gen_program
 
@@ -166,7 +166,7 @@ def test_criterion_06_protocol_recursion_is_identity(name):
     sent = ["one", "two", "three"]           # oracle: direct list copy
     outcome, cfg = _run(name)
     assert outcome.kind is OutcomeKind.DONE
-    assert drain_output(cfg) == sent
+    assert cfg.outputs == sent
     # Each sending stage (the producer and the forwarder) activates the
     # message handle once per payload and the closing handle exactly once.
     send_handle = "SendMsg" if name == "listing7.campl" else "CoSendMsg"
@@ -212,7 +212,7 @@ def test_criterion_07_race_coverage_and_determinism():
 def test_criterion_08_higher_order_messages():
     outcome, cfg = _run("listing9.campl")
     assert outcome.kind is OutcomeKind.DONE
-    assert drain_output(cfg) == [
+    assert cfg.outputs == [
         "Server says: Running the stored process",
         "Hello World!",
     ]

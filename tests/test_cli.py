@@ -37,6 +37,16 @@ def test_check_missing_file_exits_two(runner):
     assert r.exit_code == 2
 
 
+def test_non_utf8_program_file_exits_two(runner, tmp_path):
+    src = tmp_path / "latin1.campl"
+    src.write_bytes(b"proc run =\n    | => -> \xe9\n")
+    r = runner.invoke(main, ["check", str(src)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 2
+    assert r.stderr.startswith(f"cannot read {src}: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_check_json_diagnostics(runner):
     r = runner.invoke(main, ["check", corpus("appendix_b.campl"),
                              "--json-diagnostics"])
@@ -192,6 +202,18 @@ def test_run_script_exhaustion_exits_one(runner, tmp_path):
     r = runner.invoke(main, ["run", str(src), "--stdin", str(script)])
     assert r.exit_code == 1
     assert "script" in r.stderr
+
+
+def test_run_non_utf8_script_exits_two(runner, tmp_path):
+    script = tmp_path / "latin1.txt"
+    script.write_bytes(b"caf\xe9\n")
+    r = runner.invoke(main, ["run", corpus("listing1.campl"),
+                             "--stdin", str(script)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"cannot read {script}: ")
+    assert "Traceback" not in r.stderr
 
 
 def test_run_step_limit_exits_four(runner, tmp_path):

@@ -160,6 +160,85 @@ LINKS = {
 }
 
 
+# Checked programs that pin what the machine prints for each kind of value
+# (the corpus sends no Char or Bool), and the order in which a |=| merges
+# the messages in flight on both channels it fuses.
+MESSAGES = {
+    "values.campl": (
+        "proc speak :: [Char] | Console => =\n"
+        "    word | console => -> do\n"
+        "        hput ConsolePut on console\n"
+        "        put word on console\n"
+        "        hput ConsoleClose on console\n"
+        "        halt console\n"
+        "\nproc sender =\n"
+        "    | => ch -> do\n"
+        "        put -7 on ch\n"
+        "        put '\\'' on ch\n"
+        "        put \"two words\" on ch\n"
+        "        put True on ch\n"
+        "        put False on ch\n"
+        "        put store(speak) on ch\n"
+        "        halt ch\n"
+        "\nproc receiver :: | Put(Int|Put(Char|Put([Char]|Put(Bool|Put(Bool|"
+        "Put(Store([Char]|Console=>)|TopBot)))))), Console => =\n"
+        "    | ch, console => -> do\n"
+        "        get n on ch\n"
+        "        get c on ch\n"
+        "        get s on ch\n"
+        "        get b on ch\n"
+        "        get f on ch\n"
+        "        get p on ch\n"
+        "        close ch\n"
+        "        use(p)( s | console => )\n"
+        "\nproc run =\n"
+        "    | console => -> plug\n"
+        "        sender( | => ch )\n"
+        "        receiver( | ch, console => )\n"),
+    "link_merge_forward.campl": (
+        "proc lefty =\n"
+        "    | => a -> do\n"
+        "        put 1 on a\n"
+        "        put 2 on a\n"
+        "        halt a\n"
+        "\nproc linker :: | Put(Int|Put(Int|TopBot))"
+        " => Put(Int|Put(Int|Put(Int|TopBot))) =\n"
+        "    | a => b -> do\n"
+        "        put 9 on b\n"
+        "        a |=| b\n"
+        "\nproc righty =\n"
+        "    | b => -> do\n"
+        "        get x on b\n"
+        "        get y on b\n"
+        "        get z on b\n"
+        "        close b\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        lefty( | => a )\n"
+        "        linker( | a => b )\n"
+        "        righty( | b => )\n"),
+    "link_merge_backward.campl": (
+        "proc righty =\n"
+        "    | b => -> do\n"
+        "        put 4 on b\n"
+        "        halt b\n"
+        "\nproc lefty =\n"
+        "    | => a -> do\n"
+        "        get x on a\n"
+        "        get y on a\n"
+        "        close a\n"
+        "\nproc linker :: | Get(Int|Get(Int|TopBot)) => Get(Int|TopBot) =\n"
+        "    | a => b -> do\n"
+        "        put 8 on a\n"
+        "        a |=| b\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        righty( | b => )\n"
+        "        linker( | a => b )\n"
+        "        lefty( | => a )\n"),
+}
+
+
 def cases() -> dict[str, list[str]]:
     """Case id -> CLI arguments, relative to a directory holding the
     corpus, the fault programs and `stdin.txt`."""
@@ -178,6 +257,10 @@ def cases() -> dict[str, list[str]]:
         for s in range(3):
             out[f"run-link/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
                                             str(s), "--stdin", "stdin.txt"]
+    for f in sorted(MESSAGES):
+        for s in range(3):
+            out[f"run-msg/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
+                                           str(s), "--stdin", "stdin.txt"]
     for f in sorted(FAULTS):
         out[f"unchecked-fault/{f}"] = ["run", f, "--unchecked", "--trace",
                                        "--stdin", "stdin.txt"]
@@ -190,7 +273,7 @@ def cases() -> dict[str, list[str]]:
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
-    for name, text in {**LINKS, **FAULTS}.items():
+    for name, text in {**LINKS, **MESSAGES, **FAULTS}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "stdin.txt").write_text(STDIN_SCRIPT, encoding="utf-8")
 

@@ -9,7 +9,7 @@ from campl.runtime import (
     ChannelState, EndState, Machine, MachineFault, BootError, OutcomeKind,
     boot, resolve_race,
 )
-from campl.services import ServiceConfig, drain_output
+from campl.services import ServiceConfig
 from conftest import corpus_text, run_watched
 
 
@@ -80,7 +80,7 @@ def test_listing2_runs_to_done_with_empty_tables():
 def test_listing1_done_under_twenty_steps():
     out, cfg = run_corpus("listing1.campl")
     assert out.done and out.steps < 20
-    assert drain_output(cfg) == ["Hello World!"]
+    assert cfg.outputs == ["Hello World!"]
 
 
 def test_appendix_c_delivers_the_integer_five():
@@ -267,13 +267,13 @@ def test_forwarder_preserves_message_order():
     out, cfg = run_corpus("listing7.campl")
     assert out.done
     sent = ["one", "two", "three"]      # what the driver puts in
-    assert drain_output(cfg) == sent
+    assert cfg.outputs == sent
 
 
 def test_coprotocol_forwarder_preserves_message_order():
     out, cfg = run_corpus("appendix_e.campl")
     assert out.done
-    assert drain_output(cfg) == ["one", "two", "three"]
+    assert cfg.outputs == ["one", "two", "three"]
 
 
 def test_fifo_per_direction():
@@ -549,7 +549,7 @@ def test_neg_flips_the_session_direction():
 def test_listing9_store_use_roundtrip():
     out, cfg = run_corpus("listing9.campl")
     assert out.done
-    assert drain_output(cfg) == [
+    assert cfg.outputs == [
         "Server says: Running the stored process", "Hello World!"]
     assert any(ev.kind == "USE" for ev in out.trace)
 
@@ -580,7 +580,7 @@ def test_stored_process_captures_variables():
         "        use(boxed)( | console => )\n")
     out, cfg = run_text(src)
     assert out.done
-    assert drain_output(cfg) == ["captured!"]
+    assert cfg.outputs == ["captured!"]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +655,7 @@ def test_use_with_sequential_arguments():
         '        use(store(speak))( 3, "parametrized" | console => )\n')
     out, cfg = run_text(src)
     assert out.done
-    assert drain_output(cfg) == ["parametrized"]
+    assert cfg.outputs == ["parametrized"]
 
 
 def test_unchecked_missing_channel_is_a_precise_fault():

@@ -5,13 +5,11 @@ import pytest
 from campl.checker import check_program
 from campl.elaborate import prepare
 from campl.parser import parse_source
+from campl.model import StringLit
 from campl.runtime import (
-    CloseMsg, HandleMsg, StringV, ValMsg, boot,
+    CloseMsg, ConsoleEndpoint, HandleMsg, ValMsg, boot,
 )
-from campl.services import (
-    CONSOLE_DECL, ConsoleEndpoint, ScriptExhausted, ServiceConfig,
-    drain_output,
-)
+from campl.services import CONSOLE_DECL, ScriptExhausted, ServiceConfig
 from conftest import corpus_text
 
 
@@ -28,18 +26,18 @@ def test_hello_world_dispatch_sequence():
     cfg = ServiceConfig.from_script([])
     ep = ConsoleEndpoint(cfg)
     assert ep.handle(HandleMsg("ConsolePut")) is None
-    assert ep.handle(ValMsg(StringV("Hello World!"))) is None
+    assert ep.handle(ValMsg(StringLit("Hello World!"))) is None
     assert ep.handle(HandleMsg("ConsoleClose")) is None
     assert ep.handle(CloseMsg()) is None
     assert ep.closed
-    assert drain_output(cfg) == ["Hello World!"]
+    assert cfg.outputs == ["Hello World!"]
 
 
 def test_console_get_pops_script_lines():
     cfg = ServiceConfig.from_script(["hi"])
     ep = ConsoleEndpoint(cfg)
     reply = ep.handle(HandleMsg("ConsoleGet"))
-    assert isinstance(reply, ValMsg) and reply.value == StringV("hi")
+    assert isinstance(reply, ValMsg) and reply.value == StringLit("hi")
     with pytest.raises(ScriptExhausted):
         ep.handle(HandleMsg("ConsoleGet"))
 
@@ -50,24 +48,12 @@ def test_console_get_exhausted_on_empty_script():
         ep.handle(HandleMsg("ConsoleGet"))
 
 
-def test_drain_output_is_idempotent():
-    cfg = ServiceConfig.from_script([])
-    ep = ConsoleEndpoint(cfg)
-    ep.handle(HandleMsg("ConsolePut"))
-    ep.handle(ValMsg(StringV("once")))
-    assert drain_output(cfg) == ["once"]
-    assert drain_output(cfg) == ["once"]
-    got = drain_output(cfg)
-    got.append("mutated copy")
-    assert drain_output(cfg) == ["once"]
-
-
 def test_echo_stream_receives_lines():
     sink = io.StringIO()
     cfg = ServiceConfig.from_script([], echo=sink)
     ep = ConsoleEndpoint(cfg)
     ep.handle(HandleMsg("ConsolePut"))
-    ep.handle(ValMsg(StringV("streamed")))
+    ep.handle(ValMsg(StringLit("streamed")))
     assert sink.getvalue() == "streamed\n"
 
 
@@ -100,7 +86,7 @@ def test_console_get_roundtrip_in_a_program():
     out, cfg = run_with_script(ECHO_ONCE, ["knock knock"],
                                from_corpus=False)
     assert out.done
-    assert drain_output(cfg) == ["knock knock"]
+    assert cfg.outputs == ["knock knock"]
 
 
 def test_script_exhaustion_fails_the_run():
@@ -114,7 +100,7 @@ def test_script_exhaustion_fails_the_run():
 def test_listing9_console_lines():
     out, cfg = run_with_script("listing9.campl", [])
     assert out.done
-    assert drain_output(cfg) == [
+    assert cfg.outputs == [
         "Server says: Running the stored process", "Hello World!"]
 
 
@@ -126,7 +112,7 @@ def test_untouched_console_produces_nothing():
            "            halt\n")
     out, cfg = run_with_script(src, [], from_corpus=False)
     assert out.done
-    assert drain_output(cfg) == []
+    assert cfg.outputs == []
 
 
 def test_scripted_runs_are_bit_deterministic():
@@ -135,7 +121,7 @@ def test_scripted_runs_are_bit_deterministic():
         out, cfg = run_with_script(ECHO_ONCE, ["same line"],
                                    from_corpus=False)
         trace = "\n".join(ev.render() for ev in out.trace)
-        results.add((tuple(drain_output(cfg)), trace))
+        results.add((tuple(cfg.outputs), trace))
     assert len(results) == 1
 
 
@@ -143,4 +129,4 @@ def test_output_order_matches_console_put_trace_order():
     out, cfg = run_with_script("listing7.campl", [])
     hputs = [ev for ev in out.trace
              if ev.kind == "HPUT" and ev.payload == "ConsolePut"]
-    assert len(hputs) == len(drain_output(cfg)) == 3
+    assert len(hputs) == len(cfg.outputs) == 3
