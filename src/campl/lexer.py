@@ -4,6 +4,9 @@ Plain UTF-8 with `--` line comments.  Indentation is significant, so the
 tokens carry 1-based line/column positions and the parser applies the
 offside rule from them.  Tabs are rejected outright; only spaces may
 shape the layout.
+
+The source is scanned line by line, with one regex match per token that
+takes the blanks before it along; no literal or comment spans a line.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ OP = "op"
 EOF = "eof"
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -56,58 +59,66 @@ class LexError(Exception):
         return Pos(self.line, self.col)
 
 
-# One group per token class, named by its token kind, tried in order:
-# comments before ints so that `--` starts a comment, and each operator
-# before its prefixes.  The digit and word classes are ASCII only.
+# Leading blanks, then at most one token: one group per token class, named
+# by its token kind, tried in order: comments before ints so that `--`
+# starts a comment, and each operator before its prefixes.  The digit and
+# word classes are ASCII only.  A match with no group ends at a quote, a
+# stray character or the end of the line.
 _TOKEN = re.compile(r"""
-    (?P<blank>[ ]+|--[^\n]*)
-  | (?P<newline>\n)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>\(\*\)|\(\+\)|\|=\||->|=>|::|[()|=\[\],])
+    [ ]*
+    (?: (?P<comment>--.*)
+      | (?P<int>-?[0-9]+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op>\(\*\)|\(\+\)|\|=\||->|=>|::|[()|=\[\],])
+    )?
 """, re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize `source`, discarding comments.  Raises LexError with a
     position for tabs, unterminated literals, and stray characters."""
-    src = source.replace("\r\n", "\n").replace("\r", "\n")
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     toks: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(src)
-    while i < n:
-        col = i - line_start + 1
-        m = _TOKEN.match(src, i)
-        if m is None:
-            c = src[i]
-            if c == '"':
-                value, i = _scan_string(src, i, line, col)
-                toks.append(Token(STRING, value, line, col))
-            elif c == "'":
-                value, i = _scan_char(src, i, line, col)
-                toks.append(Token(CHARLIT, value, line, col))
-            elif c == "\t":
-                raise LexError("tab character; indent with spaces", line, col)
-            elif c == ":":
-                raise LexError("expected '::'", line, col)
+    append = toks.append
+    match = _TOKEN.match
+    intern = sys.intern
+    for line, text in enumerate(lines, 1):
+        i = 0
+        n = len(text)
+        while i < n:
+            m = match(text, i)
+            kind = m.lastgroup
+            if kind is None:
+                i = m.end()
+                if i == n:
+                    break
+                col = i + 1
+                c = text[i]
+                if c == '"':
+                    value, i = _scan_string(text, i, line, col)
+                    append(Token(STRING, value, line, col))
+                elif c == "'":
+                    value, i = _scan_char(text, i, line, col)
+                    append(Token(CHARLIT, value, line, col))
+                elif c == "\t":
+                    raise LexError("tab character; indent with spaces",
+                                   line, col)
+                elif c == ":":
+                    raise LexError("expected '::'", line, col)
+                else:
+                    raise LexError(f"unexpected character {c!r}", line, col)
+            elif kind == "comment":
+                break
             else:
-                raise LexError(f"unexpected character {c!r}", line, col)
-            continue
-        kind = m.lastgroup
-        i = m.end()
-        if kind == "newline":
-            line += 1
-            line_start = i
-        elif kind != "blank":
-            # Interned, so a name or operator repeated across the source
-            # and the AST built from it is one string object.
-            text = sys.intern(m.group())
-            if kind == IDENT and text in KEYWORDS:
-                kind = KW
-            toks.append(Token(kind, text, line, col))
-    toks.append(Token(EOF, "", line, 0))
+                # The token ends the match.  Interned, so a name or operator
+                # repeated across the source and the AST built from it is
+                # one string object.
+                start, i = m.span(kind)
+                word = intern(text[start:i])
+                if kind == IDENT and word in KEYWORDS:
+                    kind = KW
+                append(Token(kind, word, line, start + 1))
+    append(Token(EOF, "", len(lines), 0))
     return toks
 
 
@@ -115,15 +126,14 @@ _ESCAPES = {"n": "\n", '"': '"', "'": "'", "\\": "\\"}
 
 
 def _scan_string(src: str, i: int, line: int, col: int):
-    """Scan the string literal whose quote is at `src[i]`, column `col`;
-    returns its value and the index past the closing quote."""
+    """Scan the string literal whose quote is at `src[i]`, column `col`,
+    in the line `src`; returns its value and the index past the closing
+    quote."""
     n = len(src)
     j = i + 1
     out: list[str] = []
     while j < n:
         c = src[j]
-        if c == "\n":
-            break
         if c == "\t":
             raise LexError("tab character; indent with spaces", line,
                            col + j - i)
@@ -142,11 +152,11 @@ def _scan_string(src: str, i: int, line: int, col: int):
 
 
 def _scan_char(src: str, i: int, line: int, col: int):
-    """Scan the character literal whose quote is at `src[i]`; returns its
-    value and the index past the closing quote."""
+    """Scan the character literal whose quote is at `src[i]` in the line
+    `src`; returns its value and the index past the closing quote."""
     n = len(src)
     j = i + 1
-    if j >= n or src[j] == "\n":
+    if j >= n:
         raise LexError("unterminated character literal", line, col)
     if src[j] == "\\":
         if j + 1 >= n or src[j + 1] not in _ESCAPES:

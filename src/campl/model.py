@@ -119,7 +119,7 @@ class Put:
     rest: "ChanType"
 
     def __str__(self) -> str:
-        return f"Put({self.msg}|{self.rest})"
+        return _render_spine(self)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class Get:
     rest: "ChanType"
 
     def __str__(self) -> str:
-        return f"Get({self.msg}|{self.rest})"
+        return _render_spine(self)
 
 
 @dataclass(frozen=True)
@@ -197,6 +197,16 @@ class UVar:
 ChanType = Union[
     TopBot, Put, Get, Tensor, Par, NegT, ProtoApp, CoprotoApp, StateVar, UVar
 ]
+
+
+def _render_spine(t: Put | Get) -> str:
+    """`Put(m|Get(n|...))`: the right-nested `rest` spine is walked in a
+    loop, so no nesting depth exhausts the stack."""
+    heads = []
+    while isinstance(t, (Put, Get)):
+        heads.append(f"{type(t).__name__}({t.msg}|")
+        t = t.rest
+    return "".join(heads) + str(t) + ")" * len(heads)
 
 
 def _mul_operand(t: ChanType) -> str:

@@ -53,7 +53,7 @@ class ParseError(Exception):
     def __init__(self, message: str, tok: Token):
         super().__init__(f"{tok.line}:{tok.col}: {message}")
         self.message = message
-        self.pos = Pos(tok.line, tok.col)
+        self.pos = tok.pos
 
 
 class Parser:
@@ -61,23 +61,24 @@ class Parser:
         self.toks = tokens
         self.i = 0
         self.errors: list[Diagnostic] = []
-        # First-token column of every line, for body anchoring.
-        self.line_indent: dict[int, int] = {}
-        for t in tokens:
-            if t.kind != EOF and t.line not in self.line_indent:
-                self.line_indent[t.line] = t.col
+        # First-token column of every line, for body anchoring: the first
+        # token of a line is written last.  EOF, at column 0, is kept only
+        # on a line of its own, where it is its own anchor.
+        self.line_indent = {t.line: t.col for t in reversed(tokens)}
 
     # -- token helpers ------------------------------------------------------
+    # `take` never moves past EOF, the last token, so `self.i` is always a
+    # valid index.
 
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in (KW, OP)
+        t = self.toks[self.i]
+        return t.text == text and t.kind in (KW, OP)
 
     def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
 
     def take(self) -> Token:
         t = self.toks[self.i]
@@ -382,7 +383,7 @@ class Parser:
                 return handler(anchor)
             raise ParseError(f"{t.text!r} cannot start a command", t)
         if t.kind == IDENT:
-            nxt = self.peek(1)
+            nxt = self.toks[self.i + 1]     # `t` is not EOF
             if nxt.text == "(" and nxt.kind == OP:
                 return self._parse_call()
             if nxt.text == "|=|":
@@ -540,6 +541,18 @@ class Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        # Parentheses are counted, not recursed into, so no nesting depth
+        # can exhaust the stack.
+        depth = 0
+        while self.at("("):
+            self.take()
+            depth += 1
+        expr = self._parse_atom()
+        for _ in range(depth):
+            self.expect(")")
+        return expr
+
+    def _parse_atom(self) -> Expr:
         t = self.peek()
         if t.kind == INT:
             self.take()
@@ -570,11 +583,6 @@ class Parser:
             if t.text == "False":
                 return BoolLit(False, pos=t.pos)
             return VarRef(t.text, pos=t.pos)
-        if self.at("("):
-            self.take()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
         raise ParseError(f"expected an expression, found "
                          f"{self._describe(t)}", t)
 

@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -15,6 +18,17 @@ def corpus_dir() -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
+
+
+@functools.cache
+def load_perfbench(name: str):
+    """Load `perfbench/<name>.py` by path; `perfbench` is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def assert_ownership_agrees(machine) -> None:

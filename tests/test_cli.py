@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
+from campl.parser import parse_source
 from conftest import CORPUS, corpus_text
 
 
@@ -293,9 +295,51 @@ def test_check_reports_a_non_ascii_digit_as_a_lex_error(runner, tmp_path):
 def test_dump_ast_roundtrips(runner, tmp_path):
     r = runner.invoke(main, ["dump-ast", corpus("listing5.campl")])
     assert r.exit_code == 0
-    from campl.parser import parse_source
     assert parse_source(r.stdout) == \
         parse_source((CORPUS / "listing5.campl").read_text())
+
+
+def _console_put(expr: str) -> str:
+    return ("proc run =\n"
+            "    | console => -> do\n"
+            "        hput ConsolePut on console\n"
+            f"        put {expr} on console\n"
+            "        hput ConsoleClose on console\n"
+            "        halt console\n")
+
+
+@pytest.mark.parametrize("command", ["check", "dump-ast"])
+def test_deeply_parenthesized_expression(runner, tmp_path, command):
+    src = tmp_path / "parens.campl"
+    src.write_text(_console_put("(" * 2000 + '"deep"' + ")" * 2000))
+    r = runner.invoke(main, [command, str(src)])
+    assert r.exit_code == 0
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ("" if command == "check"
+                        else _console_put('"deep"'))
+
+
+def test_dump_ast_prints_deeply_nested_types(runner, tmp_path):
+    depth = 450
+    spine = "Put(Int|Get(Char|" * (depth // 2) + "TopBot" + "))" * (depth // 2)
+    text = ("protocol Deep(|) => S =\n"
+            f"    Go :: {spine} => S\n"
+            "    Stop :: TopBot => S\n\n" + _console_put('"x"'))
+    src = tmp_path / "deep.campl"
+    src.write_text(text)
+    assert runner.invoke(main, ["check", str(src)]).exit_code == 0
+    r = runner.invoke(main, ["dump-ast", str(src)])
+    assert r.exit_code == 0
+    assert "Traceback" not in r.stderr
+    assert r.stdout == text
+    again, want = parse_source(r.stdout), parse_source(text)
+    # The dataclass `==` recurses once per level of the type.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * depth)
+    try:
+        assert again == want
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_dump_ast_reports_syntax_errors(runner, tmp_path):

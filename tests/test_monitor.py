@@ -5,9 +5,7 @@
 tests reach, both must pass or both must raise the same fault.
 """
 
-import importlib.util
 import random
-import sys
 
 import pytest
 
@@ -19,19 +17,10 @@ from campl.printer import roundtrip_print
 from campl.runtime import BootError, Machine, MachineFault, boot
 from campl.services import ScriptExhausted, ServiceConfig
 from conftest import (
-    CORPUS, ROOT, assert_monitor_agrees, assert_schedule_agrees,
+    CORPUS, assert_monitor_agrees, assert_schedule_agrees, load_perfbench,
 )
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, STDIN_SCRIPT
-
-
-def _load_programs():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_programs", ROOT / "perfbench" / "programs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_unchecked_watched(text: str, seed: int,
@@ -131,7 +120,7 @@ def test_full_check_runs_once_through_forwarders(full_checks):
 def test_full_check_runs_once_on_a_pipeline(full_checks):
     # 50 forward stages: the full scan would visit every live channel on
     # every step; the monitor runs it at the first check only.
-    programs = _load_programs()
+    programs = load_perfbench("programs")
     msgs = ["alpha", "beta", "gamma"]
     text = programs.pipeline_source(random.Random(0), 50, msgs)
     config = ServiceConfig.from_script([])

@@ -4,34 +4,36 @@ with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
 name it reaches, and compare the traces of both loops."""
 
-import importlib.util
-
 import pytest
 
 import campl.runtime
 from campl.checker import check_program
+from campl.lexer import tokenize
 from campl.parser import parse_source
 from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
-from conftest import ROOT, corpus_text
+from conftest import corpus_text, load_perfbench
 from test_runtime import FORWARDER_CHAIN
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACER = _load_tracer()
+TRACER = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize("layer", sorted(TRACER.TIMED))
 def test_timed_layer_names_exist(layer):
     obj, attr = TRACER.TIMED[layer]
     assert callable(getattr(obj, attr))
+
+
+def test_tracer_times_the_lexer_inside_parse_source():
+    # The tracer patches `campl.lexer.tokenize`; the parser must reach the
+    # lexer through that module attribute for the span to see it.
+    src = corpus_text("listing7.campl")
+    tracer = TRACER.Tracer()
+    with tracer.installed():
+        parse_source(src)
+    assert tracer.busy["lexer.tokenize"] > 0
+    assert tracer.counts["tokens"] == len(tokenize(src))
 
 
 @pytest.mark.parametrize("attr", ["run_to_completion", "enabled",
