@@ -120,6 +120,12 @@ def test_crlf_normalized():
     ('put "a\\qb"', "bad escape in string literal", 1, 7),
     ("put '\\q'", "bad escape in character literal", 1, 6),
     ('put "ab\\', "bad escape in string literal", 1, 8),
+    # After leading blanks.
+    ("close a\n    $x", "unexpected character '$'", 2, 5),
+    ("close a\n  \thalt", "tab character; indent with spaces", 2, 3),
+    ("proc f   : x", "expected '::'", 1, 10),
+    ("close a\r\n   : x", "expected '::'", 2, 4),
+    ("put   -", "unexpected character '-'", 1, 7),
 ])
 def test_lex_error_positions(source, message, line, col):
     with pytest.raises(LexError) as e:
@@ -166,20 +172,6 @@ def test_token_positions(source, want):
 def test_edge_token_positions(source, want):
     assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] \
         == want
-
-
-@pytest.mark.parametrize("source, message, line, col", [
-    ("close a\n    $x", "unexpected character '$'", 2, 5),
-    ("close a\n  \thalt", "tab character; indent with spaces", 2, 3),
-    ("proc f   : x", "expected '::'", 1, 10),
-    ("close a\r\n   : x", "expected '::'", 2, 4),
-    ("put   -", "unexpected character '-'", 1, 7),
-])
-def test_lex_error_after_leading_blanks(source, message, line, col):
-    with pytest.raises(LexError) as e:
-        tokenize(source)
-    assert (e.value.message, e.value.line, e.value.col) == \
-        (message, line, col)
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
