@@ -22,6 +22,7 @@ import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
+from conftest import load_perfbench
 from test_runtime import (
     FORWARDER_CHAIN, JOINER, SPLIT_AFTER_LINKS, TALKER, link_after_fork,
 )
@@ -239,6 +240,17 @@ MESSAGES = {
 }
 
 
+# Benchmark programs: the only inputs that interleave a thousand race
+# draws with plug, fork and split (churn), and a 200-stage network
+# (pipeline).
+_PROGRAMS = load_perfbench("programs")
+PERFBENCH = {
+    "churn0.campl": _PROGRAMS.churn(1).sources["churn0"],
+    "pipeline0.campl": _PROGRAMS.pipeline(1).sources["pipeline0"],
+}
+PERFBENCH_SEEDS = {"churn0.campl": (0, 5), "pipeline0.campl": (0,)}
+
+
 def cases() -> dict[str, list[str]]:
     """Case id -> CLI arguments, relative to a directory holding the
     corpus, the fault programs and `stdin.txt`."""
@@ -261,6 +273,11 @@ def cases() -> dict[str, list[str]]:
         for s in range(3):
             out[f"run-msg/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
                                            str(s), "--stdin", "stdin.txt"]
+    for f in sorted(PERFBENCH):
+        for s in PERFBENCH_SEEDS[f]:
+            out[f"run-perfbench/{f}/seed{s}"] = [
+                "run", f, "--trace", "--seed", str(s), "--stdin",
+                "stdin.txt"]
     for f in sorted(FAULTS):
         out[f"unchecked-fault/{f}"] = ["run", f, "--unchecked", "--trace",
                                        "--stdin", "stdin.txt"]
@@ -273,7 +290,7 @@ def cases() -> dict[str, list[str]]:
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
-    for name, text in {**LINKS, **MESSAGES, **FAULTS}.items():
+    for name, text in {**LINKS, **MESSAGES, **FAULTS, **PERFBENCH}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "stdin.txt").write_text(STDIN_SCRIPT, encoding="utf-8")
 
