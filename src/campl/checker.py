@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
-from .elaborate import ExecProgram, free_chans, prepare
+from .elaborate import ExecProgram, prepare
 from .model import (
     INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, CharLit, Close,
     CoprotoApp, DeclKind, Expr, Fork, Get, GetVal, Halt, HCase, HPut,
@@ -667,7 +667,8 @@ class Checker:
                 self.fail(dk.LINEARITY_REUSE, arm.pos,
                           f"fork binder {arm.name!r} shadows a live channel",
                           channel=arm.name)
-            frees.append(free_chans(arm.body) - {arm.name})
+            frees.append(self.exec_program.free_chans(arm.body)
+                         - {arm.name})
         overlap = frees[0] & frees[1] & set(rest)
         if overlap:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
@@ -709,7 +710,7 @@ class Checker:
 
     def check_plug(self, cmd: Plug, seq_ctx, chan_ctx):
         live = set(chan_ctx)
-        frees = [free_chans(b) for b in cmd.branches]
+        frees = [self.exec_program.free_chans(b) for b in cmd.branches]
         plugged = sorted(set().union(*frees) - live)
         if not plugged:
             self.fail(dk.PLUG_CYCLE, cmd.pos,

@@ -9,7 +9,8 @@ by fork, split, and neg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .model import (
     Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link, NegIntro, OnDo,
@@ -49,6 +50,19 @@ class ExecProgram:
     """A program readied for checking or execution: every process body is
     fully desugared."""
     procs: dict[str, ProcDef]
+    # id(body) -> (body, its free channels); holding the body keeps its
+    # id from being reused while the entry lives.
+    _free: dict[int, tuple[Body, frozenset[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def free_chans(self, body: Body) -> frozenset[str]:
+        """`free_chans(body)`, computed once per body of this program;
+        nested bodies come from the memo too."""
+        entry = self._free.get(id(body))
+        if entry is None:
+            entry = self._free[id(body)] = (
+                body, _free_body(body, self.free_chans))
+        return entry[1]
 
 
 def prepare(src: SourceProgram) -> ExecProgram:
@@ -59,52 +73,50 @@ def prepare(src: SourceProgram) -> ExecProgram:
 def free_chans(body: Body) -> frozenset[str]:
     """Channel names a (desugared) command sequence uses from its
     environment.  Names bound later in the sequence by split/neg binders
-    do not count; fork arm binders are local to their arm."""
+    do not count; fork arm binders are local to their arm.  The reference
+    for `ExecProgram.free_chans`."""
+    return _free_body(body, free_chans)
+
+
+def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
+               ) -> frozenset[str]:
+    """`free_chans(body)`, with each nested body's set from `sub`."""
     acc: set[str] = set()
     for cmd in reversed(body):
-        acc = _free_cmd(cmd, acc)
+        if isinstance(cmd, (PutVal, GetVal, HPut, Close, Halt)):
+            if cmd.chan:
+                acc.add(cmd.chan)
+        elif isinstance(cmd, HCase):
+            for a in cmd.arms:
+                acc |= sub(a.body)
+            if cmd.chan:
+                acc.add(cmd.chan)
+        elif isinstance(cmd, Fork):
+            for a in cmd.arms:
+                acc |= sub(a.body) - {a.name}
+            if cmd.chan:
+                acc.add(cmd.chan)
+        elif isinstance(cmd, Split):
+            acc -= {cmd.left, cmd.right}
+            if cmd.chan:
+                acc.add(cmd.chan)
+        elif isinstance(cmd, NegIntro):
+            acc.discard(cmd.fresh)
+            acc.add(cmd.chan)
+        elif isinstance(cmd, Plug):
+            for b in cmd.branches:
+                acc |= sub(b)
+        elif isinstance(cmd, Race):
+            for a in cmd.arms:
+                acc |= sub(a.body)
+                acc.add(a.chan)
+        elif isinstance(cmd, (Call, Use)):
+            acc.update(cmd.chan_args)
+        elif isinstance(cmd, Link):
+            acc.add(cmd.left)
+            acc.add(cmd.right)
+        elif isinstance(cmd, OnDo):
+            raise ValueError("free_chans expects a desugared body")
+        else:
+            raise TypeError(f"unhandled command {type(cmd).__name__}")
     return frozenset(acc)
-
-
-def _free_cmd(cmd, after: set[str]) -> set[str]:
-    if isinstance(cmd, (PutVal, GetVal, HPut, Close, Halt)):
-        return after | ({cmd.chan} if cmd.chan else set())
-    if isinstance(cmd, HCase):
-        acc = set(after)
-        for a in cmd.arms:
-            acc |= free_chans(a.body)
-        if cmd.chan:
-            acc.add(cmd.chan)
-        return acc
-    if isinstance(cmd, Fork):
-        acc = set(after)
-        for a in cmd.arms:
-            acc |= free_chans(a.body) - {a.name}
-        if cmd.chan:
-            acc.add(cmd.chan)
-        return acc
-    if isinstance(cmd, Split):
-        acc = after - {cmd.left, cmd.right}
-        if cmd.chan:
-            acc.add(cmd.chan)
-        return acc
-    if isinstance(cmd, NegIntro):
-        return (after - {cmd.fresh}) | {cmd.chan}
-    if isinstance(cmd, Plug):
-        acc = set(after)
-        for b in cmd.branches:
-            acc |= free_chans(b)
-        return acc
-    if isinstance(cmd, Race):
-        acc = set(after)
-        for a in cmd.arms:
-            acc |= free_chans(a.body)
-            acc.add(a.chan)
-        return acc
-    if isinstance(cmd, (Call, Use)):
-        return after | set(cmd.chan_args)
-    if isinstance(cmd, Link):
-        return after | {cmd.left, cmd.right}
-    if isinstance(cmd, OnDo):
-        raise ValueError("free_chans expects a desugared body")
-    raise TypeError(f"unhandled command {type(cmd).__name__}")

@@ -4,8 +4,9 @@ unchecked) programs.
 Processes are command-sequence continuations over a table of two-ended
 channels; each end holds a FIFO inbox of the messages sent to it.  Values
 are the program's own literal nodes and stored processes.  One command of
-one process runs per step; among the processes whose next command can
-make progress, the smallest pid goes first.  Races are the only consumers
+one process runs per step, through a table of handlers keyed by command
+class; among the processes whose next command can make progress, the
+smallest pid goes first.  Races are the only consumers
 of the seeded RNG, so a (program, seed, input script) triple fixes the
 whole trace.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .elaborate import ExecProgram, free_chans
+from .elaborate import ExecProgram
 from .model import (
     BoolLit, Call, CharLit, Close, Expr, Fork, GetVal, Halt, HCase, HPut,
     IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split, StoreOf,
@@ -38,6 +39,9 @@ from .services import (
 )
 
 DEFAULT_MAX_STEPS = 100_000
+
+# The commands that wait for a message; any other command can always run.
+_WAITING = frozenset({GetVal, HCase, Split, Race})
 
 
 # ---------------------------------------------------------------------------
@@ -65,22 +69,22 @@ def render(value: Value) -> str:
     return str(value.value)
 
 
-@dataclass
+@dataclass(slots=True)
 class ValMsg:
     value: Value
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleMsg:
     handle: str
 
 
-@dataclass
+@dataclass(slots=True)
 class CloseMsg:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class RewireMsg:
     """A fork's message to the splitter: the ends it will claim, and the
     left channel's id at the fork, which its SPLIT event prints."""
@@ -176,7 +180,7 @@ class ConsoleEndpoint:
 # ---------------------------------------------------------------------------
 # machine state
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EndState:
     """One end of a channel, and what a process binds a name to.  `cid`
     and `index` say where it sits now: a |=| that moves it into the fused
@@ -195,7 +199,7 @@ class EndState:
     inbox: deque = field(default_factory=deque, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelState:
     cid: int
     label: str
@@ -206,7 +210,7 @@ class ChannelState:
         return not (self.ends[0].closed or self.ends[1].closed)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessInstance:
     pid: int
     name: str
@@ -218,7 +222,7 @@ class ProcessInstance:
         return self.frames[-1][0][self.frames[-1][1]]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     step: int
     pid: int
@@ -276,6 +280,9 @@ class Machine:
         # which a |=| re-points when it moves them.
         self.channels: dict[int, ChannelState] = {}
         self.services: dict[int, ConsoleEndpoint] = {}
+        # The ends the services hold: a |=| moves them into the fused
+        # channel, so they stay the same objects for the whole run.
+        self._service_ends: list[EndState] = []
         self.steps = 0
         self.trace: list[TraceEvent] = []
         self._next_pid = 0
@@ -321,6 +328,7 @@ class Machine:
             ch = self._new_channel(name)
             ch.ends[0].owner = self.services[ch.cid] = \
                 ConsoleEndpoint(self.config)
+            self._service_ends.append(ch.ends[0])
             ch.ends[1].owner = pid
             chan_env[name] = ch.ends[1]
         self.processes[pid] = proc
@@ -348,17 +356,19 @@ class Machine:
         return self.channels[e.cid].ends[1 - e.index].inbox
 
     def enabled(self, p: ProcessInstance) -> bool:
-        cmd = p.next_command()
+        body, index = p.frames[-1]
+        cmd = body[index]
+        kind = type(cmd)
+        if kind not in _WAITING:
+            return True
         try:
-            if isinstance(cmd, (GetVal, HCase, Split)):
-                return bool(self._incoming(p, cmd.chan))
-            if isinstance(cmd, Race):
+            if kind is Race:
                 return any(self._race_ready(p, cmd))
+            return bool(self._incoming(p, cmd.chan))
         except MachineFault:
             # Desynced binding (unchecked programs only): report it at
             # execution time with a precise message.
             return True
-        return True
 
     def _race_ready(self, p: ProcessInstance, cmd: Race) -> list:
         ready = []
@@ -370,11 +380,12 @@ class Machine:
 
     def waiting_on(self, p: ProcessInstance) -> list[int]:
         cmd = p.next_command()
-        if isinstance(cmd, (GetVal, HCase, Split)):
-            return [p.chan_env[cmd.chan].cid]
-        if isinstance(cmd, Race):
+        kind = type(cmd)
+        if kind not in _WAITING:
+            return []
+        if kind is Race:
             return [p.chan_env[a.chan].cid for a in cmd.arms]
-        return []
+        return [p.chan_env[cmd.chan].cid]
 
     def pick(self) -> ProcessInstance | None:
         # Pids only grow and processes enter the table when created, so
@@ -387,8 +398,13 @@ class Machine:
     # -- running -----------------------------------------------------------
 
     def step(self, p: ProcessInstance) -> TraceEvent:
-        cmd = p.next_command()
-        ev = self._execute(p, cmd)
+        body, index = p.frames[-1]
+        cmd = body[index]
+        execute = _HANDLERS.get(type(cmd))
+        if execute is None:
+            raise MachineFault("IllegalCommand",
+                               f"cannot execute {type(cmd).__name__}")
+        ev = execute(self, p, cmd)
         self.steps += 1
         self.trace.append(ev)
         if self.trace_hook is not None:
@@ -476,12 +492,14 @@ class Machine:
         `links`.  When a local check flags anything, the full check
         decides and builds the fault.
         """
+        recorded = self._added or self._released
         if not (self._local_checks and self._checked_at == self.steps - 1
-                and self._step_checks_pass()):
+                and (not recorded or self._step_checks_pass())):
             self.check_invariants()
         self._checked_at = self.steps
-        self._added.clear()
-        self._released.clear()
+        if recorded:
+            self._added.clear()
+            self._released.clear()
 
     def _step_checks_pass(self) -> bool:
         resolve = self.resolve_owner
@@ -508,68 +526,61 @@ class Machine:
 
     # -- command execution ---------------------------------------------------
 
-    def _execute(self, p: ProcessInstance, cmd) -> TraceEvent:
-        if isinstance(cmd, PutVal):
-            value = self._eval(p, cmd.expr)
-            self._outgoing(p, cmd.chan).append(ValMsg(value))
-            ev = self._event(p, "PUT", cmd.chan, render(value))
-            self._advance(p)
-            return ev
-        if isinstance(cmd, GetVal):
-            msg = self._pop(p, cmd.chan, ValMsg, "get")
-            p.seq_env[cmd.binder] = msg.value
-            ev = self._event(p, "GET", cmd.chan, render(msg.value))
-            self._advance(p)
-            return ev
-        if isinstance(cmd, HPut):
-            self._outgoing(p, cmd.chan).append(HandleMsg(cmd.handle))
-            ev = self._event(p, "HPUT", cmd.chan, cmd.handle)
-            self._advance(p)
-            return ev
-        if isinstance(cmd, HCase):
-            msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
-            arm = next((a for a in cmd.arms if a.handle == msg.handle), None)
-            if arm is None:
-                raise MachineFault("IllegalCommand",
-                                   f"hcase on {cmd.chan!r} has no arm for "
-                                   f"handle {msg.handle}")
-            ev = self._event(p, "HCASE", cmd.chan, msg.handle)
-            self._advance(p, push=arm.body)
-            return ev
-        if isinstance(cmd, Close):
-            ev = self._event(p, "CLOSE", cmd.chan)
-            self._close_end(p, cmd.chan)
-            self._advance(p)
-            return ev
-        if isinstance(cmd, Halt):
-            ev = self._event(p, "HALT", cmd.chan)
-            self._close_end(p, cmd.chan)
-            self._finish(p)
-            return ev
-        if isinstance(cmd, Fork):
-            return self._exec_fork(p, cmd)
-        if isinstance(cmd, Split):
-            return self._exec_split(p, cmd)
-        if isinstance(cmd, Plug):
-            return self._exec_plug(p, cmd)
-        if isinstance(cmd, Race):
-            ready = self._race_ready(p, cmd)
-            arm = resolve_race(ready, self.rng)
-            ev = self._event(p, "RACE", arm.chan)
-            self._advance(p, push=arm.body)
-            return ev
-        if isinstance(cmd, (Call, Use)):
-            return self._exec_invoke(p, cmd)
-        if isinstance(cmd, Link):
-            return self._exec_link(p, cmd)
-        if isinstance(cmd, NegIntro):
-            e = self._binding(p, cmd.chan)
-            del p.chan_env[cmd.chan]
-            p.chan_env[cmd.fresh] = e
-            self._advance(p)
-            return self._event(p, "NEG", cmd.fresh, None, cid=e.cid)
-        raise MachineFault("IllegalCommand",
-                           f"cannot execute {type(cmd).__name__}")
+    def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> TraceEvent:
+        value = self._eval(p, cmd.expr)
+        self._outgoing(p, cmd.chan).append(ValMsg(value))
+        ev = self._event(p, "PUT", cmd.chan, render(value))
+        self._advance(p)
+        return ev
+
+    def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> TraceEvent:
+        msg = self._pop(p, cmd.chan, ValMsg, "get")
+        p.seq_env[cmd.binder] = msg.value
+        ev = self._event(p, "GET", cmd.chan, render(msg.value))
+        self._advance(p)
+        return ev
+
+    def _exec_hput(self, p: ProcessInstance, cmd: HPut) -> TraceEvent:
+        self._outgoing(p, cmd.chan).append(HandleMsg(cmd.handle))
+        ev = self._event(p, "HPUT", cmd.chan, cmd.handle)
+        self._advance(p)
+        return ev
+
+    def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
+        msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
+        arm = next((a for a in cmd.arms if a.handle == msg.handle), None)
+        if arm is None:
+            raise MachineFault("IllegalCommand",
+                               f"hcase on {cmd.chan!r} has no arm for "
+                               f"handle {msg.handle}")
+        ev = self._event(p, "HCASE", cmd.chan, msg.handle)
+        self._advance(p, push=arm.body)
+        return ev
+
+    def _exec_close(self, p: ProcessInstance, cmd: Close) -> TraceEvent:
+        ev = self._event(p, "CLOSE", cmd.chan)
+        self._close_end(p, cmd.chan)
+        self._advance(p)
+        return ev
+
+    def _exec_halt(self, p: ProcessInstance, cmd: Halt) -> TraceEvent:
+        ev = self._event(p, "HALT", cmd.chan)
+        self._close_end(p, cmd.chan)
+        self._finish(p)
+        return ev
+
+    def _exec_race(self, p: ProcessInstance, cmd: Race) -> TraceEvent:
+        arm = resolve_race(self._race_ready(p, cmd), self.rng)
+        ev = self._event(p, "RACE", arm.chan)
+        self._advance(p, push=arm.body)
+        return ev
+
+    def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> TraceEvent:
+        e = self._binding(p, cmd.chan)
+        del p.chan_env[cmd.chan]
+        p.chan_env[cmd.fresh] = e
+        self._advance(p)
+        return self._event(p, "NEG", cmd.fresh, None, cid=e.cid)
 
     # -- helpers -------------------------------------------------------------
 
@@ -694,8 +705,9 @@ class Machine:
             f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
             cid=e.cid)
         self._release(e)
+        free = self.program.free_chans
         self._hand_off(p, [
-            (f"{p.name}.{arm.name}", arm.body, free_chans(arm.body),
+            (f"{p.name}.{arm.name}", arm.body, free(arm.body),
              {arm.name: nch.ends[0]}) for arm, nch in zip(cmd.arms, new)])
         return ev
 
@@ -710,7 +722,7 @@ class Machine:
                            cid=msg.cid_left)
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
-        frees = [free_chans(b) for b in cmd.branches]
+        frees = [self.program.free_chans(b) for b in cmd.branches]
         users: dict[str, list[int]] = {}
         for i, names in enumerate(frees):
             for name in names - p.chan_env.keys():
@@ -735,39 +747,43 @@ class Machine:
                      ) -> TraceEvent:
         """Replace `p`'s continuation with a called or stored process."""
         if type(cmd) is Call:
-            verb, d = "call", self.program.procs.get(cmd.callee)
+            d = self.program.procs.get(cmd.callee)
             if d is None:
                 raise MachineFault("IllegalCommand",
                                    f"call to unknown process {cmd.callee!r}")
-            target, name, seq_env = f"call to {d.name!r}", d.name, {}
+            kind, name, seq_env = "CALL", d.name, {}
         else:
             value = self._eval(p, cmd.stored)
             if not isinstance(value, StoredProc):
                 raise MachineFault("IllegalCommand",
                                    f"use of a non-process value "
                                    f"{render(value)}")
-            verb, d = "use", value.proc
-            target, name = f"use of {d.name!r}", f"use:{d.name}"
-            seq_env = dict(value.env)
-        if (len(cmd.seq_args) != len(d.seq_params)
-                or len(cmd.chan_args) != len(d.chan_params)):
+            d = value.proc
+            kind, name, seq_env = "USE", f"use:{d.name}", dict(value.env)
+        args, params = cmd.chan_args, d.chan_params
+        if len(cmd.seq_args) != len(d.seq_params) or len(args) != len(params):
+            target = "call to" if kind == "CALL" else "use of"
             raise MachineFault("IllegalCommand",
-                               f"{target} with mismatched argument counts")
+                               f"{target} {d.name!r} with mismatched "
+                               f"argument counts")
         for param, e in zip(d.seq_params, cmd.seq_args):
             seq_env[param] = self._eval(p, e)
+        held = p.chan_env
         chan_env = {}
-        for param, arg in zip(d.chan_params, cmd.chan_args):
-            if arg not in p.chan_env:
+        for param, arg in zip(params, args):
+            e = held.get(arg)
+            if e is None:
                 raise MachineFault("IllegalCommand",
-                                   f"{verb} passes unknown channel {arg!r}")
-            chan_env[param] = p.chan_env[arg]
+                                   f"{kind.lower()} passes unknown channel "
+                                   f"{arg!r}")
+            chan_env[param] = e
         if len(set(chan_env.values())) < len(chan_env):
             self._local_checks = False
         p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
         p.frames = [[d.body, 0]]
-        return self._event(p, verb.upper(), None, d.name)
+        return self._event(p, kind, None, d.name)
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
@@ -803,6 +819,12 @@ class Machine:
     # -- services ------------------------------------------------------------
 
     def _drain_services(self) -> None:
+        # Most steps send the services nothing.
+        for e in self._service_ends:
+            if e.inbox:
+                break
+        else:
+            return
         # A snapshot in cid order (the table's order): _reap pops from it.
         for cid in tuple(self.services):
             endpoint = self.services.get(cid)
@@ -827,3 +849,24 @@ def boot(program: ExecProgram, seed: int = 0,
     """Create and boot a machine: one process for `run`, one service
     channel per service parameter in its context, RNG seeded."""
     return Machine(program, seed, services, trace_hook).boot()
+
+
+# How `Machine.step` runs each command class.  `OnDo` is absent: `prepare`
+# desugars it away, so a raw one is an illegal command.
+_HANDLERS: dict[type, Callable[[Machine, ProcessInstance, object],
+                               TraceEvent]] = {
+    PutVal: Machine._exec_put,
+    GetVal: Machine._exec_get,
+    HPut: Machine._exec_hput,
+    HCase: Machine._exec_hcase,
+    Close: Machine._exec_close,
+    Halt: Machine._exec_halt,
+    Fork: Machine._exec_fork,
+    Split: Machine._exec_split,
+    Plug: Machine._exec_plug,
+    Race: Machine._exec_race,
+    Call: Machine._exec_invoke,
+    Use: Machine._exec_invoke,
+    Link: Machine._exec_link,
+    NegIntro: Machine._exec_neg,
+}

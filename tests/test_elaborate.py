@@ -1,10 +1,14 @@
+import pytest
+
 from campl.elaborate import desugar_body, free_chans, prepare
 from campl.model import (
-    Close, GetVal, Halt, HCase, HCaseArm, HPut, Link, NegIntro, OnDo,
-    PutVal, Race, RaceArm, Split, StringLit,
+    Close, Fork, GetVal, Halt, HCase, HCaseArm, HPut, Link, NegIntro, OnDo,
+    Plug, PutVal, Race, RaceArm, Split, StringLit, sub_bodies,
 )
 from campl.parser import parse_source
-from conftest import corpus_text
+from conftest import CORPUS, corpus_text
+from genprog import gen_program
+from test_goldens import FAULTS, LINKS, MESSAGES
 
 
 def test_on_do_fills_channel_arguments():
@@ -75,3 +79,37 @@ def test_free_chans_link_and_race():
         RaceArm("b", (Link("b", "a"),)),
     )),)
     assert free_chans(body) == {"a", "b"}
+
+
+def _memo_sources(group: str):
+    if group == "corpus":
+        return [parse_source(p.read_text(encoding="utf-8"))
+                for p in sorted(CORPUS.glob("*.campl"))]
+    if group == "goldens":
+        return [parse_source(text)
+                for text in {**FAULTS, **LINKS, **MESSAGES}.values()]
+    return [gen_program(seed) for seed in range(100)]
+
+
+def _nested(body):
+    """(command kind, body) for every fork-arm, plug-branch, hcase-arm
+    and race-arm body inside `body`, outermost first."""
+    for cmd in body:
+        for sub in sub_bodies(cmd):
+            yield type(cmd), sub
+            yield from _nested(sub)
+
+
+@pytest.mark.parametrize("group", ["corpus", "goldens", "genprog"])
+def test_free_chans_memo_agrees_with_the_reference(group):
+    kinds = set()
+    for src in _memo_sources(group):
+        ex = prepare(src)
+        for d in ex.procs.values():
+            for kind, body in _nested(d.body):
+                got = ex.free_chans(body)
+                assert got == free_chans(body), (d.name, kind.__name__)
+                assert ex.free_chans(body) is got
+                kinds.add(kind)
+    assert kinds == ({Fork, Plug, HCase, Race} if group == "corpus"
+                     else {Fork, Plug})

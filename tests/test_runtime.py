@@ -1,13 +1,21 @@
 import random
+import typing
 
 import pytest
 
+import campl.model as model
 from campl.checker import check_program
-from campl.elaborate import prepare
+from campl.elaborate import ExecProgram, prepare
+from campl.model import (
+    Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut,
+    IntLit, Link, NegIntro, OnDo, Plug, PutVal, Race, RaceArm, Split, Use,
+    VarRef,
+)
 from campl.parser import parse_source
 from campl.runtime import (
-    ChannelState, EndState, Machine, MachineFault, BootError, OutcomeKind,
-    boot, resolve_race,
+    _HANDLERS, _WAITING, ChannelState, EndState, HandleMsg, Machine,
+    MachineFault, BootError, OutcomeKind, ProcessInstance, RewireMsg,
+    ValMsg, boot, resolve_race,
 )
 from campl.services import ServiceConfig
 from conftest import corpus_text, run_watched
@@ -743,3 +751,83 @@ def test_three_way_race_covers_all_winners_across_seeds():
         assert out.done
         winners.add(next(ev.chan for ev in out.trace if ev.kind == "RACE"))
     assert winners == {"a", "b", "c"}
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+COMMAND_CLASSES = typing.get_args(model.Command)
+
+# One instance of every command class, acting on channel "c".
+SAMPLES = {
+    PutVal: PutVal(IntLit(1), "c"),
+    GetVal: GetVal("v", "c"),
+    HPut: HPut("H", "c"),
+    HCase: HCase("c", (HCaseArm("H", (Halt("c"),)),)),
+    Close: Close("c"),
+    Halt: Halt("c"),
+    Fork: Fork("c", (ForkArm("l", (Halt("l"),)),
+                     ForkArm("r", (Halt("r"),)))),
+    Split: Split("c", "l", "r"),
+    Plug: Plug(((Halt("x"),), (Close("x"),))),
+    Race: Race((RaceArm("c", (Close("c"),)),)),
+    Call: Call("p", (), ("c",), ()),
+    Use: Use(VarRef("s"), (), ("c",), ()),
+    Link: Link("c", "c"),
+    NegIntro: NegIntro("c", "n"),
+    OnDo: OnDo("c", (Halt(None),)),
+}
+
+
+def test_handler_table_covers_every_command_but_on_do_once():
+    assert sorted(k.__name__ for k in _HANDLERS) == sorted(
+        k.__name__ for k in COMMAND_CLASSES if k is not OnDo)
+    assert all(f.__name__.startswith("_exec_") for f in _HANDLERS.values())
+
+
+def test_raw_on_do_is_an_illegal_command():
+    # `prepare` desugars `on ... do`; a body that skipped it still faults.
+    prog = parse_source("proc run =\n"
+                        "    | => -> on x do\n"
+                        "        halt\n")
+    m = boot(ExecProgram(dict(prog.procs)))
+    p = m.pick()
+    with pytest.raises(MachineFault) as e:
+        m.step(p)
+    assert str(e.value) == "IllegalCommand: cannot execute OnDo"
+
+
+def _waiting_at(cmd, message=None):
+    """A machine with one process about to run `cmd`, holding end 1 of
+    channel "c"; `message`, if any, is queued toward that end."""
+    m = Machine(ExecProgram({}))
+    ch = m._new_channel("c")
+    ch.ends[0].owner = 99
+    ch.ends[1].owner = 0
+    if message is not None:
+        ch.ends[1].inbox.append(message)
+    p = ProcessInstance(0, "t", {}, {"c": ch.ends[1]}, [[(cmd,), 0]])
+    m.processes[0] = p
+    return m, p
+
+
+def test_samples_cover_every_command_class():
+    assert set(SAMPLES) == set(COMMAND_CLASSES)
+
+
+def test_exactly_the_waiting_kinds_wait():
+    assert _WAITING == {GetVal, HCase, Split, Race}
+    for kind, cmd in SAMPLES.items():
+        m, p = _waiting_at(cmd)
+        assert m.enabled(p) is (kind not in _WAITING), kind.__name__
+        assert m.waiting_on(p) == ([0] if kind in _WAITING else []), \
+            kind.__name__
+
+
+@pytest.mark.parametrize("kind, message", [
+    (GetVal, ValMsg(IntLit(1))), (HCase, HandleMsg("H")),
+    (Split, RewireMsg(0, (None, None))), (Race, ValMsg(IntLit(1)))],
+    ids=["GetVal", "HCase", "Split", "Race"])
+def test_a_waiting_kind_runs_once_its_message_is_queued(kind, message):
+    m, p = _waiting_at(SAMPLES[kind], message)
+    assert m.enabled(p)
