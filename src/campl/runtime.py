@@ -356,7 +356,7 @@ class Machine:
         return self.channels[e.cid].ends[1 - e.index].inbox
 
     def enabled(self, p: ProcessInstance) -> bool:
-        body, index = p.frames[-1]
+        body, index = p.frames[-1]          # p.next_command(), inlined
         cmd = body[index]
         kind = type(cmd)
         if kind not in _WAITING:
@@ -398,7 +398,7 @@ class Machine:
     # -- running -----------------------------------------------------------
 
     def step(self, p: ProcessInstance) -> TraceEvent:
-        body, index = p.frames[-1]
+        body, index = p.frames[-1]          # p.next_command(), inlined
         cmd = body[index]
         execute = _HANDLERS.get(type(cmd))
         if execute is None:
