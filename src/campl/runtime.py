@@ -6,9 +6,8 @@ channels; each end holds a FIFO inbox of the messages sent to it.  Values
 are the program's own literal nodes and stored processes.  One command of
 one process runs per step, through a table of handlers keyed by command
 class; among the processes whose next command can make progress, the
-smallest pid goes first.  Races are the only consumers
-of the seeded RNG, so a (program, seed, input script) triple fixes the
-whole trace.
+smallest pid goes first.  Races are the only consumers of the seeded RNG,
+so a (program, seed, input script) triple fixes the whole trace.
 
 A topology monitor checks before every step that the graph of processes
 and live channels is an acyclic forest and that every end of a live
@@ -853,8 +852,7 @@ def boot(program: ExecProgram, seed: int = 0,
 
 # How `Machine.step` runs each command class.  `OnDo` is absent: `prepare`
 # desugars it away, so a raw one is an illegal command.
-_HANDLERS: dict[type, Callable[[Machine, ProcessInstance, object],
-                               TraceEvent]] = {
+_HANDLERS = {
     PutVal: Machine._exec_put,
     GetVal: Machine._exec_get,
     HPut: Machine._exec_hput,

@@ -811,11 +811,8 @@ def _waiting_at(cmd, message=None):
     return m, p
 
 
-def test_samples_cover_every_command_class():
-    assert set(SAMPLES) == set(COMMAND_CLASSES)
-
-
 def test_exactly_the_waiting_kinds_wait():
+    assert set(SAMPLES) == set(COMMAND_CLASSES)
     assert _WAITING == {GetVal, HCase, Split, Race}
     for kind, cmd in SAMPLES.items():
         m, p = _waiting_at(cmd)
