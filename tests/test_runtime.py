@@ -705,6 +705,72 @@ def test_unchecked_call_arity_is_a_fault():
     assert "mismatched" in str(e.value)
 
 
+def _unchecked_fault(src):
+    """Run `src` as `campl run --unchecked` would; the fault that ended
+    the run and the machine's step count when it was raised.  A second
+    run of the same program must fault alike, so no fault is memoised."""
+    program = prepare(parse_source(src))
+    faults = []
+    for _ in range(2):
+        m = boot(program, services=ServiceConfig.from_script([]))
+        with pytest.raises(MachineFault) as e:
+            m.run_to_completion()
+        faults.append((str(e.value), m.steps))
+    assert faults[0] == faults[1]
+    return faults[0]
+
+
+# A run that takes two steps before its last command, which faults.
+_TWO_STEPS_THEN = ("proc run =\n"
+                   "    | console => -> do\n"
+                   "        hput ConsolePut on console\n"
+                   "        put \"hi\" on console\n")
+
+
+@pytest.mark.parametrize("branches, name", [
+    (("halt x", "close y"), "x"),
+    (("halt a", "close a", "close b"), "b"),
+    (("halt x", "close x", "close x"), "x"),
+], ids=["one-user", "second-name-one-user", "three-users"])
+def test_unchecked_plug_name_must_join_two_branches(branches, name):
+    src = _TWO_STEPS_THEN + "        plug\n" + "".join(
+        f"            do\n                {b}\n" for b in branches)
+    assert _unchecked_fault(src) == (
+        f"IllegalCommand: plug channel {name!r} must join exactly two "
+        f"branches", 2)
+
+
+def test_unchecked_hcase_without_an_arm_for_the_handle():
+    src = ("proc a =\n"
+           "    | => ch -> do\n"
+           "        hput Foo on ch\n"
+           "        halt ch\n"
+           "\nproc b =\n"
+           "    | ch => ->\n"
+           "        hcase ch of\n"
+           "            Bar -> close ch\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        a( | => ch )\n"
+           "        b( | ch => )\n")
+    assert _unchecked_fault(src) == (
+        "IllegalCommand: hcase on 'ch' has no arm for handle Foo", 5)
+
+
+@pytest.mark.parametrize("invoke, kind", [
+    ("f( | console, phantom => )", "call"),
+    ("use(store(f))( | console, phantom => )", "use"),
+])
+def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
+    src = ("proc f =\n"
+           "    | a, b => -> do\n"
+           "        close a\n"
+           "        close b\n\n"
+           + _TWO_STEPS_THEN + f"        {invoke}\n")
+    assert _unchecked_fault(src) == (
+        f"IllegalCommand: {kind} passes unknown channel 'phantom'", 2)
+
+
 THREE_WAY_RACE = (
     "proc shout :: | => Put(Int|TopBot) =\n"
     "    | => c ->\n"
