@@ -54,6 +54,11 @@ class ExecProgram:
     # id from being reused while the entry lives.
     _free: dict[int, tuple[Body, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # The machine's plan for each command node, keyed by the node's id
+    # and what else the plan depends on (see `runtime`).  Each plan holds
+    # its node, which keeps that id from being reused.
+    plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def free_chans(self, body: Body) -> frozenset[str]:
         """`free_chans(body)`, computed once per body of this program;

@@ -18,7 +18,9 @@ from typing import Union
 # ---------------------------------------------------------------------------
 # source positions
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass's __init__ costs three times as much, and
+# the parser builds one Pos per AST node.  Nothing assigns to a Pos.
+@dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int = 0
     col: int = 0
@@ -514,12 +516,13 @@ class Call:
     in_chans: tuple[str, ...]
     out_chans: tuple[str, ...]
     pos: Pos = pos_field()
+    # The section split at a call site is documentation; channel
+    # arguments bind to the callee's channel parameters in order.  Set
+    # once per node, as are `Use.chan_args` and `ProcDef.chan_params`.
+    chan_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def chan_args(self) -> tuple[str, ...]:
-        # The section split at a call site is documentation; channel
-        # arguments bind to the callee's channel parameters in order.
-        return self.in_chans + self.out_chans
+    def __post_init__(self):
+        self.chan_args = self.in_chans + self.out_chans
 
 
 @dataclass
@@ -529,10 +532,10 @@ class Use:
     in_chans: tuple[str, ...]
     out_chans: tuple[str, ...]
     pos: Pos = pos_field()
+    chan_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def chan_args(self) -> tuple[str, ...]:
-        return self.in_chans + self.out_chans
+    def __post_init__(self):
+        self.chan_args = self.in_chans + self.out_chans
 
 
 @dataclass
@@ -621,10 +624,10 @@ class ProcDef:
     out_params: tuple[str, ...]
     body: Body
     pos: Pos = pos_field()
+    chan_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def chan_params(self) -> tuple[str, ...]:
-        return self.in_params + self.out_params
+    def __post_init__(self):
+        self.chan_params = self.in_params + self.out_params
 
 
 Decl = Union[ProcDef, ProtocolDecl]

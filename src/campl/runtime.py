@@ -25,7 +25,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .elaborate import ExecProgram
 from .model import (
@@ -103,6 +103,93 @@ class MachineFault(Exception):
 
 class BootError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# per-node plans: what a plug, fork, call, use or hcase does with names is
+# fixed by its node and, for a plug or fork, by the names its process holds.
+# Each is worked out on first use and kept in `ExecProgram.plans`; a build
+# that faults stores nothing, so every later step checks again.
+
+class HandOff(NamedTuple):
+    """How a plug or fork replaces its process by children."""
+    node: Plug | Fork
+    joins: tuple            # (name, branch, branch) per plugged name, sorted
+    payload: str | None     # the PLUG event's payload; a fork's, with a %d
+                            # for each new channel's id
+    children: tuple         # (name suffix, body, held names it inherits)
+    released: tuple         # the held names no child inherits
+
+
+class Invocation(NamedTuple):
+    """How a call or use binds its arguments to `proc`'s parameters."""
+    node: Call | Use
+    proc: ProcDef
+    seq_pairs: tuple        # (parameter, argument expression)
+    chan_pairs: tuple       # (parameter, argument channel name)
+
+
+def _hand_off_plan(node, held: frozenset, children: list, joins: tuple,
+                   payload: str | None) -> HandOff:
+    """`children` as (name suffix, body, names it uses, names it binds
+    itself): each held name goes to the first child that uses it and does
+    not bind it; the rest are released."""
+    rest = set(held)
+    planned = []
+    for suffix, body, uses, own in children:
+        inherits = tuple(sorted(uses & rest - own))
+        rest.difference_update(inherits)
+        planned.append((suffix, body, inherits))
+    return HandOff(node, joins, payload, tuple(planned), tuple(sorted(rest)))
+
+
+def _plug_plan(program: ExecProgram, cmd: Plug, held: frozenset) -> HandOff:
+    frees = [program.free_chans(b) for b in cmd.branches]
+    users: dict[str, list[int]] = {}
+    for i, names in enumerate(frees):
+        for name in names - held:
+            users.setdefault(name, []).append(i)
+    joins = []
+    for name in sorted(users):
+        if len(users[name]) != 2:
+            raise MachineFault(
+                "IllegalCommand",
+                f"plug channel {name!r} must join exactly two branches")
+        joins.append((name, *users[name]))
+    return _hand_off_plan(cmd, held, [
+        (f"/{i}", body, names, frozenset())
+        for i, (body, names) in enumerate(zip(cmd.branches, frees))],
+        tuple(joins), ",".join(name for name, _, _ in joins) or None)
+
+
+def _fork_plan(program: ExecProgram, cmd: Fork, held: frozenset) -> HandOff:
+    return _hand_off_plan(cmd, held, [
+        (f".{arm.name}", arm.body, program.free_chans(arm.body), {arm.name})
+        for arm in cmd.arms], (),
+        ",".join(f"{arm.name}#%d" for arm in cmd.arms))
+
+
+def _invocation(program: ExecProgram, cmd: Call | Use,
+                proc: ProcDef | None = None) -> Invocation:
+    """A use's plan is for the stored `proc`; a call's names its own."""
+    if type(cmd) is Call:
+        proc = program.procs.get(cmd.callee)
+        if proc is None:
+            raise MachineFault("IllegalCommand",
+                               f"call to unknown process {cmd.callee!r}")
+    if len(cmd.seq_args) != len(proc.seq_params) \
+            or len(cmd.chan_args) != len(proc.chan_params):
+        target = "call to" if type(cmd) is Call else "use of"
+        raise MachineFault("IllegalCommand",
+                           f"{target} {proc.name!r} with mismatched "
+                           f"argument counts")
+    return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
+                      tuple(zip(proc.chan_params, cmd.chan_args)))
+
+
+def _arm_table(program: ExecProgram, cmd: HCase) -> tuple[HCase, dict]:
+    """The node, and the body of the first arm for each handle."""
+    return cmd, {arm.handle: arm.body for arm in reversed(cmd.arms)}
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +590,25 @@ class Machine:
     def _step_checks_pass(self) -> bool:
         resolve = self.resolve_owner
         for e in self._released:
-            if any(resolve(pending) is None for pending in e.links):
+            if e.links and any(resolve(pend) is None for pend in e.links):
                 return False
-        return not (self._added and self.check_topology(self._added))
+        if len(self._added) > 2:
+            return not self.check_topology(self._added)
+        # One or two new channels close a cycle only as a loop, or as two
+        # channels between the same pair of owners.
+        edges = []
+        for cid in self._added:
+            ch = self.channels.get(cid)
+            if ch is None or not ch.live:
+                continue
+            a = resolve(ch.ends[0].owner)
+            b = resolve(ch.ends[1].owner)
+            if a is None or b is None:
+                continue
+            if a == b or (a, b) in edges or (b, a) in edges:
+                return False
+            edges.append((a, b))
+        return True
 
     def check_invariants(self) -> None:
         """The full check, and the tests' reference: acyclicity over every
@@ -547,13 +650,15 @@ class Machine:
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
         msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
-        arm = next((a for a in cmd.arms if a.handle == msg.handle), None)
-        if arm is None:
+        table = (self.program.plans.get(id(cmd))
+                 or self._new_plan(id(cmd), _arm_table, cmd))
+        body = table[1].get(msg.handle)
+        if body is None:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
                                f"handle {msg.handle}")
         ev = self._event(p, "HCASE", cmd.chan, msg.handle)
-        self._advance(p, push=arm.body)
+        self._advance(p, push=body)
         return ev
 
     def _exec_close(self, p: ProcessInstance, cmd: Close) -> TraceEvent:
@@ -669,26 +774,35 @@ class Machine:
         raise MachineFault("IllegalCommand",
                            f"cannot evaluate {type(e).__name__}")
 
-    def _hand_off(self, p: ProcessInstance, children: list) -> None:
-        """Replace `p` by `children`, each (name, body, names the body
-        uses, its new bindings).  Each of `p`'s channels goes to the first
-        child that uses it; the rest are released."""
+    def _new_plan(self, key, build, *args):
+        """Build `build(program, *args)` and memoise it under `key`; the
+        handlers look a plan up inline and call this on a miss."""
+        plan = self.program.plans[key] = build(self.program, *args)
+        return plan
+
+    def _hand_off(self, p: ProcessInstance, plan: HandOff,
+                  envs: list[dict]) -> None:
+        """Replace `p` by `plan`'s children, each binding its dict of
+        `envs` and the ends of `p` it inherits; release the rest."""
         del self.processes[p.pid]
-        rest = dict(p.chan_env)
-        for name, body, uses, env in children:
-            for n in uses & rest.keys() - env.keys():
-                env[n] = rest.pop(n)
+        held = p.chan_env
+        for (suffix, body, inherits), env in zip(plan.children, envs):
+            for name in inherits:
+                env[name] = held[name]
             pid = self._new_pid()
             self.processes[pid] = ProcessInstance(
-                pid, name, dict(p.seq_env), env, [[body, 0]])
+                pid, p.name + suffix, dict(p.seq_env), env, [[body, 0]])
             for e in env.values():
                 e.owner = pid
-        for e in rest.values():
-            self._release(e)
+        for name in plan.released:
+            self._release(held[name])
 
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
+        key = (id(cmd), frozenset(p.chan_env))
+        plan = (self.program.plans.get(key)
+                or self._new_plan(key, _fork_plan, cmd, key[1]))
         ch = self.channels[e.cid]
         # The forker's children take end 0 of each new channel.  End 1
         # waits for the peer's split; until then it is claimed through
@@ -700,14 +814,11 @@ class Machine:
             pe.owner = far
         far.links += pending
         far.inbox.append(RewireMsg(new[0].cid, pending))
-        ev = self._event(p, "FORK", cmd.chan, ",".join(
-            f"{arm.name}#{nch.cid}" for arm, nch in zip(cmd.arms, new)),
-            cid=e.cid)
+        ev = self._event(p, "FORK", cmd.chan, plan.payload % tuple(
+            nch.cid for nch in new), cid=e.cid)
         self._release(e)
-        free = self.program.free_chans
-        self._hand_off(p, [
-            (f"{p.name}.{arm.name}", arm.body, free(arm.body),
-             {arm.name: nch.ends[0]}) for arm, nch in zip(cmd.arms, new)])
+        self._hand_off(p, plan, [{arm.name: nch.ends[0]}
+                                 for arm, nch in zip(cmd.arms, new)])
         return ev
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
@@ -721,36 +832,23 @@ class Machine:
                            cid=msg.cid_left)
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
-        frees = [self.program.free_chans(b) for b in cmd.branches]
-        users: dict[str, list[int]] = {}
-        for i, names in enumerate(frees):
-            for name in names - p.chan_env.keys():
-                users.setdefault(name, []).append(i)
-        plugged = sorted(users)
-        envs: list[dict] = [{} for _ in frees]
-        for name in plugged:
-            if len(users[name]) != 2:
-                raise MachineFault(
-                    "IllegalCommand",
-                    f"plug channel {name!r} must join exactly two branches")
-            for e, i in zip(self._new_channel(name).ends, users[name]):
-                envs[i][name] = e
-        ev = self._event(p, "PLUG", None, ",".join(plugged) or None)
-        self._hand_off(p, [
-            (f"{p.name}/{i}", body, names, env)
-            for i, (body, names, env) in enumerate(
-                zip(cmd.branches, frees, envs))])
+        key = (id(cmd), frozenset(p.chan_env))
+        plan = (self.program.plans.get(key)
+                or self._new_plan(key, _plug_plan, cmd, key[1]))
+        envs: list[dict] = [{} for _ in plan.children]
+        for name, i, j in plan.joins:
+            envs[i][name], envs[j][name] = self._new_channel(name).ends
+        ev = self._event(p, "PLUG", None, plan.payload)
+        self._hand_off(p, plan, envs)
         return ev
 
     def _exec_invoke(self, p: ProcessInstance, cmd: Call | Use
                      ) -> TraceEvent:
         """Replace `p`'s continuation with a called or stored process."""
         if type(cmd) is Call:
-            d = self.program.procs.get(cmd.callee)
-            if d is None:
-                raise MachineFault("IllegalCommand",
-                                   f"call to unknown process {cmd.callee!r}")
-            kind, name, seq_env = "CALL", d.name, {}
+            plan = (self.program.plans.get(id(cmd))
+                    or self._new_plan(id(cmd), _invocation, cmd))
+            kind, name, seq_env = "CALL", plan.proc.name, {}
         else:
             value = self._eval(p, cmd.stored)
             if not isinstance(value, StoredProc):
@@ -758,18 +856,15 @@ class Machine:
                                    f"use of a non-process value "
                                    f"{render(value)}")
             d = value.proc
+            key = (id(cmd), id(d))
+            plan = (self.program.plans.get(key)
+                    or self._new_plan(key, _invocation, cmd, d))
             kind, name, seq_env = "USE", f"use:{d.name}", dict(value.env)
-        args, params = cmd.chan_args, d.chan_params
-        if len(cmd.seq_args) != len(d.seq_params) or len(args) != len(params):
-            target = "call to" if kind == "CALL" else "use of"
-            raise MachineFault("IllegalCommand",
-                               f"{target} {d.name!r} with mismatched "
-                               f"argument counts")
-        for param, e in zip(d.seq_params, cmd.seq_args):
+        for param, e in plan.seq_pairs:
             seq_env[param] = self._eval(p, e)
         held = p.chan_env
         chan_env = {}
-        for param, arg in zip(params, args):
+        for param, arg in plan.chan_pairs:
             e = held.get(arg)
             if e is None:
                 raise MachineFault("IllegalCommand",
@@ -781,8 +876,8 @@ class Machine:
         p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
-        p.frames = [[d.body, 0]]
-        return self._event(p, kind, None, d.name)
+        p.frames = [[plan.proc.body, 0]]
+        return self._event(p, kind, None, plan.proc.name)
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)

@@ -757,6 +757,59 @@ def test_unchecked_hcase_without_an_arm_for_the_handle():
         "IllegalCommand: hcase on 'ch' has no arm for handle Foo", 5)
 
 
+def test_unchecked_hcase_takes_the_first_arm_for_a_handle():
+    # Only the first arm closes `ch`; the second would wait on it forever.
+    src = ("proc a =\n"
+           "    | => ch -> do\n"
+           "        hput Foo on ch\n"
+           "        halt ch\n"
+           "\nproc b =\n"
+           "    | ch => ->\n"
+           "        hcase ch of\n"
+           "            Foo -> close ch\n"
+           "            Foo -> do\n"
+           "                get x on ch\n"
+           "                close ch\n"
+           "\nproc run =\n"
+           "    | => -> plug\n"
+           "        a( | => ch )\n"
+           "        b( | ch => )\n")
+    out, _ = run_text(src, check=False)
+    assert out.done and out.trace[-1].kind == "CLOSE"
+
+
+# Unchecked programs whose plug, or fork, hands on none of the held
+# `console`: it is released, closed and unowned, and the run sticks on the
+# Console channel that nobody closes.
+RELEASING = {
+    "plug": ("proc run =\n"
+             "    | console => -> plug\n"
+             "        do\n"
+             "            halt x\n"
+             "        do\n"
+             "            close x\n"),
+    "fork": ("proc run =\n"
+             "    | console => -> plug\n"
+             "        do\n"
+             "            fork c as\n"
+             "                l -> halt l\n"
+             "                r -> halt r\n"
+             "            halt console\n"
+             "        do\n"
+             "            split c into l, r\n"
+             "            close l\n"
+             "            close r\n"),
+}
+
+
+@pytest.mark.parametrize("kind, steps", [("plug", 3), ("fork", 7)])
+def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
+    out, _ = run_text(RELEASING[kind], check=False)
+    assert (out.kind, out.steps, out.stuck) == (OutcomeKind.STUCK, steps, {})
+    (console,) = out.machine.channels.values()
+    assert console.ends[1].owner is None and console.ends[1].closed
+
+
 @pytest.mark.parametrize("invoke, kind", [
     ("f( | console, phantom => )", "call"),
     ("use(store(f))( | console, phantom => )", "use"),

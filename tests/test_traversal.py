@@ -64,7 +64,8 @@ def _sample(ann: str):
 
 
 def _build(cls):
-    return cls(*(_sample(f.type) for f in fields(cls) if f.name != "pos"))
+    return cls(*(_sample(f.type) for f in fields(cls)
+                 if f.init and f.name != "pos"))
 
 
 def _is_body(v) -> bool:
