@@ -790,8 +790,7 @@ class Checker:
         target = self.exec_program.procs.get(call.callee)
         if call.callee not in self.sigs or target is None:
             return None
-        params = target.chan_params
-        for param, arg in zip(params, call.chan_args):
+        for param, arg in zip(target.chan_params, call.chan_args):
             if arg == name:
                 return (INPUT if param in target.in_params else OUTPUT)
         return None

@@ -54,9 +54,8 @@ class ExecProgram:
     # id from being reused while the entry lives.
     _free: dict[int, tuple[Body, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # The machine's plan for each command node, keyed by the node's id
-    # and what else the plan depends on (see `runtime`).  Each plan holds
-    # its node, which keeps that id from being reused.
+    # The machine's per-node plans (see `runtime`), keyed by id(node) and
+    # what else a plan depends on; each plan holds its node, keeping the id.
     plans: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
 

@@ -9,14 +9,19 @@ class; among the processes whose next command can make progress, the
 smallest pid goes first.  Races are the only consumers of the seeded RNG,
 so a (program, seed, input script) triple fixes the whole trace.
 
+How a plug, fork, call, use or hcase wires names is worked out once per
+node (a plug or fork: per node and set of held names) and memoised in
+`ExecProgram.plans`; a step applies the plan.
+
 A topology monitor checks before every step that the graph of processes
 and live channels is an acyclic forest and that every end of a live
 channel has an owner.  The first check, and any check not made right
 after one step, scans the whole network.  Otherwise it checks only what
 that step recorded: nothing after a value, handle, race, call, use or neg
 step; the pending ends of released ends; and the channels the step
-created, for cycles among themselves.  Whatever a local check flags goes
-to the full scan, which raises the fault.
+created, for cycles among themselves (one or two by comparing their
+owners).  Whatever a local check flags goes to the full scan, which
+raises the fault.
 """
 
 from __future__ import annotations
@@ -106,10 +111,9 @@ class BootError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# per-node plans: what a plug, fork, call, use or hcase does with names is
-# fixed by its node and, for a plug or fork, by the names its process holds.
-# Each is worked out on first use and kept in `ExecProgram.plans`; a build
-# that faults stores nothing, so every later step checks again.
+# per-node plans, built on a node's first step and kept in
+# `ExecProgram.plans`; a build that faults stores nothing, so every later
+# step checks again.
 
 class HandOff(NamedTuple):
     """How a plug or fork replaces its process by children."""
@@ -775,8 +779,7 @@ class Machine:
                            f"cannot evaluate {type(e).__name__}")
 
     def _new_plan(self, key, build, *args):
-        """Build `build(program, *args)` and memoise it under `key`; the
-        handlers look a plan up inline and call this on a miss."""
+        """Memoise `build(program, *args)` under `key`: a lookup's miss."""
         plan = self.program.plans[key] = build(self.program, *args)
         return plan
 
