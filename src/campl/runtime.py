@@ -131,6 +131,10 @@ class Invocation(NamedTuple):
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
     chan_pairs: tuple       # (parameter, argument channel name)
+    # Two parameters take one argument name.  Until some end has two
+    # names, distinct names bind distinct ends, so this is the only way
+    # one end gets two names.
+    aliases: bool
 
 
 def _hand_off_plan(node, held: frozenset, children: list, joins: tuple,
@@ -187,8 +191,10 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
         raise MachineFault("IllegalCommand",
                            f"{target} {proc.name!r} with mismatched "
                            f"argument counts")
+    binds = dict(zip(proc.chan_params, cmd.chan_args))
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
-                      tuple(zip(proc.chan_params, cmd.chan_args)))
+                      tuple(zip(proc.chan_params, cmd.chan_args)),
+                      len(set(binds.values())) < len(binds))
 
 
 def _arm_table(program: ExecProgram, cmd: HCase) -> tuple[HCase, dict]:
@@ -874,7 +880,7 @@ class Machine:
                                    f"{kind.lower()} passes unknown channel "
                                    f"{arg!r}")
             chan_env[param] = e
-        if len(set(chan_env.values())) < len(chan_env):
+        if plan.aliases:
             self._local_checks = False
         p.name = name
         p.seq_env = seq_env

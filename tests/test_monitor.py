@@ -131,11 +131,10 @@ def test_full_check_runs_once_on_a_pipeline(full_checks):
     assert full_checks == [0]
 
 
-def test_one_end_under_two_names_turns_local_checks_off(full_checks):
-    # `twice` receives x's end as both `a` and `b` (step 2); its plug hands
-    # the two names to different children, so `left` forks an end that
-    # `right` owns.  From that call on, every check is the full one.
-    src = ("proc twice =\n"
+# `twice` receives x's end as both `a` and `b` (step 2); its plug hands
+# the two names to different children, so `left` forks an end that
+# `right` owns.  From that call on, every check is the full one.
+ALIASED = ("proc twice =\n"
            "    | a, b => -> plug\n"
            "        left( | a => )\n"
            "        right( | b => )\n"
@@ -153,10 +152,14 @@ def test_one_end_under_two_names_turns_local_checks_off(full_checks):
            "    | => -> plug\n"
            "        talker( | => x )\n"
            "        twice( | x, x => )\n")
-    assert run_unchecked_watched(src, 0) == \
+
+
+def test_one_end_under_two_names_turns_local_checks_off(full_checks):
+    assert run_unchecked_watched(ALIASED, 0) == \
         "IllegalCommand: channel 'b' is gone"
     full_checks.clear()
-    m = boot(prepare(parse_source(src)), 0, ServiceConfig.from_script([]))
+    m = boot(prepare(parse_source(ALIASED)), 0,
+             ServiceConfig.from_script([]))
     with pytest.raises(MachineFault):
         m.run_to_completion()
     assert m.steps == 8 and full_checks == [0, 3, 4, 5, 6, 7, 8]

@@ -28,7 +28,7 @@ from campl.services import ScriptExhausted, ServiceConfig
 from conftest import CORPUS, load_perfbench
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, LINKS, MESSAGES, STDIN_SCRIPT
-from test_monitor import _line_drops
+from test_monitor import ALIASED, _line_drops
 from test_runtime import RELEASING
 
 PLANNED = (Plug, Fork, Call, Use, HCase)
@@ -120,7 +120,8 @@ def _reference(machine: Machine, p, cmd):
                      f"mismatched argument counts")
     return key, {"proc": proc,
                  "seq_pairs": tuple(zip(proc.seq_params, cmd.seq_args)),
-                 "chan_pairs": tuple(zip(params, args))}
+                 "chan_pairs": tuple(zip(params, args)),
+                 "local_checks": machine._local_checks}
 
 
 def _compare(machine, parent, cmd, key, expected, before, ev, fault):
@@ -146,6 +147,10 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
         assert (plan.proc, plan.seq_pairs, plan.chan_pairs) == (
             expected["proc"], expected["seq_pairs"], expected["chan_pairs"])
         assert plan.proc is expected["proc"]
+        if fault is None and expected["local_checks"]:
+            # The machine tested the ends it bound for an alias per step.
+            ends = list(machine.processes[ev.pid].chan_env.values())
+            assert plan.aliases is (len(set(ends)) < len(ends))
         return
     assert plan.joins == expected["joins"]
     assert [(s, b, set(inherits)) for s, b, inherits in plan.children] == \
@@ -239,7 +244,8 @@ def test_plans_agree_on_the_corpus():
 
 
 def test_plans_agree_on_the_golden_programs():
-    programs = {**FAULTS, **LINKS, **MESSAGES, **RELEASING}
+    programs = {**FAULTS, **LINKS, **MESSAGES, **RELEASING,
+                "aliased": ALIASED}
     seen = _compare_all(sorted(programs.items()))
     assert set(seen) == {"Plug", "Fork", "Call", "Use"}, seen
 

@@ -813,7 +813,7 @@ def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
 @pytest.mark.parametrize("invoke, kind", [
     ("f( | console, phantom => )", "call"),
     ("use(store(f))( | console, phantom => )", "use"),
-])
+], ids=["call", "use"])
 def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
     src = ("proc f =\n"
            "    | a, b => -> do\n"
