@@ -120,8 +120,35 @@ class Unifier:
             t, k = s, type(s)
         return map_type(t, self.zonk)
 
-    def zonk_sig(self, sig: ProcSignature) -> ProcSignature:
-        return map_signature(sig, self.zonk)
+
+class Solved:
+    """The substitution once inference is over, when it no longer changes:
+    `zonk` and `mentions_service` are memoised per node.  Solved types
+    share their nodes, so zonking every site of a fork tower costs the
+    size of the solved types' DAG, not the sum of each site's tree.
+    `Unifier.zonk` and `mentions_service` are the references."""
+
+    def __init__(self, uni: Unifier):
+        self.uni = uni
+        # id(node) -> (node, result); holding the node keeps its id from
+        # being reused while the entry lives.
+        self._zonked: dict[int, tuple] = {}
+        self._service: dict[int, tuple] = {}
+
+    def zonk(self, t):
+        entry = self._zonked.get(id(t))
+        if entry is None:
+            head = self.uni.resolve(t)
+            entry = self._zonked[id(t)] = (t, map_type(t, self.zonk)
+                                           if head is t else self.zonk(head))
+        return entry[1]
+
+    def mentions_service(self, t) -> bool:
+        entry = self._service.get(id(t))
+        if entry is None:
+            entry = self._service[id(t)] = (
+                t, _mentions_service(t, self.mentions_service))
+        return entry[1]
 
 
 def has_uvars(t) -> bool:
@@ -136,14 +163,19 @@ def has_uvars(t) -> bool:
 def mentions_service(t) -> bool:
     """True when the channel-level structure of `t` contains the Console
     service type.  Store payloads are sequential data and do not count."""
+    return _mentions_service(t, mentions_service)
+
+
+def _mentions_service(t, sub) -> bool:
+    """`mentions_service(t)`, with each component's answer from `sub`."""
     if isinstance(t, CoprotoApp) and t.name == CONSOLE:
         return True
     if isinstance(t, (Put, Get)):
-        return mentions_service(t.rest)
+        return sub(t.rest)
     if isinstance(t, (Tensor, Par)):
-        return mentions_service(t.left) or mentions_service(t.right)
+        return sub(t.left) or sub(t.right)
     if isinstance(t, NegT):
-        return mentions_service(t.inner)
+        return sub(t.inner)
     return False
 
 
@@ -252,13 +284,14 @@ class Checker:
         # Signatures may only become ground once callers constrain them
         # (the peer across a plug often pins a message type), so audit
         # completeness after the whole program has been visited.
-        signatures = {name: self.uni.zonk_sig(self.sigs[name])
+        solved = Solved(self.uni)
+        signatures = {name: map_signature(self.sigs[name], solved.zonk)
                       for name in procs}
         for name, sig in signatures.items():
             self._finalize_sig(procs[name], sig)
         if "run" in procs:
             self._check_run_shape(procs["run"], signatures["run"])
-        self._audit_created_types()
+        self._audit_created_types(solved)
         if self.errors:
             self.errors.sort(key=sort_key)
             raise CheckFailure(self.errors)
@@ -316,22 +349,21 @@ class Checker:
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        "run may hold at most one Console channel")
 
-    def _audit_created_types(self) -> None:
+    def _audit_created_types(self, solved: Solved) -> None:
         """Zonk every plug and fork site's types in place and reject those
         that carry the service type."""
         for site in self.plug_sites:
             for name, t in site.chan_types.items():
-                t = site.chan_types[name] = self.uni.zonk(t)
-                if mentions_service(t):
+                t = site.chan_types[name] = solved.zonk(t)
+                if solved.mentions_service(t):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"plug creates channel {name!r} carrying the "
                                f"service type {CONSOLE}; only run receives "
                                f"service channels", channel=name)
         for site in self.fork_sites:
-            site.components = tuple(self.uni.zonk(t)
-                                    for t in site.components)
+            site.components = tuple(map(solved.zonk, site.components))
             for t in site.components:
-                if mentions_service(t):
+                if solved.mentions_service(t):
                     self._diag(dk.ILLEGAL_COMMAND, site.pos,
                                f"fork creates a channel carrying the "
                                f"service type {CONSOLE}")
@@ -355,6 +387,13 @@ class Checker:
         sequential scope; the body must consume every channel."""
         seq_ctx = dict(seq_ctx)
         seq_ctx.update(zip(d.seq_params, sig.seq_params))
+        twice = sorted({n for n in d.chan_params
+                        if d.chan_params.count(n) > 1})
+        if twice:
+            self._diag(dk.LINEARITY_REUSE, d.pos,
+                       f"the context line of {d.name!r} binds channel(s) "
+                       f"more than once: {', '.join(twice)}",
+                       channel=twice[0])
         chan_ctx = {name: ChanEntry(t, INPUT)
                     for name, t in zip(d.in_params, sig.in_chans)}
         chan_ctx.update((name, ChanEntry(t, OUTPUT))
@@ -704,6 +743,10 @@ class Checker:
                 self.fail(dk.LINEARITY_REUSE, cmd.pos,
                           f"split binder {name!r} shadows a live channel",
                           channel=name)
+        if cmd.left == cmd.right:
+            self.fail(dk.LINEARITY_REUSE, cmd.pos,
+                      f"split binds {cmd.left!r} to both halves",
+                      channel=cmd.left)
         chan_ctx[cmd.left] = ChanEntry(resolved.left, entry.pol)
         chan_ctx[cmd.right] = ChanEntry(resolved.right, entry.pol)
         return _OPEN
@@ -910,7 +953,9 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     names = list(procs)
     edges: dict[str, list[str]] = {n: [] for n in names}
     for name, d in procs.items():
-        for ref in _refs(d):
+        refs = _Refs()
+        refs.body(d.body)
+        for ref in refs:
             if ref in procs and ref not in edges[name]:
                 edges[name].append(ref)
 
@@ -945,30 +990,31 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     for v in names:
         if v not in index:
             strongconnect(v)
+    # The recursive closure is a reference cycle; emptying its cell frees
+    # it and the tables it holds without the cyclic collector.
+    del strongconnect
     return out
 
 
-def _refs(d: ProcDef) -> list[str]:
-    """Names of the processes `d` calls or stores, in order of mention."""
-    refs: list[str] = []
+class _Refs(list):
+    """Names of the processes the bodies walked call or store, in order of
+    mention.  Methods, not closures: a recursive closure is a reference
+    cycle, left for the collector."""
 
-    def expr(e):
-        if type(e) is StoreOf:
-            if isinstance(e.target, str):
-                refs.append(e.target)
-            else:
-                body(e.target.body)
-        return e
-
-    def body(b):
+    def body(self, b: Body) -> Body:
         for cmd in b:
             if type(cmd) is Call:
-                refs.append(cmd.callee)
-            map_command(cmd, body, expr)
+                self.append(cmd.callee)
+            map_command(cmd, self.body, self.expr)
         return b
 
-    body(d.body)
-    return refs
+    def expr(self, e: Expr) -> Expr:
+        if type(e) is StoreOf:
+            if isinstance(e.target, str):
+                self.append(e.target)
+            else:
+                self.body(e.target.body)
+        return e
 
 
 def check_program(src: SourceProgram) -> TypedProgram:

@@ -8,6 +8,8 @@ stderr.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import sys
 
 import click
@@ -39,20 +41,38 @@ def _load(path: str) -> str:
         raise SystemExit(2)
 
 
-def _parse(path: str, as_json: bool) -> SourceProgram:
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore the caller's
+    setting.  The front end's tokens and trees survive until it returns
+    and it makes no reference cycles, so a collection while it builds them
+    only rescans live objects; the next collection after the phase
+    reclaims what an error path left."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return parse_source(_load(path))
-    except ParseFailure as e:
-        _emit(e.errors, path, as_json)
-        raise SystemExit(1)
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(path: str, as_json: bool) -> SourceProgram:
+    with _gc_paused():
+        try:
+            return parse_source(_load(path))
+        except ParseFailure as e:
+            _emit(e.errors, path, as_json)
+            raise SystemExit(1)
 
 
 def _check(program: SourceProgram, path: str, as_json: bool) -> TypedProgram:
-    try:
-        return check_program(program)
-    except CheckFailure as e:
-        _emit(e.errors, path, as_json)
-        raise SystemExit(1)
+    with _gc_paused():
+        try:
+            return check_program(program)
+        except CheckFailure as e:
+            _emit(e.errors, path, as_json)
+            raise SystemExit(1)
 
 
 def _lint_run_position(program: SourceProgram) -> None:

@@ -9,7 +9,7 @@ by fork, split, and neg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import (
@@ -20,29 +20,51 @@ from .model import (
 
 
 def desugar_body(body: Body, default: str | None = None) -> Body:
+    """`body` with every `on` block spliced into its commands, each given
+    the block's channel where it names none; `body` itself when no command
+    changes, so a program without `on` blocks keeps its trees."""
     sub = desugar_body if default is None else (
         lambda b: desugar_body(b, default))
     out = []
+    changed = False
     for cmd in body:
         if type(cmd) is OnDo:
             out.extend(desugar_body(cmd.body, cmd.chan))
+            changed = True
             continue
-        cmd = map_command(cmd, sub, _desugar_expr)
-        if default is not None and getattr(cmd, "chan", "") is None:
-            cmd = replace(cmd, chan=default)
-        out.append(cmd)
-    return tuple(out)
+        new = map_command(cmd, sub, _desugar_expr)
+        if default is not None and getattr(new, "chan", "") is None:
+            new = _WITH_CHAN[type(new)](new, default)
+        changed = changed or new is not cmd
+        out.append(new)
+    return tuple(out) if changed else body
+
+
+# Each command whose channel an `on` block may supply, rebuilt on `ch`.
+_WITH_CHAN = {
+    PutVal: lambda c, ch: PutVal(c.expr, ch, c.pos),
+    GetVal: lambda c, ch: GetVal(c.binder, ch, c.pos),
+    HPut: lambda c, ch: HPut(c.handle, ch, c.pos),
+    HCase: lambda c, ch: HCase(ch, c.arms, c.pos),
+    Close: lambda c, ch: Close(ch, c.pos),
+    Halt: lambda c, ch: Halt(ch, c.pos),
+    Fork: lambda c, ch: Fork(ch, c.arms, c.pos),
+    Split: lambda c, ch: Split(ch, c.left, c.right, c.pos),
+}
 
 
 def _desugar_expr(e):
     if isinstance(e, StoreOf) and isinstance(e.target, ProcDef):
-        return StoreOf(desugar_proc(e.target), pos=e.pos)
+        target = desugar_proc(e.target)
+        return e if target is e.target else StoreOf(target, pos=e.pos)
     return e
 
 
 def desugar_proc(d: ProcDef) -> ProcDef:
-    return ProcDef(d.name, d.signature, d.seq_params, d.in_params,
-                   d.out_params, desugar_body(d.body), pos=d.pos)
+    body = desugar_body(d.body)
+    return d if body is d.body else ProcDef(
+        d.name, d.signature, d.seq_params, d.in_params, d.out_params, body,
+        pos=d.pos)
 
 
 @dataclass

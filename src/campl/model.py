@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_
 from typing import Union
 
 
@@ -257,29 +258,48 @@ def type_parts(t) -> tuple:
     return ()
 
 
+def same_items(new: tuple, old: tuple) -> bool:
+    """Whether `new`, a `tuple(map(f, old))`, holds `old`'s own objects.
+    The rewrites below map in C, so a nested walk costs no extra stack
+    frame per level."""
+    return all(map(is_, new, old))
+
+
 def map_type(t, f):
-    """`t` rebuilt with `f` applied to each of its `type_parts`; atoms and
-    variables come back unchanged."""
+    """`t` rebuilt with `f` applied to each of its `type_parts`; `t` itself
+    when every part comes back unchanged (`is`), as atoms and variables
+    always do."""
     k = type(t)
     if k is BaseSeq or k is TopBot:
         return t
     if k is Put or k is Get:
-        return k(f(t.msg), f(t.rest))
+        msg, rest = f(t.msg), f(t.rest)
+        return t if msg is t.msg and rest is t.rest else k(msg, rest)
     if k is Tensor or k is Par:
-        return k(f(t.left), f(t.right))
+        left, right = f(t.left), f(t.right)
+        return t if left is t.left and right is t.right else k(left, right)
     if k is NegT:
-        return NegT(f(t.inner))
+        inner = f(t.inner)
+        return t if inner is t.inner else NegT(inner)
     if k is ProtoApp or k is CoprotoApp:
-        return k(t.name, tuple(map(f, t.args)))
+        args = tuple(map(f, t.args))
+        return t if same_items(args, t.args) else k(t.name, args)
     if k is StoreType:
-        return StoreType(map_signature(t.sig, f))
+        sig = map_signature(t.sig, f)
+        return t if sig is t.sig else StoreType(sig)
     return t
 
 
 def map_signature(sig: ProcSignature, f) -> ProcSignature:
-    return ProcSignature(tuple(map(f, sig.seq_params)),
-                         tuple(map(f, sig.in_chans)),
-                         tuple(map(f, sig.out_chans)))
+    """`sig` with `f` applied to each type; `sig` itself when nothing
+    changes."""
+    parts = sig.seq_params + sig.in_chans + sig.out_chans
+    new = tuple(map(f, parts))
+    if same_items(new, parts):
+        return sig
+    i = len(sig.seq_params)
+    j = i + len(sig.in_chans)
+    return ProcSignature(new[:i], new[i:j], new[j:])
 
 
 def render_signature(sig: ProcSignature) -> str:
@@ -363,16 +383,27 @@ def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:
     if len(args) != len(decl.seq_params):
         raise ValueError(f"{decl.name} expects {len(decl.seq_params)} "
                          f"argument(s), got {len(args)}")
-    seq_map = dict(zip(decl.seq_params, args))
+    return _Unfolding(dict(zip(decl.seq_params, args)), decl.state_var,
+                      app)(h.body)
 
-    def subst(t):
+
+class _Unfolding:
+    """A type with sequential parameters replaced through `seq_map` and
+    the state variable by `app`.  A callable object rather than a closure:
+    a recursive closure is a reference cycle, left for the collector."""
+
+    def __init__(self, seq_map: dict, state_var: str, app: ChanType):
+        self.seq_map = seq_map
+        self.state_var = state_var
+        self.app = app
+
+    def __call__(self, t):
         k = type(t)
         if k is SeqVar:
-            return seq_map.get(t.name, t)
+            return self.seq_map.get(t.name, t)
         if k is StateVar:
-            return app if t.name == decl.state_var else t
-        return map_type(t, subst)
-    return subst(h.body)
+            return self.app if t.name == self.state_var else t
+        return map_type(t, self)
 
 
 # ---------------------------------------------------------------------------
@@ -585,31 +616,46 @@ def sub_bodies(cmd) -> tuple[Body, ...]:
 
 def map_command(cmd, body, expr):
     """`cmd` rebuilt with `body` applied to each of its `sub_bodies` and
-    `expr` to each expression it holds, in source order.  Commands with
-    neither come back unchanged."""
+    `expr` to each expression it holds, in source order.  `cmd` itself
+    when every part comes back unchanged (`is`), as commands with neither
+    always do."""
     k = type(cmd)
     if k is PutVal:
-        return PutVal(expr(cmd.expr), cmd.chan, cmd.pos)
+        e = expr(cmd.expr)
+        return cmd if e is cmd.expr else PutVal(e, cmd.chan, cmd.pos)
     if k is Call:
-        return Call(cmd.callee, tuple(map(expr, cmd.seq_args)),
-                    cmd.in_chans, cmd.out_chans, cmd.pos)
+        args = tuple(map(expr, cmd.seq_args))
+        return cmd if same_items(args, cmd.seq_args) else Call(
+            cmd.callee, args, cmd.in_chans, cmd.out_chans, cmd.pos)
     if k is Use:
-        return Use(expr(cmd.stored), tuple(map(expr, cmd.seq_args)),
-                   cmd.in_chans, cmd.out_chans, cmd.pos)
-    if k is HCase:
-        return HCase(cmd.chan, tuple(HCaseArm(a.handle, body(a.body), a.pos)
-                                     for a in cmd.arms), cmd.pos)
-    if k is Fork:
-        return Fork(cmd.chan, tuple(ForkArm(a.name, body(a.body), a.pos)
-                                    for a in cmd.arms), cmd.pos)
-    if k is Race:
-        return Race(tuple(RaceArm(a.chan, body(a.body), a.pos)
-                          for a in cmd.arms), cmd.pos)
+        stored, args = expr(cmd.stored), tuple(map(expr, cmd.seq_args))
+        if stored is cmd.stored and same_items(args, cmd.seq_args):
+            return cmd
+        return Use(stored, args, cmd.in_chans, cmd.out_chans, cmd.pos)
+    if k is HCase or k is Fork or k is Race:
+        old = [a.body for a in cmd.arms]
+        new = list(map(body, old))
+        if same_items(new, old):
+            return cmd
+        arms = tuple(map(_REARM[k], cmd.arms, new))
+        return Race(arms, cmd.pos) if k is Race else k(cmd.chan, arms, cmd.pos)
     if k is Plug:
-        return Plug(tuple(map(body, cmd.branches)), cmd.pos)
+        branches = tuple(map(body, cmd.branches))
+        if same_items(branches, cmd.branches):
+            return cmd
+        return Plug(branches, cmd.pos)
     if k is OnDo:
-        return OnDo(cmd.chan, body(cmd.body), cmd.pos)
+        b = body(cmd.body)
+        return cmd if b is cmd.body else OnDo(cmd.chan, b, cmd.pos)
     return cmd
+
+
+# Each command's arm rebuilt with a new body.
+_REARM = {
+    HCase: lambda a, b: HCaseArm(a.handle, b, a.pos),
+    Fork: lambda a, b: ForkArm(a.name, b, a.pos),
+    Race: lambda a, b: RaceArm(a.chan, b, a.pos),
+}
 
 
 # ---------------------------------------------------------------------------

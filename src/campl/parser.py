@@ -26,13 +26,16 @@ from .model import (
     NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
     ProtocolDecl, Put, PutVal, Race, RaceArm, SeqVar, Split, StateVar,
     StoreOf, StoreType, StringLit, SourceProgram, Tensor, Use, VarRef,
-    map_command, map_signature, map_type, pos_field, sub_bodies,
+    map_command, map_signature, map_type, pos_field, same_items, sub_bodies,
 )
 from .services import BUILTIN_DECLS
 
 DECL_KEYWORDS = {"proc", "protocol", "coprotocol"}
 BUILTIN_SEQ = {"Int": INT_T, "Char": CHAR, "Bool": BOOL, "String": STRING_T}
 BUILTIN_CHAN_HEADS = {"TopBot", "Put", "Get", "Neg", "Store"}
+# Type parsing recurses two or three frames per level of brackets, so the
+# depth is capped well inside Python's default recursion limit.
+MAX_TYPE_DEPTH = 256
 
 
 # Raw named type references; replaced during resolution.
@@ -61,6 +64,7 @@ class Parser:
         self.toks = tokens
         self.i = 0
         self.errors: list[Diagnostic] = []
+        self.type_depth = 0     # brackets open in the type being parsed
         # First-token column of every line, for body anchoring: the first
         # token of a line is written last.  EOF, at column 0, is kept only
         # on a line of its own, where it is its own anchor.
@@ -122,6 +126,7 @@ class Parser:
                     "or coprotocol)", t))
                 self._recover(top_col)
                 continue
+            self.type_depth = 0
             try:
                 if t.text == "proc":
                     decls.append(self.parse_proc())
@@ -281,9 +286,9 @@ class Parser:
                 return BUILTIN_SEQ[t.text]
             if t.text == "Store":
                 self.take()
-                self.expect("(")
+                self._open_type()
                 sig = self.parse_signature(")")
-                self.expect(")")
+                self._close_type()
                 return StoreType(sig)
             self.take()
             return SeqName(t.text, pos=t.pos)
@@ -308,9 +313,9 @@ class Parser:
     def parse_chan_atom(self):
         t = self.peek()
         if self.at("("):
-            self.take()
+            self._open_type()
             inner = self.parse_chan_type()
-            self.expect(")")
+            self._close_type()
             return inner
         if t.kind != IDENT:
             raise ParseError("expected a channel type", t)
@@ -319,24 +324,24 @@ class Parser:
             return TOPBOT
         if t.text in ("Put", "Get"):
             self.take()
-            self.expect("(")
+            self._open_type()
             msg = self.parse_seq_type()
             self.expect("|")
             rest = self.parse_chan_type()
-            self.expect(")")
+            self._close_type()
             return Put(msg, rest) if t.text == "Put" else Get(msg, rest)
         if t.text == "Neg":
             self.take()
-            self.expect("(")
+            self._open_type()
             inner = self.parse_chan_type()
-            self.expect(")")
+            self._close_type()
             return NegT(inner)
         if t.text == "Store":
             raise ParseError("Store is a sequential type, not a channel "
                              "type", t)
         self.take()
         if self.at("("):
-            self.take()
+            self._open_type()
             args = self._comma_list(self.parse_seq_type, "|", ")")
             if self.at("|"):
                 self.take()
@@ -344,9 +349,21 @@ class Parser:
                     raise ParseError(
                         "channel-type parameters are not supported after "
                         "'|' in a protocol application", self.peek())
-            self.expect(")")
+            self._close_type()
             return ChanName(t.text, args, pos=t.pos)
         return ChanName(t.text, None, pos=t.pos)
+
+    def _open_type(self) -> None:
+        """Read the '(' that opens a nested type."""
+        t = self.expect("(")
+        if self.type_depth == MAX_TYPE_DEPTH:
+            raise ParseError(f"type nested more than {MAX_TYPE_DEPTH} "
+                             f"levels deep", t)
+        self.type_depth += 1
+
+    def _close_type(self) -> None:
+        self.expect(")")
+        self.type_depth -= 1
 
     # -- bodies and commands ------------------------------------------------
 
@@ -626,6 +643,7 @@ class _Resolver:
     def __init__(self, decls: list, errors: list[Diagnostic]):
         self.decls = decls
         self.errors = errors
+        self.scope = None
         self.table: dict[str, ProtocolDecl] = dict(BUILTIN_DECLS)
         for d in decls:
             if isinstance(d, ProtocolDecl) and d.name not in self.table:
@@ -656,50 +674,60 @@ class _Resolver:
                        body, pos=d.pos)
 
     def _body(self, body: tuple) -> tuple:
-        return tuple(map_command(cmd, self._body, self._expr) for cmd in body)
+        """`body` with the types of its inline stored processes resolved;
+        `body` itself when it holds none."""
+        out = tuple(map_command(cmd, self._body, self._expr) for cmd in body)
+        return body if same_items(out, body) else out
 
     def _expr(self, e: Expr) -> Expr:
         if isinstance(e, StoreOf) and isinstance(e.target, ProcDef):
-            return StoreOf(self._resolve_proc(e.target), pos=e.pos)
+            target = self._resolve_proc(e.target)
+            return e if target is e.target else StoreOf(target, pos=e.pos)
         return e
 
     def _type(self, t, scope):
         """Resolve the raw names in `t`.  `scope` holds a declaration's
         sequential parameters and state variable; None outside one."""
-        def go(t):
-            k = type(t)
-            if k is SeqName:
-                if scope is not None and t.name in scope[0]:
-                    return SeqVar(t.name)
+        outer, self.scope = self.scope, scope
+        t = self._resolve(t)
+        self.scope = outer
+        return t
+
+    def _resolve(self, t):
+        """`_type` under `self.scope`.  A method, not a closure: a
+        recursive closure is a reference cycle, left for the collector."""
+        k, scope = type(t), self.scope
+        if k is SeqName:
+            if scope is not None and t.name in scope[0]:
+                return SeqVar(t.name)
+            self.errors.append(Diagnostic(
+                PARSE_ERROR, t.pos,
+                f"unknown sequential type {t.name!r}"))
+            return SeqVar(t.name)
+        if k is ChanName:
+            if scope is not None and t.args is None \
+                    and t.name == scope[1]:
+                return StateVar(t.name)
+            decl = self.table.get(t.name)
+            if decl is None:
                 self.errors.append(Diagnostic(
                     PARSE_ERROR, t.pos,
-                    f"unknown sequential type {t.name!r}"))
-                return SeqVar(t.name)
-            if k is ChanName:
-                if scope is not None and t.args is None \
-                        and t.name == scope[1]:
-                    return StateVar(t.name)
-                decl = self.table.get(t.name)
-                if decl is None:
-                    self.errors.append(Diagnostic(
-                        PARSE_ERROR, t.pos,
-                        f"unknown channel type {t.name!r}"))
-                    return ProtoApp(t.name, ())
-                args = tuple(map(go, t.args or ()))
-                if len(args) != len(decl.seq_params):
-                    self.errors.append(Diagnostic(
-                        PARSE_ERROR, t.pos,
-                        f"{t.name} expects {len(decl.seq_params)} type "
-                        f"argument(s), got {len(args)}"))
-                ctor = (ProtoApp if decl.kind is DeclKind.PROTOCOL
-                        else CoprotoApp)
-                return ctor(t.name, args)
-            if k is StoreType and scope is not None:
-                # A stored process's signature cannot see the declaration's
-                # parameters.
-                return self._type(t, None)
-            return map_type(t, go)
-        return go(t)
+                    f"unknown channel type {t.name!r}"))
+                return ProtoApp(t.name, ())
+            args = tuple(map(self._resolve, t.args or ()))
+            if len(args) != len(decl.seq_params):
+                self.errors.append(Diagnostic(
+                    PARSE_ERROR, t.pos,
+                    f"{t.name} expects {len(decl.seq_params)} type "
+                    f"argument(s), got {len(args)}"))
+            ctor = (ProtoApp if decl.kind is DeclKind.PROTOCOL
+                    else CoprotoApp)
+            return ctor(t.name, args)
+        if k is StoreType and scope is not None:
+            # A stored process's signature cannot see the declaration's
+            # parameters.
+            return self._type(t, None)
+        return map_type(t, self._resolve)
 
 
 def parse_program(tokens: list[Token]) -> SourceProgram:

@@ -561,48 +561,52 @@ def test_hcase_at_wrong_polarity():
 # ---------------------------------------------------------------------------
 # service types stay with run: the plug and fork site audits
 
+CONSOLE_PLUG = ("proc serve :: | => Console =\n"
+                "    | => c -> hcase c of\n"
+                "        ConsolePut -> do\n"
+                "            get s on c\n"
+                "            serve( | => c )\n"
+                "        ConsoleGet -> do\n"
+                '            put "line" on c\n'
+                "            serve( | => c )\n"
+                "        ConsoleClose -> halt c\n"
+                "\nproc giver :: | => Put(Int|Console) =\n"
+                "    | => c -> do\n"
+                "        put 1 on c\n"
+                "        serve( | => c )\n"
+                "\nproc taker :: | Put(Int|Console) => =\n"
+                "    | c => -> do\n"
+                "        get v on c\n"
+                "        hput ConsoleClose on c\n"
+                "        halt c\n"
+                "\nproc run =\n"
+                "    | => -> plug\n"
+                "        giver( | => c )\n"
+                "        taker( | c => )\n")
+
+
 def test_plug_of_a_channel_carrying_console_is_rejected():
-    src = ("proc serve :: | => Console =\n"
-           "    | => c -> hcase c of\n"
-           "        ConsolePut -> do\n"
-           "            get s on c\n"
-           "            serve( | => c )\n"
-           "        ConsoleGet -> do\n"
-           '            put "line" on c\n'
-           "            serve( | => c )\n"
-           "        ConsoleClose -> halt c\n"
-           "\nproc giver :: | => Put(Int|Console) =\n"
-           "    | => c -> do\n"
-           "        put 1 on c\n"
-           "        serve( | => c )\n"
-           "\nproc taker :: | Put(Int|Console) => =\n"
-           "    | c => -> do\n"
-           "        get v on c\n"
-           "        hput ConsoleClose on c\n"
-           "        halt c\n"
-           "\nproc run =\n"
-           "    | => -> plug\n"
-           "        giver( | => c )\n"
-           "        taker( | c => )\n")
-    [d] = errors_of(src)
+    [d] = errors_of(CONSOLE_PLUG)
     assert d.text("p.campl") == (
         "p.campl:23:13: IllegalCommand: plug creates channel 'c' carrying "
         "the service type Console; only run receives service channels")
     assert json.loads(d.json_line("p.campl"))["channel"] == "c"
 
 
+CONSOLE_FORK = ("proc splitter :: | Console (+) TopBot => =\n"
+                "    | c => -> fork c as\n"
+                "        a -> do\n"
+                "            hput ConsoleClose on a\n"
+                "            halt a\n"
+                "        b -> halt b\n"
+                "\nproc run =\n"
+                "    | console => -> do\n"
+                "        hput ConsoleClose on console\n"
+                "        halt console\n")
+
+
 def test_fork_of_a_channel_carrying_console_is_rejected():
-    src = ("proc splitter :: | Console (+) TopBot => =\n"
-           "    | c => -> fork c as\n"
-           "        a -> do\n"
-           "            hput ConsoleClose on a\n"
-           "            halt a\n"
-           "        b -> halt b\n"
-           "\nproc run =\n"
-           "    | console => -> do\n"
-           "        hput ConsoleClose on console\n"
-           "        halt console\n")
-    [d] = errors_of(src)
+    [d] = errors_of(CONSOLE_FORK)
     assert d.text("p.campl") == (
         "p.campl:2:15: IllegalCommand: fork creates a channel carrying the "
         "service type Console")

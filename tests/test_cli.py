@@ -1,12 +1,17 @@
+import gc
 import json
+import random
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from campl import cli
 from campl.cli import main
-from campl.parser import parse_source
-from conftest import CORPUS, corpus_text
+from campl.checker import check_program
+from campl.diagnostics import CheckFailure, ParseFailure
+from campl.parser import MAX_TYPE_DEPTH, parse_source
+from conftest import CORPUS, corpus_text, load_perfbench
 
 
 @pytest.fixture()
@@ -320,7 +325,7 @@ def test_deeply_parenthesized_expression(runner, tmp_path, command):
 
 
 def test_dump_ast_prints_deeply_nested_types(runner, tmp_path):
-    depth = 450
+    depth = MAX_TYPE_DEPTH
     spine = "Put(Int|Get(Char|" * (depth // 2) + "TopBot" + "))" * (depth // 2)
     text = ("protocol Deep(|) => S =\n"
             f"    Go :: {spine} => S\n"
@@ -340,6 +345,141 @@ def test_dump_ast_prints_deeply_nested_types(runner, tmp_path):
         assert again == want
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _deep_type(spine_depth: int, parens: int = 0) -> str:
+    spine = "Put(Int|" * spine_depth + "TopBot" + ")" * spine_depth
+    return ("protocol Deep(|) => S =\n"
+            f"    Go :: {'(' * parens}{spine}{')' * parens} => S\n"
+            "    Stop :: TopBot => S\n\n" + _console_put('"x"'))
+
+
+@pytest.mark.parametrize("command", ["check", "dump-ast"])
+def test_types_inside_the_deepest_parentheses_still_parse(runner, tmp_path,
+                                                         command):
+    src = tmp_path / "parens.campl"
+    src.write_text(_deep_type(0, parens=MAX_TYPE_DEPTH))
+    r = runner.invoke(main, [command, str(src)])
+    assert r.exit_code == 0
+    assert r.stdout == ("" if command == "check" else _deep_type(0))
+
+
+@pytest.mark.parametrize("command", ["check", "dump-ast"])
+@pytest.mark.parametrize("spine,parens", [
+    (MAX_TYPE_DEPTH + 1, 0), (600, 0), (0, 500), (MAX_TYPE_DEPTH, 1)],
+    ids=["spine-257", "spine-600", "parens-500", "spine-256-in-parens"])
+def test_too_deep_a_type_is_a_positioned_parse_error(runner, tmp_path,
+                                                      command, spine, parens):
+    text = _deep_type(spine, parens)
+    src = tmp_path / "deep.campl"
+    src.write_text(text)
+    r = runner.invoke(main, [command, str(src)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert "Traceback" not in r.stderr
+    # The bracket that opens level 257 is the one reported.
+    line = text.splitlines()[1]
+    col = [i for i, ch in enumerate(line) if ch == "("][MAX_TYPE_DEPTH] + 1
+    assert r.stderr == (f"{src}:2:{col}: ParseError: type nested more "
+                        f"than {MAX_TYPE_DEPTH} levels deep\n")
+
+
+TWICE_PARAM = ("proc f =\n"
+               "    | a, a => -> close a\n"
+               "\nproc run =\n"
+               "    | => -> plug\n"
+               "        f( | x, y => )\n"
+               "        close x\n"
+               "        halt y\n")
+
+TWICE_SPLIT = ("proc h =\n"
+               "    | => p -> fork p as\n"
+               "        l -> close l\n"
+               "        r -> close r\n"
+               "\nproc g =\n"
+               "    | p => -> do\n"
+               "        split p into a, a\n"
+               "        halt a\n"
+               "\nproc run =\n"
+               "    | => -> plug\n"
+               "        h( | => p )\n"
+               "        g( | p => )\n")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("text,diagnostic", [
+    (TWICE_PARAM, "1:1: LinearityReuse: the context line of 'f' binds "
+                  "channel(s) more than once: a"),
+    (TWICE_SPLIT, "8:9: LinearityReuse: split binds 'a' to both halves"),
+], ids=["context-line", "split"])
+def test_a_channel_bound_twice_is_rejected(runner, tmp_path, command, text,
+                                           diagnostic):
+    # Both programs used to pass the checker and then deadlock at run time
+    # (exit 3) with one end orphaned.
+    src = tmp_path / "twice.campl"
+    src.write_text(text)
+    r = runner.invoke(main, [command, str(src)])
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == f"{src}:{diagnostic}\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("command,text,code,checked", [
+    ("check", corpus_text("listing1.campl"), 0, True),
+    ("check", "proc p = | ch => -> put\n", 1, False),
+    ("check", corpus_text("appendix_b.campl"), 1, True),
+    ("run", corpus_text("listing1.campl"), 0, True),
+], ids=["accepted", "parse-error", "check-failure", "run"])
+def test_front_end_pauses_the_collector_and_restores_it(
+        runner, tmp_path, monkeypatch, enabled, command, text, code,
+        checked):
+    seen = {}
+
+    def spy(name, real):
+        def call(*args):
+            seen.setdefault(name, []).append(gc.isenabled())
+            return real(*args)
+        monkeypatch.setattr(cli, name, call)
+    for name in ("parse_source", "check_program", "boot"):
+        spy(name, getattr(cli, name))
+    src = tmp_path / "p.campl"
+    src.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        r = runner.invoke(main, [command, str(src)])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert r.exit_code == code
+    assert after is enabled
+    assert seen.pop("parse_source") == [False]
+    assert seen.pop("check_program", []) == ([False] if checked else [])
+    # The machine runs under the caller's setting.
+    assert seen == ({"boot": [enabled]} if command == "run" else {})
+
+
+def test_front_end_leaves_no_cyclic_garbage():
+    # What the paused collector would otherwise find: nothing, on accepted
+    # and rejected programs alike.
+    frontend = load_perfbench("programs").frontend_source
+    texts = [p.read_text(encoding="utf-8") for p in CORPUS.glob("*.campl")]
+    texts += [frontend(random.Random(1), 40, 30), TWICE_SPLIT,
+              "proc p = | ch => -> put\n"]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            try:
+                check_program(parse_source(text))
+            except (CheckFailure, ParseFailure):
+                pass
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_dump_ast_reports_syntax_errors(runner, tmp_path):

@@ -101,6 +101,22 @@ def _nested(body):
 
 
 @pytest.mark.parametrize("group", ["corpus", "goldens", "genprog"])
+def test_prepare_shares_what_it_does_not_change(group):
+    # A process desugaring leaves equal (no `on` block anywhere in it) is
+    # the source's own ProcDef, body and all.
+    shared = changed = 0
+    for src in _memo_sources(group):
+        ex = prepare(src)
+        for name, d in src.procs.items():
+            if ex.procs[name].body == d.body:
+                assert ex.procs[name] is d, name
+                shared += 1
+            else:
+                changed += 1
+    assert shared and (changed or group != "corpus"), (shared, changed)
+
+
+@pytest.mark.parametrize("group", ["corpus", "goldens", "genprog"])
 def test_free_chans_memo_agrees_with_the_reference(group):
     kinds = set()
     for src in _memo_sources(group):

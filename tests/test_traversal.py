@@ -98,7 +98,7 @@ def test_sub_bodies_visits_every_nested_body(cls):
 @pytest.mark.parametrize("cls", COMMANDS, ids=lambda c: c.__name__)
 def test_map_command_identity(cls):
     cmd = _build(cls)
-    assert map_command(cmd, lambda b: b, lambda e: e) == cmd
+    assert map_command(cmd, lambda b: b, lambda e: e) is cmd
 
 
 @pytest.mark.parametrize("cls", COMMANDS, ids=lambda c: c.__name__)
@@ -150,7 +150,7 @@ def _components(t) -> list:
 def test_type_helpers_cover_every_constructor(cls):
     t = cls(*(_type_sample(f.type) for f in fields(cls)))
     assert list(type_parts(t)) == _components(t)
-    assert map_type(t, lambda x: x) == t
+    assert map_type(t, lambda x: x) is t
     out = map_type(t, NegT)
     assert type(out) is cls
     assert _components(out) == [NegT(x) for x in _components(t)]
@@ -158,7 +158,7 @@ def test_type_helpers_cover_every_constructor(cls):
 
 @given(chan_types())
 def test_map_type_identity(t):
-    assert map_type(t, lambda x: x) == t
+    assert map_type(t, lambda x: x) is t
 
 
 @given(chan_types())
