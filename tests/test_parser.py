@@ -189,3 +189,17 @@ def test_inline_store_requires_signature():
     with pytest.raises(ParseFailure) as e:
         parse_source(src)
     assert any("signature" in d.message for d in e.value.errors)
+
+
+def test_type_depth_restarts_at_each_declaration():
+    # The first signature fails 200 brackets deep, leaving them unclosed;
+    # the second must be measured from zero, not from 200.
+    deep = "Put(Int|" * 100 + "TopBot" + ")" * 100
+    src = ("proc p :: | " + "Put(Int|" * 200 + "TopBot => =\n"
+           "    | c => -> halt c\n"
+           f"proc q :: | {deep} => =\n"
+           "    | c => -> halt c\n")
+    with pytest.raises(ParseFailure) as e:
+        parse_source(src)
+    [d] = e.value.errors
+    assert (d.pos.line, d.message) == (1, "expected ')', found '=>'")
