@@ -60,16 +60,18 @@ class LexError(Exception):
 
 
 # Leading blanks, then at most one token: one group per token class, named
-# by its token kind, tried in order: comments before ints so that `--`
+# by its token kind.  Names and operators, the commonest, are tried first;
+# no name or operator starts with `--` or a digit, so they never take a
+# comment's or an int's place.  Comments come before ints so that `--`
 # starts a comment, and each operator before its prefixes.  The digit and
 # word classes are ASCII only.  A match with no group ends at a quote, a
 # stray character or the end of the line.
 _TOKEN = re.compile(r"""
     [ ]*
-    (?: (?P<comment>--.*)
-      | (?P<int>-?[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    (?: (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>\(\*\)|\(\+\)|\|=\||->|=>|::|[()|=\[\],])
+      | (?P<comment>--.*)
+      | (?P<int>-?[0-9]+)
     )?
 """, re.VERBOSE)
 

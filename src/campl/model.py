@@ -80,7 +80,7 @@ class StoreType:
     sig: "ProcSignature"
 
     def __str__(self) -> str:
-        return f"Store({render_signature(self.sig)})"
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class Put:
     rest: "ChanType"
 
     def __str__(self) -> str:
-        return _render_spine(self)
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class Get:
     rest: "ChanType"
 
     def __str__(self) -> str:
-        return _render_spine(self)
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class Tensor:
     right: "ChanType"
 
     def __str__(self) -> str:
-        return f"{_mul_operand(self.left)} (*) {_mul_operand(self.right)}"
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class Par:
     right: "ChanType"
 
     def __str__(self) -> str:
-        return f"{_mul_operand(self.left)} (+) {_mul_operand(self.right)}"
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class NegT:
     inner: "ChanType"
 
     def __str__(self) -> str:
-        return f"Neg({self.inner})"
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class ProtoApp:
     args: tuple[SeqType, ...] = ()
 
     def __str__(self) -> str:
-        return _render_app(self.name, self.args)
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class CoprotoApp:
     args: tuple[SeqType, ...] = ()
 
     def __str__(self) -> str:
-        return _render_app(self.name, self.args)
+        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -200,28 +200,6 @@ class UVar:
 ChanType = Union[
     TopBot, Put, Get, Tensor, Par, NegT, ProtoApp, CoprotoApp, StateVar, UVar
 ]
-
-
-def _render_spine(t: Put | Get) -> str:
-    """`Put(m|Get(n|...))`: the right-nested `rest` spine is walked in a
-    loop, so no nesting depth exhausts the stack."""
-    heads = []
-    while isinstance(t, (Put, Get)):
-        heads.append(f"{type(t).__name__}({t.msg}|")
-        t = t.rest
-    return "".join(heads) + str(t) + ")" * len(heads)
-
-
-def _mul_operand(t: ChanType) -> str:
-    if isinstance(t, (Tensor, Par)):
-        return f"({t})"
-    return str(t)
-
-
-def _render_app(name: str, args: tuple[SeqType, ...]) -> str:
-    if not args:
-        return name
-    return f"{name}({', '.join(str(a) for a in args)}|)"
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +280,64 @@ def map_signature(sig: ProcSignature, f) -> ProcSignature:
     return ProcSignature(new[:i], new[i:j], new[j:])
 
 
+# ---------------------------------------------------------------------------
+# rendering: types print from an explicit stack of pieces, so no depth of
+# nesting exhausts Python's.
+
+def render_type(t) -> str:
+    return _render([t])
+
+
 def render_signature(sig: ProcSignature) -> str:
-    seqs = ", ".join(str(t) for t in sig.seq_params)
-    ins = ", ".join(str(t) for t in sig.in_chans)
-    outs = ", ".join(str(t) for t in sig.out_chans)
-    return f"{seqs}|{ins}=>{outs}"
+    return _render(_signature_pieces(sig))
+
+
+def _render(todo: list) -> str:
+    """Concatenate `todo`, strings and types, with each type replaced by
+    its text; `todo` is consumed."""
+    todo.reverse()
+    out = []
+    while todo:
+        t = todo.pop()
+        k = type(t)
+        if k is str:
+            out.append(t)
+            continue
+        if k is Put or k is Get:
+            pieces = [f"{k.__name__}(", t.msg, "|", t.rest, ")"]
+        elif k is Tensor or k is Par:
+            pieces = [*_operand(t.left), " (*) " if k is Tensor else " (+) ",
+                      *_operand(t.right)]
+        elif k is NegT:
+            pieces = ["Neg(", t.inner, ")"]
+        elif k is ProtoApp or k is CoprotoApp:
+            pieces = ([f"{t.name}(", *_commas(t.args), "|)"] if t.args
+                      else [t.name])
+        elif k is StoreType:
+            pieces = ["Store(", *_signature_pieces(t.sig), ")"]
+        else:
+            out.append(str(t))      # an atom
+            continue
+        pieces.reverse()
+        todo += pieces
+    return "".join(out)
+
+
+def _operand(t) -> tuple:
+    k = type(t)
+    return ("(", t, ")") if k is Tensor or k is Par else (t,)
+
+
+def _commas(types: tuple) -> list:
+    pieces = []
+    for t in types:
+        pieces += (", ", t)
+    return pieces[1:]
+
+
+def _signature_pieces(sig: ProcSignature) -> list:
+    return [*_commas(sig.seq_params), "|", *_commas(sig.in_chans), "=>",
+            *_commas(sig.out_chans)]
 
 
 class DeclKind(Enum):

@@ -26,7 +26,7 @@ from .model import (
     NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
     ProtocolDecl, Put, PutVal, Race, RaceArm, SeqVar, Split, StateVar,
     StoreOf, StoreType, StringLit, SourceProgram, Tensor, Use, VarRef,
-    map_command, map_signature, map_type, pos_field, same_items, sub_bodies,
+    map_command, map_signature, map_type, pos_field, same_items,
 )
 from .services import BUILTIN_DECLS
 
@@ -36,6 +36,11 @@ BUILTIN_CHAN_HEADS = {"TopBot", "Put", "Get", "Neg", "Store"}
 # Type parsing recurses two or three frames per level of brackets, so the
 # depth is capped well inside Python's default recursion limit.
 MAX_TYPE_DEPTH = 256
+# The commands that may leave their channel to an enclosing `on` block.
+OPTIONAL_CHAN = frozenset({PutVal, GetVal, HPut, HCase, Close, Halt, Fork,
+                           Split})
+BARE_COMMAND = ("this command needs a channel: write 'on <channel>' or "
+                "wrap it in an 'on ... do' block")
 
 
 # Raw named type references; replaced during resolution.
@@ -65,6 +70,12 @@ class Parser:
         self.i = 0
         self.errors: list[Diagnostic] = []
         self.type_depth = 0     # brackets open in the type being parsed
+        # Whether a command without a channel is an error: in a top-level
+        # process, outside every `on` block.  Commands of an inline stored
+        # process are left to the checker.
+        self.chan_required = False
+        # Whether the process being parsed holds an inline stored process.
+        self.holds_inline = False
         # First-token column of every line, for body anchoring: the first
         # token of a line is written last.  EOF, at column 0, is kept only
         # on a line of its own, where it is its own anchor.
@@ -90,17 +101,23 @@ class Parser:
             self.i += 1
         return t
 
+    # The token `expect` and `expect_ident` take is not EOF.
+
     def expect(self, text: str) -> Token:
-        if not self.at(text):
+        t = self.toks[self.i]
+        if t.text != text or t.kind not in (KW, OP):
             raise ParseError(f"expected {text!r}, found "
-                             f"{self._describe(self.peek())}", self.peek())
-        return self.take()
+                             f"{self._describe(t)}", t)
+        self.i += 1
+        return t
 
     def expect_ident(self, what: str = "name") -> Token:
-        if not self.at_kind(IDENT):
+        t = self.toks[self.i]
+        if t.kind != IDENT:
             raise ParseError(f"expected {what}, found "
-                             f"{self._describe(self.peek())}", self.peek())
-        return self.take()
+                             f"{self._describe(t)}", t)
+        self.i += 1
+        return t
 
     @staticmethod
     def _describe(t: Token) -> str:
@@ -118,6 +135,9 @@ class Parser:
         if self.peek().kind == EOF:
             return SourceProgram(())
         top_col = self.peek().col
+        # id() of each process holding an inline stored process; `decls`
+        # keeps them alive.
+        holders: set[int] = set()
         while self.peek().kind != EOF:
             t = self.peek()
             if t.col != top_col or t.text not in DECL_KEYWORDS:
@@ -127,16 +147,25 @@ class Parser:
                 self._recover(top_col)
                 continue
             self.type_depth = 0
+            self.chan_required = True
+            self.holds_inline = False
+            mark = len(self.errors)
             try:
                 if t.text == "proc":
-                    decls.append(self.parse_proc())
+                    d = self.parse_proc()
+                    if self.holds_inline:
+                        holders.add(id(d))
                 else:
-                    decls.append(self.parse_protocol())
+                    d = self.parse_protocol()
+                decls.append(d)
             except ParseError as e:
+                # The bare commands of a declaration that fails are not
+                # reported.
+                del self.errors[mark:]
                 self._error(e)
                 self._recover(top_col)
         self._validate(decls)
-        decls = _Resolver(decls, self.errors).run()
+        decls = _Resolver(decls, self.errors, holders).run()
         if self.errors:
             self.errors.sort(key=sort_key)
             raise ParseFailure(self.errors)
@@ -254,8 +283,9 @@ class Parser:
                              first)
         col = first.col
         handles = []
-        while self.peek().col == col and self.at_kind(IDENT):
-            h = self.expect_ident("handle name")
+        h = first
+        while h.col == col and h.kind == IDENT:
+            self.take()
             self.expect("::")
             if kind is DeclKind.PROTOCOL:
                 body = self.parse_chan_type()
@@ -270,7 +300,9 @@ class Parser:
                     f"handle clause must use the state variable "
                     f"{state_var!r}, found {sv.text!r}", sv)
             handles.append(HandleDef(h.text, body, pos=h.pos))
-            self._block_guard(col)
+            h = self.toks[self.i]
+            if h.col > col:
+                self._block_guard(col)
         if not handles:
             raise ParseError("a declaration needs at least one handle "
                              "clause", first)
@@ -367,22 +399,29 @@ class Parser:
 
     # -- bodies and commands ------------------------------------------------
 
+    # Block loops read the token after each item once, and stop at the
+    # first one off the block's column; EOF, at column 0, is off every
+    # block's.
+
     def parse_body(self, parent_indent: int) -> tuple:
         if self.at("do"):
             self.take()
-            return tuple(self.parse_command_block(parent_indent))
+            return self.parse_command_block(parent_indent)
         return (self.parse_command(),)
 
-    def parse_command_block(self, parent_indent: int) -> list:
+    def parse_command_block(self, parent_indent: int) -> tuple:
         first = self.peek()
         if first.kind == EOF or first.col <= parent_indent:
             raise ParseError("expected an indented block of commands", first)
         col = first.col
         cmds = []
-        while self.peek().kind != EOF and self.peek().col == col:
+        t = first
+        while t.col == col:
             cmds.append(self.parse_command())
-            self._block_guard(col)
-        return cmds
+            t = self.toks[self.i]
+            if t.col > col:
+                self._block_guard(col)
+        return tuple(cmds)
 
     def _block_guard(self, col: int) -> None:
         t = self.peek()
@@ -392,13 +431,19 @@ class Parser:
                 f"column {col} or a dedent", t)
 
     def parse_command(self):
-        t = self.peek()
-        anchor = self.anchor(t)
+        t = self.toks[self.i]
         if t.kind == KW:
-            handler = getattr(self, f"_cmd_{t.text}", None)
-            if handler is not None:
-                return handler(anchor)
-            raise ParseError(f"{t.text!r} cannot start a command", t)
+            handler = _COMMANDS.get(t.text)
+            if handler is None:
+                raise ParseError(f"{t.text!r} cannot start a command", t)
+            cmd = handler(self, self.line_indent[t.line])
+            # Checked here, once the handler has returned, so the check
+            # costs no stack frame per level of nesting.
+            if self.chan_required and type(cmd) in OPTIONAL_CHAN \
+                    and cmd.chan is None:
+                self.errors.append(Diagnostic(PARSE_ERROR, cmd.pos,
+                                              BARE_COMMAND))
+            return cmd
         if t.kind == IDENT:
             nxt = self.toks[self.i + 1]     # `t` is not EOF
             if nxt.text == "(" and nxt.kind == OP:
@@ -486,9 +531,12 @@ class Parser:
             raise ParseError("expected indented plug branches", first)
         col = first.col
         branches = []
-        while self.peek().kind != EOF and self.peek().col == col:
+        t = first
+        while t.col == col:
             branches.append(self.parse_body(col))
-            self._block_guard(col)
+            t = self.toks[self.i]
+            if t.col > col:
+                self._block_guard(col)
         if len(branches) < 2:
             raise ParseError("plug needs at least two branches", kw)
         return Plug(tuple(branches), pos=kw.pos)
@@ -518,8 +566,10 @@ class Parser:
         kw = self.take()
         chan = self.expect_ident("channel")
         self.expect("do")
+        outer, self.chan_required = self.chan_required, False
         cmds = self.parse_command_block(anchor)
-        return OnDo(chan.text, tuple(cmds), pos=kw.pos)
+        self.chan_required = outer
+        return OnDo(chan.text, cmds, pos=kw.pos)
 
     def _parse_call(self) -> Call:
         name = self.take()
@@ -544,13 +594,15 @@ class Parser:
             raise ParseError(f"expected indented {what} arms", first)
         col = first.col
         arms = []
-        while self.peek().kind != EOF and self.peek().col == col \
-                and self.at_kind(IDENT):
-            name = self.take()
+        name = first
+        while name.col == col and name.kind == IDENT:
+            self.take()
             self.expect("->")
             body = self.parse_body(col)
             arms.append((name.text, body, name.pos))
-            self._block_guard(col)
+            name = self.toks[self.i]
+            if name.col > col:
+                self._block_guard(col)
         if not arms:
             raise ParseError(f"expected at least one {what} arm", first)
         return arms
@@ -584,7 +636,10 @@ class Parser:
             self.take()
             self.expect("(")
             if self.at("proc"):
+                outer, self.chan_required = self.chan_required, False
                 inner = self.parse_proc()
+                self.chan_required = outer
+                self.holds_inline = True
                 if inner.signature is None:
                     raise ParseError("an inline stored process needs a "
                                      "type signature", t)
@@ -615,7 +670,6 @@ class Parser:
                         PARSE_ERROR, d.pos,
                         f"duplicate process definition {d.name!r}"))
                 seen_procs[d.name] = d.pos
-                _check_bare_commands(d.body, False, self.errors)
             else:
                 if d.name in seen_protos:
                     self.errors.append(Diagnostic(
@@ -624,25 +678,22 @@ class Parser:
                 seen_protos[d.name] = d.pos
 
 
-def _check_bare_commands(body: tuple, inside_on: bool,
-                         errors: list[Diagnostic]) -> None:
-    for cmd in body:
-        if not inside_on and getattr(cmd, "chan", "n/a") is None:
-            errors.append(Diagnostic(
-                PARSE_ERROR, cmd.pos,
-                "this command needs a channel: write 'on <channel>' or "
-                "wrap it in an 'on ... do' block"))
-        for sub in sub_bodies(cmd):
-            _check_bare_commands(sub, inside_on or type(cmd) is OnDo, errors)
+# `parse_command`'s handler for each command keyword.
+_COMMANDS = {name[len("_cmd_"):]: f for name, f in vars(Parser).items()
+             if name.startswith("_cmd_")}
 
 
 class _Resolver:
     """Rewrites raw named type references into protocol/coprotocol
-    applications, state variables, and declaration type parameters."""
+    applications, state variables, and declaration type parameters.
+    Only the bodies of the processes in `holders` (by id) hold types, in
+    their inline stored processes; the rest are kept as parsed."""
 
-    def __init__(self, decls: list, errors: list[Diagnostic]):
+    def __init__(self, decls: list, errors: list[Diagnostic],
+                 holders: set[int]):
         self.decls = decls
         self.errors = errors
+        self.holders = holders
         self.scope = None
         self.table: dict[str, ProtocolDecl] = dict(BUILTIN_DECLS)
         for d in decls:
@@ -655,7 +706,7 @@ class _Resolver:
             if isinstance(d, ProtocolDecl):
                 out.append(self._resolve_protocol(d))
             else:
-                out.append(self._resolve_proc(d))
+                out.append(self._resolve_proc(d, id(d) in self.holders))
         return out
 
     def _resolve_protocol(self, d: ProtocolDecl) -> ProtocolDecl:
@@ -666,10 +717,11 @@ class _Resolver:
         return ProtocolDecl(d.name, d.kind, d.seq_params, d.state_var,
                             handles, pos=d.pos)
 
-    def _resolve_proc(self, d: ProcDef) -> ProcDef:
+    def _resolve_proc(self, d: ProcDef, walk: bool = True) -> ProcDef:
+        """`d` resolved; its body only when `walk`."""
         sig = (map_signature(d.signature, lambda t: self._type(t, None))
                if d.signature else None)
-        body = self._body(d.body)
+        body = self._body(d.body) if walk else d.body
         return ProcDef(d.name, sig, d.seq_params, d.in_params, d.out_params,
                        body, pos=d.pos)
 

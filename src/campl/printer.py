@@ -43,9 +43,9 @@ def _protocol(d: ProtocolDecl) -> str:
 
 
 def _sig_inline(sig: ProcSignature) -> str:
-    seqs = ", ".join(str(t) for t in sig.seq_params)
-    ins = ", ".join(str(t) for t in sig.in_chans)
-    outs = ", ".join(str(t) for t in sig.out_chans)
+    seqs = ", ".join(map(str, sig.seq_params))
+    ins = ", ".join(map(str, sig.in_chans))
+    outs = ", ".join(map(str, sig.out_chans))
     return f"{seqs} | {ins} => {outs}".strip()
 
 

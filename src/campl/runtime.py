@@ -131,9 +131,10 @@ class Invocation(NamedTuple):
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
     chan_pairs: tuple       # (parameter, argument channel name)
-    # Two parameters take one argument name.  Until some end has two
-    # names, distinct names bind distinct ends, so this is the only way
-    # one end gets two names.
+    # Two parameters take one argument name, or one parameter name is
+    # repeated, leaving the ends passed to its first uses bound to no
+    # name.  Until then, distinct names bind distinct ends, so this is
+    # the only way one end gets two names or a live process loses one.
     aliases: bool
 
 
@@ -194,7 +195,7 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
     binds = dict(zip(proc.chan_params, cmd.chan_args))
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
                       tuple(zip(proc.chan_params, cmd.chan_args)),
-                      len(set(binds.values())) < len(binds))
+                      len(set(binds.values())) < len(proc.chan_params))
 
 
 def _arm_table(program: ExecProgram, cmd: HCase) -> tuple[HCase, dict]:
@@ -388,9 +389,11 @@ class Machine:
         self._checked_at: int | None = None
         self._added: list[int] = []
         self._released: list[EndState] = []
-        # False once a call or use bound one end to two names: a later
-        # step may then move an end its binder does not own, which the
-        # local checks do not model, so every check is the full one.
+        # False once a step bound one end to two names, or left a live
+        # process owning an end under no name (unchecked programs only): a
+        # later step may then move an end its binder does not own, or end
+        # a process that still owns an end, which the local checks do not
+        # model, so every check is the full one.
         self._local_checks = True
 
     # -- construction -----------------------------------------------------
@@ -622,7 +625,8 @@ class Machine:
 
     def check_invariants(self) -> None:
         """The full check, and the tests' reference: acyclicity over every
-        live channel, then an owner for every end of one."""
+        live channel, then an owner for every end of one.  A pid that has
+        ended owns nothing."""
         bad = self.check_topology()
         if bad:
             raise MachineFault(
@@ -631,7 +635,9 @@ class Machine:
                 f"{', '.join(str(c) for c in bad)}")
         for cid, ch in self.channels.items():
             for e in ch.ends:
-                if ch.live and self.resolve_owner(e.owner) is None:
+                owner = self.resolve_owner(e.owner)
+                if ch.live and (owner is None or (
+                        type(owner) is int and owner not in self.processes)):
                     raise MachineFault(
                         "Conservation",
                         f"live channel {ch.label}#{cid} has an unowned end")
@@ -692,6 +698,8 @@ class Machine:
     def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> TraceEvent:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
+        if cmd.fresh in p.chan_env:
+            self._local_checks = False
         p.chan_env[cmd.fresh] = e
         self._advance(p)
         return self._event(p, "NEG", cmd.fresh, None, cid=e.cid)
@@ -833,6 +841,9 @@ class Machine:
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
         msg = self._pop(p, cmd.chan, RewireMsg, "split")
         self._release(p.chan_env.pop(cmd.chan))
+        if cmd.left == cmd.right or cmd.left in p.chan_env \
+                or cmd.right in p.chan_env:
+            self._local_checks = False
         for name, e in zip((cmd.left, cmd.right), msg.ends):
             e.owner = p.pid
             p.chan_env[name] = e
@@ -880,7 +891,9 @@ class Machine:
                                    f"{kind.lower()} passes unknown channel "
                                    f"{arg!r}")
             chan_env[param] = e
-        if plan.aliases:
+        # With distinct names, the arguments are all held; any other held
+        # end is left under no name.
+        if plan.aliases or len(held) > len(chan_env):
             self._local_checks = False
         p.name = name
         p.seq_env = seq_env
@@ -914,6 +927,8 @@ class Machine:
             self.channels.pop(old.cid, None)
         ev = self._event(p, "LINK", cmd.left,
                          f"{cmd.right}->#{fused.cid}", cid=lch.cid)
+        if p.chan_env.keys() - {cmd.left, cmd.right}:
+            self._local_checks = False
         p.chan_env.clear()
         del self.processes[p.pid]
         self._reap(fused)

@@ -384,6 +384,24 @@ def test_too_deep_a_type_is_a_positioned_parse_error(runner, tmp_path,
                         f"than {MAX_TYPE_DEPTH} levels deep\n")
 
 
+def test_deeply_nested_store_types_print(runner, tmp_path):
+    # A `Put(` and 255 `Store(`: the deepest a type may nest.
+    chain = "Int"
+    for _ in range(MAX_TYPE_DEPTH - 1):
+        chain = f"Store({chain}|=>)"
+    t = f"Put({chain}|TopBot)"
+    text = f"proc p :: | {t} => =\n    | c => -> do\n        halt c\n"
+    src = tmp_path / "store.campl"
+    src.write_text(text)
+    r = runner.invoke(main, ["dump-ast", str(src)])
+    assert (r.exit_code, r.stdout, r.stderr) == (0, text, "")
+    r = runner.invoke(main, ["check", str(src)])
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert r.stderr == (f"{src}:3:9: IllegalCommand: cannot halt on 'c': "
+                        f"its type is {t} (allows get at -)\n")
+
+
 TWICE_PARAM = ("proc f =\n"
                "    | a, a => -> close a\n"
                "\nproc run =\n"
@@ -488,6 +506,34 @@ def test_dump_ast_reports_syntax_errors(runner, tmp_path):
     r = runner.invoke(main, ["dump-ast", str(src)])
     assert r.exit_code == 1
     assert "ParseError" in r.stderr
+
+
+# `f` binds only its second argument; `x`'s end stays with the caller's
+# pid, bound to no name, after that process has ended.
+ORPHANED_END = ("proc f =\n"
+                "    | a, a => -> do\n"
+                "        close a\n"
+                "\nproc run =\n"
+                "    | => -> plug\n"
+                "        f( | x, y => )\n"
+                "        on x do\n"
+                "            halt\n"
+                "        on y do\n"
+                "            halt\n")
+
+
+def test_unchecked_end_left_with_an_ended_process_is_a_conservation_fault(
+        runner, tmp_path):
+    # It used to end as a deadlock naming no process (exit 3).
+    src = tmp_path / "orphan.campl"
+    src.write_text(ORPHANED_END)
+    r = runner.invoke(main, ["run", str(src), "--unchecked", "--trace"])
+    assert r.exit_code == 1
+    assert r.stderr == ("#0 pid=0 PLUG payload=x,y\n"
+                        "#1 pid=1 CALL payload=f\n"
+                        "#2 pid=1 CLOSE ch=a#1\n"
+                        "error: Conservation: live channel x#0 has an "
+                        "unowned end\n")
 
 
 def test_unchecked_flag_only_exists_on_run(runner):

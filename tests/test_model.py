@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from campl.model import (
     BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, CoprotoApp, DeclKind,
-    Get, HandleDef, NegT, Par, ProtoApp, ProtocolDecl, Put, SeqVar,
-    StateVar, Tensor, UnknownHandle, allowed_commands, unfold_handle,
+    Get, HandleDef, NegT, Par, ProcSignature, ProtoApp, ProtocolDecl, Put,
+    SeqUVar, SeqVar, StateVar, StoreType, Tensor, UnknownHandle, UVar,
+    allowed_commands, render_signature, unfold_handle,
 )
 
 PASS_MESSAGES = ProtocolDecl(
@@ -179,3 +180,85 @@ def test_render_matches_source_notation():
     assert str(Tensor(Put(STRING, TOPBOT), Put(STRING, TOPBOT))) == \
         "Put([Char]|TopBot) (*) Put([Char]|TopBot)"
     assert str(ProtoApp("PassMessages", (STRING,))) == "PassMessages([Char]|)"
+
+
+def _reference_render(t) -> str:
+    """The recursive renderer the explicit-stack one replaced."""
+    k = type(t)
+    if k is Put or k is Get:
+        return f"{k.__name__}({_reference_render(t.msg)}|" \
+               f"{_reference_render(t.rest)})"
+    if k is Tensor or k is Par:
+        op = "(*)" if k is Tensor else "(+)"
+        return f"{_reference_operand(t.left)} {op} " \
+               f"{_reference_operand(t.right)}"
+    if k is NegT:
+        return f"Neg({_reference_render(t.inner)})"
+    if k is ProtoApp or k is CoprotoApp:
+        if not t.args:
+            return t.name
+        return f"{t.name}({', '.join(map(_reference_render, t.args))}|)"
+    if k is StoreType:
+        return f"Store({_reference_signature(t.sig)})"
+    return str(t)
+
+
+def _reference_operand(t) -> str:
+    if isinstance(t, (Tensor, Par)):
+        return f"({_reference_render(t)})"
+    return _reference_render(t)
+
+
+def _reference_signature(sig) -> str:
+    return "|".join((", ".join(map(_reference_render, sig.seq_params)),
+                     ", ".join(map(_reference_render, sig.in_chans)))) + \
+        "=>" + ", ".join(map(_reference_render, sig.out_chans))
+
+
+def _signatures(seqs, chans):
+    return st.builds(ProcSignature, st.tuples() | st.tuples(seqs)
+                     | st.tuples(seqs, seqs),
+                     st.lists(chans, max_size=2).map(tuple),
+                     st.lists(chans, max_size=2).map(tuple))
+
+
+def any_types():
+    """Channel and sequential types of every constructor, stored process
+    signatures included."""
+    atoms = st.sampled_from([
+        TOPBOT, INT, STRING, SeqVar("A"), SeqUVar(3), StateVar("S"),
+        UVar(7), ProtoApp("P"), CoprotoApp("Q"),
+    ])
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.builds(Put, sub, sub),
+            st.builds(Get, sub, sub),
+            st.builds(Tensor, sub, sub),
+            st.builds(Par, sub, sub),
+            st.builds(NegT, sub),
+            st.builds(ProtoApp, st.just("P"),
+                      st.lists(sub, min_size=1, max_size=3).map(tuple)),
+            st.builds(CoprotoApp, st.just("Q"),
+                      st.lists(sub, min_size=1, max_size=2).map(tuple)),
+            st.builds(StoreType, _signatures(sub, sub)),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300)
+@given(any_types())
+def test_render_agrees_with_the_recursive_reference(t):
+    assert str(t) == _reference_render(t)
+    if type(t) is StoreType:
+        assert render_signature(t.sig) == _reference_signature(t.sig)
+
+
+def test_render_has_no_depth_limit():
+    t = TOPBOT
+    for _ in range(5000):
+        t = StoreType(ProcSignature((INT,), (Put(INT, t),), ()))
+    text = str(t)
+    assert text.startswith("Store(Int|Put(Int|Store(")
+    assert text.count("Store(") == 5000

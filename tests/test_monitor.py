@@ -163,3 +163,77 @@ def test_one_end_under_two_names_turns_local_checks_off(full_checks):
     with pytest.raises(MachineFault):
         m.run_to_completion()
     assert m.steps == 8 and full_checks == [0, 3, 4, 5, 6, 7, 8]
+
+
+# Each program leaves an end owned by a live process under no name; once
+# that process ends, the end has no owner.
+LEFT_UNDER_NO_NAME = {
+    "repeated-parameter": ("proc f =\n"
+                           "    | a, a => -> close a\n"
+                           "\nproc run =\n"
+                           "    | => -> plug\n"
+                           "        f( | x, y => )\n"
+                           "        on x do\n"
+                           "            halt\n"
+                           "        on y do\n"
+                           "            halt\n"),
+    "call-drops-an-end": ("proc f =\n"
+                          "    | a => -> close a\n"
+                          "\nproc g =\n"
+                          "    | a, b => -> f( | a => )\n"
+                          "\nproc run =\n"
+                          "    | => -> plug\n"
+                          "        g( | x, y => )\n"
+                          "        on x do\n"
+                          "            halt\n"
+                          "        on y do\n"
+                          "            halt\n"),
+    "link-with-another-end": ("proc g =\n"
+                              "    | a, c => b -> a |=| b\n"
+                              "\nproc run =\n"
+                              "    | => -> plug\n"
+                              "        g( | x, y => z )\n"
+                              "        on x do\n"
+                              "            halt\n"
+                              "        on y do\n"
+                              "            halt\n"
+                              "        on z do\n"
+                              "            close\n"),
+    "neg-onto-a-held-name": ("proc g =\n"
+                             "    | a, b => -> do\n"
+                             "        neg a as b\n"
+                             "        close b\n"
+                             "\nproc run =\n"
+                             "    | => -> plug\n"
+                             "        g( | x, y => )\n"
+                             "        on x do\n"
+                             "            halt\n"
+                             "        on y do\n"
+                             "            halt\n"),
+    "split-onto-a-held-name": ("proc h =\n"
+                               "    | => p -> fork p as\n"
+                               "        l -> close l\n"
+                               "        r -> close r\n"
+                               "\nproc g =\n"
+                               "    | p, q => -> do\n"
+                               "        split p into a, q\n"
+                               "        halt a\n"
+                               "\nproc run =\n"
+                               "    | => -> plug\n"
+                               "        h( | => p )\n"
+                               "        g( | p, q => )\n"
+                               "        on q do\n"
+                               "            halt\n"),
+}
+
+
+@pytest.mark.parametrize("name,chan", [
+    ("repeated-parameter", "x#0"), ("call-drops-an-end", "y#1"),
+    ("link-with-another-end", "y#1"), ("neg-onto-a-held-name", "y#1"),
+    ("split-onto-a-held-name", "q#1"),
+])
+def test_an_end_left_with_an_ended_process_is_unowned(name, chan):
+    # The monitor must agree with the reference on every step, so the step
+    # that leaves the end turns the local checks off.
+    assert run_unchecked_watched(LEFT_UNDER_NO_NAME[name], 0) == \
+        f"Conservation: live channel {chan} has an unowned end"

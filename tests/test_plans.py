@@ -28,7 +28,7 @@ from campl.services import ScriptExhausted, ServiceConfig
 from conftest import CORPUS, load_perfbench
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, LINKS, MESSAGES, STDIN_SCRIPT
-from test_monitor import ALIASED, _line_drops
+from test_monitor import ALIASED, LEFT_UNDER_NO_NAME, _line_drops
 from test_runtime import RELEASING
 
 PLANNED = (Plug, Fork, Call, Use, HCase)
@@ -148,9 +148,11 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
             expected["proc"], expected["seq_pairs"], expected["chan_pairs"])
         assert plan.proc is expected["proc"]
         if fault is None and expected["local_checks"]:
-            # The machine tested the ends it bound for an alias per step.
-            ends = list(machine.processes[ev.pid].chan_env.values())
-            assert plan.aliases is (len(set(ends)) < len(ends))
+            # The machine tested the ends it bound for an alias per step:
+            # each parameter must get an end of its own.
+            ends = machine.processes[ev.pid].chan_env.values()
+            assert plan.aliases is (
+                len(set(ends)) < len(plan.proc.chan_params))
         return
     assert plan.joins == expected["joins"]
     assert [(s, b, set(inherits)) for s, b, inherits in plan.children] == \
@@ -245,7 +247,7 @@ def test_plans_agree_on_the_corpus():
 
 def test_plans_agree_on_the_golden_programs():
     programs = {**FAULTS, **LINKS, **MESSAGES, **RELEASING,
-                "aliased": ALIASED}
+                **LEFT_UNDER_NO_NAME, "aliased": ALIASED}
     seen = _compare_all(sorted(programs.items()))
     assert set(seen) == {"Plug", "Fork", "Call", "Use"}, seen
 
