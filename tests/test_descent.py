@@ -271,7 +271,7 @@ def test_parser_reports_bare_commands_as_the_reference_walk(monkeypatch):
         assert got == sorted(expected, key=sort_key), text
         texts += 1
         reported += len(got)
-    assert texts > 3000 and reported > 300, (texts, reported)
+    assert texts > 6000 and reported > 1000, (texts, reported)
 
 
 # ---------------------------------------------------------------------------
