@@ -6,7 +6,8 @@ channels; each end holds a FIFO inbox of the messages sent to it.  Values
 are the program's own literal nodes and stored processes.  One command of
 one process runs per step, through a table of handlers keyed by command
 class; among the processes whose next command can make progress, the
-smallest pid goes first.  Races are the only consumers of the seeded RNG,
+smallest pid goes first.  A step runs the Console service drain only when
+a service end holds mail.  Races are the only consumers of the seeded RNG,
 so a (program, seed, input script) triple fixes the whole trace.
 
 How a plug, fork, call, use or hcase wires names is worked out once per
@@ -18,10 +19,10 @@ and live channels is an acyclic forest and that every end of a live
 channel has an owner.  The first check, and any check not made right
 after one step, scans the whole network.  Otherwise it checks only what
 that step recorded: nothing after a value, handle, race, call, use or neg
-step; the pending ends of released ends; and the channels the step
-created, for cycles among themselves (one or two by comparing their
-owners).  Whatever a local check flags goes to the full scan, which
-raises the fault.
+step, which costs it one test; the pending ends of released ends; and the
+channels the step created, for cycles among themselves (one or two by
+comparing their owners).  Whatever a local check flags goes to the full
+scan, which raises the fault.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ class CloseMsg:
     pass
 
 
+# A close message carries nothing, so every close sends this one.
+_CLOSE = CloseMsg()
+
+
 @dataclass(slots=True)
 class RewireMsg:
     """A fork's message to the splitter: the ends it will claim, and the
@@ -130,7 +135,6 @@ class Invocation(NamedTuple):
     node: Call | Use
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
-    chan_pairs: tuple       # (parameter, argument channel name)
     # Two parameters take one argument name, or one parameter name is
     # repeated, leaving the ends passed to its first uses bound to no
     # name.  Until then, distinct names bind distinct ends, so this is
@@ -194,7 +198,6 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
                            f"argument counts")
     binds = dict(zip(proc.chan_params, cmd.chan_args))
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
-                      tuple(zip(proc.chan_params, cmd.chan_args)),
                       len(set(binds.values())) < len(proc.chan_params))
 
 
@@ -271,7 +274,11 @@ class ConsoleEndpoint:
             line = self.config.script[self._cursor]
             self._cursor += 1
             return line
-        return input()
+        try:
+            return input()
+        except EOFError:
+            raise ScriptExhausted("console input ended: a ConsoleGet had no "
+                                  "line to deliver") from None
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +405,12 @@ class Machine:
 
     # -- construction -----------------------------------------------------
 
-    def _new_pid(self) -> int:
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
-
     def _new_channel(self, label: str) -> ChannelState:
         cid = self._next_cid
         self._next_cid += 1
-        ch = ChannelState(cid, label, [EndState(cid, 0), EndState(cid, 1)])
+        ch = ChannelState(cid, label, [
+            EndState(cid, 0, None, False, (), deque()),
+            EndState(cid, 1, None, False, (), deque())])
         self.channels[cid] = ch
         self._added.append(cid)
         return ch
@@ -420,7 +424,8 @@ class Machine:
             raise BootError("run cannot take sequential parameters")
         if run.out_params:
             raise BootError("run cannot take output channels")
-        pid = self._new_pid()
+        pid = self._next_pid
+        self._next_pid += 1
         chan_env: dict[str, EndState] = {}
         proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
         for name in run.in_params:
@@ -431,7 +436,6 @@ class Machine:
             ch.ends[1].owner = pid
             chan_env[name] = ch.ends[1]
         self.processes[pid] = proc
-        self._drain_services()
         return self
 
     # -- scheduling --------------------------------------------------------
@@ -447,32 +451,26 @@ class Machine:
                                f"channel {name!r} is gone")
         return e
 
-    def _incoming(self, p: ProcessInstance, name: str) -> deque:
-        return self._binding(p, name).inbox
-
-    def _outgoing(self, p: ProcessInstance, name: str) -> deque:
-        e = self._binding(p, name)
-        return self.channels[e.cid].ends[1 - e.index].inbox
-
     def enabled(self, p: ProcessInstance) -> bool:
         body, index = p.frames[-1]          # p.next_command(), inlined
         cmd = body[index]
         kind = type(cmd)
         if kind not in _WAITING:
             return True
-        try:
-            if kind is Race:
+        # A desynced binding (unchecked programs only) counts as enabled:
+        # the command then faults with a precise message.
+        if kind is Race:
+            try:
                 return any(self._race_ready(p, cmd))
-            return bool(self._incoming(p, cmd.chan))
-        except MachineFault:
-            # Desynced binding (unchecked programs only): report it at
-            # execution time with a precise message.
-            return True
+            except MachineFault:
+                return True
+        e = p.chan_env.get(cmd.chan)        # self._binding(...), inlined
+        return e is None or e.cid not in self.channels or bool(e.inbox)
 
     def _race_ready(self, p: ProcessInstance, cmd: Race) -> list:
         ready = []
         for arm in cmd.arms:
-            q = self._incoming(p, arm.chan)
+            q = self._binding(p, arm.chan).inbox
             if q and isinstance(q[0], ValMsg):
                 ready.append(arm)
         return ready
@@ -508,7 +506,11 @@ class Machine:
         self.trace.append(ev)
         if self.trace_hook is not None:
             self.trace_hook(ev)
-        self._drain_services()
+        # Most steps send the services nothing.
+        for e in self._service_ends:
+            if e.inbox:
+                self._drain_services()
+                break
         return ev
 
     def run_to_completion(self, max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
@@ -589,22 +591,26 @@ class Machine:
         redirected (a fork whose carrier's far end has no owner releases
         the carrier's last end), and such ends keep their pending ends in
         `links`.  When a local check flags anything, the full check
-        decides and builds the fault.
+        decides and builds the fault.  Most steps record nothing, and then
+        one test passes them.
         """
-        recorded = self._added or self._released
+        if (self._checked_at == self.steps - 1 and not self._added
+                and not self._released and self._local_checks):
+            self._checked_at = self.steps
+            return
         if not (self._local_checks and self._checked_at == self.steps - 1
-                and (not recorded or self._step_checks_pass())):
+                and self._step_checks_pass()):
             self.check_invariants()
         self._checked_at = self.steps
-        if recorded:
-            self._added.clear()
-            self._released.clear()
+        self._added.clear()
+        self._released.clear()
 
     def _step_checks_pass(self) -> bool:
         resolve = self.resolve_owner
         for e in self._released:
-            if e.links and any(resolve(pend) is None for pend in e.links):
-                return False
+            for pend in e.links:
+                if resolve(pend) is None:
+                    return False
         if len(self._added) > 2:
             return not self.check_topology(self._added)
         # One or two new channels close a cycle only as a loop, or as two
@@ -612,10 +618,13 @@ class Machine:
         edges = []
         for cid in self._added:
             ch = self.channels.get(cid)
-            if ch is None or not ch.live:
+            if ch is None:
                 continue
-            a = resolve(ch.ends[0].owner)
-            b = resolve(ch.ends[1].owner)
+            e0, e1 = ch.ends
+            if e0.closed or e1.closed:
+                continue
+            a = resolve(e0.owner)
+            b = resolve(e1.owner)
             if a is None or b is None:
                 continue
             if a == b or (a, b) in edges or (b, a) in edges:
@@ -644,28 +653,37 @@ class Machine:
 
     # -- command execution ---------------------------------------------------
 
+    # Each handler builds its step's event before `_advance` or `_finish`
+    # can end the process, from the end it bound.
+
     def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> TraceEvent:
         value = self._eval(p, cmd.expr)
-        self._outgoing(p, cmd.chan).append(ValMsg(value))
-        ev = self._event(p, "PUT", cmd.chan, render(value))
+        e = self._binding(p, cmd.chan)
+        self.channels[e.cid].ends[1 - e.index].inbox.append(ValMsg(value))
+        ev = TraceEvent(self.steps, p.pid, "PUT", cmd.chan, e.cid,
+                        render(value))
         self._advance(p)
         return ev
 
     def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> TraceEvent:
-        msg = self._pop(p, cmd.chan, ValMsg, "get")
+        e, msg = self._pop(p, cmd.chan, ValMsg, "get")
         p.seq_env[cmd.binder] = msg.value
-        ev = self._event(p, "GET", cmd.chan, render(msg.value))
+        ev = TraceEvent(self.steps, p.pid, "GET", cmd.chan, e.cid,
+                        render(msg.value))
         self._advance(p)
         return ev
 
     def _exec_hput(self, p: ProcessInstance, cmd: HPut) -> TraceEvent:
-        self._outgoing(p, cmd.chan).append(HandleMsg(cmd.handle))
-        ev = self._event(p, "HPUT", cmd.chan, cmd.handle)
+        e = self._binding(p, cmd.chan)
+        self.channels[e.cid].ends[1 - e.index].inbox.append(
+            HandleMsg(cmd.handle))
+        ev = TraceEvent(self.steps, p.pid, "HPUT", cmd.chan, e.cid,
+                        cmd.handle)
         self._advance(p)
         return ev
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
-        msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
+        e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
         table = (self.program.plans.get(id(cmd))
                  or self._new_plan(id(cmd), _arm_table, cmd))
         body = table[1].get(msg.handle)
@@ -673,25 +691,27 @@ class Machine:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
                                f"handle {msg.handle}")
-        ev = self._event(p, "HCASE", cmd.chan, msg.handle)
+        ev = TraceEvent(self.steps, p.pid, "HCASE", cmd.chan, e.cid,
+                        msg.handle)
         self._advance(p, push=body)
         return ev
 
     def _exec_close(self, p: ProcessInstance, cmd: Close) -> TraceEvent:
-        ev = self._event(p, "CLOSE", cmd.chan)
-        self._close_end(p, cmd.chan)
+        e = self._close_end(p, cmd.chan)
+        ev = TraceEvent(self.steps, p.pid, "CLOSE", cmd.chan, e.cid)
         self._advance(p)
         return ev
 
     def _exec_halt(self, p: ProcessInstance, cmd: Halt) -> TraceEvent:
-        ev = self._event(p, "HALT", cmd.chan)
-        self._close_end(p, cmd.chan)
+        e = self._close_end(p, cmd.chan)
+        ev = TraceEvent(self.steps, p.pid, "HALT", cmd.chan, e.cid)
         self._finish(p)
         return ev
 
     def _exec_race(self, p: ProcessInstance, cmd: Race) -> TraceEvent:
         arm = resolve_race(self._race_ready(p, cmd), self.rng)
-        ev = self._event(p, "RACE", arm.chan)
+        ev = TraceEvent(self.steps, p.pid, "RACE", arm.chan,
+                        p.chan_env[arm.chan].cid)
         self._advance(p, push=arm.body)
         return ev
 
@@ -701,27 +721,25 @@ class Machine:
         if cmd.fresh in p.chan_env:
             self._local_checks = False
         p.chan_env[cmd.fresh] = e
+        ev = TraceEvent(self.steps, p.pid, "NEG", cmd.fresh, e.cid)
         self._advance(p)
-        return self._event(p, "NEG", cmd.fresh, None, cid=e.cid)
+        return ev
 
     # -- helpers -------------------------------------------------------------
-
-    def _event(self, p: ProcessInstance, kind: str, chan: str | None,
-               payload: str | None = None, cid: int | None = None
-               ) -> TraceEvent:
-        if chan is not None and cid is None:
-            cid = p.chan_env[chan].cid if chan in p.chan_env else -1
-        return TraceEvent(self.steps, p.pid, kind, chan, cid, payload)
 
     def _advance(self, p: ProcessInstance, push=None) -> None:
         """Move past the current command, optionally entering an arm body
         as a nested frame, and finish the process when nothing remains."""
-        p.frames[-1][1] += 1
+        frames = p.frames
+        top = frames[-1]
+        top[1] += 1
         if push is not None:
-            p.frames.append([push, 0])
-        while p.frames and p.frames[-1][1] >= len(p.frames[-1][0]):
-            p.frames.pop()
-        if not p.frames:
+            frames.append([push, 0])
+        elif top[1] < len(top[0]):
+            return
+        while frames and frames[-1][1] >= len(frames[-1][0]):
+            frames.pop()
+        if not frames:
             self._finish(p)
 
     def _finish(self, p: ProcessInstance) -> None:
@@ -734,7 +752,9 @@ class Machine:
         p.chan_env.clear()
 
     def _pop(self, p: ProcessInstance, chan: str, want, command: str):
-        q = self._incoming(p, chan)
+        """The end `p` binds to `chan`, and the message taken from it."""
+        e = self._binding(p, chan)
+        q = e.inbox
         if not q:
             raise MachineFault("IllegalCommand",
                                f"{command} on {chan!r} scheduled with an "
@@ -744,15 +764,16 @@ class Machine:
             raise MachineFault("IllegalCommand",
                                f"{command} on {chan!r} found "
                                f"{type(msg).__name__} at the queue head")
-        return msg
+        return e, msg
 
-    def _close_end(self, p: ProcessInstance, chan: str) -> None:
+    def _close_end(self, p: ProcessInstance, chan: str) -> EndState:
         e = self._binding(p, chan)
         del p.chan_env[chan]
         ch = self.channels[e.cid]
-        ch.ends[1 - e.index].inbox.append(CloseMsg())
+        ch.ends[1 - e.index].inbox.append(_CLOSE)
         e.closed = True
         self._reap(ch)
+        return e
 
     def _release(self, e: EndState) -> None:
         """Close and disown one end, if its channel is still there."""
@@ -806,7 +827,8 @@ class Machine:
         for (suffix, body, inherits), env in zip(plan.children, envs):
             for name in inherits:
                 env[name] = held[name]
-            pid = self._new_pid()
+            pid = self._next_pid
+            self._next_pid += 1
             self.processes[pid] = ProcessInstance(
                 pid, p.name + suffix, dict(p.seq_env), env, [[body, 0]])
             for e in env.values():
@@ -824,32 +846,34 @@ class Machine:
         # The forker's children take end 0 of each new channel.  End 1
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
-        new = [self._new_channel(arm.name) for arm in cmd.arms]
+        left, right = cmd.arms
+        lch, rch = self._new_channel(left.name), self._new_channel(right.name)
         far = ch.ends[1 - e.index]
-        pending = tuple(nch.ends[1] for nch in new)
-        for pe in pending:
-            pe.owner = far
+        pending = lch.ends[1], rch.ends[1]
+        pending[0].owner = pending[1].owner = far
         far.links += pending
-        far.inbox.append(RewireMsg(new[0].cid, pending))
-        ev = self._event(p, "FORK", cmd.chan, plan.payload % tuple(
-            nch.cid for nch in new), cid=e.cid)
+        far.inbox.append(RewireMsg(lch.cid, pending))
+        ev = TraceEvent(self.steps, p.pid, "FORK", cmd.chan, e.cid,
+                        plan.payload % (lch.cid, rch.cid))
         self._release(e)
-        self._hand_off(p, plan, [{arm.name: nch.ends[0]}
-                                 for arm, nch in zip(cmd.arms, new)])
+        self._hand_off(p, plan, [{left.name: lch.ends[0]},
+                                 {right.name: rch.ends[0]}])
         return ev
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
-        msg = self._pop(p, cmd.chan, RewireMsg, "split")
-        self._release(p.chan_env.pop(cmd.chan))
+        e, msg = self._pop(p, cmd.chan, RewireMsg, "split")
+        del p.chan_env[cmd.chan]
+        self._release(e)
         if cmd.left == cmd.right or cmd.left in p.chan_env \
                 or cmd.right in p.chan_env:
             self._local_checks = False
-        for name, e in zip((cmd.left, cmd.right), msg.ends):
-            e.owner = p.pid
-            p.chan_env[name] = e
+        for name, claimed in zip((cmd.left, cmd.right), msg.ends):
+            claimed.owner = p.pid
+            p.chan_env[name] = claimed
+        ev = TraceEvent(self.steps, p.pid, "SPLIT", cmd.left, msg.cid_left,
+                        cmd.right)
         self._advance(p)
-        return self._event(p, "SPLIT", cmd.left, f"{cmd.right}",
-                           cid=msg.cid_left)
+        return ev
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
         key = (id(cmd), frozenset(p.chan_env))
@@ -858,7 +882,7 @@ class Machine:
         envs: list[dict] = [{} for _ in plan.children]
         for name, i, j in plan.joins:
             envs[i][name], envs[j][name] = self._new_channel(name).ends
-        ev = self._event(p, "PLUG", None, plan.payload)
+        ev = TraceEvent(self.steps, p.pid, "PLUG", None, None, plan.payload)
         self._hand_off(p, plan, envs)
         return ev
 
@@ -883,14 +907,14 @@ class Machine:
         for param, e in plan.seq_pairs:
             seq_env[param] = self._eval(p, e)
         held = p.chan_env
-        chan_env = {}
-        for param, arg in plan.chan_pairs:
-            e = held.get(arg)
-            if e is None:
-                raise MachineFault("IllegalCommand",
-                                   f"{kind.lower()} passes unknown channel "
-                                   f"{arg!r}")
-            chan_env[param] = e
+        try:
+            chan_env = dict(zip(plan.proc.chan_params,
+                                map(held.__getitem__, cmd.chan_args)))
+        except KeyError:
+            arg = next(a for a in cmd.chan_args if a not in held)
+            raise MachineFault("IllegalCommand",
+                               f"{kind.lower()} passes unknown channel "
+                               f"{arg!r}") from None
         # With distinct names, the arguments are all held; any other held
         # end is left under no name.
         if plan.aliases or len(held) > len(chan_env):
@@ -899,7 +923,7 @@ class Machine:
         p.seq_env = seq_env
         p.chan_env = chan_env
         p.frames = [[plan.proc.body, 0]]
-        return self._event(p, kind, None, plan.proc.name)
+        return TraceEvent(self.steps, p.pid, kind, None, None, plan.proc.name)
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
@@ -925,8 +949,8 @@ class Machine:
             if old.cid in self.services:
                 self.services[fused.cid] = self.services.pop(old.cid)
             self.channels.pop(old.cid, None)
-        ev = self._event(p, "LINK", cmd.left,
-                         f"{cmd.right}->#{fused.cid}", cid=lch.cid)
+        ev = TraceEvent(self.steps, p.pid, "LINK", cmd.left, lch.cid,
+                        f"{cmd.right}->#{fused.cid}")
         if p.chan_env.keys() - {cmd.left, cmd.right}:
             self._local_checks = False
         p.chan_env.clear()
@@ -937,12 +961,6 @@ class Machine:
     # -- services ------------------------------------------------------------
 
     def _drain_services(self) -> None:
-        # Most steps send the services nothing.
-        for e in self._service_ends:
-            if e.inbox:
-                break
-        else:
-            return
         # A snapshot in cid order (the table's order): _reap pops from it.
         for cid in tuple(self.services):
             endpoint = self.services.get(cid)

@@ -42,7 +42,8 @@ BUILTIN_DECLS = {CONSOLE: CONSOLE_DECL}
 
 
 class ScriptExhausted(Exception):
-    """A ConsoleGet arrived in scripted mode with no input lines left."""
+    """A ConsoleGet arrived with no input line left: the script ran out,
+    or live input ended."""
 
 
 @dataclass

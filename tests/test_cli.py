@@ -608,6 +608,25 @@ def test_live_console_reads_piped_stdin(runner, tmp_path):
     assert "typed at terminal" in r.stdout
 
 
+def test_live_console_at_end_of_input_is_a_runtime_error(runner, tmp_path):
+    # With nothing left to read, a ConsoleGet is the scripted mode's
+    # exhausted script: a one-line error and exit 1, not click's "Aborted!".
+    src = tmp_path / "ask.campl"
+    src.write_text(
+        "proc run =\n"
+        "    | console => ->\n"
+        "        on console do\n"
+        "            hput ConsoleGet\n"
+        "            get answer\n"
+        "            hput ConsoleClose\n"
+        "            halt\n")
+    r = runner.invoke(main, ["run", str(src)], input="")
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == ("error: console input ended: a ConsoleGet had no "
+                        "line to deliver\n")
+
+
 def test_style_note_when_run_is_not_last(runner):
     r = runner.invoke(main, ["check", corpus("listing2.campl")])
     assert r.exit_code == 0

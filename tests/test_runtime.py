@@ -18,7 +18,7 @@ from campl.runtime import (
     ValMsg, boot, resolve_race,
 )
 from campl.services import ServiceConfig
-from conftest import corpus_text, run_watched
+from conftest import corpus_text, load_perfbench, run_watched
 
 
 def run_corpus(name, seed=0, script=(), max_steps=100_000):
@@ -201,6 +201,26 @@ def test_corpus_topology_clean_at_every_step():
         m = boot(prepare(prog), services=ServiceConfig.from_script([]))
         run_watched(m)
         assert not m.processes
+
+
+def churn_text(messages: int) -> str:
+    """The benchmark's `churn` program, sending `messages` messages: each
+    re-plugs a relay, an opener and a racer, and the worker prints two
+    lines per message on the Console."""
+    return load_perfbench("programs").churn_source(
+        random.Random(messages), [f"m{i}" for i in range(messages)], "~tag")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_churn_is_watched_at_every_step(seed):
+    # Fork, split, plug, race, close and Console traffic: the monitor,
+    # ownership and the scheduler agree with their references throughout.
+    program = check_program(parse_source(churn_text(12))).exec_program
+    m = boot(program, seed=seed, services=ServiceConfig.from_script([]))
+    run_watched(m)
+    assert not m.processes and not m.channels
+    assert [ev.kind for ev in m.trace].count("RACE") == 12
+    assert len(m.config.outputs) == 24
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 refactor that drops or renames one of those names breaks the benchmark
 with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
-name it reaches, and compare the traces of both loops."""
+name it reaches, and compare the traces of both loops.  A last test holds
+the machine to its budget of Python calls per step."""
+
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from campl.parser import parse_source
 from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
 from conftest import corpus_text, load_perfbench
-from test_runtime import FORWARDER_CHAIN
+from test_runtime import FORWARDER_CHAIN, churn_text
 
 
 TRACER = load_perfbench("tracer")
@@ -53,8 +56,8 @@ def test_tracer_installs_and_restores_its_patches():
 
 
 @pytest.mark.parametrize("text", [corpus_text("listing7.campl"),
-                                  FORWARDER_CHAIN],
-                         ids=["listing7", "forwarder_chain"])
+                                  FORWARDER_CHAIN, churn_text(12)],
+                         ids=["listing7", "forwarder_chain", "churn"])
 def test_tracer_loop_replays_run_to_completion(text):
     # The benchmark drives assert_invariants, pick and step by hand; its
     # trace must be the one the machine's own loop produces.
@@ -68,3 +71,29 @@ def test_tracer_loop_replays_run_to_completion(text):
     assert (traced.kind, traced.steps) == (plain.kind, plain.steps)
     assert plain.done
     assert tracer.collect_machines() == [TRACER.trace_digest(plain.trace)]
+
+
+def test_machine_steps_stay_within_their_call_budget():
+    # Python-level calls (`sys.setprofile` "call" events) per machine step
+    # on a 100-message churn run, seed 0: 14.61 before the step's own
+    # bookkeeping was cut (45,410 calls over 3,109 steps; 14.58 on the
+    # benchmark's 1000-message `churn0`), 10.90 after (33,883 calls).  The
+    # count is exact for a given interpreter, so a rise means new per-step
+    # calls.
+    program = check_program(parse_source(churn_text(100))).exec_program
+    machine = boot(program, services=ServiceConfig.from_script([]))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        outcome = machine.run_to_completion()
+    finally:
+        sys.setprofile(saved)
+    assert outcome.done and outcome.steps == 3109
+    assert calls / outcome.steps <= 11.0, f"{calls} calls"
