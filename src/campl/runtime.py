@@ -19,7 +19,7 @@ and live channels is an acyclic forest and that every end of a live
 channel has an owner.  The first check, and any check not made right
 after one step, scans the whole network.  Otherwise it checks only what
 that step recorded: nothing after a value, handle, race, call, use or neg
-step, which costs it one test; the pending ends of released ends; and the
+step, where it returns at once; the pending ends of released ends; and the
 channels the step created, for cycles among themselves (one or two by
 comparing their owners).  Whatever a local check flags goes to the full
 scan, which raises the fault.
@@ -592,14 +592,13 @@ class Machine:
         the carrier's last end), and such ends keep their pending ends in
         `links`.  When a local check flags anything, the full check
         decides and builds the fault.  Most steps record nothing, and then
-        one test passes them.
+        the check returns at once.
         """
-        if (self._checked_at == self.steps - 1 and not self._added
-                and not self._released and self._local_checks):
+        local = self._checked_at == self.steps - 1 and self._local_checks
+        if local and not self._added and not self._released:
             self._checked_at = self.steps
             return
-        if not (self._local_checks and self._checked_at == self.steps - 1
-                and self._step_checks_pass()):
+        if not (local and self._step_checks_pass()):
             self.check_invariants()
         self._checked_at = self.steps
         self._added.clear()

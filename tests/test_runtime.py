@@ -833,8 +833,10 @@ def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
 @pytest.mark.parametrize("invoke, kind", [
     ("f( | console, phantom => )", "call"),
     ("use(store(f))( | console, phantom => )", "use"),
-], ids=["call", "use"])
+    ("f( | phantom, ghost => )", "call"),
+], ids=["call", "use", "call-first-of-two"])
 def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
+    # The fault names the first argument the process does not hold.
     src = ("proc f =\n"
            "    | a, b => -> do\n"
            "        close a\n"
