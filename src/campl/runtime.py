@@ -135,6 +135,7 @@ class Invocation(NamedTuple):
     node: Call | Use
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
+    chan_pairs: tuple       # (parameter, argument channel name)
     # Two parameters take one argument name, or one parameter name is
     # repeated, leaving the ends passed to its first uses bound to no
     # name.  Until then, distinct names bind distinct ends, so this is
@@ -198,6 +199,7 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
                            f"argument counts")
     binds = dict(zip(proc.chan_params, cmd.chan_args))
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
+                      tuple(zip(proc.chan_params, cmd.chan_args)),
                       len(set(binds.values())) < len(proc.chan_params))
 
 
@@ -906,14 +908,14 @@ class Machine:
         for param, e in plan.seq_pairs:
             seq_env[param] = self._eval(p, e)
         held = p.chan_env
-        try:
-            chan_env = dict(zip(plan.proc.chan_params,
-                                map(held.__getitem__, cmd.chan_args)))
-        except KeyError:
-            arg = next(a for a in cmd.chan_args if a not in held)
-            raise MachineFault("IllegalCommand",
-                               f"{kind.lower()} passes unknown channel "
-                               f"{arg!r}") from None
+        chan_env = {}
+        for param, arg in plan.chan_pairs:
+            e = held.get(arg)
+            if e is None:
+                raise MachineFault("IllegalCommand",
+                                   f"{kind.lower()} passes unknown channel "
+                                   f"{arg!r}")
+            chan_env[param] = e
         # With distinct names, the arguments are all held; any other held
         # end is left under no name.
         if plan.aliases or len(held) > len(chan_env):
