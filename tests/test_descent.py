@@ -190,6 +190,103 @@ def test_an_item_indented_too_deep_is_reported_where_it_stands(
                    f"{expected_col} or a dedent")
 
 
+# The other layout diagnostics of each kind of block, and the duplicate-name
+# checks, with where each is reported.
+LAYOUT = {
+    # a block that does not start deeper than the line that opens it
+    "commands-not-deeper": ("proc p =\n"
+                            "    | ch => -> do\n"
+                            "    halt ch\n",
+                            3, 5, "expected an indented block of commands"),
+    "on-block-not-deeper": ("proc p =\n"
+                            "    | ch => -> on ch do\n"
+                            "    halt\n",
+                            3, 5, "expected an indented block of commands"),
+    "block-at-end-of-input": ("proc p =\n"
+                              "    | ch => -> do\n",
+                              3, 0, "expected an indented block of commands"),
+    "plug-not-deeper": ("proc run =\n"
+                        "    | => -> plug\n"
+                        "    f( | => x )\n",
+                        3, 5, "expected indented plug branches"),
+    "hcase-not-deeper": ("proc p =\n"
+                         "    | ch => -> hcase ch of\n"
+                         "    A -> halt ch\n",
+                         3, 5, "expected indented handle arms"),
+    "fork-not-deeper": ("proc p =\n"
+                        "    | => ch -> fork ch as\n"
+                        "    a -> halt a\n",
+                        3, 5, "expected indented channel arms"),
+    "race-not-deeper": ("proc p =\n"
+                        "    | a, b => -> race\n"
+                        "    a -> halt a\n",
+                        3, 5, "expected indented channel arms"),
+    "handles-not-deeper": ("protocol P( | ) => S =\n"
+                           "A :: TopBot => S\n",
+                           2, 1, "expected an indented block of handle "
+                                 "clauses"),
+    # a block whose first item is not of its kind
+    "hcase-no-arm": ("proc p =\n"
+                     "    | ch => -> hcase ch of\n"
+                     "        halt ch\n",
+                     3, 9, "expected at least one handle arm"),
+    "fork-no-arm": ("proc p =\n"
+                    "    | => ch -> fork ch as\n"
+                    "        halt ch\n",
+                    3, 9, "expected at least one channel arm"),
+    "race-no-arm": ("proc p =\n"
+                    "    | a => -> race\n"
+                    "        halt a\n",
+                    3, 9, "expected at least one channel arm"),
+    "no-handle-clause": ("protocol P( | ) => S =\n"
+                         "    :: TopBot => S\n",
+                         2, 5, "a declaration needs at least one handle "
+                               "clause"),
+    # the number of items
+    "plug-one-branch": ("proc run =\n"
+                        "    | => -> plug\n"
+                        "        f( | => x )\n",
+                        2, 13, "plug needs at least two branches"),
+    "fork-one-branch": ("proc p =\n"
+                        "    | => ch -> fork ch as\n"
+                        "        a -> halt a\n",
+                        2, 16, "fork takes exactly two branches"),
+    "fork-three-branches": ("proc p =\n"
+                            "    | => ch -> fork ch as\n"
+                            "        a -> halt a\n"
+                            "        b -> halt b\n"
+                            "        c -> halt c\n",
+                            2, 16, "fork takes exactly two branches"),
+    # duplicate names: processes, and protocols with coprotocols
+    "duplicate-process": ("proc p =\n"
+                          "    | ch => -> halt ch\n"
+                          "\nproc p =\n"
+                          "    | ch => -> halt ch\n",
+                          4, 1, "duplicate process definition 'p'"),
+    "duplicate-declaration": ("protocol P( | ) => S =\n"
+                              "    A :: TopBot => S\n"
+                              "\ncoprotocol S => P( | ) =\n"
+                              "    A :: S => TopBot\n",
+                              4, 1, "duplicate declaration 'P'"),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT)
+def test_layout_diagnostics_are_reported_where_they_stand(tmp_path, name):
+    text, line, col, message = LAYOUT[name]
+    r, src = _cli(tmp_path, text, "check")
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == f"{src}:{line}:{col}: ParseError: {message}\n"
+
+
+def test_a_process_and_a_protocol_may_share_a_name():
+    parse_source("protocol p( | ) => S =\n"
+                 "    A :: TopBot => S\n"
+                 "\nproc p =\n"
+                 "    | ch => -> halt ch\n")
+
+
 # ---------------------------------------------------------------------------
 # the reference walk, against the parser
 

@@ -2,8 +2,9 @@
 refactor that drops or renames one of those names breaks the benchmark
 with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
-name it reaches, and compare the traces of both loops.  A last test holds
-the machine to its budget of Python calls per step."""
+name it reaches, and compare the traces of both loops.  The last tests hold
+the machine to its budget of Python calls per step and the parser to its
+budget of stack frames per level of nesting."""
 
 import sys
 
@@ -17,6 +18,7 @@ from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
 from conftest import corpus_text, load_perfbench
 from test_runtime import FORWARDER_CHAIN, churn_text
+from test_traversal import _fork_tower
 
 
 TRACER = load_perfbench("tracer")
@@ -97,3 +99,36 @@ def test_machine_steps_stay_within_their_call_budget():
         sys.setprofile(saved)
     assert outcome.done and outcome.steps == 3109
     assert calls / outcome.steps <= 11.0, f"{calls} calls"
+
+
+def _peak_parse_depth(text: str) -> int:
+    """The deepest Python call stack `parse_source(text)` reaches, counted
+    from the call (`sys.setprofile` "call" and "return" events; a
+    generator counts while it runs)."""
+    depth = peak = 0
+
+    def count(frame, event, arg):
+        nonlocal depth, peak
+        if event == "call":
+            depth += 1
+            peak = max(peak, depth)
+        elif event == "return":
+            depth -= 1
+
+    saved = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        parse_source(text)
+    finally:
+        sys.setprofile(saved)
+    return peak
+
+
+def test_the_parser_spends_at_most_four_frames_per_fork_level():
+    # A fork arm's body is read through `parse_command`, the fork's
+    # handler, the arm reader and `parse_body`: 213 frames at depth 50 and
+    # 413 at depth 100.  A fifth frame per level would lower the deepest
+    # tower that parses at the default recursion limit from 246 levels to
+    # about 197.
+    low, high = (_peak_parse_depth(_fork_tower(n)) for n in (50, 100))
+    assert high - low <= 4 * 50, (low, high)
