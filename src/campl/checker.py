@@ -760,10 +760,11 @@ class Checker:
                       "plug introduces no fresh channels; branches are "
                       "disconnected")
 
-        # Claim enclosing channels linearly across branches.
+        # Claim enclosing channels linearly across branches.  Sets are
+        # walked sorted, so no diagnostic depends on the hash seed.
         claimed: dict[str, int] = {}
         for idx, f in enumerate(frees):
-            for name in f & live:
+            for name in sorted(f & live):
                 if name in claimed:
                     self.fail(dk.LINEARITY_REUSE, cmd.pos,
                               f"plug branches {claimed[name]} and {idx} both "
@@ -779,7 +780,7 @@ class Checker:
         # Per plugged channel: exactly two branches, one per polarity.
         occurrences: dict[str, list[int]] = {n: [] for n in plugged}
         for idx, f in enumerate(frees):
-            for name in f - live:
+            for name in sorted(f - live):
                 occurrences[name].append(idx)
         polarity_of: dict[str, dict[int, Polarity]] = {}
         types: dict[str, UVar] = {n: self.uni.fresh_chan() for n in plugged}
@@ -810,9 +811,9 @@ class Checker:
 
         for idx, branch in enumerate(cmd.branches):
             branch_ctx: dict[str, ChanEntry] = {}
-            for name in frees[idx] & live:
+            for name in sorted(frees[idx] & live):
                 branch_ctx[name] = chan_ctx[name]
-            for name in frees[idx] - live:
+            for name in sorted(frees[idx] - live):
                 branch_ctx[name] = ChanEntry(types[name],
                                              polarity_of[name][idx])
             sub_seq = dict(seq_ctx)

@@ -59,6 +59,14 @@ INPUT = Polarity.INPUT
 # ---------------------------------------------------------------------------
 # sequential types
 
+class _Compound:
+    """A type with parts, sequential or channel: it prints through
+    `render_type`, which nests without recursion."""
+
+    def __str__(self) -> str:
+        return render_type(self)
+
+
 @dataclass(frozen=True)
 class BaseSeq:
     """A built-in atomic sequential type (Int, Char, Bool, [Char])."""
@@ -75,12 +83,9 @@ STRING = BaseSeq("[Char]")     # `String` in source is sugar for `[Char]`
 
 
 @dataclass(frozen=True)
-class StoreType:
+class StoreType(_Compound):
     """Type of a stored process; `sig` is the signature it must be used at."""
     sig: "ProcSignature"
-
-    def __str__(self) -> str:
-        return render_type(self)
 
 
 @dataclass(frozen=True)
@@ -117,66 +122,45 @@ TOPBOT = TopBot()
 
 
 @dataclass(frozen=True)
-class Put:
+class Put(_Compound):
     msg: SeqType
     rest: "ChanType"
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class Get:
+class Get(_Compound):
     msg: SeqType
     rest: "ChanType"
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Compound):
     left: "ChanType"
     right: "ChanType"
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class Par:
+class Par(_Compound):
     left: "ChanType"
     right: "ChanType"
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class NegT:
+class NegT(_Compound):
     inner: "ChanType"
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class ProtoApp:
+class ProtoApp(_Compound):
     """Application of a named protocol to sequential type arguments."""
     name: str
     args: tuple[SeqType, ...] = ()
 
-    def __str__(self) -> str:
-        return render_type(self)
-
 
 @dataclass(frozen=True)
-class CoprotoApp:
+class CoprotoApp(_Compound):
     name: str
     args: tuple[SeqType, ...] = ()
-
-    def __str__(self) -> str:
-        return render_type(self)
 
 
 @dataclass(frozen=True)

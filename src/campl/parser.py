@@ -5,8 +5,10 @@ Layout follows the offside rule.  A block (the commands of a `do`, the
 arms of `hcase`/`race`/`fork`, the branches of `plug`, the handle clauses
 of a declaration) is a run of items that share a column strictly deeper
 than the line that introduced them; the first shallower token closes the
-block.  The parser works directly from token columns rather than from
-synthesized layout tokens.
+block.  One generator, `Parser._block`, applies the rule to every kind of
+block, from token columns rather than synthesized layout tokens; one
+reader, `Parser._context`, reads the context line `seqs | ins => outs` of
+a process's parameters and of a call's arguments.
 
 A declaration-level error is recorded and parsing resumes at the next
 top-level declaration keyword, so one pass reports every syntax error.
@@ -140,7 +142,7 @@ class Parser:
         holders: set[int] = set()
         while self.peek().kind != EOF:
             t = self.peek()
-            if t.col != top_col or t.text not in DECL_KEYWORDS:
+            if not self._at_decl(top_col):
                 self._error(ParseError(
                     "expected a top-level declaration (proc, protocol, "
                     "or coprotocol)", t))
@@ -174,18 +176,16 @@ class Parser:
     def _error(self, e: ParseError) -> None:
         self.errors.append(Diagnostic(PARSE_ERROR, e.pos, e.message))
 
+    def _at_decl(self, top_col: int) -> bool:
+        """Whether a declaration keyword at the top column is next."""
+        t = self.toks[self.i]
+        return t.col == top_col and t.text in DECL_KEYWORDS
+
     def _recover(self, top_col: int) -> None:
-        t = self.peek()
-        # A failure can land exactly on the next declaration keyword; the
-        # declaration parsers always consume at least one token, so
-        # resuming there cannot loop.
-        if t.kind != EOF and t.col == top_col and t.text in DECL_KEYWORDS:
-            return
-        self.take()
-        while self.peek().kind != EOF:
-            t = self.peek()
-            if t.col == top_col and t.text in DECL_KEYWORDS:
-                return
+        """Skip to the next declaration or EOF.  A failure can land exactly
+        on the next declaration keyword; the declaration parsers always
+        consume at least one token, so resuming there cannot loop."""
+        while self.peek().kind != EOF and not self._at_decl(top_col):
             self.take()
 
     # -- declarations -------------------------------------------------------
@@ -198,14 +198,7 @@ class Parser:
             self.take()
             sig = self.parse_signature("=", EOF)
         self.expect("=")
-
-        seq_params = self.parse_name_list()
-        self.expect("|")
-        in_params = self.parse_name_list()
-        out_params: tuple[str, ...] = ()
-        if self.at("=>"):
-            self.take()
-            out_params = self.parse_name_list()
+        seq_params, in_params, out_params = self._context()
         arrow = self.expect("->")
         body = self.parse_body(self.anchor(arrow))
         return ProcDef(name.text, sig, seq_params, in_params, out_params,
@@ -278,13 +271,9 @@ class Parser:
     def _parse_handle_block(self, parent_indent: int, kind: DeclKind,
                             state_var: str) -> list[HandleDef]:
         first = self.peek()
-        if first.kind == EOF or first.col <= parent_indent:
-            raise ParseError("expected an indented block of handle clauses",
-                             first)
-        col = first.col
         handles = []
-        h = first
-        while h.col == col and h.kind == IDENT:
+        for h in self._block(parent_indent,
+                             "an indented block of handle clauses", IDENT):
             self.take()
             self.expect("::")
             if kind is DeclKind.PROTOCOL:
@@ -300,9 +289,6 @@ class Parser:
                     f"handle clause must use the state variable "
                     f"{state_var!r}, found {sv.text!r}", sv)
             handles.append(HandleDef(h.text, body, pos=h.pos))
-            h = self.toks[self.i]
-            if h.col > col:
-                self._block_guard(col)
         if not handles:
             raise ParseError("a declaration needs at least one handle "
                              "clause", first)
@@ -397,11 +383,41 @@ class Parser:
         self.expect(")")
         self.type_depth -= 1
 
-    # -- bodies and commands ------------------------------------------------
+    # -- layout -------------------------------------------------------------
 
-    # Block loops read the token after each item once, and stop at the
-    # first one off the block's column; EOF, at column 0, is off every
-    # block's.
+    def _block(self, parent_indent: int, what: str, kind: str | None = None):
+        """The offside rule: the block starts at the next token, which must
+        sit deeper than `parent_indent`, and runs while items start at its
+        column (with a token of `kind`, when given); EOF, at column 0, ends
+        every block.  Yields each item's first token, unread, for the
+        caller to parse in its own frame, so nesting adds no frame here."""
+        t = self.toks[self.i]
+        col = t.col
+        if t.kind == EOF or col <= parent_indent:
+            raise ParseError(f"expected {what}", t)
+        while t.col == col and (kind is None or t.kind == kind):
+            yield t
+            t = self.toks[self.i]
+            if t.col > col:
+                raise ParseError(
+                    f"unexpected {self._describe(t)}; expected the next "
+                    f"item at column {col} or a dedent", t)
+
+    def _context(self, seq_item=None) -> tuple:
+        """The context line `seqs | ins => outs`, `=> outs` optional, as
+        three tuples: a process's parameters, all names, or a call's
+        arguments, whose sequential part is a list of `seq_item`s."""
+        seqs = (self.parse_name_list() if seq_item is None
+                else self._comma_list(seq_item, "|"))
+        self.expect("|")
+        ins = self.parse_name_list()
+        outs: tuple[str, ...] = ()
+        if self.at("=>"):
+            self.take()
+            outs = self.parse_name_list()
+        return seqs, ins, outs
+
+    # -- bodies and commands ------------------------------------------------
 
     def parse_body(self, parent_indent: int) -> tuple:
         if self.at("do"):
@@ -410,25 +426,10 @@ class Parser:
         return (self.parse_command(),)
 
     def parse_command_block(self, parent_indent: int) -> tuple:
-        first = self.peek()
-        if first.kind == EOF or first.col <= parent_indent:
-            raise ParseError("expected an indented block of commands", first)
-        col = first.col
         cmds = []
-        t = first
-        while t.col == col:
+        for _ in self._block(parent_indent, "an indented block of commands"):
             cmds.append(self.parse_command())
-            t = self.toks[self.i]
-            if t.col > col:
-                self._block_guard(col)
         return tuple(cmds)
-
-    def _block_guard(self, col: int) -> None:
-        t = self.peek()
-        if t.kind != EOF and t.col > col:
-            raise ParseError(
-                f"unexpected {self._describe(t)}; expected the next item at "
-                f"column {col} or a dedent", t)
 
     def parse_command(self):
         t = self.toks[self.i]
@@ -489,8 +490,7 @@ class Parser:
         if self.at_kind(IDENT):
             chan = self.take().text
         self.expect("of")
-        arms = self._parse_arm_block(anchor, "handle")
-        return HCase(chan, tuple(HCaseArm(n, b, pos=p) for n, b, p in arms),
+        return HCase(chan, self._arms(anchor, "handle", HCaseArm),
                      pos=kw.pos)
 
     def _cmd_close(self, anchor: int):
@@ -507,11 +507,10 @@ class Parser:
         if self.at_kind(IDENT):
             chan = self.take().text
         self.expect("as")
-        arms = self._parse_arm_block(anchor, "channel")
+        arms = self._arms(anchor, "channel", ForkArm)
         if len(arms) != 2:
             raise ParseError("fork takes exactly two branches", kw)
-        fa, fb = (ForkArm(n, b, pos=p) for n, b, p in arms)
-        return Fork(chan, (fa, fb), pos=kw.pos)
+        return Fork(chan, arms, pos=kw.pos)
 
     def _cmd_split(self, anchor: int):
         kw = self.take()
@@ -526,34 +525,23 @@ class Parser:
 
     def _cmd_plug(self, anchor: int):
         kw = self.take()
-        first = self.peek()
-        if first.kind == EOF or first.col <= anchor:
-            raise ParseError("expected indented plug branches", first)
-        col = first.col
         branches = []
-        t = first
-        while t.col == col:
-            branches.append(self.parse_body(col))
-            t = self.toks[self.i]
-            if t.col > col:
-                self._block_guard(col)
+        for t in self._block(anchor, "indented plug branches"):
+            branches.append(self.parse_body(t.col))
         if len(branches) < 2:
             raise ParseError("plug needs at least two branches", kw)
         return Plug(tuple(branches), pos=kw.pos)
 
     def _cmd_race(self, anchor: int):
         kw = self.take()
-        arms = self._parse_arm_block(anchor, "channel")
-        return Race(tuple(RaceArm(n, b, pos=p) for n, b, p in arms),
-                    pos=kw.pos)
+        return Race(self._arms(anchor, "channel", RaceArm), pos=kw.pos)
 
     def _cmd_use(self, anchor: int):
         kw = self.take()
         self.expect("(")
         stored = self.parse_expr()
         self.expect(")")
-        seq_args, ins, outs = self._parse_call_args()
-        return Use(stored, seq_args, ins, outs, pos=kw.pos)
+        return Use(stored, *self._parse_call_args(), pos=kw.pos)
 
     def _cmd_neg(self, anchor: int):
         kw = self.take()
@@ -573,39 +561,28 @@ class Parser:
 
     def _parse_call(self) -> Call:
         name = self.take()
-        seq_args, ins, outs = self._parse_call_args()
-        return Call(name.text, seq_args, ins, outs, pos=name.pos)
+        return Call(name.text, *self._parse_call_args(), pos=name.pos)
 
-    def _parse_call_args(self):
+    def _parse_call_args(self) -> tuple:
         self.expect("(")
-        seq_args = self._comma_list(self.parse_expr, "|")
-        self.expect("|")
-        ins = self.parse_name_list()
-        outs: tuple[str, ...] = ()
-        if self.at("=>"):
-            self.take()
-            outs = self.parse_name_list()
+        args = self._context(self.parse_expr)
         self.expect(")")
-        return seq_args, ins, outs
+        return args
 
-    def _parse_arm_block(self, parent_indent: int, what: str):
+    def _arms(self, parent_indent: int, what: str, arm) -> tuple:
+        """The block of `name -> body` arms of an hcase, fork or race, each
+        built as `arm(name, body)`."""
         first = self.peek()
-        if first.kind == EOF or first.col <= parent_indent:
-            raise ParseError(f"expected indented {what} arms", first)
-        col = first.col
         arms = []
-        name = first
-        while name.col == col and name.kind == IDENT:
+        for name in self._block(parent_indent, f"indented {what} arms",
+                                IDENT):
             self.take()
             self.expect("->")
-            body = self.parse_body(col)
-            arms.append((name.text, body, name.pos))
-            name = self.toks[self.i]
-            if name.col > col:
-                self._block_guard(col)
+            arms.append(arm(name.text, self.parse_body(name.col),
+                            pos=name.pos))
         if not arms:
             raise ParseError(f"expected at least one {what} arm", first)
-        return arms
+        return tuple(arms)
 
     # -- expressions --------------------------------------------------------
 
@@ -661,21 +638,16 @@ class Parser:
     # -- post-parse validation ---------------------------------------------
 
     def _validate(self, decls: list) -> None:
-        seen_procs: dict[str, Pos] = {}
-        seen_protos: dict[str, Pos] = {}
+        # Processes, and protocols with coprotocols, are two namespaces.
+        seen: set[tuple[type, str]] = set()
         for d in decls:
-            if isinstance(d, ProcDef):
-                if d.name in seen_procs:
-                    self.errors.append(Diagnostic(
-                        PARSE_ERROR, d.pos,
-                        f"duplicate process definition {d.name!r}"))
-                seen_procs[d.name] = d.pos
-            else:
-                if d.name in seen_protos:
-                    self.errors.append(Diagnostic(
-                        PARSE_ERROR, d.pos,
-                        f"duplicate declaration {d.name!r}"))
-                seen_protos[d.name] = d.pos
+            key = (type(d), d.name)
+            if key in seen:
+                what = ("process definition" if key[0] is ProcDef
+                        else "declaration")
+                self.errors.append(Diagnostic(
+                    PARSE_ERROR, d.pos, f"duplicate {what} {d.name!r}"))
+            seen.add(key)
 
 
 # `parse_command`'s handler for each command keyword.

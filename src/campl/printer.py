@@ -55,16 +55,7 @@ def _proc(d: ProcDef, level: int) -> str:
     if d.signature is not None:
         head += f" :: {_sig_inline(d.signature)}"
     head += " ="
-    parts = []
-    if d.seq_params:
-        parts.append(", ".join(d.seq_params) + " ")
-    parts.append("|")
-    if d.in_params:
-        parts.append(" " + ", ".join(d.in_params))
-    parts.append(" =>")
-    if d.out_params:
-        parts.append(" " + ", ".join(d.out_params))
-    ctx = "".join(parts)
+    ctx = _context(d.seq_params, d.in_params, d.out_params)
     lines = [head, f"{ind}{STEP}{ctx} -> do"]
     lines.extend(_body(d.body, level + 2))
     return "\n".join(lines)
@@ -135,17 +126,15 @@ def _command(cmd, level: int) -> list[str]:
 
 
 def _args(cmd, level: int) -> str:
-    parts = ["( "]
-    if cmd.seq_args:
-        parts.append(", ".join(_expr(e, level) for e in cmd.seq_args) + " ")
-    parts.append("|")
-    if cmd.in_chans:
-        parts.append(" " + ", ".join(cmd.in_chans))
-    parts.append(" =>")
-    if cmd.out_chans:
-        parts.append(" " + ", ".join(cmd.out_chans))
-    parts.append(" )")
-    return "".join(parts)
+    seqs = [_expr(e, level) for e in cmd.seq_args]
+    return f"( {_context(seqs, cmd.in_chans, cmd.out_chans)} )"
+
+
+def _context(seqs, ins, outs) -> str:
+    """The context line `seqs | ins => outs` of a process's parameters or
+    a call's arguments, all given as text; an empty list leaves no gap."""
+    return " ".join(filter(None, (", ".join(seqs), "|", ", ".join(ins),
+                                  "=>", ", ".join(outs))))
 
 
 def _escape(s: str) -> str:

@@ -385,10 +385,10 @@ class Machine:
         # Processes bind names to the EndStates in these channels' `ends`,
         # which a |=| re-points when it moves them.
         self.channels: dict[int, ChannelState] = {}
-        self.services: dict[int, ConsoleEndpoint] = {}
-        # The ends the services hold: a |=| moves them into the fused
-        # channel, so they stay the same objects for the whole run.
-        self._service_ends: list[EndState] = []
+        # The end each service holds (keyed by identity) with its endpoint,
+        # in boot order.  A |=| moves an end into the fused channel and
+        # re-points its `cid`, so the table is never re-keyed.
+        self.services: dict[EndState, ConsoleEndpoint] = {}
         self.steps = 0
         self.trace: list[TraceEvent] = []
         self._next_pid = 0
@@ -432,9 +432,8 @@ class Machine:
         proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
         for name in run.in_params:
             ch = self._new_channel(name)
-            ch.ends[0].owner = self.services[ch.cid] = \
+            ch.ends[0].owner = self.services[ch.ends[0]] = \
                 ConsoleEndpoint(self.config)
-            self._service_ends.append(ch.ends[0])
             ch.ends[1].owner = pid
             chan_env[name] = ch.ends[1]
         self.processes[pid] = proc
@@ -509,7 +508,7 @@ class Machine:
         if self.trace_hook is not None:
             self.trace_hook(ev)
         # Most steps send the services nothing.
-        for e in self._service_ends:
+        for e in self.services:
             if e.inbox:
                 self._drain_services()
                 break
@@ -788,7 +787,6 @@ class Machine:
     def _reap(self, ch: ChannelState) -> None:
         if ch.ends[0].closed and ch.ends[1].closed:
             self.channels.pop(ch.cid, None)
-            self.services.pop(ch.cid, None)
             # pending ends that would be claimed through these now resolve
             # to no one
             ch.ends[0].owner = ch.ends[1].owner = None
@@ -947,8 +945,6 @@ class Machine:
         fused.ends[1].inbox.extend(left.inbox)
         fused.ends[0].inbox.extend(right.inbox)
         for old in (lch, rch):
-            if old.cid in self.services:
-                self.services[fused.cid] = self.services.pop(old.cid)
             self.channels.pop(old.cid, None)
         ev = TraceEvent(self.steps, p.pid, "LINK", cmd.left, lch.cid,
                         f"{cmd.right}->#{fused.cid}")
@@ -962,14 +958,11 @@ class Machine:
     # -- services ------------------------------------------------------------
 
     def _drain_services(self) -> None:
-        # A snapshot in cid order (the table's order): _reap pops from it.
-        for cid in tuple(self.services):
-            endpoint = self.services.get(cid)
-            ch = self.channels.get(cid)
-            if endpoint is None or ch is None:
+        for service, endpoint in self.services.items():
+            ch = self.channels.get(service.cid)
+            if ch is None:
                 continue
-            service, peer = (ch.ends if ch.ends[0].owner is endpoint
-                             else ch.ends[::-1])
+            peer = ch.ends[1 - service.index]
             while service.inbox:
                 reply = endpoint.handle(service.inbox.popleft())
                 if reply is not None:

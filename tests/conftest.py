@@ -75,10 +75,15 @@ def assert_monitor_agrees(machine) -> None:
 
 
 def assert_schedule_agrees(machine):
-    """The process and service tables are in id order, and `pick` returns
-    the first enabled process in sorted pid order.  Returns that pick."""
+    """The process table is in pid order, every service end still in a
+    channel sits there owned by its endpoint, and `pick` returns the first
+    enabled process in sorted pid order.  Returns that pick."""
     assert list(machine.processes) == sorted(machine.processes)
-    assert list(machine.services) == sorted(machine.services)
+    for e, endpoint in machine.services.items():
+        ch = machine.channels.get(e.cid)
+        if ch is not None:
+            assert ch.ends[e.index] is e and e.owner is endpoint, \
+                f"service end #{e.cid}.{e.index} is lost"
     p = machine.pick()
     expected = next((machine.processes[pid] for pid in sorted(
         machine.processes) if machine.enabled(machine.processes[pid])), None)

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -11,7 +13,7 @@ from campl.cli import main
 from campl.checker import check_program
 from campl.diagnostics import CheckFailure, ParseFailure
 from campl.parser import MAX_TYPE_DEPTH, parse_source
-from conftest import CORPUS, corpus_text, load_perfbench
+from conftest import CORPUS, ROOT, corpus_text, load_perfbench
 
 
 @pytest.fixture()
@@ -52,6 +54,38 @@ def test_non_utf8_program_file_exits_two(runner, tmp_path):
     assert r.exit_code == 2
     assert r.stderr.startswith(f"cannot read {src}: ")
     assert "Traceback" not in r.stderr
+
+
+# Both plug branches use both enclosing channels; the checker reports the
+# first it finds, which once depended on the string hash seed.
+SHARED_BY_TWO_BRANCHES = ("proc p =\n"
+                          "    | => alpha, beta -> plug\n"
+                          "        do\n"
+                          "            close alpha\n"
+                          "            close beta\n"
+                          "            halt z\n"
+                          "        do\n"
+                          "            close alpha\n"
+                          "            close beta\n"
+                          "            halt z\n")
+
+
+def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
+    src = tmp_path / "shared.campl"
+    src.write_text(SHARED_BY_TWO_BRANCHES, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    stderrs = set()
+    for seed in ("1", "2", "3"):
+        r = subprocess.run(
+            [sys.executable, "-m", "campl.cli", "check", str(src)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+        assert r.returncode == 1
+        stderrs.add(r.stderr)
+    [stderr] = stderrs
+    assert (f"{src}:2:25: LinearityReuse: plug branches 0 and 1 both use "
+            f"channel 'alpha'\n") in stderr
 
 
 def test_check_json_diagnostics(runner):

@@ -846,6 +846,23 @@ def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
         f"IllegalCommand: {kind} passes unknown channel 'phantom'", 2)
 
 
+@pytest.mark.parametrize("asked", ["a", "b"])
+def test_unchecked_link_of_two_consoles_keeps_both_service_ends(asked):
+    # `a |=| b` leaves each console facing the other, so the line the
+    # asked console sent toward `run` reaches the other one, which cannot
+    # take it, whichever of the two was asked.
+    src = ("proc run =\n"
+           "    | a, b => -> do\n"
+           f"        hput ConsoleGet on {asked}\n"
+           "        a |=| b\n")
+    m = boot(prepare(parse_source(src)),
+             services=ServiceConfig.from_script(["hi"]))
+    with pytest.raises(MachineFault) as e:
+        run_watched(m)
+    assert (str(e.value), m.steps) == (
+        "IllegalCommand: console cannot dispatch on ValMsg", 2)
+
+
 THREE_WAY_RACE = (
     "proc shout :: | => Put(Int|TopBot) =\n"
     "    | => c ->\n"
