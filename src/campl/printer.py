@@ -133,8 +133,9 @@ def _args(cmd, level: int) -> str:
 def _context(seqs, ins, outs) -> str:
     """The context line `seqs | ins => outs` of a process's parameters or
     a call's arguments, all given as text; an empty list leaves no gap."""
-    return " ".join(filter(None, (", ".join(seqs), "|", ", ".join(ins),
-                                  "=>", ", ".join(outs))))
+    line = f"{', '.join(seqs)} |" if seqs else "|"
+    line += f" {', '.join(ins)} =>" if ins else " =>"
+    return f"{line} {', '.join(outs)}" if outs else line
 
 
 def _escape(s: str) -> str:
