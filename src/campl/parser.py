@@ -177,9 +177,10 @@ class Parser:
         self.errors.append(Diagnostic(PARSE_ERROR, e.pos, e.message))
 
     def _at_decl(self, top_col: int) -> bool:
-        """Whether a declaration keyword at the top column is next."""
+        """Whether a declaration keyword at the top column is next (not a
+        string literal that spells one)."""
         t = self.toks[self.i]
-        return t.col == top_col and t.text in DECL_KEYWORDS
+        return t.col == top_col and t.kind == KW and t.text in DECL_KEYWORDS
 
     def _recover(self, top_col: int) -> None:
         """Skip to the next declaration or EOF.  A failure can land exactly

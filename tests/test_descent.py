@@ -257,6 +257,12 @@ LAYOUT = {
                             "        b -> halt b\n"
                             "        c -> halt c\n",
                             2, 16, "fork takes exactly two branches"),
+    # a declaration starts with a keyword, not a string that spells one
+    "string-at-the-top-column": ("proc p =\n"
+                                 "    | => c -> halt c\n"
+                                 "\"proc\"\n",
+                                 3, 1, "expected a top-level declaration "
+                                       "(proc, protocol, or coprotocol)"),
     # duplicate names: processes, and protocols with coprotocols
     "duplicate-process": ("proc p =\n"
                           "    | ch => -> halt ch\n"
