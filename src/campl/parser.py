@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import lexer
 from .diagnostics import PARSE_ERROR, Diagnostic, ParseFailure, sort_key
-from .lexer import CHARLIT, EOF, IDENT, INT, KW, OP, STRING, Token
+from .lexer import CHARLIT, EOF, IDENT, INT, KW, OP, STRING
 from .model import (
     BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT,
     BoolLit, Call, CharLit, Close, CoprotoApp, DeclKind, Expr, Fork, ForkArm,
@@ -60,14 +60,14 @@ class SeqName:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, tok: Token):
-        super().__init__(f"{tok.line}:{tok.col}: {message}")
+    def __init__(self, message: str, tok: tuple):
+        super().__init__(f"{tok[2]}:{tok[3]}: {message}")
         self.message = message
-        self.pos = tok.pos
+        self.pos = Pos(tok[2], tok[3])
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple]):
         self.toks = tokens
         self.i = 0
         self.errors: list[Diagnostic] = []
@@ -81,66 +81,68 @@ class Parser:
         # First-token column of every line, for body anchoring: the first
         # token of a line is written last.  EOF, at column 0, is kept only
         # on a line of its own, where it is its own anchor.
-        self.line_indent = {t.line: t.col for t in reversed(tokens)}
+        self.line_indent = {line: col for _, _, line, col in reversed(tokens)}
 
     # -- token helpers ------------------------------------------------------
+    # A token is the lexer's `(kind, text, line, col)` tuple, read by index
+    # or unpacked; a node's `Pos` is built from its line and column.
     # `take` never moves past EOF, the last token, so `self.i` is always a
     # valid index.
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
     def at(self, text: str) -> bool:
         t = self.toks[self.i]
-        return t.text == text and t.kind in (KW, OP)
+        return t[1] == text and t[0] in (KW, OP)
 
     def at_kind(self, kind: str) -> bool:
-        return self.toks[self.i].kind == kind
+        return self.toks[self.i][0] == kind
 
-    def take(self) -> Token:
+    def take(self) -> tuple:
         t = self.toks[self.i]
-        if t.kind != EOF:
+        if t[0] != EOF:
             self.i += 1
         return t
 
     # The token `expect` and `expect_ident` take is not EOF.
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> tuple:
         t = self.toks[self.i]
-        if t.text != text or t.kind not in (KW, OP):
+        if t[1] != text or t[0] not in (KW, OP):
             raise ParseError(f"expected {text!r}, found "
                              f"{self._describe(t)}", t)
         self.i += 1
         return t
 
-    def expect_ident(self, what: str = "name") -> Token:
+    def expect_ident(self, what: str = "name") -> tuple:
         t = self.toks[self.i]
-        if t.kind != IDENT:
+        if t[0] != IDENT:
             raise ParseError(f"expected {what}, found "
                              f"{self._describe(t)}", t)
         self.i += 1
         return t
 
     @staticmethod
-    def _describe(t: Token) -> str:
-        if t.kind == EOF:
+    def _describe(t: tuple) -> str:
+        if t[0] == EOF:
             return "end of input"
-        return repr(t.text)
+        return repr(t[1])
 
-    def anchor(self, tok: Token) -> int:
-        return self.line_indent.get(tok.line, tok.col)
+    def anchor(self, tok: tuple) -> int:
+        return self.line_indent.get(tok[2], tok[3])
 
     # -- program ------------------------------------------------------------
 
     def parse_program(self) -> SourceProgram:
         decls = []
-        if self.peek().kind == EOF:
+        if self.peek()[0] == EOF:
             return SourceProgram(())
-        top_col = self.peek().col
+        top_col = self.peek()[3]
         # id() of each process holding an inline stored process; `decls`
         # keeps them alive.
         holders: set[int] = set()
-        while self.peek().kind != EOF:
+        while self.peek()[0] != EOF:
             t = self.peek()
             if not self._at_decl(top_col):
                 self._error(ParseError(
@@ -153,7 +155,7 @@ class Parser:
             self.holds_inline = False
             mark = len(self.errors)
             try:
-                if t.text == "proc":
+                if t[1] == "proc":
                     d = self.parse_proc()
                     if self.holds_inline:
                         holders.add(id(d))
@@ -180,13 +182,13 @@ class Parser:
         """Whether a declaration keyword at the top column is next (not a
         string literal that spells one)."""
         t = self.toks[self.i]
-        return t.col == top_col and t.kind == KW and t.text in DECL_KEYWORDS
+        return t[3] == top_col and t[0] == KW and t[1] in DECL_KEYWORDS
 
     def _recover(self, top_col: int) -> None:
         """Skip to the next declaration or EOF.  A failure can land exactly
         on the next declaration keyword; the declaration parsers always
         consume at least one token, so resuming there cannot loop."""
-        while self.peek().kind != EOF and not self._at_decl(top_col):
+        while self.peek()[0] != EOF and not self._at_decl(top_col):
             self.take()
 
     # -- declarations -------------------------------------------------------
@@ -202,13 +204,13 @@ class Parser:
         seq_params, in_params, out_params = self._context()
         arrow = self.expect("->")
         body = self.parse_body(self.anchor(arrow))
-        return ProcDef(name.text, sig, seq_params, in_params, out_params,
-                       body, pos=kw.pos)
+        return ProcDef(name[1], sig, seq_params, in_params, out_params,
+                       body, pos=Pos(kw[2], kw[3]))
 
     def parse_name_list(self) -> tuple[str, ...]:
         names = []
         while self.at_kind(IDENT):
-            names.append(self.take().text)
+            names.append(self.take()[1])
             if self.at(","):
                 self.take()
             else:
@@ -231,7 +233,7 @@ class Parser:
         items = []
         while True:
             t = self.peek()
-            if t.kind in stops or (t.text in stops and t.kind in (KW, OP)):
+            if t[0] in stops or (t[1] in stops and t[0] in (KW, OP)):
                 break
             items.append(item())
             if not self.at(","):
@@ -241,7 +243,7 @@ class Parser:
 
     def parse_protocol(self) -> ProtocolDecl:
         kw = self.take()   # protocol | coprotocol
-        if kw.text == "protocol":
+        if kw[1] == "protocol":
             name = self.expect_ident("protocol name")
             params = self._parse_type_params()
             self.expect("=>")
@@ -252,11 +254,11 @@ class Parser:
             name = self.expect_ident("coprotocol name")
             params = self._parse_type_params()
         eq = self.expect("=")
-        kind = (DeclKind.PROTOCOL if kw.text == "protocol"
+        kind = (DeclKind.PROTOCOL if kw[1] == "protocol"
                 else DeclKind.COPROTOCOL)
-        handles = self._parse_handle_block(self.anchor(eq), kind, state.text)
-        return ProtocolDecl(name.text, kind, params, state.text,
-                            tuple(handles), pos=kw.pos)
+        handles = self._parse_handle_block(self.anchor(eq), kind, state[1])
+        return ProtocolDecl(name[1], kind, params, state[1],
+                            tuple(handles), pos=Pos(kw[2], kw[3]))
 
     def _parse_type_params(self) -> tuple[str, ...]:
         self.expect("(")
@@ -285,11 +287,11 @@ class Parser:
                 sv = self.expect_ident("state variable")
                 self.expect("=>")
                 body = self.parse_chan_type()
-            if sv.text != state_var:
+            if sv[1] != state_var:
                 raise ParseError(
                     f"handle clause must use the state variable "
-                    f"{state_var!r}, found {sv.text!r}", sv)
-            handles.append(HandleDef(h.text, body, pos=h.pos))
+                    f"{state_var!r}, found {sv[1]!r}", sv)
+            handles.append(HandleDef(h[1], body, pos=Pos(h[2], h[3])))
         if not handles:
             raise ParseError("a declaration needs at least one handle "
                              "clause", first)
@@ -299,22 +301,23 @@ class Parser:
 
     def parse_seq_type(self):
         t = self.peek()
-        if t.kind == IDENT:
-            if t.text in BUILTIN_SEQ:
+        kind, text, line, col = t
+        if kind == IDENT:
+            if text in BUILTIN_SEQ:
                 self.take()
-                return BUILTIN_SEQ[t.text]
-            if t.text == "Store":
+                return BUILTIN_SEQ[text]
+            if text == "Store":
                 self.take()
                 self._open_type()
                 sig = self.parse_signature(")")
                 self._close_type()
                 return StoreType(sig)
             self.take()
-            return SeqName(t.text, pos=t.pos)
+            return SeqName(text, pos=Pos(line, col))
         if self.at("["):
             self.take()
             elem = self.expect_ident("element type")
-            if elem.text != "Char":
+            if elem[1] != "Char":
                 raise ParseError("only [Char] is a valid list type", elem)
             self.expect("]")
             return STRING_T
@@ -325,37 +328,38 @@ class Parser:
         while self.at("(*)") or self.at("(+)"):
             op = self.take()
             right = self.parse_chan_atom()
-            left = (Tensor(left, right) if op.text == "(*)"
+            left = (Tensor(left, right) if op[1] == "(*)"
                     else Par(left, right))
         return left
 
     def parse_chan_atom(self):
         t = self.peek()
+        kind, text, line, col = t
         if self.at("("):
             self._open_type()
             inner = self.parse_chan_type()
             self._close_type()
             return inner
-        if t.kind != IDENT:
+        if kind != IDENT:
             raise ParseError("expected a channel type", t)
-        if t.text == "TopBot":
+        if text == "TopBot":
             self.take()
             return TOPBOT
-        if t.text in ("Put", "Get"):
+        if text in ("Put", "Get"):
             self.take()
             self._open_type()
             msg = self.parse_seq_type()
             self.expect("|")
             rest = self.parse_chan_type()
             self._close_type()
-            return Put(msg, rest) if t.text == "Put" else Get(msg, rest)
-        if t.text == "Neg":
+            return Put(msg, rest) if text == "Put" else Get(msg, rest)
+        if text == "Neg":
             self.take()
             self._open_type()
             inner = self.parse_chan_type()
             self._close_type()
             return NegT(inner)
-        if t.text == "Store":
+        if text == "Store":
             raise ParseError("Store is a sequential type, not a channel "
                              "type", t)
         self.take()
@@ -369,8 +373,8 @@ class Parser:
                         "channel-type parameters are not supported after "
                         "'|' in a protocol application", self.peek())
             self._close_type()
-            return ChanName(t.text, args, pos=t.pos)
-        return ChanName(t.text, None, pos=t.pos)
+            return ChanName(text, args, pos=Pos(line, col))
+        return ChanName(text, None, pos=Pos(line, col))
 
     def _open_type(self) -> None:
         """Read the '(' that opens a nested type."""
@@ -393,13 +397,13 @@ class Parser:
         every block.  Yields each item's first token, unread, for the
         caller to parse in its own frame, so nesting adds no frame here."""
         t = self.toks[self.i]
-        col = t.col
-        if t.kind == EOF or col <= parent_indent:
+        col = t[3]
+        if t[0] == EOF or col <= parent_indent:
             raise ParseError(f"expected {what}", t)
-        while t.col == col and (kind is None or t.kind == kind):
+        while t[3] == col and (kind is None or t[0] == kind):
             yield t
             t = self.toks[self.i]
-            if t.col > col:
+            if t[3] > col:
                 raise ParseError(
                     f"unexpected {self._describe(t)}; expected the next "
                     f"item at column {col} or a dedent", t)
@@ -434,11 +438,11 @@ class Parser:
 
     def parse_command(self):
         t = self.toks[self.i]
-        if t.kind == KW:
-            handler = _COMMANDS.get(t.text)
+        if t[0] == KW:
+            handler = _COMMANDS.get(t[1])
             if handler is None:
-                raise ParseError(f"{t.text!r} cannot start a command", t)
-            cmd = handler(self, self.line_indent[t.line])
+                raise ParseError(f"{t[1]!r} cannot start a command", t)
+            cmd = handler(self, self.line_indent[t[2]])
             # Checked here, once the handler has returned, so the check
             # costs no stack frame per level of nesting.
             if self.chan_required and type(cmd) in OPTIONAL_CHAN \
@@ -446,110 +450,111 @@ class Parser:
                 self.errors.append(Diagnostic(PARSE_ERROR, cmd.pos,
                                               BARE_COMMAND))
             return cmd
-        if t.kind == IDENT:
+        if t[0] == IDENT:
             nxt = self.toks[self.i + 1]     # `t` is not EOF
-            if nxt.text == "(" and nxt.kind == OP:
+            if nxt[1] == "(" and nxt[0] == OP:
                 return self._parse_call()
-            if nxt.text == "|=|":
+            if nxt[1] == "|=|":
                 a = self.take()
                 self.take()
                 b = self.expect_ident("channel")
-                return Link(a.text, b.text, pos=a.pos)
+                return Link(a[1], b[1], pos=Pos(a[2], a[3]))
         raise ParseError(f"expected a process command, found "
                          f"{self._describe(t)}", t)
 
     def _opt_on_chan(self) -> str | None:
         if self.at("on"):
             self.take()
-            return self.expect_ident("channel").text
+            return self.expect_ident("channel")[1]
         return None
 
-    def _opt_same_line_chan(self, kw: Token) -> str | None:
+    def _opt_same_line_chan(self, kw: tuple) -> str | None:
         t = self.peek()
-        if t.kind == IDENT and t.line == kw.line:
-            return self.take().text
+        if t[0] == IDENT and t[2] == kw[2]:
+            return self.take()[1]
         return None
 
     def _cmd_put(self, anchor: int):
         kw = self.take()
         expr = self.parse_expr()
-        return PutVal(expr, self._opt_on_chan(), pos=kw.pos)
+        return PutVal(expr, self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
     def _cmd_get(self, anchor: int):
         kw = self.take()
         binder = self.expect_ident("binder")
-        return GetVal(binder.text, self._opt_on_chan(), pos=kw.pos)
+        return GetVal(binder[1], self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
     def _cmd_hput(self, anchor: int):
         kw = self.take()
         handle = self.expect_ident("handle name")
-        return HPut(handle.text, self._opt_on_chan(), pos=kw.pos)
+        return HPut(handle[1], self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
     def _cmd_hcase(self, anchor: int):
         kw = self.take()
         chan = None
         if self.at_kind(IDENT):
-            chan = self.take().text
+            chan = self.take()[1]
         self.expect("of")
         return HCase(chan, self._arms(anchor, "handle", HCaseArm),
-                     pos=kw.pos)
+                     pos=Pos(kw[2], kw[3]))
 
     def _cmd_close(self, anchor: int):
         kw = self.take()
-        return Close(self._opt_same_line_chan(kw), pos=kw.pos)
+        return Close(self._opt_same_line_chan(kw), pos=Pos(kw[2], kw[3]))
 
     def _cmd_halt(self, anchor: int):
         kw = self.take()
-        return Halt(self._opt_same_line_chan(kw), pos=kw.pos)
+        return Halt(self._opt_same_line_chan(kw), pos=Pos(kw[2], kw[3]))
 
     def _cmd_fork(self, anchor: int):
         kw = self.take()
         chan = None
         if self.at_kind(IDENT):
-            chan = self.take().text
+            chan = self.take()[1]
         self.expect("as")
         arms = self._arms(anchor, "channel", ForkArm)
         if len(arms) != 2:
             raise ParseError("fork takes exactly two branches", kw)
-        return Fork(chan, arms, pos=kw.pos)
+        return Fork(chan, arms, pos=Pos(kw[2], kw[3]))
 
     def _cmd_split(self, anchor: int):
         kw = self.take()
         chan = None
         if self.at_kind(IDENT):
-            chan = self.take().text
+            chan = self.take()[1]
         self.expect("into")
         left = self.expect_ident("channel")
         self.expect(",")
         right = self.expect_ident("channel")
-        return Split(chan, left.text, right.text, pos=kw.pos)
+        return Split(chan, left[1], right[1], pos=Pos(kw[2], kw[3]))
 
     def _cmd_plug(self, anchor: int):
         kw = self.take()
         branches = []
         for t in self._block(anchor, "indented plug branches"):
-            branches.append(self.parse_body(t.col))
+            branches.append(self.parse_body(t[3]))
         if len(branches) < 2:
             raise ParseError("plug needs at least two branches", kw)
-        return Plug(tuple(branches), pos=kw.pos)
+        return Plug(tuple(branches), pos=Pos(kw[2], kw[3]))
 
     def _cmd_race(self, anchor: int):
         kw = self.take()
-        return Race(self._arms(anchor, "channel", RaceArm), pos=kw.pos)
+        return Race(self._arms(anchor, "channel", RaceArm),
+                    pos=Pos(kw[2], kw[3]))
 
     def _cmd_use(self, anchor: int):
         kw = self.take()
         self.expect("(")
         stored = self.parse_expr()
         self.expect(")")
-        return Use(stored, *self._parse_call_args(), pos=kw.pos)
+        return Use(stored, *self._parse_call_args(), pos=Pos(kw[2], kw[3]))
 
     def _cmd_neg(self, anchor: int):
         kw = self.take()
         chan = self.expect_ident("channel")
         self.expect("as")
         fresh = self.expect_ident("channel")
-        return NegIntro(chan.text, fresh.text, pos=kw.pos)
+        return NegIntro(chan[1], fresh[1], pos=Pos(kw[2], kw[3]))
 
     def _cmd_on(self, anchor: int):
         kw = self.take()
@@ -558,11 +563,12 @@ class Parser:
         outer, self.chan_required = self.chan_required, False
         cmds = self.parse_command_block(anchor)
         self.chan_required = outer
-        return OnDo(chan.text, cmds, pos=kw.pos)
+        return OnDo(chan[1], cmds, pos=Pos(kw[2], kw[3]))
 
     def _parse_call(self) -> Call:
         name = self.take()
-        return Call(name.text, *self._parse_call_args(), pos=name.pos)
+        return Call(name[1], *self._parse_call_args(),
+                    pos=Pos(name[2], name[3]))
 
     def _parse_call_args(self) -> tuple:
         self.expect("(")
@@ -579,8 +585,8 @@ class Parser:
                                 IDENT):
             self.take()
             self.expect("->")
-            arms.append(arm(name.text, self.parse_body(name.col),
-                            pos=name.pos))
+            arms.append(arm(name[1], self.parse_body(name[3]),
+                            pos=Pos(name[2], name[3])))
         if not arms:
             raise ParseError(f"expected at least one {what} arm", first)
         return tuple(arms)
@@ -601,16 +607,17 @@ class Parser:
 
     def _parse_atom(self) -> Expr:
         t = self.peek()
-        if t.kind == INT:
+        kind, text, line, col = t
+        if kind == INT:
             self.take()
-            return IntLit(int(t.text), pos=t.pos)
-        if t.kind == STRING:
+            return IntLit(int(text), pos=Pos(line, col))
+        if kind == STRING:
             self.take()
-            return StringLit(t.text, pos=t.pos)
-        if t.kind == CHARLIT:
+            return StringLit(text, pos=Pos(line, col))
+        if kind == CHARLIT:
             self.take()
-            return CharLit(t.text, pos=t.pos)
-        if t.kind == KW and t.text == "store":
+            return CharLit(text, pos=Pos(line, col))
+        if kind == KW and text == "store":
             self.take()
             self.expect("(")
             if self.at("proc"):
@@ -622,17 +629,17 @@ class Parser:
                     raise ParseError("an inline stored process needs a "
                                      "type signature", t)
                 self.expect(")")
-                return StoreOf(inner, pos=t.pos)
+                return StoreOf(inner, pos=Pos(line, col))
             name = self.expect_ident("process name")
             self.expect(")")
-            return StoreOf(name.text, pos=t.pos)
-        if t.kind == IDENT:
+            return StoreOf(name[1], pos=Pos(line, col))
+        if kind == IDENT:
             self.take()
-            if t.text == "True":
-                return BoolLit(True, pos=t.pos)
-            if t.text == "False":
-                return BoolLit(False, pos=t.pos)
-            return VarRef(t.text, pos=t.pos)
+            if text == "True":
+                return BoolLit(True, pos=Pos(line, col))
+            if text == "False":
+                return BoolLit(False, pos=Pos(line, col))
+            return VarRef(text, pos=Pos(line, col))
         raise ParseError(f"expected an expression, found "
                          f"{self._describe(t)}", t)
 
@@ -755,7 +762,7 @@ class _Resolver:
         return map_type(t, self._resolve)
 
 
-def parse_program(tokens: list[Token]) -> SourceProgram:
+def parse_program(tokens: list[tuple]) -> SourceProgram:
     """Parse a token stream into a resolved program.  Raises ParseFailure
     carrying every collected syntax error."""
     return Parser(tokens).parse_program()
