@@ -129,7 +129,7 @@ def run(file: str, seed: int, script_path: str | None, trace: bool,
     if trace:
         hook = lambda ev: click.echo(ev.render(), err=True)
     try:
-        machine = boot(exec_program, seed, services, hook)
+        machine = boot(exec_program, seed, services, hook, not unchecked)
         outcome = machine.run_to_completion(max_steps)
     except (BootError, ScriptExhausted, MachineFault) as e:
         click.echo(f"error: {e}", err=True)

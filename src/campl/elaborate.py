@@ -76,8 +76,8 @@ class ExecProgram:
     # id from being reused while the entry lives.
     _free: dict[int, tuple[Body, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # The machine's per-node plans (see `runtime`), keyed by id(node) and
-    # what else a plan depends on; each plan holds its node, keeping the id.
+    # A checked machine's per-node plans (see `runtime`), keyed by id(node)
+    # (a use's also by its stored process); each holds its node's id.
     plans: dict = field(
         default_factory=dict, init=False, repr=False, compare=False)
 

@@ -10,19 +10,18 @@ smallest pid goes first.  A step runs the Console service drain only when
 a service end holds mail.  Races are the only consumers of the seeded RNG,
 so a (program, seed, input script) triple fixes the whole trace.
 
-How a plug, fork, call, use or hcase wires names is worked out once per
-node (a plug or fork: per node and set of held names) and memoised in
-`ExecProgram.plans`; a step applies the plan.
-
+A step applies a plan of how a plug, fork, call, use or hcase wires names.
 A topology monitor checks before every step that the graph of processes
-and live channels is an acyclic forest and that every end of a live
-channel has an owner.  The first check, and any check not made right
-after one step, scans the whole network.  Otherwise it checks only what
-that step recorded: nothing after a value, handle, race, call, use or neg
-step, where it returns at once; the pending ends of released ends; and the
-channels the step created, for cycles among themselves (one or two by
-comparing their owners).  Whatever a local check flags goes to the full
-scan, which raises the fault.
+and live channels is a forest and that every end of a live channel has an
+owner.  A machine booted `checked` trusts the checker.  It memoises each
+plan per node in `ExecProgram.plans`.  Its monitor scans the whole network
+at the first check and at any check not made right after one step;
+otherwise it checks only what that step recorded: nothing after a value,
+handle, race, call, use or neg step, where it returns at once; the pending
+ends of released ends; and the channels the step created, for cycles
+among themselves (one or two by comparing their owners).  Whatever a local
+check flags goes to the full scan, which raises the fault.  An unchecked
+machine runs the references: every plan built afresh, every check full.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ class BootError(Exception):
 
 # ---------------------------------------------------------------------------
 # per-node plans, built on a node's first step and kept in
-# `ExecProgram.plans`; a build that faults stores nothing, so every later
-# step checks again.
+# `ExecProgram.plans` by a checked machine; a build that faults stores
+# nothing, so every later step checks again.
 
 class HandOff(NamedTuple):
     """How a plug or fork replaces its process by children."""
@@ -136,14 +135,9 @@ class Invocation(NamedTuple):
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
     chan_pairs: tuple       # (parameter, argument channel name)
-    # Two parameters take one argument name, or one parameter name is
-    # repeated, leaving the ends passed to its first uses bound to no
-    # name.  Until then, distinct names bind distinct ends, so this is
-    # the only way one end gets two names or a live process loses one.
-    aliases: bool
 
 
-def _hand_off_plan(node, held: frozenset, children: list, joins: tuple,
+def _hand_off_plan(node, held: dict, children: list, joins: tuple,
                    payload: str | None) -> HandOff:
     """`children` as (name suffix, body, names it uses, names it binds
     itself): each held name goes to the first child that uses it and does
@@ -157,11 +151,11 @@ def _hand_off_plan(node, held: frozenset, children: list, joins: tuple,
     return HandOff(node, joins, payload, tuple(planned), tuple(sorted(rest)))
 
 
-def _plug_plan(program: ExecProgram, cmd: Plug, held: frozenset) -> HandOff:
+def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
     frees = [program.free_chans(b) for b in cmd.branches]
     users: dict[str, list[int]] = {}
     for i, names in enumerate(frees):
-        for name in names - held:
+        for name in names.difference(held):
             users.setdefault(name, []).append(i)
     joins = []
     for name in sorted(users):
@@ -176,7 +170,7 @@ def _plug_plan(program: ExecProgram, cmd: Plug, held: frozenset) -> HandOff:
         tuple(joins), ",".join(name for name, _, _ in joins) or None)
 
 
-def _fork_plan(program: ExecProgram, cmd: Fork, held: frozenset) -> HandOff:
+def _fork_plan(program: ExecProgram, cmd: Fork, held: dict) -> HandOff:
     return _hand_off_plan(cmd, held, [
         (f".{arm.name}", arm.body, program.free_chans(arm.body), {arm.name})
         for arm in cmd.arms], (),
@@ -197,10 +191,8 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
         raise MachineFault("IllegalCommand",
                            f"{target} {proc.name!r} with mismatched "
                            f"argument counts")
-    binds = dict(zip(proc.chan_params, cmd.chan_args))
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
-                      tuple(zip(proc.chan_params, cmd.chan_args)),
-                      len(set(binds.values())) < len(proc.chan_params))
+                      tuple(zip(proc.chan_params, cmd.chan_args)))
 
 
 def _arm_table(program: ExecProgram, cmd: HCase) -> tuple[HCase, dict]:
@@ -376,8 +368,11 @@ def resolve_race(ready: list, rng: random.Random):
 class Machine:
     def __init__(self, program: ExecProgram, seed: int = 0,
                  services: ServiceConfig | None = None,
-                 trace_hook: Callable[[TraceEvent], None] | None = None):
+                 trace_hook: Callable[[TraceEvent], None] | None = None,
+                 checked: bool = True):
         self.program = program
+        self.checked = checked
+        self._plans = program.plans if checked else {}
         self.rng = random.Random(seed)
         self.config = services if services is not None else ServiceConfig()
         self.trace_hook = trace_hook
@@ -398,12 +393,6 @@ class Machine:
         self._checked_at: int | None = None
         self._added: list[int] = []
         self._released: list[EndState] = []
-        # False once a step bound one end to two names, or left a live
-        # process owning an end under no name (unchecked programs only): a
-        # later step may then move an end its binder does not own, or end
-        # a process that still owns an end, which the local checks do not
-        # model, so every check is the full one.
-        self._local_checks = True
 
     # -- construction -----------------------------------------------------
 
@@ -581,21 +570,23 @@ class Machine:
     def assert_invariants(self) -> None:
         """Raise the fault `check_invariants` would raise on this state.
 
-        Right after one step of a machine whose last check passed, only
-        that step's record is checked.  The network was then a forest with
-        every live end owned.  A step that changes ownership replaces one
-        process or channel by a small tree: plug and fork hand each of the
-        process's channels to one child, so those lead into disjoint
-        subtrees, and |=| joins its two peers by one channel.  A new cycle
-        must therefore close among the channels the step created.  An end
-        loses its owner only through an end the step released or
-        redirected (a fork whose carrier's far end has no owner releases
-        the carrier's last end), and such ends keep their pending ends in
-        `links`.  When a local check flags anything, the full check
-        decides and builds the fault.  Most steps record nothing, and then
-        the check returns at once.
+        Right after one step of a checked machine whose last check passed,
+        only that step's record is checked.  The network was then a forest
+        with every live end owned, and the checker promises that every end a
+        step moves belongs to the stepping process and every end a live
+        process owns is bound to one of its names.  A step that changes
+        ownership replaces one process or channel by a small tree: plug and
+        fork hand each of the process's channels to one child, so those lead
+        into disjoint subtrees, and |=| joins its two peers by one channel.  A
+        new cycle must therefore close among the channels the step created.
+        An end loses its owner only through an end the step released or
+        redirected (a fork whose carrier's far end has no owner releases the
+        carrier's last end), and such ends keep their pending ends in `links`.
+        When a local check flags anything, the full check decides and builds
+        the fault.  Most steps record nothing, and then the check returns at
+        once.  An unchecked machine makes the full check every time.
         """
-        local = self._checked_at == self.steps - 1 and self._local_checks
+        local = self.checked and self._checked_at == self.steps - 1
         if local and not self._added and not self._released:
             self._checked_at = self.steps
             return
@@ -684,8 +675,8 @@ class Machine:
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
         e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
-        table = (self.program.plans.get(id(cmd))
-                 or self._new_plan(id(cmd), _arm_table, cmd))
+        table = (self._plans.get(id(cmd))
+                 or self._plan(id(cmd), _arm_table, cmd))
         body = table[1].get(msg.handle)
         if body is None:
             raise MachineFault("IllegalCommand",
@@ -718,8 +709,6 @@ class Machine:
     def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> TraceEvent:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
-        if cmd.fresh in p.chan_env:
-            self._local_checks = False
         p.chan_env[cmd.fresh] = e
         ev = TraceEvent(self.steps, p.pid, "NEG", cmd.fresh, e.cid)
         self._advance(p)
@@ -812,9 +801,12 @@ class Machine:
         raise MachineFault("IllegalCommand",
                            f"cannot evaluate {type(e).__name__}")
 
-    def _new_plan(self, key, build, *args):
-        """Memoise `build(program, *args)` under `key`: a lookup's miss."""
-        plan = self.program.plans[key] = build(self.program, *args)
+    def _plan(self, key, build, *args):
+        """`build(program, *args)`, kept under `key` only by a checked
+        machine: unchecked, a node's process may hold other names."""
+        plan = build(self.program, *args)
+        if self.checked:
+            self._plans[key] = plan
         return plan
 
     def _hand_off(self, p: ProcessInstance, plan: HandOff,
@@ -838,9 +830,8 @@ class Machine:
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
-        key = (id(cmd), frozenset(p.chan_env))
-        plan = (self.program.plans.get(key)
-                or self._new_plan(key, _fork_plan, cmd, key[1]))
+        plan = (self._plans.get(id(cmd))
+                or self._plan(id(cmd), _fork_plan, cmd, p.chan_env))
         ch = self.channels[e.cid]
         # The forker's children take end 0 of each new channel.  End 1
         # waits for the peer's split; until then it is claimed through
@@ -863,9 +854,6 @@ class Machine:
         e, msg = self._pop(p, cmd.chan, RewireMsg, "split")
         del p.chan_env[cmd.chan]
         self._release(e)
-        if cmd.left == cmd.right or cmd.left in p.chan_env \
-                or cmd.right in p.chan_env:
-            self._local_checks = False
         for name, claimed in zip((cmd.left, cmd.right), msg.ends):
             claimed.owner = p.pid
             p.chan_env[name] = claimed
@@ -875,9 +863,8 @@ class Machine:
         return ev
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
-        key = (id(cmd), frozenset(p.chan_env))
-        plan = (self.program.plans.get(key)
-                or self._new_plan(key, _plug_plan, cmd, key[1]))
+        plan = (self._plans.get(id(cmd))
+                or self._plan(id(cmd), _plug_plan, cmd, p.chan_env))
         envs: list[dict] = [{} for _ in plan.children]
         for name, i, j in plan.joins:
             envs[i][name], envs[j][name] = self._new_channel(name).ends
@@ -889,8 +876,8 @@ class Machine:
                      ) -> TraceEvent:
         """Replace `p`'s continuation with a called or stored process."""
         if type(cmd) is Call:
-            plan = (self.program.plans.get(id(cmd))
-                    or self._new_plan(id(cmd), _invocation, cmd))
+            plan = (self._plans.get(id(cmd))
+                    or self._plan(id(cmd), _invocation, cmd))
             kind, name, seq_env = "CALL", plan.proc.name, {}
         else:
             value = self._eval(p, cmd.stored)
@@ -900,8 +887,8 @@ class Machine:
                                    f"{render(value)}")
             d = value.proc
             key = (id(cmd), id(d))
-            plan = (self.program.plans.get(key)
-                    or self._new_plan(key, _invocation, cmd, d))
+            plan = (self._plans.get(key)
+                    or self._plan(key, _invocation, cmd, d))
             kind, name, seq_env = "USE", f"use:{d.name}", dict(value.env)
         for param, e in plan.seq_pairs:
             seq_env[param] = self._eval(p, e)
@@ -914,10 +901,6 @@ class Machine:
                                    f"{kind.lower()} passes unknown channel "
                                    f"{arg!r}")
             chan_env[param] = e
-        # With distinct names, the arguments are all held; any other held
-        # end is left under no name.
-        if plan.aliases or len(held) > len(chan_env):
-            self._local_checks = False
         p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
@@ -948,8 +931,6 @@ class Machine:
             self.channels.pop(old.cid, None)
         ev = TraceEvent(self.steps, p.pid, "LINK", cmd.left, lch.cid,
                         f"{cmd.right}->#{fused.cid}")
-        if p.chan_env.keys() - {cmd.left, cmd.right}:
-            self._local_checks = False
         p.chan_env.clear()
         del self.processes[p.pid]
         self._reap(fused)
@@ -975,10 +956,12 @@ class Machine:
 
 def boot(program: ExecProgram, seed: int = 0,
          services: ServiceConfig | None = None,
-         trace_hook: Callable[[TraceEvent], None] | None = None) -> Machine:
+         trace_hook: Callable[[TraceEvent], None] | None = None,
+         checked: bool = True) -> Machine:
     """Create and boot a machine: one process for `run`, one service
-    channel per service parameter in its context, RNG seeded."""
-    return Machine(program, seed, services, trace_hook).boot()
+    channel per service parameter in its context, RNG seeded.  A program
+    that has not passed `check_program` must be booted `checked=False`."""
+    return Machine(program, seed, services, trace_hook, checked).boot()
 
 
 # How `Machine.step` runs each command class.  `OnDo` is absent: `prepare`

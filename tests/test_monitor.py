@@ -1,8 +1,9 @@
 """The incremental topology monitor against its full reference.
 
-`Machine.assert_invariants` checks only what the last step touched;
-`Machine.check_invariants` scans the whole network.  On every state these
-tests reach, both must pass or both must raise the same fault.
+On a checked machine, `Machine.assert_invariants` checks only what the
+last step touched; `Machine.check_invariants` scans the whole network.  On
+every state these tests reach, both must pass or both must raise the same
+fault.  An unchecked machine makes the full check before every step.
 """
 
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from campl.checker import check_program
-from campl.diagnostics import ParseFailure
+from campl.diagnostics import CheckFailure, ParseFailure
 from campl.elaborate import prepare
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
@@ -31,7 +32,7 @@ def run_unchecked_watched(text: str, seed: int,
     try:
         program = prepare(parse_source(text))
         machine = boot(program, seed, ServiceConfig.from_script(
-            STDIN_SCRIPT.splitlines()))
+            STDIN_SCRIPT.splitlines()), checked=False)
     except (ParseFailure, BootError):
         return None
     for _ in range(max_steps):
@@ -89,6 +90,35 @@ def test_monitor_agrees_on_the_fault_goldens(name):
         assert fault == MONITOR_FAULTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(MONITOR_FAULTS))
+def test_local_checks_flag_the_monitor_fault_goldens(name, monkeypatch):
+    # Booted as if checked, the machine makes its local checks on these
+    # faulting programs; the first check that flags must be the one at
+    # which the reference raises, with the same text.
+    flags = []
+    local = Machine._step_checks_pass
+
+    def recorded(machine):
+        passed = local(machine)
+        if not passed:
+            flags.append(machine.steps)
+        return passed
+
+    monkeypatch.setattr(Machine, "_step_checks_pass", recorded)
+    m = boot(prepare(parse_source(FAULTS[name])), 0,
+             ServiceConfig.from_script(STDIN_SCRIPT.splitlines()))
+    for _ in range(1000):
+        try:
+            assert_monitor_agrees(m)
+        except MachineFault as e:
+            assert str(e) == MONITOR_FAULTS[name]
+            break
+        m.step(m.pick())
+    else:
+        raise AssertionError("no fault")
+    assert flags == [m.steps]
+
+
 @pytest.fixture
 def full_checks(monkeypatch):
     """The step counts at which the full reference ran."""
@@ -133,7 +163,7 @@ def test_full_check_runs_once_on_a_pipeline(full_checks):
 
 # `twice` receives x's end as both `a` and `b` (step 2); its plug hands
 # the two names to different children, so `left` forks an end that
-# `right` owns.  From that call on, every check is the full one.
+# `right` owns.  The checker rejects it (see the premise test below).
 ALIASED = ("proc twice =\n"
            "    | a, b => -> plug\n"
            "        left( | a => )\n"
@@ -154,15 +184,15 @@ ALIASED = ("proc twice =\n"
            "        twice( | x, x => )\n")
 
 
-def test_one_end_under_two_names_turns_local_checks_off(full_checks):
+def test_an_unchecked_machine_makes_the_full_check_every_step(full_checks):
     assert run_unchecked_watched(ALIASED, 0) == \
         "IllegalCommand: channel 'b' is gone"
     full_checks.clear()
     m = boot(prepare(parse_source(ALIASED)), 0,
-             ServiceConfig.from_script([]))
+             ServiceConfig.from_script([]), checked=False)
     with pytest.raises(MachineFault):
         m.run_to_completion()
-    assert m.steps == 8 and full_checks == [0, 3, 4, 5, 6, 7, 8]
+    assert m.steps == 8 and full_checks == list(range(9))
 
 
 # Each program leaves an end owned by a live process under no name; once
@@ -233,7 +263,25 @@ LEFT_UNDER_NO_NAME = {
     ("split-onto-a-held-name", "q#1"),
 ])
 def test_an_end_left_with_an_ended_process_is_unowned(name, chan):
-    # The monitor must agree with the reference on every step, so the step
-    # that leaves the end turns the local checks off.
+    # The full check counts an end owned by a pid that has ended as
+    # unowned.
     assert run_unchecked_watched(LEFT_UNDER_NO_NAME[name], 0) == \
         f"Conservation: live channel {chan} has an unowned end"
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("repeated-parameter", "LinearityReuse"),
+    ("call-drops-an-end", "LinearityDrop"),
+    ("link-with-another-end", "LinearityDrop"),
+    ("neg-onto-a-held-name", "UnificationFailure"),
+    ("split-onto-a-held-name", "LinearityReuse"),
+    ("aliased", "UnificationFailure"),
+])
+def test_the_checker_rejects_every_aliasing_program(name, kind):
+    # A checked machine's local checks and node-keyed plans rest on this:
+    # no accepted program binds one end to two names or leaves an end
+    # under no name.
+    text = ALIASED if name == "aliased" else LEFT_UNDER_NO_NAME[name]
+    with pytest.raises(CheckFailure) as failure:
+        check_program(parse_source(text))
+    assert failure.value.errors[0].kind == kind

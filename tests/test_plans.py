@@ -1,14 +1,15 @@
 """The machine's per-node plans against a per-step reference.
 
-A plug, fork, call, use or hcase takes how it wires names from
-`ExecProgram.plans`, built the first time its node runs (for a plug or a
-fork, once per set of names its process holds).  Before every such step,
-these tests work the plan out again from the machine's state, the way the
-machine did on every step before plans, and after the step compare it
-with the memoised one and with the processes the step made.  A step whose
-reference predicts a fault must raise exactly that fault and leave no plan
-behind, so the next visit checks again.  `elaborate.free_chans` is the
-reference for the free-channel sets, as for `ExecProgram.free_chans`.
+A plug, fork, call, use or hcase applies a plan of how it wires names.  A
+checked machine keeps it in `ExecProgram.plans`, built the first time its
+node runs; an unchecked one builds it afresh on every step.  Before every
+such step, these tests work the plan out again from the machine's state,
+the way the machine did on every step before plans, and after the step
+compare it with the memoised one (checked programs only) and with the
+processes the step made.  A step whose reference predicts a fault must
+raise exactly that fault and leave no plan behind, so the next visit
+checks again.  `elaborate.free_chans` is the reference for the
+free-channel sets, as for `ExecProgram.free_chans`.
 """
 
 from collections import Counter
@@ -16,7 +17,7 @@ from collections import Counter
 import pytest
 
 from campl.checker import check_program
-from campl.diagnostics import ParseFailure
+from campl.diagnostics import CheckFailure, ParseFailure
 from campl.elaborate import free_chans, prepare
 from campl.model import Call, Fork, HCase, Plug, Use, sub_bodies
 from campl.parser import parse_source
@@ -61,7 +62,7 @@ def _reference(machine: Machine, p, cmd):
         for i, names in enumerate(frees):
             for name in names - held:
                 users.setdefault(name, []).append(i)
-        key = (id(cmd), held)
+        key = id(cmd)
         for name in sorted(users):
             if len(users[name]) != 2:
                 return key, (f"IllegalCommand: plug channel {name!r} must "
@@ -82,7 +83,7 @@ def _reference(machine: Machine, p, cmd):
         held = frozenset(p.chan_env) - {cmd.chan}
         inherited, released = _inherits(held, [
             (free_chans(a.body), {a.name}) for a in cmd.arms])
-        return (id(cmd), held), {
+        return id(cmd), {
             "joins": (),
             "fork_payload": ",".join(f"{a.name}#{machine._next_cid + i}"
                                      for i, a in enumerate(cmd.arms)),
@@ -120,57 +121,69 @@ def _reference(machine: Machine, p, cmd):
                      f"mismatched argument counts")
     return key, {"proc": proc,
                  "seq_pairs": tuple(zip(proc.seq_params, cmd.seq_args)),
-                 "chan_pairs": tuple(zip(params, args)),
-                 "local_checks": machine._local_checks}
+                 "chan_pairs": tuple(zip(params, args))}
 
 
 def _compare(machine, parent, cmd, key, expected, before, ev, fault):
-    """The plan memoised under `key` against `expected`; the children the
-    step made, and the ends it released, against the reference.  `parent`
-    is the stepping process's name and the ends it held."""
+    """On a checked machine, the plan memoised under `key` against
+    `expected`; on any machine, what the step did against the reference:
+    the fault it raised, the body an hcase entered, the ends a call or use
+    bound, and the children a plug or fork made and the ends it released.
+    `parent` is the stepping process's name and the ends it held."""
     plans = machine.program.plans
     if isinstance(expected, str):
         assert fault == expected
         assert key not in plans, "a plan was kept for a faulting node"
         return
-    plan = plans[key]
-    assert before is None or plan is before, "a memoised plan was rebuilt"
-    assert plan[0] is cmd
+    plan = None
+    if machine.checked:
+        plan = plans[key]
+        assert before is None or plan is before, "a memoised plan was rebuilt"
+        assert plan[0] is cmd
+    name, held = parent
     if type(cmd) is HCase:
-        assert plan[1] == expected["bodies"]
-        handle = expected["handle"]
-        if handle not in expected["bodies"]:
+        bodies, handle = expected["bodies"], expected["handle"]
+        assert plan is None or plan[1] == bodies
+        if handle not in bodies:
             assert fault == (f"IllegalCommand: hcase on {cmd.chan!r} has "
                              f"no arm for handle {handle}")
+        elif fault is None and ev.pid in machine.processes:
+            assert machine.processes[ev.pid].frames[-1][0] is bodies[handle]
         return
     if type(cmd) in (Call, Use):
-        assert (plan.proc, plan.seq_pairs, plan.chan_pairs) == (
-            expected["proc"], expected["seq_pairs"], expected["chan_pairs"])
-        assert plan.proc is expected["proc"]
-        if fault is None and expected["local_checks"]:
-            # The machine tested the ends it bound for an alias per step:
-            # each parameter must get an end of its own.
-            ends = machine.processes[ev.pid].chan_env.values()
-            assert plan.aliases is (
-                len(set(ends)) < len(plan.proc.chan_params))
+        if plan is not None:
+            assert (plan.proc, plan.seq_pairs, plan.chan_pairs) == (
+                expected["proc"], expected["seq_pairs"],
+                expected["chan_pairs"])
+            assert plan.proc is expected["proc"]
+        if fault is None:
+            # Each parameter binds the end its argument named, the last
+            # one for a repeated parameter.
+            q = machine.processes[ev.pid]
+            assert q.frames == [[expected["proc"].body, 0]]
+            assert q.chan_env == {param: held[arg] for param, arg
+                                  in expected["chan_pairs"]}
         return
-    assert plan.joins == expected["joins"]
-    assert [(s, b, set(inherits)) for s, b, inherits in plan.children] == \
-        [c[:3] for c in expected["children"]]
-    assert all(list(inh) == sorted(inh) for _, _, inh in plan.children)
-    assert set(plan.released) == expected["released"]
-    assert list(plan.released) == sorted(plan.released)
+    if plan is not None:
+        assert plan.joins == expected["joins"]
+        assert [(s, b, set(inh)) for s, b, inh in plan.children] == \
+            [c[:3] for c in expected["children"]]
+        assert all(list(inh) == sorted(inh) for _, _, inh in plan.children)
+        assert set(plan.released) == expected["released"]
+        assert list(plan.released) == sorted(plan.released)
     assert fault is None
     if type(cmd) is Plug:
-        assert plan.payload == ev.payload == expected["payload"]
+        assert ev.payload == expected["payload"]
+        assert plan is None or plan.payload == ev.payload
     else:
         assert ev.payload == expected["fork_payload"]
     children = [q for pid, q in machine.processes.items()
                 if pid >= machine._next_pid - len(expected["children"])]
-    name, held = parent
     assert [(q.name, set(q.chan_env)) for q in children] == [
         (name + suffix, names)
         for suffix, _, _, names in expected["children"]]
+    for q, (_, _, inherited, _) in zip(children, expected["children"]):
+        assert all(q.chan_env[n] is held[n] for n in inherited)
     for n in expected["released"]:
         assert held[n].owner is None and held[n].closed, f"{n} kept"
 
@@ -204,27 +217,31 @@ def run_compared(machine: Machine, seen: Counter,
     raise AssertionError(f"no end after {max_steps} steps")
 
 
-def _boot(program, seed: int) -> Machine | None:
+def _boot(program, seed: int, checked: bool) -> Machine | None:
     try:
         return boot(program, seed, ServiceConfig.from_script(
-            STDIN_SCRIPT.splitlines()))
+            STDIN_SCRIPT.splitlines()), checked=checked)
     except BootError:
         return None
 
 
 def _compare_all(texts, seeds=(0, 3)) -> Counter:
-    """Run each program twice per seed on one `ExecProgram`, so the
-    second run finds the plans the first one built."""
+    """Run each program twice per seed on one `ExecProgram`, so a checked
+    program's second run finds the plans the first one built.  A program
+    the checker rejects runs unchecked and must leave no plan behind."""
     seen: Counter = Counter()
     for label, text in texts:
         try:
             source = parse_source(text)
         except ParseFailure:
             continue
-        program = prepare(source)
+        try:
+            program, checked = check_program(source).exec_program, True
+        except CheckFailure:
+            program, checked = prepare(source), False
         for seed in seeds:
             for _ in range(2):
-                machine = _boot(program, seed)
+                machine = _boot(program, seed, checked)
                 if machine is None:
                     break
                 try:
@@ -232,6 +249,8 @@ def _compare_all(texts, seeds=(0, 3)) -> Counter:
                 except AssertionError as e:
                     raise AssertionError(f"{label}, seed {seed}: {e}") \
                         from None
+        assert checked or not program.plans, \
+            f"{label}: an unchecked run kept a plan"
     return seen
 
 
@@ -243,6 +262,29 @@ def _corpus():
 def test_plans_agree_on_the_corpus():
     seen = _compare_all(_corpus())
     assert set(seen) == {k.__name__ for k in PLANNED}, seen
+
+
+def test_an_unchecked_run_ignores_the_plans_a_checked_run_kept():
+    # Both runs share one `ExecProgram`; each plan the checked run kept is
+    # then replaced by a stand-in that no handler could apply.
+    ran = 0
+    for name, text in _corpus():
+        try:
+            program = check_program(parse_source(text)).exec_program
+        except CheckFailure:
+            continue
+        checked = _boot(program, 0, True)
+        if checked is None:
+            continue
+        checked.run_to_completion()
+        kept = program.plans = dict.fromkeys(program.plans, object())
+        unchecked = _boot(program, 0, False)
+        unchecked.run_to_completion()
+        assert [ev.render() for ev in unchecked.trace] == \
+            [ev.render() for ev in checked.trace], name
+        assert program.plans == kept, name
+        ran += bool(kept)
+    assert ran >= 5
 
 
 def test_plans_agree_on_the_golden_programs():
@@ -280,18 +322,18 @@ def _planned_nodes(body):
 
 
 def test_churn_builds_each_plan_once(monkeypatch):
-    # Every node of `churn0` runs under one set of held names, so a plan
-    # per node: a handful of builds for about 12,000 planned steps.
+    # A checked machine builds one plan per node: a handful of builds for
+    # about 12,000 planned steps.
     source = load_perfbench("programs").churn(1).sources["churn0"]
     program = check_program(parse_source(source)).exec_program
     builds = []
-    build = Machine._new_plan
+    build = Machine._plan
 
     def counted(machine, key, *args):
         builds.append(key)
         return build(machine, key, *args)
 
-    monkeypatch.setattr(Machine, "_new_plan", counted)
+    monkeypatch.setattr(Machine, "_plan", counted)
     kinds: Counter = Counter()
     for seed in (0, 1):
         outcome = boot(program, seed, ServiceConfig.from_script([]),
