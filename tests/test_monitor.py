@@ -24,15 +24,19 @@ from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, STDIN_SCRIPT
 
 
-def run_unchecked_watched(text: str, seed: int,
-                          max_steps: int = 5000) -> str | None:
-    """Boot `text` without the checker and step it as `campl run
-    --unchecked` would, with the monitor and its reference compared
+def run_text_watched(text: str, seed: int,
+                     max_steps: int = 5000) -> str | None:
+    """Boot `text` checked if `check_program` accepts it and unchecked
+    otherwise, and step it with the monitor and its reference compared
     before every step.  Returns the fault that ended the run, if any."""
     try:
-        program = prepare(parse_source(text))
+        source = parse_source(text)
+        try:
+            program, checked = check_program(source).exec_program, True
+        except CheckFailure:
+            program, checked = prepare(source), False
         machine = boot(program, seed, ServiceConfig.from_script(
-            STDIN_SCRIPT.splitlines()), checked=False)
+            STDIN_SCRIPT.splitlines()), checked=checked)
     except (ParseFailure, BootError):
         return None
     for _ in range(max_steps):
@@ -64,10 +68,24 @@ def _line_drops(name: str):
 def test_monitor_agrees_on_unchecked_line_drops(name, seed):
     for line, text in _line_drops(name):
         try:
-            run_unchecked_watched(text, seed)
+            run_text_watched(text, seed)
         except AssertionError as e:
             raise AssertionError(f"{name} without line {line}, seed "
                                  f"{seed}: {e}") from None
+
+
+def test_some_line_drops_run_checked():
+    # The variants the checker accepts run on the local checks, which the
+    # line-drop test then compares with the reference.
+    accepted = 0
+    for path in CORPUS.glob("*.campl"):
+        for _, text in _line_drops(path.name):
+            try:
+                check_program(parse_source(text))
+            except (ParseFailure, CheckFailure):
+                continue
+            accepted += 1
+    assert accepted >= 10
 
 
 MONITOR_FAULTS = {
@@ -84,7 +102,7 @@ MONITOR_FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_monitor_agrees_on_the_fault_goldens(name):
-    fault = run_unchecked_watched(FAULTS[name], 0)
+    fault = run_text_watched(FAULTS[name], 0)
     assert fault is not None
     if name in MONITOR_FAULTS:
         assert fault == MONITOR_FAULTS[name]
@@ -106,7 +124,8 @@ def test_local_checks_flag_the_monitor_fault_goldens(name, monkeypatch):
 
     monkeypatch.setattr(Machine, "_step_checks_pass", recorded)
     m = boot(prepare(parse_source(FAULTS[name])), 0,
-             ServiceConfig.from_script(STDIN_SCRIPT.splitlines()))
+             ServiceConfig.from_script(STDIN_SCRIPT.splitlines()),
+             checked=True)
     for _ in range(1000):
         try:
             assert_monitor_agrees(m)
@@ -185,7 +204,7 @@ ALIASED = ("proc twice =\n"
 
 
 def test_an_unchecked_machine_makes_the_full_check_every_step(full_checks):
-    assert run_unchecked_watched(ALIASED, 0) == \
+    assert run_text_watched(ALIASED, 0) == \
         "IllegalCommand: channel 'b' is gone"
     full_checks.clear()
     m = boot(prepare(parse_source(ALIASED)), 0,
@@ -265,7 +284,7 @@ LEFT_UNDER_NO_NAME = {
 def test_an_end_left_with_an_ended_process_is_unowned(name, chan):
     # The full check counts an end owned by a pid that has ended as
     # unowned.
-    assert run_unchecked_watched(LEFT_UNDER_NO_NAME[name], 0) == \
+    assert run_text_watched(LEFT_UNDER_NO_NAME[name], 0) == \
         f"Conservation: live channel {chan} has an unowned end"
 
 

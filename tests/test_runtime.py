@@ -35,7 +35,7 @@ def run_text(src, seed=0, script=(), check=True):
     if check:
         check_program(prog)
     cfg = ServiceConfig.from_script(list(script))
-    m = boot(prepare(prog), seed=seed, services=cfg)
+    m = boot(prepare(prog), seed=seed, services=cfg, checked=check)
     return m.run_to_completion(), cfg
 
 
@@ -105,7 +105,8 @@ def test_appendix_c_delivers_the_integer_five():
 
 def test_appendix_b_unchecked_sticks_both_processes_on_one_channel():
     prog = parse_source(corpus_text("appendix_b.campl"))
-    m = boot(prepare(prog), services=ServiceConfig.from_script([]))
+    m = boot(prepare(prog), services=ServiceConfig.from_script([]),
+             checked=False)
     out = m.run_to_completion()
     assert out.kind is OutcomeKind.STUCK
     assert len(out.stuck) == 2
@@ -519,7 +520,7 @@ def test_every_holder_of_a_moved_end_follows_the_link():
            "        joiner( | x => y )\n"
            "        sender( | => y )\n")
     m = boot(prepare(parse_source(src)),
-             services=ServiceConfig.from_script([]))
+             services=ServiceConfig.from_script([]), checked=False)
     with pytest.raises(MachineFault) as e:
         m.run_to_completion()
     assert str(e.value) == "IllegalCommand: channel 'b' is gone"
@@ -542,7 +543,7 @@ def test_pending_end_of_a_closed_carrier_is_unowned():
            "        talker( | => x )\n"
            "        hearer( | x => )\n")
     m = boot(prepare(parse_source(src)),
-             services=ServiceConfig.from_script([]))
+             services=ServiceConfig.from_script([]), checked=False)
     with pytest.raises(MachineFault) as e:
         m.run_to_completion()
     assert str(e.value) == ("Conservation: live channel l#1 has an "
@@ -629,7 +630,8 @@ def test_illegal_desync_is_a_fault_not_a_hang():
            "        a( | => ch )\n"
            "        b( | ch => )\n")
     prog = parse_source(src)
-    m = boot(prepare(prog), services=ServiceConfig.from_script([]))
+    m = boot(prepare(prog), services=ServiceConfig.from_script([]),
+             checked=False)
     with pytest.raises(MachineFault):
         m.run_to_completion()
 
@@ -702,7 +704,8 @@ def test_unchecked_missing_channel_is_a_precise_fault():
            "        get y on ch\n"
            "        close ch\n")
     prog = parse_source(src)
-    m = boot(prepare(prog), services=ServiceConfig.from_script([]))
+    m = boot(prepare(prog), services=ServiceConfig.from_script([]),
+             checked=False)
     with pytest.raises(MachineFault) as e:
         m.run_to_completion()
     assert "phantom" in str(e.value)
@@ -719,7 +722,8 @@ def test_unchecked_call_arity_is_a_fault():
            "        do\n"
            "            halt x\n")
     prog = parse_source(src)
-    m = boot(prepare(prog), services=ServiceConfig.from_script([]))
+    m = boot(prepare(prog), services=ServiceConfig.from_script([]),
+             checked=False)
     with pytest.raises(MachineFault) as e:
         m.run_to_completion()
     assert "mismatched" in str(e.value)
@@ -728,15 +732,17 @@ def test_unchecked_call_arity_is_a_fault():
 def _unchecked_fault(src):
     """Run `src` as `campl run --unchecked` would; the fault that ended
     the run and the machine's step count when it was raised.  A second
-    run of the same program must fault alike, so no fault is memoised."""
+    run of the same program must fault alike, and neither run keeps a
+    plan, so no fault is memoised."""
     program = prepare(parse_source(src))
     faults = []
     for _ in range(2):
-        m = boot(program, services=ServiceConfig.from_script([]))
+        m = boot(program, services=ServiceConfig.from_script([]),
+                 checked=False)
         with pytest.raises(MachineFault) as e:
             m.run_to_completion()
         faults.append((str(e.value), m.steps))
-    assert faults[0] == faults[1]
+    assert faults[0] == faults[1] and not program.plans
     return faults[0]
 
 
@@ -856,7 +862,7 @@ def test_unchecked_link_of_two_consoles_keeps_both_service_ends(asked):
            f"        hput ConsoleGet on {asked}\n"
            "        a |=| b\n")
     m = boot(prepare(parse_source(src)),
-             services=ServiceConfig.from_script(["hi"]))
+             services=ServiceConfig.from_script(["hi"]), checked=False)
     with pytest.raises(MachineFault) as e:
         run_watched(m)
     assert (str(e.value), m.steps) == (
@@ -948,7 +954,7 @@ def test_raw_on_do_is_an_illegal_command():
     prog = parse_source("proc run =\n"
                         "    | => -> on x do\n"
                         "        halt\n")
-    m = boot(ExecProgram(dict(prog.procs)))
+    m = boot(ExecProgram(dict(prog.procs)), checked=False)
     p = m.pick()
     with pytest.raises(MachineFault) as e:
         m.step(p)
