@@ -16,12 +16,12 @@ from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
 from .elaborate import ExecProgram, prepare
 from .model import (
-    INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, CharLit, Close,
-    CoprotoApp, DeclKind, Expr, Fork, Get, GetVal, Halt, HCase, HPut,
+    COMMAND_HEADS, INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, CharLit,
+    Close, CoprotoApp, DeclKind, Expr, Fork, Get, GetVal, Halt, HCase, HPut,
     IntLit, Link, NegIntro, NegT, Par, Plug, Polarity, Pos, ProcDef,
     ProcSignature, ProtoApp, ProtocolDecl, Put, PutVal, Race, SeqType,
     SeqUVar, SourceProgram, Split, StoreOf, StoreType, StringLit, Tensor,
-    UVar, Use, VarRef, allowed_commands, map_command, map_signature,
+    TopBot, UVar, Use, VarRef, allowed_commands, map_command, map_signature,
     map_type, type_parts, unfold_handle,
     BOOL, CHAR, INT, STRING,
 )
@@ -431,14 +431,14 @@ class Checker:
     def check_command(self, cmd, seq_ctx, chan_ctx, last: bool):
         if isinstance(cmd, PutVal):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "put")
-            head = self.expect_head(cmd.chan, entry, "put", cmd.pos)
+            head = self.shape(cmd.chan, entry, "put", cmd.pos)
             vt = self.expr_type(cmd.expr, seq_ctx)
             self.unify_seq_or_fail(vt, head.msg, cmd.pos, cmd.chan)
             self.advance(cmd.chan, chan_ctx, head.rest)
             return _OPEN
         if isinstance(cmd, GetVal):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "get")
-            head = self.expect_head(cmd.chan, entry, "get", cmd.pos)
+            head = self.shape(cmd.chan, entry, "get", cmd.pos)
             seq_ctx[cmd.binder] = head.msg
             self.advance(cmd.chan, chan_ctx, head.rest)
             return _OPEN
@@ -448,13 +448,13 @@ class Checker:
             return self.check_hcase(cmd, seq_ctx, chan_ctx)
         if isinstance(cmd, Close):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "close")
-            self.shape(cmd.chan, entry, "close", cmd.pos, lambda: TOPBOT)
+            self.shape(cmd.chan, entry, "close", cmd.pos)
             del chan_ctx[cmd.chan]
             # Closing the last live channel may end the body.
             return _TERMINATED if (last and not chan_ctx) else _OPEN
         if isinstance(cmd, Halt):
             entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "halt")
-            self.shape(cmd.chan, entry, "halt", cmd.pos, lambda: TOPBOT)
+            self.shape(cmd.chan, entry, "halt", cmd.pos)
             del chan_ctx[cmd.chan]
             if chan_ctx:
                 names = ", ".join(sorted(chan_ctx))
@@ -515,24 +515,40 @@ class Checker:
                   channel=chan, chan_type=resolved)
 
     def shape(self, chan: str, entry: ChanEntry, command: str, pos: Pos,
-              fresh):
-        """The outermost constructor of the channel's type.  A variable is
-        solved to `fresh()`, the constructor that makes `command` legal at
-        the entry's polarity; any other type must allow `command`."""
+              decl: ProtocolDecl | None = None):
+        """The outermost constructor of the channel's type, which must
+        allow `command` and, for a handle command, be `decl`'s.  A variable
+        is first solved, with fresh parts, to the constructor
+        `COMMAND_HEADS` gives `command` at the entry's polarity; for a
+        handle command, to `decl`'s application at either polarity, which
+        the matrix then judges like any other type."""
         resolved = self.uni.resolve(entry.type)
-        if isinstance(resolved, UVar):
-            head = fresh()
+        if type(resolved) is UVar:
+            head = self.fresh_head(
+                COMMAND_HEADS[command][entry.pol is INPUT], decl)
             self.uni.unify(resolved, head)
-            return head
+            resolved = head
         self.legality(chan, entry, command, pos, resolved)
+        if decl is not None and resolved.name != decl.name:
+            self.fail(dk.HANDLE_UNKNOWN, pos,
+                      f"handle belongs to {decl.name}, but {chan!r} has "
+                      f"type {resolved}", channel=chan, chan_type=resolved)
         return resolved
 
-    def expect_head(self, chan: str, entry: ChanEntry, command: str,
-                    pos: Pos):
-        """The Put or Get at the channel's head for a value `command`."""
-        want = Put if (command == "put") == (entry.pol is OUTPUT) else Get
-        return self.shape(chan, entry, command, pos, lambda: want(
-            self.uni.fresh_seq(), self.uni.fresh_chan()))
+    def fresh_head(self, head, decl: ProtocolDecl | None):
+        """`head` with fresh variables for its parts, `?sN` before `?cN`;
+        for a handle command, `decl`'s application."""
+        uni = self.uni
+        if head is TopBot:
+            return TOPBOT
+        if head is Put or head is Get:
+            return head(uni.fresh_seq(), uni.fresh_chan())
+        if head is Tensor or head is Par:
+            return head(uni.fresh_chan(), uni.fresh_chan())
+        if head is NegT:
+            return NegT(uni.fresh_chan())
+        ctor = ProtoApp if decl.kind is DeclKind.PROTOCOL else CoprotoApp
+        return ctor(decl.name, tuple(uni.fresh_seq() for _ in decl.seq_params))
 
     def unify_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
         try:
@@ -589,21 +605,10 @@ class Checker:
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"unknown handle {cmd.handle!r}", channel=cmd.chan)
-        app = self.force_app(cmd.chan, entry, decl, "hput", cmd.pos)
+        app = self.shape(cmd.chan, entry, "hput", cmd.pos, decl)
         unfolded = unfold_handle(decl, cmd.handle, app)
         self.advance(cmd.chan, chan_ctx, unfolded)
         return _OPEN
-
-    def force_app(self, chan: str, entry: ChanEntry, decl: ProtocolDecl,
-                  command: str, pos: Pos):
-        ctor = ProtoApp if decl.kind is DeclKind.PROTOCOL else CoprotoApp
-        app = self.shape(chan, entry, command, pos, lambda: ctor(
-            decl.name, tuple(self.uni.fresh_seq() for _ in decl.seq_params)))
-        if not isinstance(app, ctor) or app.name != decl.name:
-            self.fail(dk.HANDLE_UNKNOWN, pos,
-                      f"handle belongs to {decl.name}, but {chan!r} has "
-                      f"type {app}", channel=chan, chan_type=app)
-        return app
 
     def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "hcase")
@@ -629,7 +634,7 @@ class Checker:
                       f"hcase on {cmd.chan!r} must cover every handle of "
                       f"{decl.name}; missing: {', '.join(missing)}",
                       channel=cmd.chan)
-        app = self.force_app(cmd.chan, entry, decl, "hcase", cmd.pos)
+        app = self.shape(cmd.chan, entry, "hcase", cmd.pos, decl)
         results = []
         for arm in cmd.arms:
             arm_ctx = dict(chan_ctx)
@@ -675,12 +680,10 @@ class Checker:
                           f"raced channel {arm.chan!r} is not live",
                           channel=arm.chan)
             resolved = self.uni.resolve(entry.type)
-            want = Get if entry.pol is OUTPUT else Put
-            if isinstance(resolved, UVar):
-                self.uni.unify(resolved,
-                                    want(self.uni.fresh_seq(),
-                                         self.uni.fresh_chan()))
-            elif not isinstance(resolved, want):
+            want = COMMAND_HEADS["get"][entry.pol is INPUT]
+            if type(resolved) is UVar:
+                self.uni.unify(resolved, self.fresh_head(want, None))
+            elif type(resolved) is not want:
                 self.fail(dk.RACE_ARM_NOT_RECEIVING, arm.pos,
                           f"race arm on {arm.chan!r} cannot receive: its "
                           f"next step is not a value get (type {resolved} "
@@ -694,9 +697,7 @@ class Checker:
 
     def check_fork(self, cmd: Fork, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "fork")
-        want = Tensor if entry.pol is OUTPUT else Par
-        resolved = self.shape(cmd.chan, entry, "fork", cmd.pos, lambda: want(
-            self.uni.fresh_chan(), self.uni.fresh_chan()))
+        resolved = self.shape(cmd.chan, entry, "fork", cmd.pos)
         components = (resolved.left, resolved.right)
         self.fork_sites.append(ForkSite(cmd.pos, components))
         rest = {n: e for n, e in chan_ctx.items() if n != cmd.chan}
@@ -734,9 +735,7 @@ class Checker:
 
     def check_split(self, cmd: Split, seq_ctx, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "split")
-        want = Par if entry.pol is OUTPUT else Tensor
-        resolved = self.shape(cmd.chan, entry, "split", cmd.pos, lambda: want(
-            self.uni.fresh_chan(), self.uni.fresh_chan()))
+        resolved = self.shape(cmd.chan, entry, "split", cmd.pos)
         del chan_ctx[cmd.chan]
         for name in (cmd.left, cmd.right):
             if name in chan_ctx:
@@ -937,8 +936,7 @@ class Checker:
 
     def check_neg(self, cmd: NegIntro, chan_ctx):
         entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "neg")
-        inner = self.shape(cmd.chan, entry, "neg", cmd.pos,
-                           lambda: NegT(self.uni.fresh_chan())).inner
+        inner = self.shape(cmd.chan, entry, "neg", cmd.pos).inner
         if cmd.fresh in chan_ctx and cmd.fresh != cmd.chan:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
                       f"neg binder {cmd.fresh!r} shadows a live channel",

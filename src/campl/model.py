@@ -26,9 +26,6 @@ class Pos:
     line: int = 0
     col: int = 0
 
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
-
 
 NO_POS = Pos()
 
@@ -365,26 +362,32 @@ class UnknownHandle(Exception):
     pass
 
 
+# The head constructor each command needs of its channel's type, held at
+# OUTPUT and at INPUT: the per-type, per-polarity command matrix.
+COMMAND_HEADS = {
+    "close": (TopBot, TopBot), "halt": (TopBot, TopBot),
+    "put": (Put, Get), "get": (Get, Put),
+    "fork": (Tensor, Par), "split": (Par, Tensor),
+    "hput": (ProtoApp, CoprotoApp), "hcase": (CoprotoApp, ProtoApp),
+    "neg": (NegT, NegT), "|=|": (NegT, NegT),
+}
+
+# (head constructor, polarity) -> the commands it allows.
+_ALLOWED = {
+    (head, p): frozenset(cmd for cmd, heads in COMMAND_HEADS.items()
+                         if heads[p is INPUT] is head)
+    for heads in COMMAND_HEADS.values() for head in heads
+    for p in (OUTPUT, INPUT)
+}
+
+
 def allowed_commands(t: ChanType, p: Polarity) -> frozenset[str]:
     """Which command kinds may act on a channel of type `t` held at
     polarity `p`.  Total over ground channel types."""
-    if isinstance(t, TopBot):
-        return frozenset({"close", "halt"})
-    if isinstance(t, Put):
-        return frozenset({"put"}) if p is OUTPUT else frozenset({"get"})
-    if isinstance(t, Get):
-        return frozenset({"get"}) if p is OUTPUT else frozenset({"put"})
-    if isinstance(t, Tensor):
-        return frozenset({"fork"}) if p is OUTPUT else frozenset({"split"})
-    if isinstance(t, Par):
-        return frozenset({"split"}) if p is OUTPUT else frozenset({"fork"})
-    if isinstance(t, NegT):
-        return frozenset({"neg", "|=|"})
-    if isinstance(t, ProtoApp):
-        return frozenset({"hput"}) if p is OUTPUT else frozenset({"hcase"})
-    if isinstance(t, CoprotoApp):
-        return frozenset({"hcase"}) if p is OUTPUT else frozenset({"hput"})
-    raise ValueError(f"allowed_commands on non-ground type {t!r}")
+    allowed = _ALLOWED.get((type(t), p))
+    if allowed is None:
+        raise ValueError(f"allowed_commands on non-ground type {t!r}")
+    return allowed
 
 
 def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:

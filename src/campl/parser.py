@@ -28,7 +28,7 @@ from .model import (
     NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
     ProtocolDecl, Put, PutVal, Race, RaceArm, SeqVar, Split, StateVar,
     StoreOf, StoreType, StringLit, SourceProgram, Tensor, Use, VarRef,
-    map_command, map_signature, map_type, pos_field, same_items,
+    map_signature, map_type, pos_field,
 )
 from .services import BUILTIN_DECLS
 
@@ -76,8 +76,10 @@ class Parser:
         # process, outside every `on` block.  Commands of an inline stored
         # process are left to the checker.
         self.chan_required = False
-        # Whether the process being parsed holds an inline stored process.
-        self.holds_inline = False
+        # Every node that holds types, in the order it was built: each
+        # protocol or coprotocol, and each process with a signature, top
+        # level or inline.
+        self.typed: list = []
         # First-token column of every line, for body anchoring: the first
         # token of a line is written last.  EOF, at column 0, is kept only
         # on a line of its own, where it is its own anchor.
@@ -139,9 +141,6 @@ class Parser:
         if self.peek()[0] == EOF:
             return SourceProgram(())
         top_col = self.peek()[3]
-        # id() of each process holding an inline stored process; `decls`
-        # keeps them alive.
-        holders: set[int] = set()
         while self.peek()[0] != EOF:
             t = self.peek()
             if not self._at_decl(top_col):
@@ -152,24 +151,22 @@ class Parser:
                 continue
             self.type_depth = 0
             self.chan_required = True
-            self.holds_inline = False
-            mark = len(self.errors)
+            mark, typed_mark = len(self.errors), len(self.typed)
             try:
-                if t[1] == "proc":
-                    d = self.parse_proc()
-                    if self.holds_inline:
-                        holders.add(id(d))
-                else:
-                    d = self.parse_protocol()
+                d = (self.parse_proc() if t[1] == "proc"
+                     else self.parse_protocol())
+                if type(d) is ProtocolDecl or d.signature is not None:
+                    self.typed.append(d)
                 decls.append(d)
             except ParseError as e:
-                # The bare commands of a declaration that fails are not
-                # reported.
+                # The bare commands and the typed nodes of a declaration
+                # that fails are dropped.
                 del self.errors[mark:]
+                del self.typed[typed_mark:]
                 self._error(e)
                 self._recover(top_col)
         self._validate(decls)
-        decls = _Resolver(decls, self.errors, holders).run()
+        _Resolver(self.typed, self.errors).resolve()
         if self.errors:
             self.errors.sort(key=sort_key)
             raise ParseFailure(self.errors)
@@ -624,10 +621,10 @@ class Parser:
                 outer, self.chan_required = self.chan_required, False
                 inner = self.parse_proc()
                 self.chan_required = outer
-                self.holds_inline = True
                 if inner.signature is None:
                     raise ParseError("an inline stored process needs a "
                                      "type signature", t)
+                self.typed.append(inner)
                 self.expect(")")
                 return StoreOf(inner, pos=Pos(line, col))
             name = self.expect_ident("process name")
@@ -665,57 +662,30 @@ _COMMANDS = {name[len("_cmd_"):]: f for name, f in vars(Parser).items()
 
 class _Resolver:
     """Rewrites raw named type references into protocol/coprotocol
-    applications, state variables, and declaration type parameters.
-    Only the bodies of the processes in `holders` (by id) hold types, in
-    their inline stored processes; the rest are kept as parsed."""
+    applications, state variables, and declaration type parameters.  It
+    sets, in place, each handle body of a declaration and the signature of
+    each process, top-level or inline stored, in `typed`; no process body
+    is walked.  Nodes change only here, inside `parse_program` before it
+    returns, so every node a caller sees is the immutable value `model`
+    promises."""
 
-    def __init__(self, decls: list, errors: list[Diagnostic],
-                 holders: set[int]):
-        self.decls = decls
+    def __init__(self, typed: list, errors: list[Diagnostic]):
+        self.typed = typed
         self.errors = errors
-        self.holders = holders
         self.scope = None
         self.table: dict[str, ProtocolDecl] = dict(BUILTIN_DECLS)
-        for d in decls:
-            if isinstance(d, ProtocolDecl) and d.name not in self.table:
+        for d in typed:
+            if type(d) is ProtocolDecl and d.name not in self.table:
                 self.table[d.name] = d
 
-    def run(self) -> list:
-        out = []
-        for d in self.decls:
-            if isinstance(d, ProtocolDecl):
-                out.append(self._resolve_protocol(d))
-            else:
-                out.append(self._resolve_proc(d, id(d) in self.holders))
-        return out
-
-    def _resolve_protocol(self, d: ProtocolDecl) -> ProtocolDecl:
-        scope = (set(d.seq_params), d.state_var)
-        handles = tuple(
-            HandleDef(h.name, self._type(h.body, scope), pos=h.pos)
-            for h in d.handles)
-        return ProtocolDecl(d.name, d.kind, d.seq_params, d.state_var,
-                            handles, pos=d.pos)
-
-    def _resolve_proc(self, d: ProcDef, walk: bool = True) -> ProcDef:
-        """`d` resolved; its body only when `walk`."""
-        sig = (map_signature(d.signature, lambda t: self._type(t, None))
-               if d.signature else None)
-        body = self._body(d.body) if walk else d.body
-        return ProcDef(d.name, sig, d.seq_params, d.in_params, d.out_params,
-                       body, pos=d.pos)
-
-    def _body(self, body: tuple) -> tuple:
-        """`body` with the types of its inline stored processes resolved;
-        `body` itself when it holds none."""
-        out = tuple(map_command(cmd, self._body, self._expr) for cmd in body)
-        return body if same_items(out, body) else out
-
-    def _expr(self, e: Expr) -> Expr:
-        if isinstance(e, StoreOf) and isinstance(e.target, ProcDef):
-            target = self._resolve_proc(e.target)
-            return e if target is e.target else StoreOf(target, pos=e.pos)
-        return e
+    def resolve(self) -> None:
+        for d in self.typed:
+            if type(d) is ProcDef:
+                d.signature = map_signature(d.signature, self._resolve)
+                continue
+            scope = (set(d.seq_params), d.state_var)
+            for h in d.handles:
+                h.body = self._type(h.body, scope)
 
     def _type(self, t, scope):
         """Resolve the raw names in `t`.  `scope` holds a declaration's

@@ -611,3 +611,135 @@ def test_fork_of_a_channel_carrying_console_is_rejected():
         "p.campl:2:15: IllegalCommand: fork creates a channel carrying the "
         "service type Console")
     assert json.loads(d.json_line("p.campl"))["channel"] is None
+
+
+# ---------------------------------------------------------------------------
+# one program for each checker diagnostic no other test raises
+
+LONE_DIAGNOSTICS = {
+    "declaration-name-taken": (
+        "coprotocol S => Console( | ) =\n"
+        "    Shout :: S => TopBot\n"
+        "\nproc p :: | TopBot => =\n"
+        "    | c => -> close c\n",
+        dk.HANDLE_DUPLICATE, 1, 1,
+        "declaration name 'Console' is already taken"),
+    "handle-mentions-the-service": (
+        "protocol Leaky( | ) => S =\n"
+        "    Leak :: Put(Int|Console) => S\n"
+        "    Stop :: TopBot => S\n"
+        "\nproc p :: | TopBot => =\n"
+        "    | c => -> close c\n",
+        dk.ILLEGAL_COMMAND, 2, 5,
+        "handle 'Leak' mentions the service type Console; service channels "
+        "cannot be declared"),
+    "signature-arity": (
+        "proc p :: | TopBot, TopBot => =\n"
+        "    | c => -> close c\n",
+        dk.ARITY_MISMATCH, 1, 1,
+        "signature of 'p' lists 0|2=>0 but the context line binds 0|1=>0"),
+    "run-with-values": (
+        "proc run :: Int | Console => =\n"
+        "    n | console => -> do\n"
+        "        hput ConsoleClose on console\n"
+        "        halt console\n",
+        dk.ILLEGAL_COMMAND, 1, 1, "run cannot take sequential parameters"),
+    "run-with-outputs": (
+        "proc run :: | => TopBot =\n"
+        "    | => c -> halt c\n",
+        dk.ILLEGAL_COMMAND, 1, 1,
+        "run cannot take output channels; service channels sit at run's "
+        "input side"),
+    "run-with-a-plain-channel": (
+        "proc run :: | TopBot => =\n"
+        "    | c => -> close c\n",
+        dk.ILLEGAL_COMMAND, 1, 1,
+        "run may hold only service channels, found TopBot"),
+    "store-of-an-unknown-process": (
+        "proc p :: | => Put(Store(| =>)|TopBot) =\n"
+        "    | => c -> do\n"
+        "        put store(nope) on c\n"
+        "        halt c\n",
+        dk.ILLEGAL_COMMAND, 3, 13, "store of unknown process 'nope'"),
+    "handle-of-another-protocol": (
+        "protocol A( | ) => S =\n"
+        "    Ax :: TopBot => S\n"
+        "\nprotocol B( | ) => S =\n"
+        "    Bx :: TopBot => S\n"
+        "\nproc p :: | => A =\n"
+        "    | => c -> do\n"
+        "        hput Bx on c\n"
+        "        halt c\n",
+        dk.HANDLE_UNKNOWN, 9, 9, "handle belongs to B, but 'c' has type A"),
+    "duplicate-hcase-arm": (
+        "protocol A( | ) => S =\n"
+        "    Ax :: TopBot => S\n"
+        "\nproc p :: | A => =\n"
+        "    | c => -> hcase c of\n"
+        "        Ax -> close c\n"
+        "        Ax -> close c\n",
+        dk.HANDLE_DUPLICATE, 7, 9, "duplicate hcase arm for 'Ax'"),
+    # Each arm binds `d` and `f` to the other's channels: one from a split,
+    # which keeps the polarity, and one from a neg, which flips it.
+    "arms-leave-different-polarities": (
+        _TWO + "proc p :: | Two, TopBot (*) TopBot, Neg(TopBot) => =\n"
+        "    | h, c, x => -> do\n"
+        "        hcase h of\n"
+        "            L -> do\n"
+        "                close h\n"
+        "                split c into d, e\n"
+        "                neg x as f\n"
+        "            R -> do\n"
+        "                close h\n"
+        "                split c into f, e\n"
+        "                neg x as d\n"
+        "        close d\n"
+        "        close e\n"
+        "        halt f\n",
+        dk.POLARITY_VIOLATION, 7, 9,
+        "hcase arms leave 'd' at different polarities"),
+    "fork-binder-shadows": (
+        "proc p :: | TopBot => TopBot (*) TopBot =\n"
+        "    | l => t -> fork t as\n"
+        "        l -> halt l\n"
+        "        r -> halt r\n",
+        dk.LINEARITY_REUSE, 3, 9, "fork binder 'l' shadows a live channel"),
+    "fork-branch-leaves-live": (
+        "proc p :: | => Put(Int|TopBot), TopBot (*) TopBot =\n"
+        "    | => d, t -> fork t as\n"
+        "        l -> do\n"
+        "            close l\n"
+        "            put 1 on d\n"
+        "        r -> halt r\n",
+        dk.LINEARITY_DROP, 3, 9,
+        "fork branch 'l' ends with live channel(s): d"),
+    "plug-branches-share-a-channel": (
+        "proc p :: | TopBot => =\n"
+        "    | c => -> plug\n"
+        "        do\n"
+        "            close c\n"
+        "            halt x\n"
+        "        do\n"
+        "            close c\n"
+        "            close x\n",
+        dk.LINEARITY_REUSE, 2, 15,
+        "plug branches 0 and 1 both use channel 'c'"),
+    "plug-branch-leaves-live": (
+        "proc run =\n"
+        "    | => -> plug\n"
+        "        do\n"
+        "            put 1 on x\n"
+        "        do\n"
+        "            get v on x\n"
+        "            close x\n",
+        dk.LINEARITY_DROP, 4, 13,
+        "plug branch ends with live channel(s): x"),
+}
+
+
+@pytest.mark.parametrize("name", LONE_DIAGNOSTICS)
+def test_each_checker_diagnostic_is_reported_where_it_stands(name):
+    src, kind, line, col, message = LONE_DIAGNOSTICS[name]
+    [d] = errors_of(src)
+    assert (d.kind, d.pos.line, d.pos.col, d.message) == (
+        kind, line, col, message)

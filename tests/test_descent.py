@@ -5,9 +5,9 @@ A command that may name its channel (`put`, `get`, `hput`, `hcase`,
 `on` block; commands inside an inline `store(proc ...)` are left to the
 checker.  The pinned cases below fix the exact diagnostics, and the
 differential compares them with a walk over the parsed declarations, the
-reference the parser replaced.  The parser also notes which processes
-hold an inline stored process, whose signature the resolver must still
-resolve wherever it sits.
+reference the parser replaced.  The parser also records each node that
+holds types, so the resolver resolves the signature of an inline stored
+process wherever it sits without walking any body.
 """
 
 import json
@@ -19,7 +19,10 @@ from click.testing import CliRunner
 from campl import parser
 from campl.cli import main
 from campl.diagnostics import PARSE_ERROR, Diagnostic, ParseFailure, sort_key
-from campl.model import OnDo, ProcDef, sub_bodies
+from campl.model import (
+    OnDo, ProcDef, ProcSignature, ProtoApp, StoreOf, StoreType, map_command,
+    sub_bodies, type_parts,
+)
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from conftest import CORPUS
@@ -308,22 +311,17 @@ def _check_bare_commands(body: tuple, inside_on: bool,
 
 
 def _parse_capturing(text: str, monkeypatch):
-    """Parse `text`; returns the declarations the descent handed to the
-    resolver, what the resolver made of them (None when parsing failed)
-    and the diagnostics."""
+    """Parse `text`; returns the declarations the descent built, the
+    program's declarations (None when parsing failed) and the
+    diagnostics."""
     seen = {}
-    real = parser._Resolver
 
-    class Capture(real):
-        def __init__(self, decls, *args):
+    class Capture(parser.Parser):
+        def _validate(self, decls):
             seen["decls"] = list(decls)
-            super().__init__(decls, *args)
-
-        def run(self):
-            seen["resolved"] = super().run()
-            return seen["resolved"]
+            super()._validate(decls)
     with monkeypatch.context() as m:
-        m.setattr(parser, "_Resolver", Capture)
+        m.setattr(parser, "Parser", Capture)
         try:
             prog = parse_source(text)
         except ParseFailure as e:
@@ -492,40 +490,63 @@ def test_inline_process_types_resolve_wherever_it_sits(tmp_path, name):
     assert again.stdout == r.stdout
 
 
-@pytest.mark.parametrize("name", sorted(INLINE))
-def test_only_processes_holding_an_inline_process_are_rebuilt(monkeypatch,
-                                                              name):
-    decls, resolved, _ = _parse_capturing(INLINE[name], monkeypatch)
-    rebuilt = {d.name for d, r in zip(decls, resolved, strict=True)
-               if isinstance(d, ProcDef) and r.body is not d.body}
-    assert rebuilt == {"run" if name == "plug-branch" else "sender"}
+def _inline_procs(body: tuple, found: list) -> list:
+    """`found` with every process stored inline in `body`, at any depth,
+    appended in source order."""
+    def expr(e):
+        if type(e) is StoreOf and isinstance(e.target, ProcDef):
+            found.append(e.target)
+            walk(e.target.body)
+        return e
+
+    def walk(b):
+        for cmd in b:
+            map_command(cmd, walk, expr)
+        return b
+    walk(body)
+    return found
 
 
-def _programs_without_inline_processes():
-    texts = [p.read_text(encoding="utf-8")
-             for p in sorted(CORPUS.glob("*.campl"))]
-    return texts + [roundtrip_print(gen_program(seed)) for seed in range(20)]
+def _raw_names(t) -> list:
+    """The unresolved named references inside type `t`."""
+    if isinstance(t, (parser.ChanName, parser.SeqName)):
+        return [t]
+    return [r for part in type_parts(t) for r in _raw_names(part)]
 
 
-def test_processes_without_an_inline_process_keep_their_parsed_bodies(
-        monkeypatch):
-    for text in _programs_without_inline_processes():
-        decls, resolved, _ = _parse_capturing(text, monkeypatch)
-        for d, r in zip(decls, resolved, strict=True):
-            if isinstance(d, ProcDef):
-                assert r.body is d.body, d.name
+def test_parsed_processes_and_bodies_are_returned_as_built(monkeypatch):
+    """The resolver sets the types of the nodes the parser built, in
+    place: every process and body comes back as parsed (`is`), and the
+    signature of each inline stored process, wherever it sits, is
+    resolved."""
+    seen = {}
 
-
-def test_the_resolver_walks_no_body_without_an_inline_process(monkeypatch):
-    walked = []
-    real = parser.map_command
-
-    def counting(cmd, body, expr):
-        walked.append(cmd)
-        return real(cmd, body, expr)
-    monkeypatch.setattr(parser, "map_command", counting)
-    for text in _programs_without_inline_processes():
-        parse_source(text)
-    assert walked == []
-    parse_source(INLINE["on-block"])
-    assert walked
+    class Capture(parser.Parser):
+        def _validate(self, decls):
+            # The resolver runs next: record what the descent built.
+            procs = [d for d in decls if isinstance(d, ProcDef)]
+            inline = [p for d in procs for p in _inline_procs(d.body, [])]
+            seen["decls"] = list(decls)
+            seen["bodies"] = [(p, p.body) for p in procs + inline]
+            seen["inline"] = [(p, p.signature) for p in inline]
+            super()._validate(decls)
+    monkeypatch.setattr(parser, "Parser", Capture)
+    texts = [INLINE[name] for name in sorted(INLINE)]
+    texts += [p.read_text(encoding="utf-8")
+              for p in sorted(CORPUS.glob("*.campl"))]
+    texts += [roundtrip_print(gen_program(seed)) for seed in range(20)]
+    inline_seen = 0
+    for text in texts:
+        prog = parse_source(text)
+        assert all(r is d for r, d in zip(prog.decls, seen["decls"],
+                                          strict=True))
+        assert all(p.body is body for p, body in seen["bodies"])
+        for p, raw in seen["inline"]:
+            assert _raw_names(StoreType(raw)), p.name
+            assert not _raw_names(StoreType(p.signature)), p.name
+            if p.name == "anon":
+                assert p.signature == ProcSignature(
+                    (), (), (ProtoApp("Late"),))
+        inline_seen += len(seen["inline"])
+    # The inline-process case stores one inline process inside another.
+    assert inline_seen == len(INLINE) + 1

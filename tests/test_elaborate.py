@@ -1,9 +1,10 @@
 import pytest
 
-from campl.elaborate import desugar_body, free_chans, prepare
+from campl.elaborate import ExecProgram, desugar_body, free_chans, prepare
 from campl.model import (
-    Close, Fork, GetVal, Halt, HCase, HCaseArm, HPut, Link, NegIntro, OnDo,
-    Plug, PutVal, Race, RaceArm, Split, StringLit, sub_bodies,
+    Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut, IntLit,
+    Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm, Split,
+    StringLit, sub_bodies,
 )
 from campl.parser import parse_source
 from conftest import CORPUS, corpus_text
@@ -81,6 +82,40 @@ def test_free_chans_link_and_race():
     assert free_chans(body) == {"a", "b"}
 
 
+# Hand-written free sets for the rules the memo and the reference share.
+FREE_SETS = {
+    # Each arm's channels count, and the hcase's own; fork and split
+    # binders inside an arm do not.
+    "hcase": ((PutVal(IntLit(1), "d"),
+               HCase("c", (
+                   HCaseArm("A", (Close("c"), Halt("d"))),
+                   HCaseArm("B", (Split("c", "x", "y"), Close("x"),
+                                  Close("y"), Halt("e"))),
+                   HCaseArm("C", (Fork("c", (
+                       ForkArm("l", (Halt("l"),)),
+                       ForkArm("r", (Close("r"), Halt("f"))))),))))),
+              {"c", "d", "e", "f"}),
+    # The hcase's channel counts even where no arm names it.
+    "hcase-channel": ((HCase("c", (HCaseArm("A", (Halt("d"),)),)),),
+                      {"c", "d"}),
+    # A plug inside a plug branch: every branch's channels count, the
+    # name `q` the inner plug joins included.
+    "nested-plug": ((PutVal(IntLit(1), "h"),
+                     Plug((
+                         (Plug(((Call("a", (), (), ("q",)),),
+                                (Call("b", (), ("q",), ("p",)),))),),
+                         (Call("c", (), ("p", "h"), ()),)))),
+                    {"h", "p", "q"}),
+}
+
+
+@pytest.mark.parametrize("name", FREE_SETS)
+def test_free_chans_of_hand_written_bodies(name):
+    body, expected = FREE_SETS[name]
+    assert free_chans(body) == expected
+    assert ExecProgram({}).free_chans(body) == expected
+
+
 def _memo_sources(group: str):
     if group == "corpus":
         return [parse_source(p.read_text(encoding="utf-8"))
@@ -122,10 +157,10 @@ def test_free_chans_memo_agrees_with_the_reference(group):
     for src in _memo_sources(group):
         ex = prepare(src)
         for d in ex.procs.values():
-            for kind, body in _nested(d.body):
+            for kind, body in [(ProcDef, d.body), *_nested(d.body)]:
                 got = ex.free_chans(body)
                 assert got == free_chans(body), (d.name, kind.__name__)
                 assert ex.free_chans(body) is got
                 kinds.add(kind)
-    assert kinds == ({Fork, Plug, HCase, Race} if group == "corpus"
-                     else {Fork, Plug})
+    assert kinds == ({ProcDef, Fork, Plug, HCase, Race} if group == "corpus"
+                     else {ProcDef, Fork, Plug})

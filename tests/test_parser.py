@@ -163,6 +163,19 @@ def test_roundtrip_print_generated(seed):
     assert parse_source(text) == ast
 
 
+def test_neg_roundtrip():
+    src = ("proc sender :: | Neg(Put(Int|TopBot)) => =\n"
+           "    | x => -> do\n"
+           "        neg x as y\n"
+           "        put 4 on y\n"
+           "        halt y\n")
+    prog = parse_source(src)
+    text = roundtrip_print(prog)
+    assert "        neg x as y\n" in text
+    assert parse_source(text) == prog
+    assert roundtrip_print(parse_source(text)) == text
+
+
 def test_anonymous_store_roundtrip():
     src = (
         "proc sender :: | => Put( Store(|Console=>) | TopBot) =\n"

@@ -3,13 +3,20 @@
 Randomly corrupt generated programs; every mutant the checker still
 accepts must run to completion with no machine faults, no deadlock, and
 the topology monitor quiet.  This is the teeth behind the static
-discipline: anything the checker lets through is safe to execute.
+discipline: anything the checker lets through is safe to execute.  The
+pinned programs below are ones the checker once let through (or rejected
+elsewhere) because a handle command solved an unknown channel type
+without asking the command matrix.
 """
 
 import random
 import re
 
+import pytest
+from click.testing import CliRunner
+
 from campl.checker import check_program
+from campl.cli import main
 from campl.diagnostics import CheckFailure, ParseFailure
 from campl.elaborate import prepare
 from campl.parser import parse_source
@@ -98,3 +105,84 @@ def test_generated_programs_run_clean_through_a_forwarder():
             run_watched(machine)
             assert not machine.processes and not machine.channels, \
                 f"seed {seed}, fwd first={first}:\n{text}"
+
+
+# ---------------------------------------------------------------------------
+# a handle command on a channel whose type is not yet known
+
+_GO = ("protocol Go(|) => S =\n"
+       "    Go :: Put(Int|TopBot) => S\n")
+_DONE = ("protocol Go(|) => S =\n"
+         "    Done :: TopBot => S\n")
+
+HANDLES = {
+    # `b` sends a handle on its input end of a protocol, which only
+    # receives one; `run` used to fault on `get w`.
+    "hput-at-the-input-end": (
+        _GO + "\nproc a =\n"
+        "    | => x ->\n"
+        "        on x do\n"
+        "            hput Go\n"
+        "            put 1\n"
+        "            close\n"
+        "\nproc b =\n"
+        "    | y => ->\n"
+        "        on y do\n"
+        "            hput Go\n"
+        "            get w\n"
+        "            halt\n"
+        "\nproc run =\n"
+        "    | => ->\n"
+        "        plug\n"
+        "            a( | => z )\n"
+        "            b( | z => )\n",
+        14, 13, "cannot hput on 'y': its type Go at polarity - only allows "
+                "hcase"),
+    # Both ends send and neither receives; this used to run to DONE.
+    "both-ends-send": (
+        _DONE + "\nproc a =\n"
+        "    | => x -> do\n"
+        "        hput Done on x\n"
+        "        close x\n"
+        "\nproc b =\n"
+        "    | y => -> do\n"
+        "        hput Done on y\n"
+        "        halt y\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        a( | => z )\n"
+        "        b( | z => )\n",
+        11, 9, "cannot hput on 'y': its type Go at polarity - only allows "
+               "hcase"),
+    # An inline plug gives its first branch the output end of `z`.  The
+    # `hcase` there is now rejected where it stands (8:17); it used to be
+    # taken as the protocol's receiving end and the `hput` was rejected
+    # (12:17).
+    "hcase-on-the-output-end": (
+        _DONE + "\nproc run =\n"
+        "    | => ->\n"
+        "        plug\n"
+        "            do\n"
+        "                hcase z of\n"
+        "                    Done -> do\n"
+        "                        halt z\n"
+        "            do\n"
+        "                hput Done on z\n"
+        "                close z\n",
+        8, 17, "cannot hcase on 'z': its type Go at polarity + only allows "
+               "hput"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("name", HANDLES)
+def test_a_handle_command_at_the_wrong_end_is_rejected(tmp_path, name,
+                                                       command):
+    text, line, col, message = HANDLES[name]
+    src = tmp_path / "prog.campl"
+    src.write_text(text, encoding="utf-8")
+    r = CliRunner().invoke(main, [command, str(src)])
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == f"{src}:{line}:{col}: PolarityViolation: {message}\n"
+    assert "Traceback" not in r.output
