@@ -535,7 +535,7 @@ class Checker:
                       f"type {resolved}", channel=chan, chan_type=resolved)
         return resolved
 
-    def fresh_head(self, head, decl: ProtocolDecl | None):
+    def fresh_head(self, head, decl: ProtocolDecl | None = None):
         """`head` with fresh variables for its parts, `?sN` before `?cN`;
         for a handle command, `decl`'s application."""
         uni = self.uni
@@ -682,7 +682,7 @@ class Checker:
             resolved = self.uni.resolve(entry.type)
             want = COMMAND_HEADS["get"][entry.pol is INPUT]
             if type(resolved) is UVar:
-                self.uni.unify(resolved, self.fresh_head(want, None))
+                self.uni.unify(resolved, self.fresh_head(want))
             elif type(resolved) is not want:
                 self.fail(dk.RACE_ARM_NOT_RECEIVING, arm.pos,
                           f"race arm on {arm.chan!r} cannot receive: its "

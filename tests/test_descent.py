@@ -490,9 +490,11 @@ def test_inline_process_types_resolve_wherever_it_sits(tmp_path, name):
     assert again.stdout == r.stdout
 
 
-def _inline_procs(body: tuple, found: list) -> list:
-    """`found` with every process stored inline in `body`, at any depth,
-    appended in source order."""
+def _inline_procs(body: tuple) -> list:
+    """Every process stored inline in `body`, at any depth, in source
+    order."""
+    found = []
+
     def expr(e):
         if type(e) is StoreOf and isinstance(e.target, ProcDef):
             found.append(e.target)
@@ -525,7 +527,7 @@ def test_parsed_processes_and_bodies_are_returned_as_built(monkeypatch):
         def _validate(self, decls):
             # The resolver runs next: record what the descent built.
             procs = [d for d in decls if isinstance(d, ProcDef)]
-            inline = [p for d in procs for p in _inline_procs(d.body, [])]
+            inline = [p for d in procs for p in _inline_procs(d.body)]
             seen["decls"] = list(decls)
             seen["bodies"] = [(p, p.body) for p in procs + inline]
             seen["inline"] = [(p, p.signature) for p in inline]
