@@ -16,12 +16,12 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from campl import parser
+from campl import model, parser
 from campl.cli import main
 from campl.diagnostics import PARSE_ERROR, Diagnostic, ParseFailure, sort_key
 from campl.model import (
-    OnDo, ProcDef, ProcSignature, ProtoApp, StoreOf, StoreType, map_command,
-    sub_bodies, type_parts,
+    OnDo, ProcDef, ProcSignature, ProtocolDecl, ProtoApp, StoreOf, StoreType,
+    map_command, sub_bodies, type_parts,
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
@@ -516,39 +516,96 @@ def _raw_names(t) -> list:
     return [r for part in type_parts(t) for r in _raw_names(part)]
 
 
-def test_parsed_processes_and_bodies_are_returned_as_built(monkeypatch):
-    """The resolver sets the types of the nodes the parser built, in
-    place: every process and body comes back as parsed (`is`), and the
-    signature of each inline stored process, wherever it sits, is
-    resolved."""
+def _parse_recording(text: str, monkeypatch):
+    """Parse `text`; returns the program and what the descent built before
+    the resolver ran: the declarations, each process (inline stored ones
+    too) with its body, and each inline stored process with its unresolved
+    signature."""
     seen = {}
 
     class Capture(parser.Parser):
         def _validate(self, decls):
-            # The resolver runs next: record what the descent built.
             procs = [d for d in decls if isinstance(d, ProcDef)]
             inline = [p for d in procs for p in _inline_procs(d.body)]
             seen["decls"] = list(decls)
             seen["bodies"] = [(p, p.body) for p in procs + inline]
             seen["inline"] = [(p, p.signature) for p in inline]
             super()._validate(decls)
-    monkeypatch.setattr(parser, "Parser", Capture)
-    texts = [INLINE[name] for name in sorted(INLINE)]
-    texts += [p.read_text(encoding="utf-8")
-              for p in sorted(CORPUS.glob("*.campl"))]
-    texts += [roundtrip_print(gen_program(seed)) for seed in range(20)]
-    inline_seen = 0
-    for text in texts:
+    with monkeypatch.context() as m:
+        m.setattr(parser, "Parser", Capture)
         prog = parse_source(text)
-        assert all(r is d for r, d in zip(prog.decls, seen["decls"],
-                                          strict=True))
-        assert all(p.body is body for p, body in seen["bodies"])
-        for p, raw in seen["inline"]:
-            assert _raw_names(StoreType(raw)), p.name
-            assert not _raw_names(StoreType(p.signature)), p.name
-            if p.name == "anon":
-                assert p.signature == ProcSignature(
-                    (), (), (ProtoApp("Late"),))
-        inline_seen += len(seen["inline"])
+    return prog, seen
+
+
+def _assert_returned_as_built(prog, seen) -> None:
+    assert all(r is d for r, d in zip(prog.decls, seen["decls"],
+                                      strict=True))
+    assert all(p.body is body for p, body in seen["bodies"])
+
+
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_only_processes_holding_an_inline_process_are_rebuilt(monkeypatch,
+                                                              name):
+    """The resolver sets the signature of an inline stored process on the
+    node the parser built, so not even the process holding it is rebuilt:
+    every declaration and body comes back as parsed, and the signature is
+    resolved wherever the inline process sits."""
+    prog, seen = _parse_recording(INLINE[name], monkeypatch)
+    holders = {d.name for d in seen["decls"]
+               if isinstance(d, ProcDef) and _inline_procs(d.body)}
+    assert holders == {"run" if name == "plug-branch" else "sender"}
+    rebuilt = {d.name for d, r in zip(seen["decls"], prog.decls, strict=True)
+               if isinstance(d, ProcDef) and r.body is not d.body}
+    assert rebuilt == set()
+    _assert_returned_as_built(prog, seen)
     # The inline-process case stores one inline process inside another.
-    assert inline_seen == len(INLINE) + 1
+    assert len(seen["inline"]) == (2 if name == "inline-process" else 1)
+    for p, raw in seen["inline"]:
+        assert _raw_names(StoreType(raw)), p.name
+        assert not _raw_names(StoreType(p.signature)), p.name
+        if p.name == "anon":
+            assert p.signature == ProcSignature((), (), (ProtoApp("Late"),))
+
+
+def _programs_without_inline_processes():
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(CORPUS.glob("*.campl"))]
+    return texts + [roundtrip_print(gen_program(seed)) for seed in range(20)]
+
+
+def test_processes_without_an_inline_process_keep_their_parsed_bodies(
+        monkeypatch):
+    for text in _programs_without_inline_processes():
+        prog, seen = _parse_recording(text, monkeypatch)
+        assert seen["inline"] == []
+        _assert_returned_as_built(prog, seen)
+
+
+def test_the_resolver_walks_no_body_without_an_inline_process(monkeypatch):
+    """The resolver is handed only the declarations and processes that
+    hold types, never a command, and walks no body; since it resolves an
+    inline stored process's signature in place, not even with one."""
+    walked = []
+    for fname in ("map_command", "sub_bodies"):
+        def counting(cmd, *args, _real=getattr(model, fname)):
+            walked.append(cmd)
+            return _real(cmd, *args)
+        monkeypatch.setattr(model, fname, counting)
+        monkeypatch.setattr(parser, fname, counting, raising=False)
+    handed = []
+    real_init = parser._Resolver.__init__
+
+    def recording(self, typed, errors):
+        handed.extend(typed)
+        real_init(self, typed, errors)
+    monkeypatch.setattr(parser._Resolver, "__init__", recording)
+    for text in _programs_without_inline_processes():
+        parse_source(text)
+    assert walked == []
+    assert handed
+    assert all(type(d) in (ProcDef, ProtocolDecl) for d in handed)
+    handed.clear()
+    prog = parse_source(INLINE["on-block"])
+    assert walked == []
+    assert all(type(d) in (ProcDef, ProtocolDecl) for d in handed)
+    assert [d.name for d in handed if d not in prog.decls] == ["anon"]
