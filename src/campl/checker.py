@@ -69,8 +69,10 @@ class Unifier:
 
     def unify(self, a, b) -> None:
         """Unify two channel types or two sequential types."""
-        a = self.resolve(a)
-        b = self.resolve(b)
+        if type(a) in _VARS:
+            a = self.resolve(a)
+        if type(b) in _VARS:
+            b = self.resolve(b)
         if a is b or a == b:
             return
         ka, kb = type(a), type(b)
@@ -138,9 +140,15 @@ class Solved:
     def zonk(self, t):
         entry = self._zonked.get(id(t))
         if entry is None:
+            # A variable takes its solution's entry without a second zonk
+            # frame, so a level of type nesting costs two frames.
             head = self.uni.resolve(t)
-            entry = self._zonked[id(t)] = (t, map_type(t, self.zonk)
-                                           if head is t else self.zonk(head))
+            entry = self._zonked.get(id(head))
+            if entry is None:
+                entry = self._zonked[id(head)] = (head,
+                                                  map_type(head, self.zonk))
+            if head is not t:
+                self._zonked[id(t)] = (t, entry[1])
         return entry[1]
 
     def mentions_service(self, t) -> bool:
@@ -319,9 +327,8 @@ class Checker:
             tuple(self.uni.fresh_chan() for _ in d.out_params))
 
     def _finalize_sig(self, d: ProcDef, solved: ProcSignature) -> None:
-        unsolved = [t for t in solved.seq_params if has_uvars(t)]
-        unsolved += [t for t in solved.in_chans + solved.out_chans
-                     if has_uvars(t)]
+        unsolved = [*filter(has_uvars, solved.seq_params + solved.in_chans
+                            + solved.out_chans)]
         if unsolved:
             self._diag(dk.UNIFICATION_FAILURE, d.pos,
                        f"could not infer a complete signature for "
@@ -387,17 +394,18 @@ class Checker:
         sequential scope; the body must consume every channel."""
         seq_ctx = dict(seq_ctx)
         seq_ctx.update(zip(d.seq_params, sig.seq_params))
-        twice = sorted({n for n in d.chan_params
-                        if d.chan_params.count(n) > 1})
-        if twice:
+        params = d.chan_params
+        if len(set(params)) != len(params):
+            twice = sorted({n for n in params if params.count(n) > 1})
             self._diag(dk.LINEARITY_REUSE, d.pos,
                        f"the context line of {d.name!r} binds channel(s) "
                        f"more than once: {', '.join(twice)}",
                        channel=twice[0])
-        chan_ctx = {name: ChanEntry(t, INPUT)
-                    for name, t in zip(d.in_params, sig.in_chans)}
-        chan_ctx.update((name, ChanEntry(t, OUTPUT))
-                        for name, t in zip(d.out_params, sig.out_chans))
+        chan_ctx = {}
+        for name, t in zip(d.in_params, sig.in_chans):
+            chan_ctx[name] = ChanEntry(t, INPUT)
+        for name, t in zip(d.out_params, sig.out_chans):
+            chan_ctx[name] = ChanEntry(t, OUTPUT)
         state, ctx = self.check_body(d.body, seq_ctx, chan_ctx)
         if state is _OPEN and ctx:
             names = ", ".join(sorted(ctx))
@@ -409,99 +417,76 @@ class Checker:
 
     def check_body(self, body: Body, seq_ctx: dict, chan_ctx: dict):
         """Returns (state, ctx): state is `terminated` when the body ended
-        with a terminator, else `open` with the remaining live context."""
-        consumed_all = False
-        i = 0
-        n = len(body)
-        while i < n:
-            cmd = body[i]
-            last = i == n - 1
-            state = self.check_command(cmd, seq_ctx, chan_ctx, last)
-            if state is _TERMINATED:
-                if not last:
+        with a terminator, else `open` with the remaining live context.
+        Each command goes straight to its `_CHECKS` handler, so a level of
+        nesting costs two frames: this one and the handler's."""
+        for i, cmd in enumerate(body):
+            if _CHECKS[type(cmd)](self, cmd, seq_ctx, chan_ctx) is _TERMINATED:
+                if i + 1 < len(body):
                     self.fail(dk.HALT_NOT_LAST, body[i + 1].pos,
                               "unreachable command after a terminating "
                               "command")
-                consumed_all = True
-            i += 1
-        if consumed_all:
-            return _TERMINATED, None
+                return _TERMINATED, None
         return _OPEN, chan_ctx
 
-    def check_command(self, cmd, seq_ctx, chan_ctx, last: bool):
-        if isinstance(cmd, PutVal):
-            entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "put")
-            head = self.shape(cmd.chan, entry, "put", cmd.pos)
-            vt = self.expr_type(cmd.expr, seq_ctx)
-            self.unify_seq_or_fail(vt, head.msg, cmd.pos, cmd.chan)
-            self.advance(cmd.chan, chan_ctx, head.rest)
-            return _OPEN
-        if isinstance(cmd, GetVal):
-            entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "get")
-            head = self.shape(cmd.chan, entry, "get", cmd.pos)
-            seq_ctx[cmd.binder] = head.msg
-            self.advance(cmd.chan, chan_ctx, head.rest)
-            return _OPEN
-        if isinstance(cmd, HPut):
-            return self.check_hput(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, HCase):
-            return self.check_hcase(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Close):
-            entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "close")
-            self.shape(cmd.chan, entry, "close", cmd.pos)
-            del chan_ctx[cmd.chan]
-            # Closing the last live channel may end the body.
-            return _TERMINATED if (last and not chan_ctx) else _OPEN
-        if isinstance(cmd, Halt):
-            entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "halt")
-            self.shape(cmd.chan, entry, "halt", cmd.pos)
-            del chan_ctx[cmd.chan]
-            if chan_ctx:
-                names = ", ".join(sorted(chan_ctx))
-                self.fail(dk.LINEARITY_DROP, cmd.pos,
-                          f"halt on {cmd.chan!r} while other channel(s) are "
-                          f"still live: {names}", channel=cmd.chan)
-            return _TERMINATED
-        if isinstance(cmd, Fork):
-            return self.check_fork(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Split):
-            return self.check_split(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Plug):
-            return self.check_plug(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Race):
-            return self.check_race(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Call):
-            return self.check_call(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Use):
-            return self.check_use(cmd, seq_ctx, chan_ctx)
-        if isinstance(cmd, Link):
-            return self.check_link(cmd, chan_ctx)
-        if isinstance(cmd, NegIntro):
-            return self.check_neg(cmd, chan_ctx)
-        raise TypeError(f"unhandled command {type(cmd).__name__}")
+    # Each handler takes (cmd, seq_ctx, chan_ctx), updates `chan_ctx` in
+    # place and returns the body's state after `cmd`.  A close that
+    # consumes the last live channel leaves the body `open` with an empty
+    # context, which every caller treats as terminated.
+
+    def check_put(self, cmd: PutVal, seq_ctx, chan_ctx):
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "put")
+        head = self.shape(cmd.chan, entry, "put", cmd.pos)
+        vt = _EXPRS[type(cmd.expr)](self, cmd.expr, seq_ctx)
+        self.unify_seq_or_fail(vt, head.msg, cmd.pos, cmd.chan)
+        chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
+        return _OPEN
+
+    def check_get(self, cmd: GetVal, seq_ctx, chan_ctx):
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "get")
+        head = self.shape(cmd.chan, entry, "get", cmd.pos)
+        seq_ctx[cmd.binder] = head.msg
+        chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
+        return _OPEN
+
+    def check_close(self, cmd: Close, seq_ctx, chan_ctx):
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "close")
+        self.shape(cmd.chan, entry, "close", cmd.pos)
+        del chan_ctx[cmd.chan]
+        return _OPEN
+
+    def check_halt(self, cmd: Halt, seq_ctx, chan_ctx):
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "halt")
+        self.shape(cmd.chan, entry, "halt", cmd.pos)
+        del chan_ctx[cmd.chan]
+        if chan_ctx:
+            names = ", ".join(sorted(chan_ctx))
+            self.fail(dk.LINEARITY_DROP, cmd.pos,
+                      f"halt on {cmd.chan!r} while other channel(s) are "
+                      f"still live: {names}", channel=cmd.chan)
+        return _TERMINATED
 
     # -- helpers ----------------------------------------------------------
 
-    def lookup(self, chan: str | None, pos: Pos, chan_ctx, command: str
-               ) -> ChanEntry:
+    def unbound(self, chan: str | None, pos: Pos, command: str):
+        """Fails `command` on `chan`, which the context does not hold.
+        Handlers call it only when their `chan_ctx.get` misses."""
         if chan is None:
             self.fail(dk.ILLEGAL_COMMAND, pos,
                       f"{command} without a channel outside an 'on' block")
-        entry = chan_ctx.get(chan)
-        if entry is None:
-            self.fail(dk.LINEARITY_REUSE, pos,
-                      f"channel {chan!r} is not live here (already consumed "
-                      f"or never bound)", channel=chan)
-        return entry
-
-    def advance(self, chan: str, chan_ctx, new_type) -> None:
-        chan_ctx[chan] = ChanEntry(new_type, chan_ctx[chan].pol)
+        self.fail(dk.LINEARITY_REUSE, pos,
+                  f"channel {chan!r} is not live here (already consumed "
+                  f"or never bound)", channel=chan)
 
     def legality(self, chan: str, entry: ChanEntry, command: str,
                  pos: Pos, resolved) -> None:
+        """Fails `command` on `chan`, whose type `resolved` the matrix
+        rejects at the entry's polarity; `shape` calls it only then."""
         allowed = allowed_commands(resolved, entry.pol)
-        if command in allowed:
-            return
         other = allowed_commands(resolved, entry.pol.flipped())
         if command in other:
             self.fail(dk.POLARITY_VIOLATION, pos,
@@ -522,13 +507,17 @@ class Checker:
         `COMMAND_HEADS` gives `command` at the entry's polarity; for a
         handle command, to `decl`'s application at either polarity, which
         the matrix then judges like any other type."""
-        resolved = self.uni.resolve(entry.type)
+        want = COMMAND_HEADS[command][entry.pol is INPUT]
+        resolved = entry.type
         if type(resolved) is UVar:
-            head = self.fresh_head(
-                COMMAND_HEADS[command][entry.pol is INPUT], decl)
-            self.uni.unify(resolved, head)
-            resolved = head
-        self.legality(chan, entry, command, pos, resolved)
+            resolved = self.uni.resolve(resolved)
+            if type(resolved) is UVar:
+                head = self.fresh_head(want, decl)
+                # Its parts are fresh, so the variable cannot occur in it.
+                self.uni.sub[resolved.uid] = head
+                resolved = head
+        if type(resolved) is not want:
+            self.legality(chan, entry, command, pos, resolved)
         if decl is not None and resolved.name != decl.name:
             self.fail(dk.HANDLE_UNKNOWN, pos,
                       f"handle belongs to {decl.name}, but {chan!r} has "
@@ -567,23 +556,13 @@ class Checker:
                       f"sequential type mismatch: {e.a} vs {e.b}",
                       channel=chan)
 
-    def expr_type(self, e: Expr, seq_ctx) -> SeqType:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, CharLit):
-            return CHAR
-        if isinstance(e, StringLit):
-            return STRING
-        if isinstance(e, BoolLit):
-            return BOOL
-        if isinstance(e, VarRef):
-            if e.name not in seq_ctx:
-                self.fail(dk.SEQ_MISMATCH, e.pos,
-                          f"unbound variable {e.name!r}")
-            return seq_ctx[e.name]
-        if isinstance(e, StoreOf):
-            return self.store_type(e, seq_ctx)
-        raise TypeError(f"unhandled expression {type(e).__name__}")
+    # Each expression's type comes from its `_EXPRS` entry: a literal's is
+    # fixed, and these two compute theirs.
+
+    def var_type(self, e: VarRef, seq_ctx) -> SeqType:
+        if e.name not in seq_ctx:
+            self.fail(dk.SEQ_MISMATCH, e.pos, f"unbound variable {e.name!r}")
+        return seq_ctx[e.name]
 
     def store_type(self, e: StoreOf, seq_ctx) -> SeqType:
         if isinstance(e.target, str):
@@ -600,18 +579,20 @@ class Checker:
     # -- structured commands ----------------------------------------------
 
     def check_hput(self, cmd: HPut, seq_ctx, chan_ctx):
-        entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "hput")
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "hput")
         decl = self.handles.get(cmd.handle)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"unknown handle {cmd.handle!r}", channel=cmd.chan)
         app = self.shape(cmd.chan, entry, "hput", cmd.pos, decl)
-        unfolded = unfold_handle(decl, cmd.handle, app)
-        self.advance(cmd.chan, chan_ctx, unfolded)
+        chan_ctx[cmd.chan] = ChanEntry(unfold_handle(decl, cmd.handle, app),
+                                       entry.pol)
         return _OPEN
 
     def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
-        entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "hcase")
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "hcase")
         decl = self.handles.get(cmd.arms[0].handle)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.arms[0].pos,
@@ -628,8 +609,8 @@ class Checker:
                 self.fail(dk.HANDLE_DUPLICATE, arm.pos,
                           f"duplicate hcase arm for {arm.handle!r}")
             seen.add(arm.handle)
-        missing = [h.name for h in decl.handles if h.name not in seen]
-        if missing:
+        if not seen.issuperset(decl.handle_defs):
+            missing = [h.name for h in decl.handles if h.name not in seen]
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"hcase on {cmd.chan!r} must cover every handle of "
                       f"{decl.name}; missing: {', '.join(missing)}",
@@ -647,12 +628,13 @@ class Checker:
         """hcase/race arms must agree: either every arm terminates (the
         command ends the body) or every arm leaves the same live context
         for the continuation."""
-        def closed(state, ctx):
-            return state is _TERMINATED or not ctx
-
-        if all(closed(st, ctx) for st, ctx in results):
+        closed = 0
+        for state, ctx in results:
+            if state is _TERMINATED or not ctx:
+                closed += 1
+        if closed == len(results):
             return _TERMINATED
-        if any(closed(st, ctx) for st, ctx in results):
+        if closed:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"{kind} arms disagree: some terminate and some "
                       f"leave channels live")
@@ -696,7 +678,8 @@ class Checker:
         return self.merge_arms(cmd, "race", chan_ctx, results)
 
     def check_fork(self, cmd: Fork, seq_ctx, chan_ctx):
-        entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "fork")
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "fork")
         resolved = self.shape(cmd.chan, entry, "fork", cmd.pos)
         components = (resolved.left, resolved.right)
         self.fork_sites.append(ForkSite(cmd.pos, components))
@@ -734,7 +717,8 @@ class Checker:
         return _TERMINATED
 
     def check_split(self, cmd: Split, seq_ctx, chan_ctx):
-        entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "split")
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "split")
         resolved = self.shape(cmd.chan, entry, "split", cmd.pos)
         del chan_ctx[cmd.chan]
         for name in (cmd.left, cmd.right):
@@ -876,7 +860,8 @@ class Checker:
                                       f"process {cmd.callee!r}")
 
     def check_use(self, cmd: Use, seq_ctx, chan_ctx):
-        st = self.uni.resolve(self.expr_type(cmd.stored, seq_ctx))
+        st = self.uni.resolve(
+            _EXPRS[type(cmd.stored)](self, cmd.stored, seq_ctx))
         if not isinstance(st, StoreType):
             self.fail(dk.SEQ_MISMATCH, cmd.pos,
                       f"use needs a stored process, found "
@@ -898,12 +883,12 @@ class Checker:
                       f"{n_params} channel(s); call passes "
                       f"{len(cmd.seq_args)} and {len(args)}")
         for e, want in zip(cmd.seq_args, sig.seq_params):
-            got = self.expr_type(e, seq_ctx)
+            got = _EXPRS[type(e)](self, e, seq_ctx)
             self.unify_seq_or_fail(got, want, cmd.pos, None)
         param_types = sig.in_chans + sig.out_chans
         param_pols = ([INPUT] * len(in_params)) + ([OUTPUT] * len(out_params))
         for name, want, pol in zip(args, param_types, param_pols):
-            entry = self.lookup(name, cmd.pos, chan_ctx, "pass")
+            entry = chan_ctx.get(name) or self.unbound(name, cmd.pos, "pass")
             if entry.pol is not pol:
                 self.fail(dk.POLARITY_VIOLATION, cmd.pos,
                           f"channel {name!r} is a {entry.pol} end but the "
@@ -917,9 +902,9 @@ class Checker:
                       channel=sorted(chan_ctx)[0])
         return _TERMINATED
 
-    def check_link(self, cmd: Link, chan_ctx):
-        a = self.lookup(cmd.left, cmd.pos, chan_ctx, "|=|")
-        b = self.lookup(cmd.right, cmd.pos, chan_ctx, "|=|")
+    def check_link(self, cmd: Link, seq_ctx, chan_ctx):
+        a = chan_ctx.get(cmd.left) or self.unbound(cmd.left, cmd.pos, "|=|")
+        b = chan_ctx.get(cmd.right) or self.unbound(cmd.right, cmd.pos, "|=|")
         if a.pol is b.pol:
             self.fail(dk.POLARITY_VIOLATION, cmd.pos,
                       f"|=| needs one input end and one output end; both "
@@ -934,8 +919,9 @@ class Checker:
                       f"{', '.join(sorted(chan_ctx))}")
         return _TERMINATED
 
-    def check_neg(self, cmd: NegIntro, chan_ctx):
-        entry = self.lookup(cmd.chan, cmd.pos, chan_ctx, "neg")
+    def check_neg(self, cmd: NegIntro, seq_ctx, chan_ctx):
+        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
+                                                       "neg")
         inner = self.shape(cmd.chan, entry, "neg", cmd.pos).inner
         if cmd.fresh in chan_ctx and cmd.fresh != cmd.chan:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
@@ -950,6 +936,7 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     """Tarjan over the call/store reference graph, yielding groups with
     callees before callers, deterministically by file order."""
     names = list(procs)
+    position = {n: i for i, n in enumerate(names)}
     edges: dict[str, list[str]] = {n: [] for n in names}
     for name, d in procs.items():
         refs = _Refs()
@@ -984,7 +971,7 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
                 group.append(w)
                 if w == v:
                     break
-            out.append(sorted(group, key=names.index))
+            out.append(sorted(group, key=position.__getitem__))
 
     for v in names:
         if v not in index:
@@ -1020,3 +1007,33 @@ def check_program(src: SourceProgram) -> TypedProgram:
     """Check a parsed program.  Returns the typed program on success and
     raises CheckFailure with every collected diagnostic otherwise."""
     return Checker(src).run()
+
+
+# `check_body`'s handler for each command class.  `OnDo` is absent:
+# `prepare` desugars it away.
+_CHECKS = {
+    PutVal: Checker.check_put,
+    GetVal: Checker.check_get,
+    HPut: Checker.check_hput,
+    HCase: Checker.check_hcase,
+    Close: Checker.check_close,
+    Halt: Checker.check_halt,
+    Fork: Checker.check_fork,
+    Split: Checker.check_split,
+    Plug: Checker.check_plug,
+    Race: Checker.check_race,
+    Call: Checker.check_call,
+    Use: Checker.check_use,
+    Link: Checker.check_link,
+    NegIntro: Checker.check_neg,
+}
+
+# Each expression class's type, through a handler like the commands'.
+_EXPRS = {
+    IntLit: lambda checker, e, seq_ctx: INT,
+    CharLit: lambda checker, e, seq_ctx: CHAR,
+    StringLit: lambda checker, e, seq_ctx: STRING,
+    BoolLit: lambda checker, e, seq_ctx: BOOL,
+    VarRef: Checker.var_type,
+    StoreOf: Checker.store_type,
+}

@@ -4,7 +4,7 @@ the runtime.
 `on ch do` blocks elaborate into the same commands with the channel
 argument filled in; `free_chans` computes which channel names a command
 sequence uses from its environment, accounting for the binders introduced
-by fork, split, and neg.
+by fork, split, and neg and the channels a plug joins.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ def prepare(src: SourceProgram) -> ExecProgram:
 def free_chans(body: Body) -> frozenset[str]:
     """Channel names a (desugared) command sequence uses from its
     environment.  Names bound later in the sequence by split/neg binders
-    do not count; fork arm binders are local to their arm.  The reference
+    do not count; fork arm binders are local to their arm, and a plug
+    binds each name free in exactly two of its branches.  The reference
     for `ExecProgram.free_chans`."""
     return _free_body(body, free_chans)
 
@@ -130,8 +131,13 @@ def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
             acc.discard(cmd.fresh)
             acc.add(cmd.chan)
         elif isinstance(cmd, Plug):
+            # A name free in exactly two branches is a channel the plug
+            # joins, bound here like a fork's arm names.
+            branches: dict[str, int] = {}
             for b in cmd.branches:
-                acc |= sub(b)
+                for name in sub(b):
+                    branches[name] = branches.get(name, 0) + 1
+            acc.update(n for n, count in branches.items() if count != 2)
         elif isinstance(cmd, Race):
             for a in cmd.arms:
                 acc |= sub(a.body)

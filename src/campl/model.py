@@ -4,8 +4,14 @@ Holds the channel and sequential type grammars, the process AST, the
 per-type/per-polarity command permission matrix, and the unfolding rule
 that expands a protocol or coprotocol handle into a concrete channel type.
 
-Everything here is an immutable value: safe to share freely between any
-number of checks or machine runs.
+Every node here is an immutable value by convention, not by `frozen=True`:
+once `parse_program` has returned, nothing assigns to a field of a type,
+signature, declaration or command (the parser's resolver sets the types it
+recorded in place before it returns).  So nodes are safe to share between
+any number of checks or machine runs, and rewrites share the subtrees they
+leave unchanged.  Type nodes hash by value (`unsafe_hash=True`), as a
+frozen dataclass would; a frozen `__init__` costs about three times as
+much, and the checker builds type nodes as it infers.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from typing import Union
 # ---------------------------------------------------------------------------
 # source positions
 
-# Not frozen: a frozen dataclass's __init__ costs three times as much, and
-# the parser builds one Pos per AST node.  Nothing assigns to a Pos.
 @dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int = 0
@@ -64,7 +68,7 @@ class _Compound:
         return render_type(self)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BaseSeq:
     """A built-in atomic sequential type (Int, Char, Bool, [Char])."""
     name: str
@@ -79,13 +83,13 @@ BOOL = BaseSeq("Bool")
 STRING = BaseSeq("[Char]")     # `String` in source is sugar for `[Char]`
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StoreType(_Compound):
     """Type of a stored process; `sig` is the signature it must be used at."""
     sig: "ProcSignature"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SeqVar:
     """Sequential type parameter of a protocol/coprotocol declaration."""
     name: str
@@ -94,7 +98,7 @@ class SeqVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SeqUVar:
     """Sequential unification variable; never survives into checked output."""
     uid: int
@@ -109,7 +113,7 @@ SeqType = Union[BaseSeq, StoreType, SeqVar, SeqUVar]
 # ---------------------------------------------------------------------------
 # channel types
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TopBot:
     def __str__(self) -> str:
         return "TopBot"
@@ -118,49 +122,49 @@ class TopBot:
 TOPBOT = TopBot()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Put(_Compound):
     msg: SeqType
     rest: "ChanType"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Get(_Compound):
     msg: SeqType
     rest: "ChanType"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Tensor(_Compound):
     left: "ChanType"
     right: "ChanType"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Par(_Compound):
     left: "ChanType"
     right: "ChanType"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NegT(_Compound):
     inner: "ChanType"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProtoApp(_Compound):
     """Application of a named protocol to sequential type arguments."""
     name: str
     args: tuple[SeqType, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CoprotoApp(_Compound):
     name: str
     args: tuple[SeqType, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StateVar:
     """Recursion variable inside a protocol/coprotocol declaration body."""
     name: str
@@ -169,7 +173,7 @@ class StateVar:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class UVar:
     """Channel-type unification variable used only during inference."""
     uid: int
@@ -186,7 +190,7 @@ ChanType = Union[
 # ---------------------------------------------------------------------------
 # process signatures and protocol declarations
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProcSignature:
     """Typed shape of a process: sequential params, then input channels,
     then output channels.  Order is binding order."""
@@ -347,12 +351,13 @@ class ProtocolDecl:
     state_var: str
     handles: tuple[HandleDef, ...]
     pos: Pos = pos_field()
+    # Handle name -> its definition, for lookups without a scan.  The
+    # resolver sets each `HandleDef.body` in place, so this stays current.
+    handle_defs: dict[str, HandleDef] = field(init=False, repr=False,
+                                              compare=False)
 
-    def handle(self, name: str) -> HandleDef | None:
-        for h in self.handles:
-            if h.name == name:
-                return h
-        return None
+    def __post_init__(self):
+        self.handle_defs = {h.name: h for h in self.handles}
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +399,7 @@ def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:
     """Expand `handle` of `decl` at the application `app`: sequential
     parameters are replaced by the application's arguments and the state
     variable by `app` itself (iso-recursive unfolding)."""
-    h = decl.handle(handle)
+    h = decl.handle_defs.get(handle)
     if h is None:
         raise UnknownHandle(f"{decl.name} has no handle {handle}")
     args = app.args if isinstance(app, (ProtoApp, CoprotoApp)) else ()

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import pathlib
+import sys
 
 import pytest
 
 from campl import diagnostics as dk
 from campl.checker import UnifyClash, Unifier, check_program
-from campl.diagnostics import CheckFailure
+from campl.diagnostics import CheckFailure, ParseFailure
 from campl.model import (
     INT, STRING, TOPBOT, Get, ProcSignature, Put, StoreType,
     render_signature,
@@ -743,3 +746,54 @@ def test_each_checker_diagnostic_is_reported_where_it_stands(name):
     [d] = errors_of(src)
     assert (d.kind, d.pos.line, d.pos.col, d.message) == (
         kind, line, col, message)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics differential
+
+CHECK_DIGESTS = pathlib.Path(__file__).with_name("check_digests.json")
+
+
+def _check_output(text: str) -> str:
+    """What `campl check` prints for `text` as diagnostics, as text and
+    then as JSON lines."""
+    try:
+        check_program(parse_source(text))
+        return ""
+    except (ParseFailure, CheckFailure) as e:
+        errors = e.errors
+    return "".join([*(d.text("prog.campl") + "\n" for d in errors),
+                    *(d.json_line("prog.campl") + "\n" for d in errors)])
+
+
+def _check_digests() -> dict[str, str]:
+    """For each source program of the parser differential (the corpus,
+    the golden programs and genprog seeds), the digest of the diagnostics
+    of it and of each variant made from it, in order."""
+    from test_descent import _differential_families
+    table = {}
+    for name, texts in _differential_families():
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(_check_output(text).encode() + b"\0")
+        table[name] = h.hexdigest()
+    return table
+
+
+def test_check_diagnostics_match_their_recorded_digests():
+    # Recorded before the checker dispatched through tables.  The one
+    # intended change since is that a plug binds the names free in exactly
+    # two of its branches; no input here nests a plug in a plug branch or
+    # a fork arm, so no digest moved.  Regenerate only for an intended
+    # change in diagnostics, with
+    #     PYTHONPATH=src python tests/test_checker.py
+    want = json.loads(CHECK_DIGESTS.read_text())
+    got = _check_digests()
+    assert len(got) == 132
+    assert {name for name in got if want.get(name) != got[name]} == set()
+
+
+if __name__ == "__main__":
+    table = _check_digests()
+    CHECK_DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"wrote {len(table)} digests to {CHECK_DIGESTS}", file=sys.stderr)

@@ -476,6 +476,50 @@ def test_a_channel_bound_twice_is_rejected(runner, tmp_path, command, text,
     assert r.stderr == f"{src}:{diagnostic}\n"
 
 
+# A plug as a plug branch: the inner plug joins `q`, the outer one `p`.
+NESTED_PLUG = ("proc a =\n"
+               "    | => q -> do\n"
+               "        put 1 on q\n"
+               "        close q\n"
+               "\nproc b =\n"
+               "    | q => p -> do\n"
+               "        get x on q\n"
+               "        close q\n"
+               "        put x on p\n"
+               "        close p\n"
+               "\nproc c =\n"
+               "    | p => -> do\n"
+               "        get y on p\n"
+               "        halt p\n"
+               "\nproc run =\n"
+               "    | => -> plug\n"
+               "        plug\n"
+               "            a( | => q )\n"
+               "            b( | q => p )\n"
+               "        c( | p => )\n")
+
+
+@pytest.mark.parametrize("args", [["check"], ["run", "--trace"],
+                                  ["run", "--trace", "--unchecked"]],
+                         ids=["check", "run", "run-unchecked"])
+def test_a_plug_inside_a_plug_branch_checks_and_runs(runner, tmp_path, args):
+    # `q` is free in both inner branches, so the inner plug binds it and
+    # the outer branch holding that plug uses only `p`.  Both commands used
+    # to reject the program: `check` with PlugPolarityMismatch ("found 1")
+    # and `run --unchecked` with an IllegalCommand fault.
+    src = tmp_path / "nested.campl"
+    src.write_text(NESTED_PLUG)
+    r = runner.invoke(main, [args[0], str(src), *args[1:]])
+    assert (r.exit_code, r.stdout) == (0, "")
+    if args[0] == "run":
+        events = r.stderr.splitlines()
+        assert events[:2] == ["#0 pid=0 PLUG payload=p",
+                              "#1 pid=1 PLUG payload=q"]
+        assert "#10 pid=2 GET ch=p#0 payload=1" in events
+    else:
+        assert r.stderr == ""
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("command,text,code,checked", [
     ("check", corpus_text("listing1.campl"), 0, True),

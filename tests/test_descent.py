@@ -345,19 +345,24 @@ def _channel_strips(text: str):
             yield "".join(lines[:i] + [stripped + "\n"] + lines[i + 1:])
 
 
-def _differential_texts():
-    small = [p.read_text(encoding="utf-8")
+def _differential_families():
+    """(name, texts): each source program with the variants made from it."""
+    small = [(p.name, p.read_text(encoding="utf-8"))
              for p in sorted(CORPUS.glob("*.campl"))]
-    small += [*FAULTS.values(), *LINKS.values(), *MESSAGES.values()]
-    yield from PERFBENCH.values()
-    for text in small:
-        yield text
-        yield from _line_drops(text)
+    small += [*FAULTS.items(), *LINKS.items(), *MESSAGES.items()]
+    for name, text in PERFBENCH.items():
+        yield name, [text]
+    for name, text in small:
+        yield name, [text, *_line_drops(text)]
     for seed in range(100):
         text = roundtrip_print(gen_program(seed))
-        yield text
-        yield from _line_drops(text)
-        yield from _channel_strips(text)
+        yield f"genprog-{seed}", [text, *_line_drops(text),
+                                  *_channel_strips(text)]
+
+
+def _differential_texts():
+    for _, texts in _differential_families():
+        yield from texts
 
 
 def test_parser_reports_bare_commands_as_the_reference_walk(monkeypatch):

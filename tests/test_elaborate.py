@@ -98,14 +98,19 @@ FREE_SETS = {
     # The hcase's channel counts even where no arm names it.
     "hcase-channel": ((HCase("c", (HCaseArm("A", (Halt("d"),)),)),),
                       {"c", "d"}),
-    # A plug inside a plug branch: every branch's channels count, the
-    # name `q` the inner plug joins included.
+    # A plug binds each name free in exactly two of its branches: the
+    # inner plug joins `q`, so its set is {p}, and the outer plug joins
+    # `p`.  Only `h`, which one branch uses, stays free.
     "nested-plug": ((PutVal(IntLit(1), "h"),
                      Plug((
                          (Plug(((Call("a", (), (), ("q",)),),
                                 (Call("b", (), ("q",), ("p",)),))),),
                          (Call("c", (), ("p", "h"), ()),)))),
-                    {"h", "p", "q"}),
+                    {"h"}),
+    # A name in one branch or in three stays free: the plug joins neither.
+    "plug-counts": ((Plug(((Halt("x"),), (Halt("y"), Close("z")),
+                           (Close("y"),), (Close("y"),))),),
+                    {"x", "y", "z"}),
 }
 
 

@@ -3,9 +3,11 @@ refactor that drops or renames one of those names breaks the benchmark
 with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
 name it reaches, and compare the traces of both loops.  The last tests hold
-the machine to its budget of Python calls per step and the parser to its
-budget of stack frames per level of nesting."""
+the machine to its budget of Python calls per step, the checker to its
+budget of calls per command, and the parser and the checker to their
+budgets of stack frames per level of nesting."""
 
+import gc
 import sys
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import campl.runtime
 from campl.checker import check_program
 from campl.lexer import tokenize
+from campl.model import sub_bodies
 from campl.parser import parse_source
 from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
@@ -101,10 +104,54 @@ def test_machine_steps_stay_within_their_call_budget():
     assert calls / outcome.steps <= 11.0, f"{calls} calls"
 
 
-def _peak_parse_depth(text: str) -> int:
-    """The deepest Python call stack `parse_source(text)` reaches, counted
-    from the call (`sys.setprofile` "call" and "return" events; a
-    generator counts while it runs)."""
+def test_checker_stays_within_its_call_budget():
+    # Python-level calls (`sys.setprofile` "call" events) per checked
+    # command, over the five `frontend` programs (seed 7) that check at the
+    # default recursion limit: 29.9 when commands dispatched through an
+    # `isinstance` chain and every `shape` went through `legality` (282,512
+    # calls for 9,460 commands), 20.2 with table dispatch and legality
+    # diagnosed only on a miss (191,495).  `check_program` includes
+    # `prepare`, so desugaring counts too.  The count is exact for a given
+    # interpreter, so a rise means new per-command calls.
+    programs = load_perfbench("programs")
+    workload = programs.frontend(7)
+    calls = commands = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    for shape in programs.FRONTEND_SHAPES:
+        if shape in programs.FRONTEND_DEFECTS:
+            continue
+        source = parse_source(workload.sources["frontend-n%d-d%d" % shape])
+        # Paused as the CLI pauses it, so no finalizer of an earlier test's
+        # garbage runs inside the count.
+        enabled = gc.isenabled()
+        gc.disable()
+        saved = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            typed = check_program(source)
+        finally:
+            sys.setprofile(saved)
+            if enabled:
+                gc.enable()
+        commands += sum(_command_count(d.body)
+                        for d in typed.exec_program.procs.values())
+    assert commands == 9460
+    assert calls / commands <= 20.25, f"{calls} calls"
+
+
+def _command_count(body: tuple) -> int:
+    return sum(1 + sum(map(_command_count, sub_bodies(cmd))) for cmd in body)
+
+
+def _peak_depth(f, *args) -> int:
+    """The deepest Python call stack `f(*args)` reaches, counted from the
+    call (`sys.setprofile` "call" and "return" events; a generator counts
+    while it runs)."""
     depth = peak = 0
 
     def count(frame, event, arg):
@@ -118,7 +165,7 @@ def _peak_parse_depth(text: str) -> int:
     saved = sys.getprofile()
     sys.setprofile(count)
     try:
-        parse_source(text)
+        f(*args)
     finally:
         sys.setprofile(saved)
     return peak
@@ -130,5 +177,18 @@ def test_the_parser_spends_at_most_four_frames_per_fork_level():
     # 413 at depth 100.  A fifth frame per level would lower the deepest
     # tower that parses at the default recursion limit from 246 levels to
     # about 197.
-    low, high = (_peak_parse_depth(_fork_tower(n)) for n in (50, 100))
+    low, high = (_peak_depth(parse_source, _fork_tower(n))
+                 for n in (50, 100))
     assert high - low <= 4 * 50, (low, high)
+
+
+def test_the_checker_spends_at_most_two_frames_per_fork_level():
+    # The checker's deepest walks take two frames per level of the tower:
+    # `check_body` and the fork's handler, which `check_body` calls
+    # straight from its table, and the occurs check and `Solved.zonk` over
+    # the tower's channel type: 114 frames at depth 50 and 214 at depth
+    # 100.  Dispatch through `check_command`, and a second `zonk` frame
+    # per solved variable, each took a third (159 and 309).
+    low, high = (_peak_depth(check_program, parse_source(_fork_tower(n)))
+                 for n in (50, 100))
+    assert high - low <= 2 * 50, (low, high)
