@@ -10,7 +10,7 @@ signature, declaration or command (the parser's resolver sets the types it
 recorded in place before it returns).  So nodes are safe to share between
 any number of checks or machine runs, and rewrites share the subtrees they
 leave unchanged.  Type nodes hash by value (`unsafe_hash=True`), as a
-frozen dataclass would; a frozen `__init__` costs about three times as
+frozen dataclass would; a frozen `__init__` costs about five times as
 much, and the checker builds type nodes as it infers.
 """
 
@@ -351,13 +351,15 @@ class ProtocolDecl:
     state_var: str
     handles: tuple[HandleDef, ...]
     pos: Pos = pos_field()
-    # Handle name -> its definition, for lookups without a scan.  The
-    # resolver sets each `HandleDef.body` in place, so this stays current.
+    # Handle name -> its first definition, for lookups without a scan (a
+    # repeated name is a diagnostic, and checking goes on with the first).
+    # The resolver sets each `HandleDef.body` in place, so this stays
+    # current.
     handle_defs: dict[str, HandleDef] = field(init=False, repr=False,
                                               compare=False)
 
     def __post_init__(self):
-        self.handle_defs = {h.name: h for h in self.handles}
+        self.handle_defs = {h.name: h for h in reversed(self.handles)}
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,20 @@ def test_duplicate_handle_names():
     assert dk.HANDLE_DUPLICATE in kinds_of(src)
 
 
+def test_a_handle_named_twice_in_one_protocol_unfolds_as_the_first():
+    # Checking goes on after the duplicate; `hput A` must take the first
+    # `A`, so `close` is legal and no second diagnostic follows.
+    src = ("protocol P( | ) => S =\n"
+           "    A :: TopBot => S\n"
+           "    A :: Put(Int|TopBot) => S\n"
+           "\nproc p =\n"
+           "    | => ch -> do\n"
+           "        hput A on ch\n"
+           "        close ch\n")
+    assert [(d.kind, d.pos.line) for d in errors_of(src)] == [
+        (dk.HANDLE_DUPLICATE, 3)]
+
+
 def test_halt_with_other_channels_live():
     src = ("proc p :: | TopBot, TopBot => =\n"
            "    | a, b => -> halt a\n")
