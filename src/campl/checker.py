@@ -16,13 +16,13 @@ from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
 from .elaborate import ExecProgram, prepare
 from .model import (
-    COMMAND_HEADS, INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, CharLit,
-    Close, CoprotoApp, DeclKind, Expr, Fork, Get, GetVal, Halt, HCase, HPut,
-    IntLit, Link, NegIntro, NegT, Par, Plug, Polarity, Pos, ProcDef,
+    COMMAND_HEADS, INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, ChanType,
+    CharLit, Close, CoprotoApp, DeclKind, Fork, Get, GetVal, Halt, HCase,
+    HPut, IntLit, Link, NegIntro, NegT, Par, Plug, Polarity, Pos, ProcDef,
     ProcSignature, ProtoApp, ProtocolDecl, Put, PutVal, Race, SeqType,
     SeqUVar, SourceProgram, Split, StoreOf, StoreType, StringLit, Tensor,
-    TopBot, UVar, Use, VarRef, allowed_commands, map_command, map_signature,
-    map_type, type_parts, unfold_handle,
+    TopBot, UVar, Use, VarRef, allowed_commands, map_signature, map_type,
+    type_parts, unfold_handle,
     BOOL, CHAR, INT, STRING,
 )
 from .services import BUILTIN_DECLS, CONSOLE
@@ -276,12 +276,15 @@ class Checker:
         self.sigs: dict[str, ProcSignature] = {}
         self.plug_sites: list[PlugSite] = []
         self.fork_sites: list[ForkSite] = []
+        # (handle, id(application node)) -> (the node, its unfolding); the
+        # entry holds the node, so no id is reused while it lives.
+        self.unfoldings: dict[tuple[str, int], tuple] = {}
 
     # -- driver ---------------------------------------------------------
 
     def run(self) -> TypedProgram:
         procs = self.exec_program.procs
-        for group in _scc_order(procs):
+        for group in _scc_order(procs, self.exec_program.refs):
             for name in group:
                 self.sigs[name] = self._initial_sig(procs[name])
             for name in group:
@@ -586,7 +589,7 @@ class Checker:
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"unknown handle {cmd.handle!r}", channel=cmd.chan)
         app = self.shape(cmd.chan, entry, "hput", cmd.pos, decl)
-        chan_ctx[cmd.chan] = ChanEntry(unfold_handle(decl, cmd.handle, app),
+        chan_ctx[cmd.chan] = ChanEntry(self.unfold(decl, cmd.handle, app),
                                        entry.pol)
         return _OPEN
 
@@ -620,9 +623,21 @@ class Checker:
         for arm in cmd.arms:
             arm_ctx = dict(chan_ctx)
             arm_ctx[cmd.chan] = ChanEntry(
-                unfold_handle(decl, arm.handle, app), entry.pol)
+                self.unfold(decl, arm.handle, app), entry.pol)
             results.append(self.check_body(arm.body, dict(seq_ctx), arm_ctx))
         return self.merge_arms(cmd, "hcase", chan_ctx, results)
+
+    def unfold(self, decl: ProtocolDecl, handle: str, app) -> ChanType:
+        """`unfold_handle(decl, handle, app)`, built once per handle and
+        application node: a recursive protocol's unfolding holds its own
+        application, so each step along it unfolds the same node again.
+        A handle name picks one declaration, so it keys `decl` too."""
+        key = (handle, id(app))
+        entry = self.unfoldings.get(key)
+        if entry is None:
+            entry = self.unfoldings[key] = (
+                app, unfold_handle(decl, handle, app))
+        return entry[1]
 
     def merge_arms(self, cmd, kind: str, chan_ctx, results):
         """hcase/race arms must agree: either every arm terminates (the
@@ -932,18 +947,15 @@ class Checker:
         return _OPEN
 
 
-def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
-    """Tarjan over the call/store reference graph, yielding groups with
-    callees before callers, deterministically by file order."""
+def _scc_order(procs: dict[str, ProcDef],
+               refs: dict[str, list[str]]) -> list[list[str]]:
+    """Tarjan over the call/store reference graph `refs` (from `prepare`),
+    yielding groups with callees before callers, deterministically by file
+    order."""
     names = list(procs)
     position = {n: i for i, n in enumerate(names)}
-    edges: dict[str, list[str]] = {n: [] for n in names}
-    for name, d in procs.items():
-        refs = _Refs()
-        refs.body(d.body)
-        for ref in refs:
-            if ref in procs and ref not in edges[name]:
-                edges[name].append(ref)
+    edges = {n: [r for r in dict.fromkeys(refs[n]) if r in procs]
+             for n in names}
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -980,27 +992,6 @@ def _scc_order(procs: dict[str, ProcDef]) -> list[list[str]]:
     # it and the tables it holds without the cyclic collector.
     del strongconnect
     return out
-
-
-class _Refs(list):
-    """Names of the processes the bodies walked call or store, in order of
-    mention.  Methods, not closures: a recursive closure is a reference
-    cycle, left for the collector."""
-
-    def body(self, b: Body) -> Body:
-        for cmd in b:
-            if type(cmd) is Call:
-                self.append(cmd.callee)
-            map_command(cmd, self.body, self.expr)
-        return b
-
-    def expr(self, e: Expr) -> Expr:
-        if type(e) is StoreOf:
-            if isinstance(e.target, str):
-                self.append(e.target)
-            else:
-                self.body(e.target.body)
-        return e
 
 
 def check_program(src: SourceProgram) -> TypedProgram:

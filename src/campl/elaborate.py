@@ -5,6 +5,12 @@ the runtime.
 argument filled in; `free_chans` computes which channel names a command
 sequence uses from its environment, accounting for the binders introduced
 by fork, split, and neg and the channels a plug joins.
+
+`prepare` is the only walk over the process bodies before checking: as it
+desugars a process it records the processes that process calls or stores
+(`ExecProgram.refs`), which is the call graph the checker orders its work
+by.  A command outside every `on` block that nests no body and holds no
+expression is kept as it is, unvisited.
 """
 
 from __future__ import annotations
@@ -19,26 +25,72 @@ from .model import (
 )
 
 
-def desugar_body(body: Body, default: str | None = None) -> Body:
+def desugar_body(body: Body) -> Body:
     """`body` with every `on` block spliced into its commands, each given
     the block's channel where it names none; `body` itself when no command
     changes, so a program without `on` blocks keeps its trees."""
-    sub = desugar_body if default is None else (
-        lambda b: desugar_body(b, default))
-    out = []
-    changed = False
-    for cmd in body:
-        if type(cmd) is OnDo:
-            out.extend(desugar_body(cmd.body, cmd.chan))
-            changed = True
-            continue
-        new = map_command(cmd, sub, _desugar_expr)
-        if default is not None and getattr(new, "chan", "") is None:
-            new = _WITH_CHAN[type(new)](new, default)
-        changed = changed or new is not cmd
-        out.append(new)
-    return tuple(out) if changed else body
+    return _Desugaring().body(body)
 
+
+class _Desugaring:
+    """One walk over a process: it desugars every body and records, in
+    `refs`, the names of the processes the process calls or stores, in
+    order of mention (an inline stored process's included).  Methods, not
+    closures: a recursive closure is a reference cycle, left for the
+    collector."""
+
+    def __init__(self):
+        self.refs: list[str] = []
+        self.chan: str | None = None    # the enclosing `on` block's channel
+
+    def proc(self, d: ProcDef) -> ProcDef:
+        body = self.body(d.body)
+        return d if body is d.body else ProcDef(
+            d.name, d.signature, d.seq_params, d.in_params, d.out_params,
+            body, pos=d.pos)
+
+    def body(self, body: Body) -> Body:
+        chan = self.chan
+        out = []
+        changed = False
+        for cmd in body:
+            k = type(cmd)
+            if k is OnDo:
+                self.chan = cmd.chan
+                out.extend(self.body(cmd.body))
+                self.chan = chan
+                changed = True
+                continue
+            if k in _LEAVES:
+                new = cmd
+            else:
+                if k is Call:
+                    self.refs.append(cmd.callee)
+                new = map_command(cmd, self.body, self.expr)
+            if chan is not None and getattr(new, "chan", "") is None:
+                new = _WITH_CHAN[k](new, chan)
+            if new is not cmd:
+                changed = True
+            out.append(new)
+        return tuple(out) if changed else body
+
+    def expr(self, e):
+        if type(e) is StoreOf:
+            target = e.target
+            if type(target) is str:
+                self.refs.append(target)
+                return e
+            # An inline process sees no enclosing `on` block.
+            chan, self.chan = self.chan, None
+            target = self.proc(target)
+            self.chan = chan
+            return e if target is e.target else StoreOf(target, pos=e.pos)
+        return e
+
+
+# Commands that nest no body and hold no expression: only an `on` block
+# can change them.
+_LEAVES = frozenset({GetVal, HPut, Close, Halt, Split, Link, NegIntro})
 
 # Each command whose channel an `on` block may supply, rebuilt on `ch`.
 _WITH_CHAN = {
@@ -53,25 +105,14 @@ _WITH_CHAN = {
 }
 
 
-def _desugar_expr(e):
-    if isinstance(e, StoreOf) and isinstance(e.target, ProcDef):
-        target = desugar_proc(e.target)
-        return e if target is e.target else StoreOf(target, pos=e.pos)
-    return e
-
-
-def desugar_proc(d: ProcDef) -> ProcDef:
-    body = desugar_body(d.body)
-    return d if body is d.body else ProcDef(
-        d.name, d.signature, d.seq_params, d.in_params, d.out_params, body,
-        pos=d.pos)
-
-
 @dataclass
 class ExecProgram:
     """A program readied for checking or execution: every process body is
-    fully desugared."""
+    fully desugared.  `refs` holds, per process, the names of the
+    processes it calls or stores, in order of mention: the call graph the
+    checker orders its work by, recorded by the desugaring walk."""
     procs: dict[str, ProcDef]
+    refs: dict[str, list[str]] = field(default_factory=dict)
     # id(body) -> (body, its free channels); holding the body keeps its
     # id from being reused while the entry lives.
     _free: dict[int, tuple[Body, frozenset[str]]] = field(
@@ -92,8 +133,12 @@ class ExecProgram:
 
 
 def prepare(src: SourceProgram) -> ExecProgram:
-    procs = {name: desugar_proc(d) for name, d in src.procs.items()}
-    return ExecProgram(procs)
+    procs, refs = {}, {}
+    for name, d in src.procs.items():
+        walk = _Desugaring()
+        procs[name] = walk.proc(d)
+        refs[name] = walk.refs
+    return ExecProgram(procs, refs)
 
 
 def free_chans(body: Body) -> frozenset[str]:

@@ -11,7 +11,10 @@ recorded in place before it returns).  So nodes are safe to share between
 any number of checks or machine runs, and rewrites share the subtrees they
 leave unchanged.  Type nodes hash by value (`unsafe_hash=True`), as a
 frozen dataclass would; a frozen `__init__` costs about five times as
-much, and the checker builds type nodes as it infers.
+much, and the checker builds type nodes as it infers.  Command and
+expression nodes, of which a program has one per command or operand, are
+`slots=True` dataclasses: no per-instance `__dict__`, so each takes less
+memory and each field read is a slot lookup.
 """
 
 from __future__ import annotations
@@ -434,37 +437,37 @@ class _Unfolding:
 # ---------------------------------------------------------------------------
 # expressions
 
-@dataclass
+@dataclass(slots=True)
 class IntLit:
     value: int
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class CharLit:
     value: str
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit:
     value: str
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit:
     value: bool
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class VarRef:
     name: str
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreOf:
     """`store(name)` or `store(proc ... )` with an inline definition."""
     target: Union[str, "ProcDef"]
@@ -477,68 +480,68 @@ Expr = Union[IntLit, CharLit, StringLit, BoolLit, VarRef, StoreOf]
 # ---------------------------------------------------------------------------
 # process commands
 
-@dataclass
+@dataclass(slots=True)
 class PutVal:
     expr: Expr
     chan: str | None
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class GetVal:
     binder: str
     chan: str | None
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class HPut:
     handle: str
     chan: str | None
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class HCaseArm:
     handle: str
     body: tuple["Command", ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class HCase:
     chan: str | None
     arms: tuple[HCaseArm, ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Close:
     chan: str | None
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Halt:
     chan: str | None
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class ForkArm:
     name: str
     body: tuple["Command", ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Fork:
     chan: str | None
     arms: tuple[ForkArm, ForkArm]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Split:
     chan: str | None
     left: str
@@ -546,26 +549,26 @@ class Split:
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Plug:
     branches: tuple[tuple["Command", ...], ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class RaceArm:
     chan: str
     body: tuple["Command", ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Race:
     arms: tuple[RaceArm, ...]
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     callee: str
     seq_args: tuple[Expr, ...]
@@ -581,7 +584,7 @@ class Call:
         self.chan_args = self.in_chans + self.out_chans
 
 
-@dataclass
+@dataclass(slots=True)
 class Use:
     stored: Expr
     seq_args: tuple[Expr, ...]
@@ -594,21 +597,21 @@ class Use:
         self.chan_args = self.in_chans + self.out_chans
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     left: str
     right: str
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class NegIntro:
     chan: str
     fresh: str
     pos: Pos = pos_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class OnDo:
     """`on ch do ...`: sugar that supplies the channel argument to every
     command in its block."""

@@ -205,13 +205,17 @@ class Parser:
                        body, pos=Pos(kw[2], kw[3]))
 
     def parse_name_list(self) -> tuple[str, ...]:
+        # An identifier or a comma is never EOF, so the index after one is
+        # a token.
+        toks, i = self.toks, self.i
         names = []
-        while self.at_kind(IDENT):
-            names.append(self.take()[1])
-            if self.at(","):
-                self.take()
-            else:
+        while toks[i][0] == IDENT:
+            names.append(toks[i][1])
+            i += 1
+            if toks[i][1] != "," or toks[i][0] != OP:
                 break
+            i += 1
+        self.i = i
         return tuple(names)
 
     def parse_signature(self, *end: str) -> ProcSignature:
@@ -422,8 +426,9 @@ class Parser:
     # -- bodies and commands ------------------------------------------------
 
     def parse_body(self, parent_indent: int) -> tuple:
-        if self.at("do"):
-            self.take()
+        t = self.toks[self.i]
+        if t[1] == "do" and t[0] == KW:
+            self.i += 1
             return self.parse_command_block(parent_indent)
         return (self.parse_command(),)
 
@@ -439,7 +444,8 @@ class Parser:
             handler = _COMMANDS.get(t[1])
             if handler is None:
                 raise ParseError(f"{t[1]!r} cannot start a command", t)
-            cmd = handler(self, self.line_indent[t[2]])
+            self.i += 1
+            cmd = handler(self, t, self.line_indent[t[2]])
             # Checked here, once the handler has returned, so the check
             # costs no stack frame per level of nesting.
             if self.chan_required and type(cmd) in OPTIONAL_CHAN \
@@ -460,34 +466,32 @@ class Parser:
                          f"{self._describe(t)}", t)
 
     def _opt_on_chan(self) -> str | None:
-        if self.at("on"):
-            self.take()
+        t = self.toks[self.i]
+        if t[1] == "on" and t[0] == KW:
+            self.i += 1
             return self.expect_ident("channel")[1]
         return None
 
     def _opt_same_line_chan(self, kw: tuple) -> str | None:
-        t = self.peek()
+        t = self.toks[self.i]
         if t[0] == IDENT and t[2] == kw[2]:
-            return self.take()[1]
+            self.i += 1
+            return t[1]
         return None
 
-    def _cmd_put(self, anchor: int):
-        kw = self.take()
+    def _cmd_put(self, kw: tuple, anchor: int):
         expr = self.parse_expr()
         return PutVal(expr, self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_get(self, anchor: int):
-        kw = self.take()
+    def _cmd_get(self, kw: tuple, anchor: int):
         binder = self.expect_ident("binder")
         return GetVal(binder[1], self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_hput(self, anchor: int):
-        kw = self.take()
+    def _cmd_hput(self, kw: tuple, anchor: int):
         handle = self.expect_ident("handle name")
         return HPut(handle[1], self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_hcase(self, anchor: int):
-        kw = self.take()
+    def _cmd_hcase(self, kw: tuple, anchor: int):
         chan = None
         if self.at_kind(IDENT):
             chan = self.take()[1]
@@ -495,16 +499,13 @@ class Parser:
         return HCase(chan, self._arms(anchor, "handle", HCaseArm),
                      pos=Pos(kw[2], kw[3]))
 
-    def _cmd_close(self, anchor: int):
-        kw = self.take()
+    def _cmd_close(self, kw: tuple, anchor: int):
         return Close(self._opt_same_line_chan(kw), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_halt(self, anchor: int):
-        kw = self.take()
+    def _cmd_halt(self, kw: tuple, anchor: int):
         return Halt(self._opt_same_line_chan(kw), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_fork(self, anchor: int):
-        kw = self.take()
+    def _cmd_fork(self, kw: tuple, anchor: int):
         chan = None
         if self.at_kind(IDENT):
             chan = self.take()[1]
@@ -514,8 +515,7 @@ class Parser:
             raise ParseError("fork takes exactly two branches", kw)
         return Fork(chan, arms, pos=Pos(kw[2], kw[3]))
 
-    def _cmd_split(self, anchor: int):
-        kw = self.take()
+    def _cmd_split(self, kw: tuple, anchor: int):
         chan = None
         if self.at_kind(IDENT):
             chan = self.take()[1]
@@ -525,8 +525,7 @@ class Parser:
         right = self.expect_ident("channel")
         return Split(chan, left[1], right[1], pos=Pos(kw[2], kw[3]))
 
-    def _cmd_plug(self, anchor: int):
-        kw = self.take()
+    def _cmd_plug(self, kw: tuple, anchor: int):
         branches = []
         for t in self._block(anchor, "indented plug branches"):
             branches.append(self.parse_body(t[3]))
@@ -534,27 +533,23 @@ class Parser:
             raise ParseError("plug needs at least two branches", kw)
         return Plug(tuple(branches), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_race(self, anchor: int):
-        kw = self.take()
+    def _cmd_race(self, kw: tuple, anchor: int):
         return Race(self._arms(anchor, "channel", RaceArm),
                     pos=Pos(kw[2], kw[3]))
 
-    def _cmd_use(self, anchor: int):
-        kw = self.take()
+    def _cmd_use(self, kw: tuple, anchor: int):
         self.expect("(")
         stored = self.parse_expr()
         self.expect(")")
         return Use(stored, *self._parse_call_args(), pos=Pos(kw[2], kw[3]))
 
-    def _cmd_neg(self, anchor: int):
-        kw = self.take()
+    def _cmd_neg(self, kw: tuple, anchor: int):
         chan = self.expect_ident("channel")
         self.expect("as")
         fresh = self.expect_ident("channel")
         return NegIntro(chan[1], fresh[1], pos=Pos(kw[2], kw[3]))
 
-    def _cmd_on(self, anchor: int):
-        kw = self.take()
+    def _cmd_on(self, kw: tuple, anchor: int):
         chan = self.expect_ident("channel")
         self.expect("do")
         outer, self.chan_required = self.chan_required, False
