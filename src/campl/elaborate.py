@@ -25,13 +25,6 @@ from .model import (
 )
 
 
-def desugar_body(body: Body) -> Body:
-    """`body` with every `on` block spliced into its commands, each given
-    the block's channel where it names none; `body` itself when no command
-    changes, so a program without `on` blocks keeps its trees."""
-    return _Desugaring().body(body)
-
-
 class _Desugaring:
     """One walk over a process: it desugars every body and records, in
     `refs`, the names of the processes the process calls or stores, in
@@ -50,6 +43,10 @@ class _Desugaring:
             body, pos=d.pos)
 
     def body(self, body: Body) -> Body:
+        """`body` with every `on` block spliced into its commands, each
+        given the block's channel where it names none; `body` itself when
+        no command changes, so a program without `on` blocks keeps its
+        trees."""
         chan = self.chan
         out = []
         changed = False

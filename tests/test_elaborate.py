@@ -1,15 +1,21 @@
 import pytest
 
-from campl.elaborate import ExecProgram, desugar_body, free_chans, prepare
+from campl.elaborate import ExecProgram, free_chans, prepare
 from campl.model import (
     Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut, IntLit,
     Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm, Split,
-    StringLit, sub_bodies,
+    SourceProgram, StoreOf, StringLit, sub_bodies,
 )
 from campl.parser import parse_source
 from conftest import CORPUS, corpus_text
 from genprog import gen_program
 from test_goldens import FAULTS, LINKS, MESSAGES
+
+
+def desugar_body(body):
+    """`body` desugared by `prepare`, as a process's body."""
+    proc = ProcDef("p", None, (), (), (), body)
+    return prepare(SourceProgram((proc,))).procs["p"].body
 
 
 def test_on_do_fills_channel_arguments():
@@ -50,6 +56,16 @@ def test_on_do_reaches_into_arms():
     )),)
     got = desugar_body(body)
     assert got == (HCase("c", (HCaseArm("H", (Halt("c"),)),)),)
+
+
+def test_on_do_does_not_reach_into_an_inline_stored_process():
+    # A stored process runs on its own channels, so its bare commands stay
+    # bare for the checker to report.
+    inner = ProcDef("p", None, (), (), ("d",), (Close(None),))
+    body = (OnDo("c", (PutVal(StoreOf(inner), None),)),)
+    got = desugar_body(body)
+    assert got == (PutVal(StoreOf(inner), "c"),)
+    assert got[0].expr.target is inner
 
 
 def test_prepare_desugars_every_proc():

@@ -4,8 +4,9 @@ with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
 name it reaches, and compare the traces of both loops.  The last tests hold
 the machine to its budget of Python calls per step, the checker to its
-budget of calls per command, and the parser and the checker to their
-budgets of stack frames per level of nesting."""
+budget of calls per command, the parser to its budget of calls per token,
+and the parser and the checker to their budgets of stack frames per level
+of nesting."""
 
 import gc
 import sys
@@ -16,7 +17,7 @@ import campl.runtime
 from campl.checker import check_program
 from campl.lexer import tokenize
 from campl.model import sub_bodies
-from campl.parser import parse_source
+from campl.parser import parse_program, parse_source
 from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
 from conftest import corpus_text, load_perfbench
@@ -109,39 +110,75 @@ def test_checker_stays_within_its_call_budget():
     # command, over the five `frontend` programs (seed 7) that check at the
     # default recursion limit: 29.9 when commands dispatched through an
     # `isinstance` chain and every `shape` went through `legality` (282,512
-    # calls for 9,460 commands), 20.2 with table dispatch and legality
-    # diagnosed only on a miss (191,495).  `check_program` includes
-    # `prepare`, so desugaring counts too.  The count is exact for a given
-    # interpreter, so a rise means new per-command calls.
+    # calls for 9,460 commands), 20.24 with table dispatch and legality
+    # diagnosed only on a miss (191,495), 17.26 once `prepare` recorded the
+    # call graph as it desugared (no second walk for `_scc_order`) and the
+    # checker built each handle's unfolding once per application node
+    # (163,278).  `check_program` includes `prepare`, so desugaring counts
+    # too.  The count is exact for a given interpreter, so a rise means new
+    # per-command calls.
     programs = load_perfbench("programs")
-    workload = programs.frontend(7)
     calls = commands = 0
+    for source in _answered_frontend_sources(programs):
+        program = parse_source(source)
+        n, typed = _count_calls(check_program, program)
+        calls += n
+        commands += sum(_command_count(d.body)
+                        for d in typed.exec_program.procs.values())
+    assert commands == 9460
+    assert calls / commands <= 17.26, f"{calls} calls"
+
+
+def test_parser_stays_within_its_call_budget():
+    # Python-level calls per token that `parse_program` reads, lexing
+    # excluded, over the same five programs: 3.82 when each command
+    # handler took its own keyword and the name lists, `on` channels and
+    # bodies read the cursor through `at`, `at_kind` and `take` (224,769
+    # calls for 58,798 tokens), 3.12 once `parse_command` passed the
+    # keyword to the handler and those readers indexed the token list
+    # (183,419).  Exact for a given interpreter, as above.
+    programs = load_perfbench("programs")
+    calls = tokens = 0
+    for source in _answered_frontend_sources(programs):
+        toks = tokenize(source)
+        n, _ = _count_calls(parse_program, toks)
+        calls += n
+        tokens += len(toks)
+    assert tokens == 58798
+    assert calls / tokens <= 3.12, f"{calls} calls"
+
+
+def _answered_frontend_sources(programs) -> list[str]:
+    """The `frontend` programs (seed 7) that parse and check at the default
+    recursion limit."""
+    workload = programs.frontend(7)
+    return [workload.sources["frontend-n%d-d%d" % shape]
+            for shape in programs.FRONTEND_SHAPES
+            if shape not in programs.FRONTEND_DEFECTS]
+
+
+def _count_calls(f, *args) -> tuple:
+    """Python-level calls `f(*args)` makes, and its result.  The cyclic
+    collector is paused as the CLI pauses it, so no finalizer of an earlier
+    test's garbage runs inside the count."""
+    calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         if event == "call":
             calls += 1
 
-    for shape in programs.FRONTEND_SHAPES:
-        if shape in programs.FRONTEND_DEFECTS:
-            continue
-        source = parse_source(workload.sources["frontend-n%d-d%d" % shape])
-        # Paused as the CLI pauses it, so no finalizer of an earlier test's
-        # garbage runs inside the count.
-        enabled = gc.isenabled()
-        gc.disable()
-        saved = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            typed = check_program(source)
-        finally:
-            sys.setprofile(saved)
-            if enabled:
-                gc.enable()
-        commands += sum(_command_count(d.body)
-                        for d in typed.exec_program.procs.values())
-    assert commands == 9460
-    assert calls / commands <= 20.25, f"{calls} calls"
+    enabled = gc.isenabled()
+    gc.disable()
+    saved = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = f(*args)
+    finally:
+        sys.setprofile(saved)
+        if enabled:
+            gc.enable()
+    return calls, result
 
 
 def _command_count(body: tuple) -> int:

@@ -15,7 +15,7 @@ from typing import get_args
 import pytest
 from hypothesis import given
 
-from campl import model
+from campl import elaborate, model
 from campl.checker import check_program
 from campl.elaborate import prepare
 from campl.model import (
@@ -111,6 +111,15 @@ def test_map_command_reaches_every_body_and_expression(cls):
     assert _nested(out) == ([b + (mark,) for b in bodies],
                             [IntLit(-e.value) for e in exprs])
     assert type(out) is cls and out.pos == cmd.pos
+
+
+def test_desugaring_skips_exactly_the_commands_with_nothing_nested():
+    # `prepare` keeps these without a `map_command` call, and records no
+    # call edge for them: a command class that gains a body, an expression
+    # or a callee must leave the set.
+    leaves = {cls for cls in COMMANDS
+              if _nested(_build(cls)) == ([], []) and cls is not model.Call}
+    assert elaborate._LEAVES == leaves
 
 
 # ---------------------------------------------------------------------------
