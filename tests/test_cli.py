@@ -712,3 +712,114 @@ def test_style_note_when_run_is_not_last(runner):
     r2 = runner.invoke(main, ["check", corpus("listing1.campl")])
     assert r2.exit_code == 0
     assert r2.stderr == ""
+
+
+# One program per diagnostic that no other test reaches, with the stderr
+# `campl check` or `campl run --unchecked` prints for it as `prog.campl`.
+PINNED_DIAGNOSTICS = {
+    "list-type": (
+        "check",
+        "proc f :: [Int] | => =\n"
+        "    x | => -> halt\n",
+        "1:12: ParseError: only [Char] is a valid list type"),
+    "sequential-type": (
+        "check",
+        "proc f :: => | => =\n"
+        "    | => -> halt\n",
+        "1:11: ParseError: expected a sequential type"),
+    "channel-type": (
+        "check",
+        "proc f :: | 3 => =\n"
+        "    | c => -> close c\n",
+        "1:13: ParseError: expected a channel type"),
+    "store-as-channel": (
+        "check",
+        "proc f :: | Store(|=>) => =\n"
+        "    | c => -> close c\n",
+        "1:13: ParseError: Store is a sequential type, not a channel type"),
+    "channel-type-argument": (
+        "check",
+        "protocol P(A| ) => S =\n"
+        "    H :: TopBot => S\n"
+        "\nproc f :: | P(Int| TopBot) => =\n"
+        "    | c => -> close c\n",
+        "4:20: ParseError: channel-type parameters are not supported after "
+        "'|' in a protocol application"),
+    "unknown-sequential-type": (
+        "check",
+        "proc f :: Foo | TopBot => =\n"
+        "    x | c => -> close c\n",
+        "1:11: ParseError: unknown sequential type 'Foo'"),
+    "stored-signature-scope": (
+        # A stored signature cannot see its declaration's parameters.
+        "check",
+        "protocol P(A| ) => S =\n"
+        "    H :: Put(Store(A| =>)|S) => S\n",
+        "2:20: ParseError: unknown sequential type 'A'"),
+    "type-argument-count": (
+        "check",
+        "protocol P(A| ) => S =\n"
+        "    H :: TopBot => S\n"
+        "\nproc f :: | P(Int, Char| ) => =\n"
+        "    | c => -> hcase c of\n"
+        "        H -> close c\n",
+        "4:13: ParseError: P expects 1 type argument(s), got 2"),
+    "store-section-lengths": (
+        "check",
+        "proc g :: | Console => =\n"
+        "    | c => -> do\n"
+        "        hput ConsoleClose on c\n"
+        "        close c\n"
+        "\nproc f :: | => Put(Store(Int| =>)|TopBot) =\n"
+        "    | => ch -> do\n"
+        "        put store(g) on ch\n"
+        "        halt ch\n",
+        "8:9: SeqMismatch: sequential type mismatch: Store(|Console=>) vs "
+        "Store(Int|=>)"),
+    "console-close-then-handle": (
+        "run",
+        "proc run =\n"
+        "    | console => -> do\n"
+        "        hput ConsoleClose on console\n"
+        "        hput ConsolePut on console\n"
+        "        close console\n",
+        "error: IllegalCommand: console expected close after ConsoleClose"),
+    "console-unknown-handle": (
+        "run",
+        "proc run =\n"
+        "    | console => -> do\n"
+        "        hput Shout on console\n"
+        "        close console\n",
+        "error: IllegalCommand: console got unknown handle Shout"),
+    "store-of-unknown-process": (
+        "run",
+        "proc run =\n"
+        "    | console => -> do\n"
+        "        use(store(nothere))( | console => )\n",
+        "error: IllegalCommand: store of unknown process 'nothere'"),
+    "run-sequential-parameter": (
+        "run",
+        "proc run =\n"
+        "    n | console => -> close console\n",
+        "error: run cannot take sequential parameters"),
+    "run-output-channel": (
+        "run",
+        "proc run =\n"
+        "    | console => c -> do\n"
+        "        close console\n"
+        "        halt c\n",
+        "error: run cannot take output channels"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIAGNOSTICS)
+def test_each_pinned_diagnostic_is_printed_as_recorded(runner, tmp_path,
+                                                       name):
+    command, text, stderr = PINNED_DIAGNOSTICS[name]
+    src = tmp_path / "prog.campl"
+    src.write_text(text, encoding="utf-8")
+    args = [command, str(src)] + (["--unchecked"] if command == "run" else [])
+    r = runner.invoke(main, args, input="")
+    if command == "check":
+        stderr = f"{src}:{stderr}"
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", stderr + "\n")

@@ -10,8 +10,11 @@ holds types, so the resolver resolves the signature of an inline stored
 process wherever it sits without walking any body.
 """
 
+import hashlib
 import json
+import pathlib
 import re
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -365,6 +368,44 @@ def _differential_texts():
         yield from texts
 
 
+DUMP_AST_DIGESTS = pathlib.Path(__file__).with_name("dump_ast_digests.json")
+
+
+def _dump_ast_output(text: str) -> bytes:
+    """What `campl dump-ast` does with `text` as `prog.campl`: its exit
+    code, its stdout, and its stderr as text and then as JSON lines."""
+    try:
+        return b"0\0" + roundtrip_print(parse_source(text)).encode()
+    except ParseFailure as e:
+        errors = e.errors
+    return "".join(["1\0", *(d.text("prog.campl") + "\n" for d in errors),
+                    *(d.json_line("prog.campl") + "\n" for d in errors)]
+                   ).encode()
+
+
+def _dump_ast_digests() -> dict[str, str]:
+    """For each family of the differential, the digest of what `dump-ast`
+    does with each of its texts, in order."""
+    table = {}
+    for name, texts in _differential_families():
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(_dump_ast_output(text) + b"\0")
+        table[name] = h.hexdigest()
+    return table
+
+
+def test_dump_ast_output_matches_its_recorded_digests():
+    # Recorded before the printer's arm blocks and the lexer's string
+    # errors were each written once.  Regenerate only for an intended
+    # change in `dump-ast` output or in parse or lex diagnostics, with
+    #     PYTHONPATH=src python tests/test_descent.py
+    want = json.loads(DUMP_AST_DIGESTS.read_text())
+    got = _dump_ast_digests()
+    assert len(got) == 132
+    assert {name for name in got if want.get(name) != got[name]} == set()
+
+
 def test_parser_reports_bare_commands_as_the_reference_walk(monkeypatch):
     texts = reported = 0
     for text in _differential_texts():
@@ -614,3 +655,10 @@ def test_the_resolver_walks_no_body_without_an_inline_process(monkeypatch):
     assert walked == []
     assert all(type(d) in (ProcDef, ProtocolDecl) for d in handed)
     assert [d.name for d in handed if d not in prog.decls] == ["anon"]
+
+
+if __name__ == "__main__":
+    table = _dump_ast_digests()
+    DUMP_AST_DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+    print(f"wrote {len(table)} digests to {DUMP_AST_DIGESTS}",
+          file=sys.stderr)
