@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
-from .elaborate import ExecProgram, prepare
+from .elaborate import ExecProgram, prepare, share_out
 from .model import (
     COMMAND_HEADS, INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, ChanType,
     CharLit, Close, CoprotoApp, DeclKind, Fork, Get, GetVal, Halt, HCase,
@@ -442,7 +442,7 @@ class Checker:
                                                        "put")
         head = self.shape(cmd.chan, entry, "put", cmd.pos)
         vt = _EXPRS[type(cmd.expr)](self, cmd.expr, seq_ctx)
-        self.unify_seq_or_fail(vt, head.msg, cmd.pos, cmd.chan)
+        self.unify_or_fail(vt, head.msg, cmd.pos, cmd.chan, seq=True)
         chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
         return _OPEN
 
@@ -542,21 +542,19 @@ class Checker:
         ctor = ProtoApp if decl.kind is DeclKind.PROTOCOL else CoprotoApp
         return ctor(decl.name, tuple(uni.fresh_seq() for _ in decl.seq_params))
 
-    def unify_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
+    def unify_or_fail(self, a, b, pos: Pos, chan: str | None,
+                      seq: bool = False) -> None:
+        """Unify `a` with `b`, which are sequential types when `seq`."""
         try:
             self.uni.unify(a, b)
         except UnifyClash as e:
+            if seq:
+                self.fail(dk.SEQ_MISMATCH, pos,
+                          f"sequential type mismatch: {e.a} vs {e.b}",
+                          channel=chan)
             self.fail(dk.UNIFICATION_FAILURE, pos,
                       f"cannot reconcile {e.a} with {e.b}"
                       + (f" on channel {chan!r}" if chan else ""),
-                      channel=chan)
-
-    def unify_seq_or_fail(self, a, b, pos: Pos, chan: str | None) -> None:
-        try:
-            self.uni.unify(a, b)
-        except UnifyClash as e:
-            self.fail(dk.SEQ_MISMATCH, pos,
-                      f"sequential type mismatch: {e.a} vs {e.b}",
                       channel=chan)
 
     # Each expression's type comes from its `_EXPRS` entry: a literal's is
@@ -751,24 +749,26 @@ class Checker:
 
     def check_plug(self, cmd: Plug, seq_ctx, chan_ctx):
         live = set(chan_ctx)
-        frees = [self.exec_program.free_chans(b) for b in cmd.branches]
-        plugged = sorted(set().union(*frees) - live)
+        frees = list(map(self.exec_program.free_chans, cmd.branches))
+        users = share_out(frees)
+        plugged = sorted(users.keys() - live)
         if not plugged:
             self.fail(dk.PLUG_CYCLE, cmd.pos,
                       "plug introduces no fresh channels; branches are "
                       "disconnected")
 
-        # Claim enclosing channels linearly across branches.  Sets are
-        # walked sorted, so no diagnostic depends on the hash seed.
-        claimed: dict[str, int] = {}
-        for idx, f in enumerate(frees):
-            for name in sorted(f & live):
-                if name in claimed:
-                    self.fail(dk.LINEARITY_REUSE, cmd.pos,
-                              f"plug branches {claimed[name]} and {idx} both "
-                              f"use channel {name!r}", channel=name)
-                claimed[name] = idx
-        unclaimed = live - set(claimed)
+        # Claim enclosing channels linearly across branches: the clash
+        # reported is the first in branch order, then by name, so no
+        # diagnostic depends on the hash seed.
+        clashes = sorted([(where[1], name, where[0])
+                          for name, where in users.items()
+                          if len(where) > 1 and name in live])
+        if clashes:
+            second, name, first = clashes[0]
+            self.fail(dk.LINEARITY_REUSE, cmd.pos,
+                      f"plug branches {first} and {second} both use "
+                      f"channel {name!r}", channel=name)
+        unclaimed = live - users.keys()
         if unclaimed:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"plug leaves enclosing channel(s) unused: "
@@ -776,20 +776,18 @@ class Checker:
                       channel=sorted(unclaimed)[0])
 
         # Per plugged channel: exactly two branches, one per polarity.
-        occurrences: dict[str, list[int]] = {n: [] for n in plugged}
-        for idx, f in enumerate(frees):
-            for name in sorted(f - live):
-                occurrences[name].append(idx)
         polarity_of: dict[str, dict[int, Polarity]] = {}
-        types: dict[str, UVar] = {n: self.uni.fresh_chan() for n in plugged}
-        for name, where in occurrences.items():
+        types: dict[str, UVar] = {}
+        for name in plugged:
+            types[name] = self.uni.fresh_chan()
+        for name in plugged:
+            where = users[name]
             if len(where) != 2:
                 self.fail(dk.PLUG_POLARITY_MISMATCH, cmd.pos,
                           f"plugged channel {name!r} must appear in exactly "
                           f"two branches, found {len(where)}", channel=name)
-            evidence = [self._branch_evidence(cmd.branches[i], name)
-                        for i in where]
-            first, second = evidence
+            first = self._branch_evidence(cmd.branches[where[0]], name)
+            second = self._branch_evidence(cmd.branches[where[1]], name)
             if first is None and second is None:
                 first, second = OUTPUT, INPUT
             elif first is None:
@@ -804,7 +802,7 @@ class Checker:
                 second = first.flipped()   # repair so checking continues
             polarity_of[name] = {where[0]: first, where[1]: second}
 
-        self._plug_graph(cmd, occurrences, len(cmd.branches))
+        self._plug_graph(cmd, plugged, users, len(cmd.branches))
         self.plug_sites.append(PlugSite(cmd.pos, types))
 
         for idx, branch in enumerate(cmd.branches):
@@ -837,8 +835,10 @@ class Checker:
                 return (INPUT if param in target.in_params else OUTPUT)
         return None
 
-    def _plug_graph(self, cmd: Plug, occurrences: dict[str, list[int]],
-                    n_branches: int) -> None:
+    def _plug_graph(self, cmd: Plug, plugged: list[str],
+                    users: dict[str, list[int]], n_branches: int) -> None:
+        """Fails unless the plugged channels, each joining the two
+        branches `users` gives it, connect the branches as a tree."""
         parent = list(range(n_branches))
 
         def find(x):
@@ -847,19 +847,14 @@ class Checker:
                 x = parent[x]
             return x
 
-        edges = 0
-        for name, where in sorted(occurrences.items()):
-            if len(where) != 2:
-                continue
-            a, b = find(where[0]), find(where[1])
+        for name in plugged:
+            a, b = find(users[name][0]), find(users[name][1])
             if a == b:
                 self.fail(dk.PLUG_CYCLE, cmd.pos,
                           f"plug channels form a cycle through {name!r}",
                           channel=name)
             parent[a] = b
-            edges += 1
-        roots = {find(i) for i in range(n_branches)}
-        if len(roots) > 1:
+        if len(set(map(find, range(n_branches)))) > 1:
             self.fail(dk.PLUG_CYCLE, cmd.pos,
                       "plug branches are not connected by the plugged "
                       "channels")
@@ -899,7 +894,7 @@ class Checker:
                       f"{len(cmd.seq_args)} and {len(args)}")
         for e, want in zip(cmd.seq_args, sig.seq_params):
             got = _EXPRS[type(e)](self, e, seq_ctx)
-            self.unify_seq_or_fail(got, want, cmd.pos, None)
+            self.unify_or_fail(got, want, cmd.pos, None, seq=True)
         param_types = sig.in_chans + sig.out_chans
         param_pols = ([INPUT] * len(in_params)) + ([OUTPUT] * len(out_params))
         for name, want, pol in zip(args, param_types, param_pols):

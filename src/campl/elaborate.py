@@ -4,7 +4,8 @@ the runtime.
 `on ch do` blocks elaborate into the same commands with the channel
 argument filled in; `free_chans` computes which channel names a command
 sequence uses from its environment, accounting for the binders introduced
-by fork, split, and neg and the channels a plug joins.
+by fork, split, and neg and the channels a plug joins.  `share_out`, the
+rule for which plug branch or fork arm uses each name, is shared too.
 
 `prepare` is the only walk over the process bodies before checking: as it
 desugars a process it records the processes that process calls or stores
@@ -16,7 +17,7 @@ expression is kept as it is, unvisited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .model import (
     Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link, NegIntro, OnDo,
@@ -114,10 +115,6 @@ class ExecProgram:
     # id from being reused while the entry lives.
     _free: dict[int, tuple[Body, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # A checked machine's per-node plans (see `runtime`), keyed by id(node)
-    # (a use's also by its stored process); each holds its node's id.
-    plans: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def free_chans(self, body: Body) -> frozenset[str]:
         """`free_chans(body)`, computed once per body of this program;
@@ -145,6 +142,19 @@ def free_chans(body: Body) -> frozenset[str]:
     binds each name free in exactly two of its branches.  The reference
     for `ExecProgram.free_chans`."""
     return _free_body(body, free_chans)
+
+
+def share_out(frees: Iterable[frozenset[str]]) -> dict[str, list[int]]:
+    """For each name in `frees`, the free sets of a plug's branches or a
+    fork's arms, the indices of the sets that hold it, in order.  A plug
+    joins each name its process does not hold (it needs exactly two
+    branches); each held name goes to the first branch or arm that uses
+    it."""
+    users: dict[str, list[int]] = {}
+    for i, names in enumerate(frees):
+        for name in names:
+            users.setdefault(name, []).append(i)
+    return users
 
 
 def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
@@ -175,11 +185,9 @@ def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
         elif isinstance(cmd, Plug):
             # A name free in exactly two branches is a channel the plug
             # joins, bound here like a fork's arm names.
-            branches: dict[str, int] = {}
-            for b in cmd.branches:
-                for name in sub(b):
-                    branches[name] = branches.get(name, 0) + 1
-            acc.update(n for n, count in branches.items() if count != 2)
+            for name, where in share_out(map(sub, cmd.branches)).items():
+                if len(where) != 2:
+                    acc.add(name)
         elif isinstance(cmd, Race):
             for a in cmd.arms:
                 acc |= sub(a.body)

@@ -44,6 +44,10 @@ class LexError(Exception):
         return Pos(self.line, self.col)
 
 
+# A string literal up to its closing quote: no tab, and only the escapes
+# in `_ESCAPES`.
+_STRING_BODY = r'"(?:[^"\\\t]|\\[n"\'\\])*'
+
 # Leading blanks, then one token.  Names and operators, the commonest, are
 # tried first; no name or operator starts with `--` or a digit, so they
 # never take a comment's or an int's place.  Comments come before ints so
@@ -56,10 +60,10 @@ _TOKEN = re.compile(r"""
     | \(\*\)|\(\+\)|\|=\||->|=>|::|[()|=\[\],]
     | --.*
     | -?[0-9]+
-    | "(?:[^"\\\t]|\\[n"'\\])*"
+    | %s"
     | '(?:[^\\]|\\[n"'\\])'
     )
-""", re.VERBOSE)
+""" % _STRING_BODY, re.VERBOSE)
 
 # A token's kind: the keywords and operators by their text, the rest by
 # their first character.  A `-` not in `->` starts an int or a comment.
@@ -132,7 +136,13 @@ def _lex_error(text: str, line: int) -> LexError:
     i = len(text) - len(text[i:].lstrip(" "))
     c = text[i]
     if c == '"':
-        return _string_error(text, i, line)
+        # The literal's body stops at a tab, a bad escape or the line's end.
+        j = re.compile(_STRING_BODY).match(text, i).end()
+        if j == len(text):
+            return LexError("unterminated string literal", line, i + 1)
+        i, c = j, text[j]
+        if c == "\\":
+            return LexError("bad escape in string literal", line, i + 1)
     if c == "'":
         if text[i + 1:i + 2] == "\\" and text[i + 2:i + 3] not in _ESCAPES:
             return LexError("bad escape in character literal", line, i + 2)
@@ -142,19 +152,3 @@ def _lex_error(text: str, line: int) -> LexError:
     if c == ":":
         return LexError("expected '::'", line, i + 1)
     return LexError(f"unexpected character {c!r}", line, i + 1)
-
-
-def _string_error(text: str, i: int, line: int) -> LexError:
-    """The error in the string literal that opens at `text[i]` and does
-    not match: its first tab or bad escape, or else its missing close."""
-    j = i + 1
-    while j < len(text) and text[j] != '"':
-        c = text[j]
-        if c == "\t":
-            return LexError("tab character; indent with spaces", line, j + 1)
-        if c == "\\":
-            if text[j + 1:j + 2] not in _ESCAPES:
-                return LexError("bad escape in string literal", line, j + 1)
-            j += 1
-        j += 1
-    return LexError("unterminated string literal", line, i + 1)

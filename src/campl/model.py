@@ -276,10 +276,6 @@ def render_type(t) -> str:
     return _render([t])
 
 
-def render_signature(sig: ProcSignature) -> str:
-    return _render(_signature_pieces(sig))
-
-
 def _render(todo: list) -> str:
     """Concatenate `todo`, strings and types, with each type replaced by
     its text; `todo` is consumed."""
@@ -302,7 +298,10 @@ def _render(todo: list) -> str:
             pieces = ([f"{t.name}(", *_commas(t.args), "|)"] if t.args
                       else [t.name])
         elif k is StoreType:
-            pieces = ["Store(", *_signature_pieces(t.sig), ")"]
+            sig = t.sig
+            pieces = ["Store(", *_commas(sig.seq_params), "|",
+                      *_commas(sig.in_chans), "=>", *_commas(sig.out_chans),
+                      ")"]
         else:
             out.append(str(t))      # an atom
             continue
@@ -321,11 +320,6 @@ def _commas(types: tuple) -> list:
     for t in types:
         pieces += (", ", t)
     return pieces[1:]
-
-
-def _signature_pieces(sig: ProcSignature) -> list:
-    return [*_commas(sig.seq_params), "|", *_commas(sig.in_chans), "=>",
-            *_commas(sig.out_chans)]
 
 
 class DeclKind(Enum):
@@ -373,7 +367,10 @@ class UnknownHandle(Exception):
 
 
 # The head constructor each command needs of its channel's type, held at
-# OUTPUT and at INPUT: the per-type, per-polarity command matrix.
+# OUTPUT and at INPUT: the per-type, per-polarity command matrix.  `|=|`
+# is checked by `check_link`, which takes any two ends of one type and
+# opposite polarities; its row only lists it among the commands a `Neg`
+# channel allows, in diagnostics.
 COMMAND_HEADS = {
     "close": (TopBot, TopBot), "halt": (TopBot, TopBot),
     "put": (Put, Get), "get": (Get, Put),
@@ -382,20 +379,13 @@ COMMAND_HEADS = {
     "neg": (NegT, NegT), "|=|": (NegT, NegT),
 }
 
-# (head constructor, polarity) -> the commands it allows.
-_ALLOWED = {
-    (head, p): frozenset(cmd for cmd, heads in COMMAND_HEADS.items()
-                         if heads[p is INPUT] is head)
-    for heads in COMMAND_HEADS.values() for head in heads
-    for p in (OUTPUT, INPUT)
-}
-
 
 def allowed_commands(t: ChanType, p: Polarity) -> frozenset[str]:
     """Which command kinds may act on a channel of type `t` held at
     polarity `p`.  Total over ground channel types."""
-    allowed = _ALLOWED.get((type(t), p))
-    if allowed is None:
+    allowed = frozenset(cmd for cmd, heads in COMMAND_HEADS.items()
+                        if heads[p is INPUT] is type(t))
+    if not allowed:
         raise ValueError(f"allowed_commands on non-ground type {t!r}")
     return allowed
 

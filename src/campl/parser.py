@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lexer
-from .diagnostics import PARSE_ERROR, Diagnostic, ParseFailure, sort_key
+from .diagnostics import (
+    LEX_ERROR, PARSE_ERROR, Diagnostic, ParseFailure, sort_key,
+)
 from .lexer import CHARLIT, EOF, IDENT, INT, KW, OP, STRING
 from .model import (
     BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT,
@@ -34,7 +36,6 @@ from .services import BUILTIN_DECLS
 
 DECL_KEYWORDS = {"proc", "protocol", "coprotocol"}
 BUILTIN_SEQ = {"Int": INT_T, "Char": CHAR, "Bool": BOOL, "String": STRING_T}
-BUILTIN_CHAN_HEADS = {"TopBot", "Put", "Get", "Neg", "Store"}
 # Type parsing recurses two or three frames per level of brackets, so the
 # depth is capped well inside Python's default recursion limit.
 MAX_TYPE_DEPTH = 256
@@ -97,9 +98,6 @@ class Parser:
     def at(self, text: str) -> bool:
         t = self.toks[self.i]
         return t[1] == text and t[0] in (KW, OP)
-
-    def at_kind(self, kind: str) -> bool:
-        return self.toks[self.i][0] == kind
 
     def take(self) -> tuple:
         t = self.toks[self.i]
@@ -491,11 +489,16 @@ class Parser:
         handle = self.expect_ident("handle name")
         return HPut(handle[1], self._opt_on_chan(), pos=Pos(kw[2], kw[3]))
 
+    def _opt_chan_before(self, word: str) -> str | None:
+        """The channel an hcase, fork or split may name before `word`."""
+        t = self.toks[self.i]
+        if t[0] == IDENT:
+            self.i += 1
+        self.expect(word)
+        return t[1] if t[0] == IDENT else None
+
     def _cmd_hcase(self, kw: tuple, anchor: int):
-        chan = None
-        if self.at_kind(IDENT):
-            chan = self.take()[1]
-        self.expect("of")
+        chan = self._opt_chan_before("of")
         return HCase(chan, self._arms(anchor, "handle", HCaseArm),
                      pos=Pos(kw[2], kw[3]))
 
@@ -506,20 +509,14 @@ class Parser:
         return Halt(self._opt_same_line_chan(kw), pos=Pos(kw[2], kw[3]))
 
     def _cmd_fork(self, kw: tuple, anchor: int):
-        chan = None
-        if self.at_kind(IDENT):
-            chan = self.take()[1]
-        self.expect("as")
+        chan = self._opt_chan_before("as")
         arms = self._arms(anchor, "channel", ForkArm)
         if len(arms) != 2:
             raise ParseError("fork takes exactly two branches", kw)
         return Fork(chan, arms, pos=Pos(kw[2], kw[3]))
 
     def _cmd_split(self, kw: tuple, anchor: int):
-        chan = None
-        if self.at_kind(IDENT):
-            chan = self.take()[1]
-        self.expect("into")
+        chan = self._opt_chan_before("into")
         left = self.expect_ident("channel")
         self.expect(",")
         right = self.expect_ident("channel")
@@ -738,5 +735,5 @@ def parse_source(source: str) -> SourceProgram:
     try:
         toks = lexer.tokenize(source)
     except lexer.LexError as e:
-        raise ParseFailure([Diagnostic("LexError", e.pos, e.message)])
+        raise ParseFailure([Diagnostic(LEX_ERROR, e.pos, e.message)])
     return parse_program(toks)

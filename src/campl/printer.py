@@ -82,19 +82,9 @@ def _command(cmd, level: int) -> list[str]:
     if isinstance(cmd, Halt):
         return [f"{ind}halt{' ' + cmd.chan if cmd.chan else ''}"]
     if isinstance(cmd, HCase):
-        head = f"{ind}hcase {cmd.chan} of" if cmd.chan else f"{ind}hcase of"
-        lines = [head]
-        for arm in cmd.arms:
-            lines.append(f"{ind}{STEP}{arm.handle} -> do")
-            lines.extend(_body(arm.body, level + 2))
-        return lines
+        return _arms(cmd, level, "hcase", " of", "handle")
     if isinstance(cmd, Fork):
-        head = f"{ind}fork {cmd.chan} as" if cmd.chan else f"{ind}fork as"
-        lines = [head]
-        for arm in cmd.arms:
-            lines.append(f"{ind}{STEP}{arm.name} -> do")
-            lines.extend(_body(arm.body, level + 2))
-        return lines
+        return _arms(cmd, level, "fork", " as", "name")
     if isinstance(cmd, Split):
         ch = f" {cmd.chan}" if cmd.chan else ""
         return [f"{ind}split{ch} into {cmd.left}, {cmd.right}"]
@@ -105,11 +95,7 @@ def _command(cmd, level: int) -> list[str]:
             lines.extend(_body(branch, level + 2))
         return lines
     if isinstance(cmd, Race):
-        lines = [f"{ind}race"]
-        for arm in cmd.arms:
-            lines.append(f"{ind}{STEP}{arm.chan} -> do")
-            lines.extend(_body(arm.body, level + 2))
-        return lines
+        return _arms(cmd, level, "race", "", "chan")
     if isinstance(cmd, Call):
         return [f"{ind}{cmd.callee}{_args(cmd, level)}"]
     if isinstance(cmd, Use):
@@ -123,6 +109,20 @@ def _command(cmd, level: int) -> list[str]:
         lines.extend(_body(cmd.body, level + 1))
         return lines
     raise TypeError(f"cannot print {type(cmd).__name__}")
+
+
+def _arms(cmd, level: int, keyword: str, tail: str, label: str):
+    """The lines of an hcase, fork or race: `keyword`, its channel if it
+    names one, and `tail`; then each arm, headed by its `label` field, and
+    its body, printed here so a level of nesting costs two frames."""
+    ind = STEP * level
+    chan = getattr(cmd, "chan", None)
+    lines = [f"{ind}{keyword}{' ' + chan if chan else ''}{tail}"]
+    for arm in cmd.arms:
+        lines.append(f"{ind}{STEP}{getattr(arm, label)} -> do")
+        for sub in arm.body:
+            lines.extend(_command(sub, level + 2))
+    return lines
 
 
 def _args(cmd, level: int) -> str:

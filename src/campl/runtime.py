@@ -14,7 +14,7 @@ A step applies a plan of how a plug, fork, call, use or hcase wires names.
 A topology monitor checks before every step that the graph of processes
 and live channels is a forest and that every end of a live channel has an
 owner.  A machine booted `checked` trusts the checker.  It memoises each
-plan per node in `ExecProgram.plans`.  Its monitor scans the whole network
+plan per node in its own `plans`.  Its monitor scans the whole network
 at the first check and at any check not made right after one step;
 otherwise it checks only what that step recorded: nothing after a value,
 handle, race, call, use or neg step, where it returns at once; the pending
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .elaborate import ExecProgram
+from .elaborate import ExecProgram, share_out
 from .model import (
     BoolLit, Call, CharLit, Close, Expr, Fork, GetVal, Halt, HCase, HPut,
     IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split, StoreOf,
@@ -115,9 +115,9 @@ class BootError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# per-node plans, built on a node's first step and kept in
-# `ExecProgram.plans` by a checked machine; a build that faults stores
-# nothing, so every later step checks again.
+# per-node plans, built on a node's first step and kept in `Machine.plans`
+# by a checked machine; a build that faults stores nothing, so every later
+# step checks again.
 
 class HandOff(NamedTuple):
     """How a plug or fork replaces its process by children."""
@@ -137,43 +137,36 @@ class Invocation(NamedTuple):
     chan_pairs: tuple       # (parameter, argument channel name)
 
 
-def _hand_off_plan(node, held: dict, children: list, joins: tuple,
-                   payload: str | None) -> HandOff:
-    """`children` as (name suffix, body, names it uses, names it binds
-    itself): each held name goes to the first child that uses it and does
-    not bind it; the rest are released."""
-    rest = set(held)
-    planned = []
-    for suffix, body, uses, own in children:
-        inherits = tuple(sorted(uses & rest - own))
-        rest.difference_update(inherits)
-        planned.append((suffix, body, inherits))
-    return HandOff(node, joins, payload, tuple(planned), tuple(sorted(rest)))
+def _hand_off_plan(node, held: dict, children: list, users: dict,
+                   joins: tuple, payload: str | None) -> HandOff:
+    """`children` as (name suffix, body): each held name goes to the first
+    child that uses it, by `users` (`share_out`); the rest are released."""
+    inherits: list[list[str]] = [[] for _ in children]
+    for name in sorted(held.keys() & users.keys()):
+        inherits[users[name][0]].append(name)
+    return HandOff(node, joins, payload, tuple(
+        (*child, tuple(names)) for child, names in zip(children, inherits)),
+        tuple(sorted(held.keys() - users.keys())))
 
 
 def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
-    frees = [program.free_chans(b) for b in cmd.branches]
-    users: dict[str, list[int]] = {}
-    for i, names in enumerate(frees):
-        for name in names.difference(held):
-            users.setdefault(name, []).append(i)
-    joins = []
-    for name in sorted(users):
-        if len(users[name]) != 2:
-            raise MachineFault(
-                "IllegalCommand",
-                f"plug channel {name!r} must join exactly two branches")
-        joins.append((name, *users[name]))
-    return _hand_off_plan(cmd, held, [
-        (f"/{i}", body, names, frozenset())
-        for i, (body, names) in enumerate(zip(cmd.branches, frees))],
-        tuple(joins), ",".join(name for name, _, _ in joins) or None)
+    users = share_out(map(program.free_chans, cmd.branches))
+    joins = tuple((name, *users[name])
+                  for name in sorted(users.keys() - held.keys()))
+    for name, *where in joins:
+        if len(where) != 2:
+            raise MachineFault("IllegalCommand", f"plug channel {name!r} "
+                               f"must join exactly two branches")
+    return _hand_off_plan(
+        cmd, held, [(f"/{i}", body) for i, body in enumerate(cmd.branches)],
+        users, joins, ",".join(join[0] for join in joins) or None)
 
 
 def _fork_plan(program: ExecProgram, cmd: Fork, held: dict) -> HandOff:
-    return _hand_off_plan(cmd, held, [
-        (f".{arm.name}", arm.body, program.free_chans(arm.body), {arm.name})
-        for arm in cmd.arms], (),
+    return _hand_off_plan(
+        cmd, held, [(f".{arm.name}", arm.body) for arm in cmd.arms],
+        share_out(program.free_chans(arm.body) - {arm.name}
+                  for arm in cmd.arms), (),
         ",".join(f"{arm.name}#%d" for arm in cmd.arms))
 
 
@@ -372,7 +365,9 @@ class Machine:
                  checked: bool = True):
         self.program = program
         self.checked = checked
-        self._plans = program.plans if checked else {}
+        # Plans by id(node) (a use's also by its stored process's); each
+        # holds its node, so no keyed id is reused.
+        self.plans: dict = {}
         self.rng = random.Random(seed)
         self.config = services if services is not None else ServiceConfig()
         self.trace_hook = trace_hook
@@ -675,7 +670,7 @@ class Machine:
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
         e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
-        table = (self._plans.get(id(cmd))
+        table = (self.plans.get(id(cmd))
                  or self._plan(id(cmd), _arm_table, cmd))
         body = table[1].get(msg.handle)
         if body is None:
@@ -806,7 +801,7 @@ class Machine:
         machine: unchecked, a node's process may hold other names."""
         plan = build(self.program, *args)
         if self.checked:
-            self._plans[key] = plan
+            self.plans[key] = plan
         return plan
 
     def _hand_off(self, p: ProcessInstance, plan: HandOff,
@@ -830,7 +825,7 @@ class Machine:
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
-        plan = (self._plans.get(id(cmd))
+        plan = (self.plans.get(id(cmd))
                 or self._plan(id(cmd), _fork_plan, cmd, p.chan_env))
         ch = self.channels[e.cid]
         # The forker's children take end 0 of each new channel.  End 1
@@ -863,7 +858,7 @@ class Machine:
         return ev
 
     def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
-        plan = (self._plans.get(id(cmd))
+        plan = (self.plans.get(id(cmd))
                 or self._plan(id(cmd), _plug_plan, cmd, p.chan_env))
         envs: list[dict] = [{} for _ in plan.children]
         for name, i, j in plan.joins:
@@ -876,7 +871,7 @@ class Machine:
                      ) -> TraceEvent:
         """Replace `p`'s continuation with a called or stored process."""
         if type(cmd) is Call:
-            plan = (self._plans.get(id(cmd))
+            plan = (self.plans.get(id(cmd))
                     or self._plan(id(cmd), _invocation, cmd))
             kind, name, seq_env = "CALL", plan.proc.name, {}
         else:
@@ -887,7 +882,7 @@ class Machine:
                                    f"{render(value)}")
             d = value.proc
             key = (id(cmd), id(d))
-            plan = (self._plans.get(key)
+            plan = (self.plans.get(key)
                     or self._plan(key, _invocation, cmd, d))
             kind, name, seq_env = "USE", f"use:{d.name}", dict(value.env)
         for param, e in plan.seq_pairs:

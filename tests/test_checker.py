@@ -9,8 +9,8 @@ from campl import diagnostics as dk
 from campl.checker import UnifyClash, Unifier, check_program
 from campl.diagnostics import CheckFailure, ParseFailure
 from campl.model import (
-    INT, STRING, TOPBOT, Get, ProcSignature, Put, StoreType,
-    render_signature,
+    INPUT, INT, OUTPUT, STRING, TOPBOT, Get, NegT, ProcSignature, Put,
+    StoreType, allowed_commands,
 )
 from campl.parser import parse_source
 from conftest import corpus_text
@@ -433,14 +433,29 @@ def test_lenient_call_sections_match_params_in_order():
 
 
 # ---------------------------------------------------------------------------
+# the `|=|` row of the command matrix
+
+def test_the_link_row_only_names_link_among_a_neg_channels_commands():
+    # `COMMAND_HEADS` lists `|=|` only on `Neg`, where diagnostics print
+    # it among the commands the channel allows; `check_link` reads no
+    # table and takes any two ends of one type at opposite polarities,
+    # such as a forwarder of `Put` ends.
+    for pol in (OUTPUT, INPUT):
+        assert "|=|" in allowed_commands(NegT(TOPBOT), pol)
+        assert "|=|" not in allowed_commands(Put(INT, TOPBOT), pol)
+    check_text("proc fwd :: | Put(Int|TopBot) => Put(Int|TopBot) =\n"
+               "    | a => b -> a |=| b\n")
+
+
+# ---------------------------------------------------------------------------
 # determinism and annotations
 
 def test_checking_is_deterministic():
     src = corpus_text("listing7.campl")
     t1 = check_text(src)
     t2 = check_text(src)
-    assert [render_signature(t1.signatures[n]) for n in t1.signatures] == \
-        [render_signature(t2.signatures[n]) for n in t2.signatures]
+    assert [str(StoreType(t1.signatures[n])) for n in t1.signatures] == \
+        [str(StoreType(t2.signatures[n])) for n in t2.signatures]
     e1 = errors_of(corpus_text("appendix_b.campl"))
     e2 = errors_of(corpus_text("appendix_b.campl"))
     assert [(d.kind, d.pos, d.message) for d in e1] == \

@@ -1,7 +1,7 @@
 """The machine's per-node plans against a per-step reference.
 
 A plug, fork, call, use or hcase applies a plan of how it wires names.  A
-checked machine keeps it in `ExecProgram.plans`, built the first time its
+checked machine keeps it in its own `plans`, built the first time its
 node runs; an unchecked one builds it afresh on every step.  Before every
 such step, these tests work the plan out again from the machine's state,
 the way the machine did on every step before plans, and after the step
@@ -130,7 +130,7 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
     the fault it raised, the body an hcase entered, the ends a call or use
     bound, and the children a plug or fork made and the ends it released.
     `parent` is the stepping process's name and the ends it held."""
-    plans = machine.program.plans
+    plans = machine.plans
     if isinstance(expected, str):
         assert fault == expected
         assert key not in plans, "a plan was kept for a faulting node"
@@ -203,7 +203,7 @@ def run_compared(machine: Machine, seen: Counter,
         body, index = p.frames[-1]
         cmd, parent = body[index], (p.name, dict(p.chan_env))
         ref = _reference(machine, p, cmd) if type(cmd) in PLANNED else None
-        before = None if ref is None else machine.program.plans.get(ref[0])
+        before = None if ref is None else machine.plans.get(ref[0])
         ev = fault = None
         try:
             ev = machine.step(p)
@@ -226,9 +226,9 @@ def _boot(program, seed: int, checked: bool) -> Machine | None:
 
 
 def _compare_all(texts, seeds=(0, 3)) -> Counter:
-    """Run each program twice per seed on one `ExecProgram`, so a checked
-    program's second run finds the plans the first one built.  A program
-    the checker rejects runs unchecked and must leave no plan behind."""
+    """Run each program once per seed, each run on a machine of its own.
+    A program the checker rejects runs unchecked and must leave no plan
+    behind."""
     seen: Counter = Counter()
     for label, text in texts:
         try:
@@ -240,17 +240,15 @@ def _compare_all(texts, seeds=(0, 3)) -> Counter:
         except CheckFailure:
             program, checked = prepare(source), False
         for seed in seeds:
-            for _ in range(2):
-                machine = _boot(program, seed, checked)
-                if machine is None:
-                    break
-                try:
-                    run_compared(machine, seen)
-                except AssertionError as e:
-                    raise AssertionError(f"{label}, seed {seed}: {e}") \
-                        from None
-        assert checked or not program.plans, \
-            f"{label}: an unchecked run kept a plan"
+            machine = _boot(program, seed, checked)
+            if machine is None:
+                break
+            try:
+                run_compared(machine, seen)
+            except AssertionError as e:
+                raise AssertionError(f"{label}, seed {seed}: {e}") from None
+            assert checked or not machine.plans, \
+                f"{label}: an unchecked run kept a plan"
     return seen
 
 
@@ -264,26 +262,29 @@ def test_plans_agree_on_the_corpus():
     assert set(seen) == {k.__name__ for k in PLANNED}, seen
 
 
-def test_an_unchecked_run_ignores_the_plans_a_checked_run_kept():
-    # Both runs share one `ExecProgram`; each plan the checked run kept is
-    # then replaced by a stand-in that no handler could apply.
+def test_each_machine_builds_its_own_plans():
+    # Two checked machines on one `ExecProgram` share no plan: the second
+    # starts with none and builds each of its own, and its run is the
+    # first one's.
     ran = 0
     for name, text in _corpus():
         try:
             program = check_program(parse_source(text)).exec_program
         except CheckFailure:
             continue
-        checked = _boot(program, 0, True)
-        if checked is None:
+        first = _boot(program, 0, True)
+        if first is None:
             continue
-        checked.run_to_completion()
-        kept = program.plans = dict.fromkeys(program.plans, object())
-        unchecked = _boot(program, 0, False)
-        unchecked.run_to_completion()
-        assert [ev.render() for ev in unchecked.trace] == \
-            [ev.render() for ev in checked.trace], name
-        assert program.plans == kept, name
-        ran += bool(kept)
+        first.run_to_completion()
+        second = _boot(program, 0, True)
+        assert second.plans == {}, name
+        second.run_to_completion()
+        assert [ev.render() for ev in second.trace] == \
+            [ev.render() for ev in first.trace], name
+        assert second.plans.keys() == first.plans.keys(), name
+        assert all(second.plans[k] is not first.plans[k]
+                   for k in first.plans), name
+        ran += bool(first.plans)
     assert ran >= 5
 
 
@@ -323,7 +324,7 @@ def _planned_nodes(body):
 
 def test_churn_builds_each_plan_once(monkeypatch):
     # A checked machine builds one plan per node: a handful of builds for
-    # about 12,000 planned steps.
+    # about 12,000 planned steps a run.
     source = load_perfbench("programs").churn(1).sources["churn0"]
     program = check_program(parse_source(source)).exec_program
     builds = []
@@ -334,13 +335,17 @@ def test_churn_builds_each_plan_once(monkeypatch):
         return build(machine, key, *args)
 
     monkeypatch.setattr(Machine, "_plan", counted)
-    kinds: Counter = Counter()
-    for seed in (0, 1):
-        outcome = boot(program, seed, ServiceConfig.from_script([]),
-                       lambda ev: kinds.update([ev.kind])).run_to_completion()
-        assert outcome.done
     nodes = sum(1 for d in program.procs.values()
                 for _ in _planned_nodes(d.body))
-    planned = sum(kinds[k] for k in ("PLUG", "FORK", "CALL", "USE", "HCASE"))
+    planned = 0
+    for seed in (0, 1):
+        kinds: Counter = Counter()
+        builds.clear()
+        machine = boot(program, seed, ServiceConfig.from_script([]),
+                       lambda ev: kinds.update([ev.kind]))
+        assert machine.run_to_completion().done
+        planned += sum(kinds[k]
+                       for k in ("PLUG", "FORK", "CALL", "USE", "HCASE"))
+        assert 0 < len(builds) == len(set(builds)) == len(machine.plans) \
+            <= nodes
     assert planned > 20_000
-    assert 0 < len(builds) == len(set(builds)) == len(program.plans) <= nodes

@@ -742,7 +742,8 @@ def _unchecked_fault(src):
         with pytest.raises(MachineFault) as e:
             m.run_to_completion()
         faults.append((str(e.value), m.steps))
-    assert faults[0] == faults[1] and not program.plans
+        assert not m.plans
+    assert faults[0] == faults[1]
     return faults[0]
 
 
