@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .model import (
-    Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link, NegIntro, OnDo,
-    Plug, ProcDef, PutVal, Race, SourceProgram, Split, StoreOf, Use,
-    map_command,
+    WITH_CHAN, Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link,
+    NegIntro, OnDo, Plug, ProcDef, PutVal, Race, SourceProgram, Split,
+    StoreOf, Use, map_command,
 )
 
 
@@ -66,7 +66,7 @@ class _Desugaring:
                     self.refs.append(cmd.callee)
                 new = map_command(cmd, self.body, self.expr)
             if chan is not None and getattr(new, "chan", "") is None:
-                new = _WITH_CHAN[k](new, chan)
+                new = WITH_CHAN[k](new, chan)
             if new is not cmd:
                 changed = True
             out.append(new)
@@ -89,18 +89,6 @@ class _Desugaring:
 # Commands that nest no body and hold no expression: only an `on` block
 # can change them.
 _LEAVES = frozenset({GetVal, HPut, Close, Halt, Split, Link, NegIntro})
-
-# Each command whose channel an `on` block may supply, rebuilt on `ch`.
-_WITH_CHAN = {
-    PutVal: lambda c, ch: PutVal(c.expr, ch, c.pos),
-    GetVal: lambda c, ch: GetVal(c.binder, ch, c.pos),
-    HPut: lambda c, ch: HPut(c.handle, ch, c.pos),
-    HCase: lambda c, ch: HCase(ch, c.arms, c.pos),
-    Close: lambda c, ch: Close(ch, c.pos),
-    Halt: lambda c, ch: Halt(ch, c.pos),
-    Fork: lambda c, ch: Fork(ch, c.arms, c.pos),
-    Split: lambda c, ch: Split(ch, c.left, c.right, c.pos),
-}
 
 
 @dataclass

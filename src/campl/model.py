@@ -675,6 +675,18 @@ _REARM = {
     Race: lambda a, b: RaceArm(a.chan, b, a.pos),
 }
 
+# Each command whose channel an `on` block may supply, rebuilt on `ch`.
+WITH_CHAN = {
+    PutVal: lambda c, ch: PutVal(c.expr, ch, c.pos),
+    GetVal: lambda c, ch: GetVal(c.binder, ch, c.pos),
+    HPut: lambda c, ch: HPut(c.handle, ch, c.pos),
+    HCase: lambda c, ch: HCase(ch, c.arms, c.pos),
+    Close: lambda c, ch: Close(ch, c.pos),
+    Halt: lambda c, ch: Halt(ch, c.pos),
+    Fork: lambda c, ch: Fork(ch, c.arms, c.pos),
+    Split: lambda c, ch: Split(ch, c.left, c.right, c.pos),
+}
+
 
 # ---------------------------------------------------------------------------
 # declarations and programs

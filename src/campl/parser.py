@@ -24,7 +24,7 @@ from .diagnostics import (
 )
 from .lexer import CHARLIT, EOF, IDENT, INT, KW, OP, STRING
 from .model import (
-    BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT,
+    BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT, WITH_CHAN,
     BoolLit, Call, CharLit, Close, CoprotoApp, DeclKind, Expr, Fork, ForkArm,
     Get, GetVal, Halt, HandleDef, HCase, HCaseArm, HPut, IntLit, Link,
     NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
@@ -39,9 +39,6 @@ BUILTIN_SEQ = {"Int": INT_T, "Char": CHAR, "Bool": BOOL, "String": STRING_T}
 # Type parsing recurses two or three frames per level of brackets, so the
 # depth is capped well inside Python's default recursion limit.
 MAX_TYPE_DEPTH = 256
-# The commands that may leave their channel to an enclosing `on` block.
-OPTIONAL_CHAN = frozenset({PutVal, GetVal, HPut, HCase, Close, Halt, Fork,
-                           Split})
 BARE_COMMAND = ("this command needs a channel: write 'on <channel>' or "
                 "wrap it in an 'on ... do' block")
 
@@ -446,7 +443,7 @@ class Parser:
             cmd = handler(self, t, self.line_indent[t[2]])
             # Checked here, once the handler has returned, so the check
             # costs no stack frame per level of nesting.
-            if self.chan_required and type(cmd) in OPTIONAL_CHAN \
+            if self.chan_required and type(cmd) in WITH_CHAN \
                     and cmd.chan is None:
                 self.errors.append(Diagnostic(PARSE_ERROR, cmd.pos,
                                               BARE_COMMAND))

@@ -20,6 +20,15 @@ def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
 
 
+def line_drops(text: str):
+    """`(line, variant)` for each non-blank line of `text`: the line's
+    number and `text` without it."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.strip():
+            yield i + 1, "".join(lines[:i] + lines[i + 1:])
+
+
 @functools.cache
 def load_perfbench(name: str):
     """Load `perfbench/<name>.py` by path; `perfbench` is not a package."""

@@ -776,6 +776,35 @@ PINNED_DIAGNOSTICS = {
         "        halt ch\n",
         "8:9: SeqMismatch: sequential type mismatch: Store(|Console=>) vs "
         "Store(Int|=>)"),
+    "plug-branch-calls-unknown-process": (
+        # The branch gives no polarity evidence: its callee is unknown.
+        "check",
+        "proc run =\n"
+        "    | => -> plug\n"
+        "        ghost( | => x )\n"
+        "        do\n"
+        "            get v on x\n"
+        "            close x\n",
+        "3:9: IllegalCommand: call to unknown process 'ghost'"),
+    "plugged-name-past-the-callee-parameters": (
+        # `b` matches none of `client`'s channel parameters, so its branch
+        # gives no polarity evidence for it.
+        "check",
+        "proc client =\n"
+        "    | => ch -> do\n"
+        "        put 1 on ch\n"
+        "        halt ch\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        client( | => a, b )\n"
+        "        do\n"
+        "            get v on a\n"
+        "            close a\n"
+        "        do\n"
+        "            get w on b\n"
+        "            close b\n",
+        "8:9: ArityMismatch: process 'client' takes 0 value(s) and 1 "
+        "channel(s); call passes 0 and 2"),
     "console-close-then-handle": (
         "run",
         "proc run =\n"

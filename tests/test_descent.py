@@ -3,34 +3,29 @@
 A command that may name its channel (`put`, `get`, `hput`, `hcase`,
 `close`, `halt`, `fork`, `split`) must name it unless it sits inside an
 `on` block; commands inside an inline `store(proc ...)` are left to the
-checker.  The pinned cases below fix the exact diagnostics, and the
-differential compares them with a walk over the parsed declarations, the
-reference the parser replaced.  The parser also records each node that
+checker.  The pinned cases below fix the exact diagnostics, and
+`test_differential.py` compares them with a walk over the parsed
+declarations, the reference the parser replaced.  The parser also records each node that
 holds types, so the resolver resolves the signature of an inline stored
 process wherever it sits without walking any body.
 """
 
-import hashlib
 import json
-import pathlib
-import re
-import sys
 
 import pytest
 from click.testing import CliRunner
 
 from campl import model, parser
 from campl.cli import main
-from campl.diagnostics import PARSE_ERROR, Diagnostic, ParseFailure, sort_key
+from campl.diagnostics import ParseFailure
 from campl.model import (
-    OnDo, ProcDef, ProcSignature, ProtocolDecl, ProtoApp, StoreOf, StoreType,
-    map_command, sub_bodies, type_parts,
+    ProcDef, ProcSignature, ProtocolDecl, ProtoApp, StoreOf, StoreType,
+    map_command, type_parts,
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from conftest import CORPUS
 from genprog import gen_program
-from test_goldens import FAULTS, LINKS, MESSAGES, PERFBENCH
 
 BARE = ("this command needs a channel: write 'on <channel>' or wrap it in "
         "an 'on ... do' block")
@@ -300,128 +295,6 @@ def test_a_process_and_a_protocol_may_share_a_name():
 
 
 # ---------------------------------------------------------------------------
-# the reference walk, against the parser
-
-def _check_bare_commands(body: tuple, inside_on: bool,
-                         errors: list[Diagnostic]) -> None:
-    """The walk over a parsed process body that reported bare commands
-    before the parser did."""
-    for cmd in body:
-        if not inside_on and getattr(cmd, "chan", "n/a") is None:
-            errors.append(Diagnostic(PARSE_ERROR, cmd.pos, BARE))
-        for sub in sub_bodies(cmd):
-            _check_bare_commands(sub, inside_on or type(cmd) is OnDo, errors)
-
-
-def _parse_capturing(text: str, monkeypatch):
-    """Parse `text`; returns the declarations the descent built, the
-    program's declarations (None when parsing failed) and the
-    diagnostics."""
-    seen = {}
-
-    class Capture(parser.Parser):
-        def _validate(self, decls):
-            seen["decls"] = list(decls)
-            super()._validate(decls)
-    with monkeypatch.context() as m:
-        m.setattr(parser, "Parser", Capture)
-        try:
-            prog = parse_source(text)
-        except ParseFailure as e:
-            return seen.get("decls", []), None, e.errors
-    return seen["decls"], prog.decls, []
-
-
-def _line_drops(text: str):
-    lines = text.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.strip():
-            yield "".join(lines[:i] + lines[i + 1:])
-
-
-def _channel_strips(text: str):
-    """`text` with the `on <channel>` of one command removed."""
-    lines = text.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        stripped = re.sub(r" on \w+$", "", line.rstrip("\n"))
-        if stripped != line.rstrip("\n"):
-            yield "".join(lines[:i] + [stripped + "\n"] + lines[i + 1:])
-
-
-def _differential_families():
-    """(name, texts): each source program with the variants made from it."""
-    small = [(p.name, p.read_text(encoding="utf-8"))
-             for p in sorted(CORPUS.glob("*.campl"))]
-    small += [*FAULTS.items(), *LINKS.items(), *MESSAGES.items()]
-    for name, text in PERFBENCH.items():
-        yield name, [text]
-    for name, text in small:
-        yield name, [text, *_line_drops(text)]
-    for seed in range(100):
-        text = roundtrip_print(gen_program(seed))
-        yield f"genprog-{seed}", [text, *_line_drops(text),
-                                  *_channel_strips(text)]
-
-
-def _differential_texts():
-    for _, texts in _differential_families():
-        yield from texts
-
-
-DUMP_AST_DIGESTS = pathlib.Path(__file__).with_name("dump_ast_digests.json")
-
-
-def _dump_ast_output(text: str) -> bytes:
-    """What `campl dump-ast` does with `text` as `prog.campl`: its exit
-    code, its stdout, and its stderr as text and then as JSON lines."""
-    try:
-        return b"0\0" + roundtrip_print(parse_source(text)).encode()
-    except ParseFailure as e:
-        errors = e.errors
-    return "".join(["1\0", *(d.text("prog.campl") + "\n" for d in errors),
-                    *(d.json_line("prog.campl") + "\n" for d in errors)]
-                   ).encode()
-
-
-def _dump_ast_digests() -> dict[str, str]:
-    """For each family of the differential, the digest of what `dump-ast`
-    does with each of its texts, in order."""
-    table = {}
-    for name, texts in _differential_families():
-        h = hashlib.sha256()
-        for text in texts:
-            h.update(_dump_ast_output(text) + b"\0")
-        table[name] = h.hexdigest()
-    return table
-
-
-def test_dump_ast_output_matches_its_recorded_digests():
-    # Recorded before the printer's arm blocks and the lexer's string
-    # errors were each written once.  Regenerate only for an intended
-    # change in `dump-ast` output or in parse or lex diagnostics, with
-    #     PYTHONPATH=src python tests/test_descent.py
-    want = json.loads(DUMP_AST_DIGESTS.read_text())
-    got = _dump_ast_digests()
-    assert len(got) == 132
-    assert {name for name in got if want.get(name) != got[name]} == set()
-
-
-def test_parser_reports_bare_commands_as_the_reference_walk(monkeypatch):
-    texts = reported = 0
-    for text in _differential_texts():
-        decls, _, errors = _parse_capturing(text, monkeypatch)
-        expected: list[Diagnostic] = []
-        for d in decls:
-            if isinstance(d, ProcDef):
-                _check_bare_commands(d.body, False, expected)
-        got = [e for e in errors if e.message == BARE]
-        assert got == sorted(expected, key=sort_key), text
-        texts += 1
-        reported += len(got)
-    assert texts > 6000 and reported > 1000, (texts, reported)
-
-
-# ---------------------------------------------------------------------------
 # inline stored processes
 
 def _anon(indent: int) -> str:
@@ -655,10 +528,3 @@ def test_the_resolver_walks_no_body_without_an_inline_process(monkeypatch):
     assert walked == []
     assert all(type(d) in (ProcDef, ProtocolDecl) for d in handed)
     assert [d.name for d in handed if d not in prog.decls] == ["anon"]
-
-
-if __name__ == "__main__":
-    table = _dump_ast_digests()
-    DUMP_AST_DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
-    print(f"wrote {len(table)} digests to {DUMP_AST_DIGESTS}",
-          file=sys.stderr)

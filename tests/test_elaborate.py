@@ -1,10 +1,14 @@
-import pytest
+from dataclasses import replace
 
+import pytest
+from click.testing import CliRunner
+
+from campl.cli import main
 from campl.elaborate import ExecProgram, free_chans, prepare
 from campl.model import (
-    Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut, IntLit,
-    Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm, Split,
-    SourceProgram, StoreOf, StringLit, sub_bodies,
+    WITH_CHAN, Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm,
+    HPut, IntLit, Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm,
+    Split, SourceProgram, StoreOf, StringLit, sub_bodies,
 )
 from campl.parser import parse_source
 from conftest import CORPUS, corpus_text
@@ -18,18 +22,72 @@ def desugar_body(body):
     return prepare(SourceProgram((proc,))).procs["p"].body
 
 
-def test_on_do_fills_channel_arguments():
-    body = (OnDo("ch", (
-        PutVal(StringLit("x"), None),
-        GetVal("v", None),
-        Halt(None),
-    )),)
-    got = desugar_body(body)
-    assert got == (
-        PutVal(StringLit("x"), "ch"),
-        GetVal("v", "ch"),
-        Halt("ch"),
-    )
+# One command of each class an `on` block may supply a channel to.
+WITHOUT_CHAN = {
+    PutVal: PutVal(IntLit(1), None),
+    GetVal: GetVal("v", None),
+    HPut: HPut("H", None),
+    HCase: HCase(None, (HCaseArm("H", (Halt("d"),)),)),
+    Close: Close(None),
+    Halt: Halt(None),
+    Fork: Fork(None, (ForkArm("l", (Halt("l"),)),
+                      ForkArm("r", (Halt("r"),)))),
+    Split: Split(None, "l", "r"),
+}
+
+
+@pytest.mark.parametrize("kind", WITH_CHAN, ids=lambda k: k.__name__)
+def test_on_do_fills_channel_arguments(kind):
+    cmd = WITHOUT_CHAN[kind]
+    assert desugar_body((OnDo("c", (cmd,)),)) == (replace(cmd, chan="c"),)
+    named = replace(cmd, chan="b")
+    assert desugar_body((OnDo("c", (named,)),)) == (named,)
+
+
+# listing5 with its fork and split inside `on two_ch do` blocks.
+LISTING5_ON_BLOCKS = """\
+proc client :: | => Put([Char]|TopBot) =
+    | => ch ->
+        on ch do
+            put "Hello Server!"
+            halt
+
+proc two_clients :: | => Put([Char]|TopBot) (*) Put([Char]|TopBot) =
+    | => two_ch -> on two_ch do
+        fork as
+            ch1 -> client( | => ch1)
+            ch2 -> client( | => ch2)
+
+proc server :: | Put([Char]|TopBot) (*) Put([Char]|TopBot) => =
+    | two_ch => -> do
+        on two_ch do
+            split into ch1, ch2
+        on ch1 do
+            get msg
+            close
+        on ch2 do
+            get msg
+            halt
+
+proc run :: | => =
+    | => -> plug
+        two_clients( | => two_ch )
+        server( | two_ch => )
+"""
+
+
+def test_fork_and_split_take_their_channel_from_an_on_block(tmp_path):
+    src = tmp_path / "listing5_on.campl"
+    src.write_text(LISTING5_ON_BLOCKS, encoding="utf-8")
+    runner = CliRunner()
+    r = runner.invoke(main, ["check", str(src)])
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "", "")
+    want = runner.invoke(main, ["run", "--trace",
+                                str(CORPUS / "listing5.campl")])
+    got = runner.invoke(main, ["run", "--trace", str(src)])
+    assert want.stderr.count("\n") == 15
+    assert (got.exit_code, got.stdout, got.stderr) == (
+        0, want.stdout, want.stderr)
 
 
 def test_explicit_channel_wins_inside_on_do():

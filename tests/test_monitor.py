@@ -18,7 +18,8 @@ from campl.printer import roundtrip_print
 from campl.runtime import BootError, Machine, MachineFault, boot
 from campl.services import ScriptExhausted, ServiceConfig
 from conftest import (
-    CORPUS, assert_monitor_agrees, assert_schedule_agrees, load_perfbench,
+    CORPUS, assert_monitor_agrees, assert_schedule_agrees, corpus_text,
+    line_drops, load_perfbench,
 )
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, STDIN_SCRIPT
@@ -54,19 +55,11 @@ def run_text_watched(text: str, seed: int,
     return None
 
 
-def _line_drops(name: str):
-    lines = (CORPUS / name).read_text(encoding="utf-8").splitlines(
-        keepends=True)
-    for i, line in enumerate(lines):
-        if line.strip():
-            yield i + 1, "".join(lines[:i] + lines[i + 1:])
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", sorted(p.name for p in
                                         CORPUS.glob("*.campl")))
 def test_monitor_agrees_on_unchecked_line_drops(name, seed):
-    for line, text in _line_drops(name):
+    for line, text in line_drops(corpus_text(name)):
         try:
             run_text_watched(text, seed)
         except AssertionError as e:
@@ -79,7 +72,7 @@ def test_some_line_drops_run_checked():
     # line-drop test then compares with the reference.
     accepted = 0
     for path in CORPUS.glob("*.campl"):
-        for _, text in _line_drops(path.name):
+        for _, text in line_drops(corpus_text(path.name)):
             try:
                 check_program(parse_source(text))
             except (ParseFailure, CheckFailure):

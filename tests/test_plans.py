@@ -26,10 +26,10 @@ from campl.runtime import (
     BootError, HandleMsg, Machine, MachineFault, StoredProc, boot,
 )
 from campl.services import ScriptExhausted, ServiceConfig
-from conftest import CORPUS, load_perfbench
+from conftest import CORPUS, corpus_text, line_drops, load_perfbench
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, LINKS, MESSAGES, STDIN_SCRIPT
-from test_monitor import ALIASED, LEFT_UNDER_NO_NAME, _line_drops
+from test_monitor import ALIASED, LEFT_UNDER_NO_NAME
 from test_runtime import RELEASING
 
 PLANNED = (Plug, Fork, Call, Use, HCase)
@@ -310,7 +310,7 @@ def test_plans_agree_on_generated_programs():
                                         CORPUS.glob("*.campl")))
 def test_plans_agree_on_unchecked_line_drops(name):
     texts = [(f"{name} without line {line}", text)
-             for line, text in _line_drops(name)]
+             for line, text in line_drops(corpus_text(name))]
     _compare_all(texts, seeds=(0,))
 
 
