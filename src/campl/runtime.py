@@ -10,6 +10,16 @@ smallest pid goes first.  A step runs the Console service drain only when
 a service end holds mail.  Races are the only consumers of the seeded RNG,
 so a (program, seed, input script) triple fixes the whole trace.
 
+`run_to_completion` is one loop iteration per step: the monitor's check,
+the stop rules, the pid-order scan and the step, written out in line, with
+a call only for what can cost: the monitor when a step recorded a change
+(or always, unchecked), `enabled` for a command that waits, a handler, the
+drain.  `assert_invariants`, `pick` and `step` do the same one call each;
+they are the stepwise API and the loop's reference.  A handler returns its
+step as a plain `(pid, kind, chan, cid, payload)` row, which the machine
+appends to one list; `Machine.trace` is a read-only view that builds each
+`TraceEvent` when read, and a step builds one only for a `trace_hook`.
+
 A step applies a plan of how a plug, fork, call, use or hcase wires names.
 A topology monitor checks before every step that the graph of processes
 and live channels is a forest and that every end of a live channel has an
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -331,6 +342,32 @@ class TraceEvent:
         return " ".join(parts)
 
 
+class Trace(Sequence):
+    """A read-only view of a machine's steps, oldest first.  The machine
+    keeps one `(pid, kind, chan, cid, payload)` row per step and builds a
+    `TraceEvent`, whose `step` is the row's position, only when one is
+    read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = self._rows
+        steps = range(len(rows))[index]
+        if type(steps) is range:
+            return [TraceEvent(step, *rows[step]) for step in steps]
+        return TraceEvent(steps, *rows[steps])
+
+    def __iter__(self):
+        for step, row in enumerate(self._rows):
+            yield TraceEvent(step, *row)
+
+
 class OutcomeKind(Enum):
     DONE = "done"
     STUCK = "stuck"
@@ -341,7 +378,7 @@ class OutcomeKind(Enum):
 class Outcome:
     kind: OutcomeKind
     steps: int
-    trace: list[TraceEvent]
+    trace: Trace
     machine: "Machine"
     stuck: dict[int, list[int]] = field(default_factory=dict)
 
@@ -380,7 +417,10 @@ class Machine:
         # re-points its `cid`, so the table is never re-keyed.
         self.services: dict[EndState, ConsoleEndpoint] = {}
         self.steps = 0
-        self.trace: list[TraceEvent] = []
+        # One row per step, as the handlers return them; `trace` reads
+        # them as events.
+        self._rows: list[tuple] = []
+        self.trace = Trace(self._rows)
         self._next_pid = 0
         self._next_cid = 0
         # For the monitor: the step count at the last passed check, and
@@ -426,6 +466,9 @@ class Machine:
     # -- scheduling --------------------------------------------------------
 
     def _binding(self, p: ProcessInstance, name: str | None) -> EndState:
+        """The live end `p` binds to `name`, or the fault of an unchecked
+        program that holds none.  The hot handlers make the same test
+        inline and call this only to raise the fault."""
         if name is None or name not in p.chan_env:
             raise MachineFault("IllegalCommand",
                                f"process {p.pid} does not hold channel "
@@ -482,13 +525,10 @@ class Machine:
     def step(self, p: ProcessInstance) -> TraceEvent:
         body, index = p.frames[-1]          # p.next_command(), inlined
         cmd = body[index]
-        execute = _HANDLERS.get(type(cmd))
-        if execute is None:
-            raise MachineFault("IllegalCommand",
-                               f"cannot execute {type(cmd).__name__}")
-        ev = execute(self, p, cmd)
+        self._rows.append(
+            _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd))
         self.steps += 1
-        self.trace.append(ev)
+        ev = self.trace[-1]
         if self.trace_hook is not None:
             self.trace_hook(ev)
         # Most steps send the services nothing.
@@ -499,25 +539,55 @@ class Machine:
         return ev
 
     def run_to_completion(self, max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
+        """Check, stop or pick, and step, until the run ends.  The loop is
+        `assert_invariants`, the stop rules, `pick` and `step` written out
+        once per step, and does what those do in that order; they stay as
+        the stepwise API and the loop's reference.  Only what a step can
+        make costly calls out: the monitor when the machine is unchecked or
+        the step recorded a change, `enabled` for a waiting command, and
+        the drain when a service end holds mail."""
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        processes, services = self.processes, self.services
+        added, released = self._added, self._released
+        rows, hook, checked = self._rows, self.trace_hook, self.checked
+        self.assert_invariants()
         while True:
-            self.assert_invariants()
-            if not self.processes:
+            if not processes:
                 if self.channels:
                     return Outcome(OutcomeKind.STUCK, self.steps, self.trace,
                                    self, {})
                 return Outcome(OutcomeKind.DONE, self.steps, self.trace, self)
-            p = self.pick()
-            if p is None:
+            # pick(): the least pid whose next command can run.
+            for p in processes.values():
+                body, index = p.frames[-1]
+                cmd = body[index]
+                kind = type(cmd)
+                if kind not in _WAITING or self.enabled(p):
+                    break
+            else:
                 stuck = {pid: self.waiting_on(q)
-                         for pid, q in sorted(self.processes.items())}
+                         for pid, q in sorted(processes.items())}
                 return Outcome(OutcomeKind.STUCK, self.steps, self.trace,
                                self, stuck)
             if self.steps >= max_steps:
                 return Outcome(OutcomeKind.STEP_LIMIT, self.steps,
                                self.trace, self)
-            self.step(p)
+            # step(p)
+            rows.append(_HANDLERS.get(kind, _cannot_execute)(self, p, cmd))
+            self.steps += 1
+            if hook is not None:
+                hook(TraceEvent(self.steps - 1, *rows[-1]))
+            for e in services:
+                if e.inbox:
+                    self._drain_services()
+                    break
+            # assert_invariants(): this check comes right after one step,
+            # so a checked step that recorded nothing passes at once.
+            if checked and not added and not released:
+                self._checked_at = self.steps
+            else:
+                self.assert_invariants()
 
     # -- invariants ---------------------------------------------------------
 
@@ -639,36 +709,40 @@ class Machine:
 
     # -- command execution ---------------------------------------------------
 
-    # Each handler builds its step's event before `_advance` or `_finish`
-    # can end the process, from the end it bound.
+    # Each handler returns its step's trace row, `(pid, kind, chan, cid,
+    # payload)`, built before `_advance` or `_finish` can end the process,
+    # from the end it bound.  The hot ones bind inline and call `_binding`
+    # only to raise its fault (unchecked programs only).
 
-    def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> TraceEvent:
+    def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> tuple:
         value = self._eval(p, cmd.expr)
-        e = self._binding(p, cmd.chan)
-        self.channels[e.cid].ends[1 - e.index].inbox.append(ValMsg(value))
-        ev = TraceEvent(self.steps, p.pid, "PUT", cmd.chan, e.cid,
-                        render(value))
+        e = p.chan_env.get(cmd.chan)
+        ch = None if e is None else self.channels.get(e.cid)
+        if ch is None:
+            self._binding(p, cmd.chan)
+        ch.ends[1 - e.index].inbox.append(ValMsg(value))
+        row = (p.pid, "PUT", cmd.chan, e.cid, render(value))
         self._advance(p)
-        return ev
+        return row
 
-    def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> TraceEvent:
+    def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> tuple:
         e, msg = self._pop(p, cmd.chan, ValMsg, "get")
         p.seq_env[cmd.binder] = msg.value
-        ev = TraceEvent(self.steps, p.pid, "GET", cmd.chan, e.cid,
-                        render(msg.value))
+        row = (p.pid, "GET", cmd.chan, e.cid, render(msg.value))
         self._advance(p)
-        return ev
+        return row
 
-    def _exec_hput(self, p: ProcessInstance, cmd: HPut) -> TraceEvent:
-        e = self._binding(p, cmd.chan)
-        self.channels[e.cid].ends[1 - e.index].inbox.append(
-            HandleMsg(cmd.handle))
-        ev = TraceEvent(self.steps, p.pid, "HPUT", cmd.chan, e.cid,
-                        cmd.handle)
+    def _exec_hput(self, p: ProcessInstance, cmd: HPut) -> tuple:
+        e = p.chan_env.get(cmd.chan)
+        ch = None if e is None else self.channels.get(e.cid)
+        if ch is None:
+            self._binding(p, cmd.chan)
+        ch.ends[1 - e.index].inbox.append(HandleMsg(cmd.handle))
+        row = (p.pid, "HPUT", cmd.chan, e.cid, cmd.handle)
         self._advance(p)
-        return ev
+        return row
 
-    def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> TraceEvent:
+    def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> tuple:
         e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
         table = (self.plans.get(id(cmd))
                  or self._plan(id(cmd), _arm_table, cmd))
@@ -677,37 +751,35 @@ class Machine:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
                                f"handle {msg.handle}")
-        ev = TraceEvent(self.steps, p.pid, "HCASE", cmd.chan, e.cid,
-                        msg.handle)
+        row = (p.pid, "HCASE", cmd.chan, e.cid, msg.handle)
         self._advance(p, push=body)
-        return ev
+        return row
 
-    def _exec_close(self, p: ProcessInstance, cmd: Close) -> TraceEvent:
+    def _exec_close(self, p: ProcessInstance, cmd: Close) -> tuple:
         e = self._close_end(p, cmd.chan)
-        ev = TraceEvent(self.steps, p.pid, "CLOSE", cmd.chan, e.cid)
+        row = (p.pid, "CLOSE", cmd.chan, e.cid, None)
         self._advance(p)
-        return ev
+        return row
 
-    def _exec_halt(self, p: ProcessInstance, cmd: Halt) -> TraceEvent:
+    def _exec_halt(self, p: ProcessInstance, cmd: Halt) -> tuple:
         e = self._close_end(p, cmd.chan)
-        ev = TraceEvent(self.steps, p.pid, "HALT", cmd.chan, e.cid)
+        row = (p.pid, "HALT", cmd.chan, e.cid, None)
         self._finish(p)
-        return ev
+        return row
 
-    def _exec_race(self, p: ProcessInstance, cmd: Race) -> TraceEvent:
+    def _exec_race(self, p: ProcessInstance, cmd: Race) -> tuple:
         arm = resolve_race(self._race_ready(p, cmd), self.rng)
-        ev = TraceEvent(self.steps, p.pid, "RACE", arm.chan,
-                        p.chan_env[arm.chan].cid)
+        row = (p.pid, "RACE", arm.chan, p.chan_env[arm.chan].cid, None)
         self._advance(p, push=arm.body)
-        return ev
+        return row
 
-    def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> TraceEvent:
+    def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> tuple:
         e = self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
         p.chan_env[cmd.fresh] = e
-        ev = TraceEvent(self.steps, p.pid, "NEG", cmd.fresh, e.cid)
+        row = (p.pid, "NEG", cmd.fresh, e.cid, None)
         self._advance(p)
-        return ev
+        return row
 
     # -- helpers -------------------------------------------------------------
 
@@ -737,7 +809,9 @@ class Machine:
 
     def _pop(self, p: ProcessInstance, chan: str, want, command: str):
         """The end `p` binds to `chan`, and the message taken from it."""
-        e = self._binding(p, chan)
+        e = p.chan_env.get(chan)
+        if e is None or e.cid not in self.channels:
+            self._binding(p, chan)
         q = e.inbox
         if not q:
             raise MachineFault("IllegalCommand",
@@ -751,9 +825,11 @@ class Machine:
         return e, msg
 
     def _close_end(self, p: ProcessInstance, chan: str) -> EndState:
-        e = self._binding(p, chan)
+        e = p.chan_env.get(chan)
+        ch = None if e is None else self.channels.get(e.cid)
+        if ch is None:
+            self._binding(p, chan)
         del p.chan_env[chan]
-        ch = self.channels[e.cid]
         ch.ends[1 - e.index].inbox.append(_CLOSE)
         e.closed = True
         self._reap(ch)
@@ -822,12 +898,14 @@ class Machine:
         for name in plan.released:
             self._release(held[name])
 
-    def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> TraceEvent:
-        e = self._binding(p, cmd.chan)
+    def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> tuple:
+        e = p.chan_env.get(cmd.chan)
+        ch = None if e is None else self.channels.get(e.cid)
+        if ch is None:
+            self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
         plan = (self.plans.get(id(cmd))
                 or self._plan(id(cmd), _fork_plan, cmd, p.chan_env))
-        ch = self.channels[e.cid]
         # The forker's children take end 0 of each new channel.  End 1
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
@@ -838,37 +916,35 @@ class Machine:
         pending[0].owner = pending[1].owner = far
         far.links += pending
         far.inbox.append(RewireMsg(lch.cid, pending))
-        ev = TraceEvent(self.steps, p.pid, "FORK", cmd.chan, e.cid,
-                        plan.payload % (lch.cid, rch.cid))
+        row = (p.pid, "FORK", cmd.chan, e.cid,
+               plan.payload % (lch.cid, rch.cid))
         self._release(e)
         self._hand_off(p, plan, [{left.name: lch.ends[0]},
                                  {right.name: rch.ends[0]}])
-        return ev
+        return row
 
-    def _exec_split(self, p: ProcessInstance, cmd: Split) -> TraceEvent:
+    def _exec_split(self, p: ProcessInstance, cmd: Split) -> tuple:
         e, msg = self._pop(p, cmd.chan, RewireMsg, "split")
         del p.chan_env[cmd.chan]
         self._release(e)
         for name, claimed in zip((cmd.left, cmd.right), msg.ends):
             claimed.owner = p.pid
             p.chan_env[name] = claimed
-        ev = TraceEvent(self.steps, p.pid, "SPLIT", cmd.left, msg.cid_left,
-                        cmd.right)
+        row = (p.pid, "SPLIT", cmd.left, msg.cid_left, cmd.right)
         self._advance(p)
-        return ev
+        return row
 
-    def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> TraceEvent:
+    def _exec_plug(self, p: ProcessInstance, cmd: Plug) -> tuple:
         plan = (self.plans.get(id(cmd))
                 or self._plan(id(cmd), _plug_plan, cmd, p.chan_env))
         envs: list[dict] = [{} for _ in plan.children]
         for name, i, j in plan.joins:
             envs[i][name], envs[j][name] = self._new_channel(name).ends
-        ev = TraceEvent(self.steps, p.pid, "PLUG", None, None, plan.payload)
+        row = (p.pid, "PLUG", None, None, plan.payload)
         self._hand_off(p, plan, envs)
-        return ev
+        return row
 
-    def _exec_invoke(self, p: ProcessInstance, cmd: Call | Use
-                     ) -> TraceEvent:
+    def _exec_invoke(self, p: ProcessInstance, cmd: Call | Use) -> tuple:
         """Replace `p`'s continuation with a called or stored process."""
         if type(cmd) is Call:
             plan = (self.plans.get(id(cmd))
@@ -900,9 +976,9 @@ class Machine:
         p.seq_env = seq_env
         p.chan_env = chan_env
         p.frames = [[plan.proc.body, 0]]
-        return TraceEvent(self.steps, p.pid, kind, None, None, plan.proc.name)
+        return p.pid, kind, None, None, plan.proc.name
 
-    def _exec_link(self, p: ProcessInstance, cmd: Link) -> TraceEvent:
+    def _exec_link(self, p: ProcessInstance, cmd: Link) -> tuple:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
         lch, rch = self.channels[left.cid], self.channels[right.cid]
         fused = self._new_channel(f"{lch.label}|=|{rch.label}")
@@ -924,12 +1000,11 @@ class Machine:
         fused.ends[0].inbox.extend(right.inbox)
         for old in (lch, rch):
             self.channels.pop(old.cid, None)
-        ev = TraceEvent(self.steps, p.pid, "LINK", cmd.left, lch.cid,
-                        f"{cmd.right}->#{fused.cid}")
+        row = (p.pid, "LINK", cmd.left, lch.cid, f"{cmd.right}->#{fused.cid}")
         p.chan_env.clear()
         del self.processes[p.pid]
         self._reap(fused)
-        return ev
+        return row
 
     # -- services ------------------------------------------------------------
 
@@ -959,8 +1034,14 @@ def boot(program: ExecProgram, seed: int = 0,
     return Machine(program, seed, services, trace_hook, checked).boot()
 
 
-# How `Machine.step` runs each command class.  `OnDo` is absent: `prepare`
-# desugars it away, so a raw one is an illegal command.
+def _cannot_execute(machine: Machine, p: ProcessInstance, cmd) -> tuple:
+    raise MachineFault("IllegalCommand",
+                       f"cannot execute {type(cmd).__name__}")
+
+
+# How a step runs each command class: the handler returns the step's trace
+# row.  `OnDo` is absent: `prepare` desugars it away, so a raw one is an
+# illegal command.
 _HANDLERS = {
     PutVal: Machine._exec_put,
     GetVal: Machine._exec_get,

@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
-from campl.runtime import MachineFault
+from campl.runtime import (
+    DEFAULT_MAX_STEPS, Machine, MachineFault, Outcome, OutcomeKind,
+)
+from campl.services import ScriptExhausted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -112,3 +115,52 @@ def run_watched(machine, max_steps: int = 50_000) -> None:
             return
         machine.step(p)
     raise AssertionError(f"no end after {max_steps} steps")
+
+
+def run_stepwise(machine, max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
+    """`run_to_completion`'s reference: one call each to
+    `assert_invariants`, `pick` and `step` per step, under the loop's stop
+    rules in the loop's order, as `perfbench/tracer.py` drives them."""
+    while True:
+        machine.assert_invariants()
+        if not machine.processes:
+            kind = OutcomeKind.STUCK if machine.channels else OutcomeKind.DONE
+            return Outcome(kind, machine.steps, machine.trace, machine)
+        p = machine.pick()
+        if p is None:
+            stuck = {pid: machine.waiting_on(q)
+                     for pid, q in sorted(machine.processes.items())}
+            return Outcome(OutcomeKind.STUCK, machine.steps, machine.trace,
+                           machine, stuck)
+        if machine.steps >= max_steps:
+            return Outcome(OutcomeKind.STEP_LIMIT, machine.steps,
+                           machine.trace, machine)
+        machine.step(p)
+
+
+def assert_loop_matches_stepwise(boot_machine,
+                                 max_steps: int = DEFAULT_MAX_STEPS):
+    """Run one machine from `boot_machine()` with `run_to_completion` and
+    another with `run_stepwise`.  Both end the same way (outcome kind,
+    steps and stuck report, or the text of the fault and the steps made
+    before it), with the same rendered trace, as retained and as streamed
+    to a trace hook, and the same Console output.  Returns how the run
+    ended."""
+    results = []
+    for run in (Machine.run_to_completion, run_stepwise):
+        machine = boot_machine()
+        streamed = []
+        machine.trace_hook = lambda ev: streamed.append(ev.render())
+        try:
+            out = run(machine, max_steps)
+            ended = (out.kind, out.steps, out.stuck)
+        except (MachineFault, ScriptExhausted) as e:
+            ended = (type(e).__name__, str(e), machine.steps)
+        trace = [ev.render() for ev in machine.trace]
+        assert streamed == trace
+        results.append((ended, trace, list(machine.config.outputs)))
+    loop, reference = results
+    assert loop[0] == reference[0], f"loop ended {loop[0]}, the " \
+        f"stepwise reference {reference[0]}"
+    assert loop == reference
+    return loop[0]
