@@ -10,15 +10,15 @@ smallest pid goes first.  A step runs the Console service drain only when
 a service end holds mail.  Races are the only consumers of the seeded RNG,
 so a (program, seed, input script) triple fixes the whole trace.
 
-`run_to_completion` is one loop iteration per step: the monitor's check,
-the stop rules, the pid-order scan and the step, written out in line, with
-a call only for what can cost: the monitor when a step recorded a change
-(or always, unchecked), `enabled` for a command that waits, a handler, the
-drain.  `assert_invariants`, `pick` and `step` do the same one call each;
-they are the stepwise API and the loop's reference.  A handler returns its
-step as a plain `(pid, kind, chan, cid, payload)` row, which the machine
-appends to one list; `Machine.trace` is a read-only view that builds each
-`TraceEvent` when read, and a step builds one only for a `trace_hook`.
+`run_to_completion` runs one loop iteration per step.  It writes out in
+line what `assert_invariants`, `pick` and `step` do, and calls out only for
+work that can cost: the monitor after a step that recorded a change (after
+every step, unchecked), `enabled` for a command that waits, the handler and
+the drain.  Those three methods keep their behaviour as the stepwise API
+and the loop's reference.  A handler returns its step as a plain `(pid,
+kind, chan, cid, payload)` row, which the machine appends to one list;
+`Machine.trace` is a read-only view that builds each `TraceEvent` when it
+is read, and a step builds one only for a `trace_hook`.
 
 A step applies a plan of how a plug, fork, call, use or hcase wires names.
 A topology monitor checks before every step that the graph of processes
@@ -348,8 +348,6 @@ class Trace(Sequence):
     `TraceEvent`, whose `step` is the row's position, only when one is
     read."""
 
-    __slots__ = ("_rows",)
-
     def __init__(self, rows: list[tuple]):
         self._rows = rows
 
@@ -467,8 +465,8 @@ class Machine:
 
     def _binding(self, p: ProcessInstance, name: str | None) -> EndState:
         """The live end `p` binds to `name`, or the fault of an unchecked
-        program that holds none.  The hot handlers make the same test
-        inline and call this only to raise the fault."""
+        program that holds none.  The hot paths make the same test inline
+        and call this only to raise the fault."""
         if name is None or name not in p.chan_env:
             raise MachineFault("IllegalCommand",
                                f"process {p.pid} does not hold channel "
@@ -498,7 +496,10 @@ class Machine:
     def _race_ready(self, p: ProcessInstance, cmd: Race) -> list:
         ready = []
         for arm in cmd.arms:
-            q = self._binding(p, arm.chan).inbox
+            e = p.chan_env.get(arm.chan)
+            if e is None or e.cid not in self.channels:
+                self._binding(p, arm.chan)
+            q = e.inbox
             if q and isinstance(q[0], ValMsg):
                 ready.append(arm)
         return ready
@@ -539,13 +540,9 @@ class Machine:
         return ev
 
     def run_to_completion(self, max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
-        """Check, stop or pick, and step, until the run ends.  The loop is
-        `assert_invariants`, the stop rules, `pick` and `step` written out
-        once per step, and does what those do in that order; they stay as
-        the stepwise API and the loop's reference.  Only what a step can
-        make costly calls out: the monitor when the machine is unchecked or
-        the step recorded a change, `enabled` for a waiting command, and
-        the drain when a service end holds mail."""
+        """`assert_invariants`, the stop rules, `pick` and `step`, written
+        out in that order once per step; those stay as the stepwise API
+        and this loop's reference."""
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
         processes, services = self.processes, self.services

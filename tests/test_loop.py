@@ -40,16 +40,18 @@ def compare(text: str, seed: int, max_steps: int = 5000,
     not parse or boot."""
     try:
         source = parse_source(text)
-        try:
-            program, checked = check_program(source).exec_program, True
-        except CheckFailure:
-            program, checked = prepare(source), False
-        boot(program, seed, ServiceConfig.from_script([]), checked=checked)
-    except (ParseFailure, BootError):
+    except ParseFailure:
         return None
-    return assert_loop_matches_stepwise(
-        lambda: boot(program, seed, ServiceConfig.from_script(
-            script.splitlines()), checked=checked), max_steps)
+    try:
+        program, checked = check_program(source).exec_program, True
+    except CheckFailure:
+        program, checked = prepare(source), False
+    try:
+        return assert_loop_matches_stepwise(
+            lambda: boot(program, seed, ServiceConfig.from_script(
+                script.splitlines()), checked=checked), max_steps)
+    except BootError:
+        return None
 
 
 def upstream_pipeline(stages: int, msgs: list[str]) -> str:

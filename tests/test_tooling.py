@@ -86,11 +86,11 @@ def test_machine_steps_stay_within_their_call_budget():
     # Python-level calls (`sys.setprofile` "call" events) per machine step
     # on a 100-message churn run, seed 0: 14.61 before the step's own
     # bookkeeping was cut (45,410 calls over 3,109 steps; 14.58 on the
-    # benchmark's 1000-message `churn0`), 10.90 after (33,883 calls), 5.69
+    # benchmark's 1000-message `churn0`), 10.90 after (33,883 calls), 5.56
     # once `run_to_completion` ran the monitor, pick and step inline, the
-    # handlers returned plain trace rows and the hot ones bound their end
-    # without `_binding` (17,662 calls).  The count is exact for a given
-    # interpreter, so a rise means new per-step calls.
+    # handlers returned plain trace rows and the hot paths bound their end
+    # without calling `_binding` (17,262 calls).  The count is exact for a
+    # given interpreter, so a rise means new per-step calls.
     program = check_program(parse_source(churn_text(100))).exec_program
     machine = boot(program, services=ServiceConfig.from_script([]))
     calls = 0
@@ -107,7 +107,7 @@ def test_machine_steps_stay_within_their_call_budget():
     finally:
         sys.setprofile(saved)
     assert outcome.done and outcome.steps == 3109
-    assert calls / outcome.steps <= 5.69, f"{calls} calls"
+    assert calls / outcome.steps <= 5.56, f"{calls} calls"
 
 
 def test_checker_stays_within_its_call_budget():
