@@ -526,10 +526,10 @@ class Machine:
     def step(self, p: ProcessInstance) -> TraceEvent:
         body, index = p.frames[-1]          # p.next_command(), inlined
         cmd = body[index]
-        self._rows.append(
-            _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd))
+        row = _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd)
+        self._rows.append(row)
         self.steps += 1
-        ev = self.trace[-1]
+        ev = TraceEvent(self.steps - 1, *row)
         if self.trace_hook is not None:
             self.trace_hook(ev)
         # Most steps send the services nothing.
