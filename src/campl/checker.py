@@ -261,10 +261,6 @@ class _BodyError(Exception):
     """Aborts the current body after its diagnostic has been recorded."""
 
 
-_TERMINATED = "terminated"
-_OPEN = "open"
-
-
 class Checker:
     def __init__(self, src: SourceProgram):
         self.exec_program = prepare(src)
@@ -346,16 +342,14 @@ class Checker:
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        "run cannot take output channels; service channels "
                        "sit at run's input side")
-        consoles = [t for t in sig.in_chans
-                    if isinstance(t, CoprotoApp) and t.name == CONSOLE]
-        bad = [t for t in sig.in_chans
-               if not (isinstance(t, CoprotoApp) and t.name == CONSOLE)]
-        for t in bad:
-            if has_uvars(t):
-                continue   # already reported as underdetermined
-            self._diag(dk.ILLEGAL_COMMAND, d.pos,
-                       f"run may hold only service channels, found {t}")
-        if len(consoles) > 1:
+        consoles = 0
+        for t in sig.in_chans:
+            if isinstance(t, CoprotoApp) and t.name == CONSOLE:
+                consoles += 1
+            elif not has_uvars(t):   # else reported as underdetermined
+                self._diag(dk.ILLEGAL_COMMAND, d.pos,
+                           f"run may hold only service channels, found {t}")
+        if consoles > 1:
             self._diag(dk.ILLEGAL_COMMAND, d.pos,
                        "run may hold at most one Console channel")
 
@@ -409,8 +403,8 @@ class Checker:
             chan_ctx[name] = ChanEntry(t, INPUT)
         for name, t in zip(d.out_params, sig.out_chans):
             chan_ctx[name] = ChanEntry(t, OUTPUT)
-        state, ctx = self.check_body(d.body, seq_ctx, chan_ctx)
-        if state is _OPEN and ctx:
+        ctx = self.check_body(d.body, seq_ctx, chan_ctx)
+        if ctx:
             names = ", ".join(sorted(ctx))
             self.fail(dk.LINEARITY_DROP, d.body[-1].pos if d.body else d.pos,
                       f"body ends with live channel(s): {names}",
@@ -419,23 +413,22 @@ class Checker:
     # -- body loop --------------------------------------------------------
 
     def check_body(self, body: Body, seq_ctx: dict, chan_ctx: dict):
-        """Returns (state, ctx): state is `terminated` when the body ended
-        with a terminator, else `open` with the remaining live context.
+        """Returns the live context the body leaves, or None when a command
+        ended it; either way the body is finished when nothing is left live.
         Each command goes straight to its `_CHECKS` handler, so a level of
         nesting costs two frames: this one and the handler's."""
         for i, cmd in enumerate(body):
-            if _CHECKS[type(cmd)](self, cmd, seq_ctx, chan_ctx) is _TERMINATED:
+            if _CHECKS[type(cmd)](self, cmd, seq_ctx, chan_ctx):
                 if i + 1 < len(body):
                     self.fail(dk.HALT_NOT_LAST, body[i + 1].pos,
                               "unreachable command after a terminating "
                               "command")
-                return _TERMINATED, None
-        return _OPEN, chan_ctx
+                return None
+        return chan_ctx
 
-    # Each handler takes (cmd, seq_ctx, chan_ctx), updates `chan_ctx` in
-    # place and returns the body's state after `cmd`.  A close that
-    # consumes the last live channel leaves the body `open` with an empty
-    # context, which every caller treats as terminated.
+    # Each handler takes (cmd, seq_ctx, chan_ctx) and updates `chan_ctx` in
+    # place.  It returns True when `cmd` ends the body, and falls through
+    # otherwise.
 
     def check_put(self, cmd: PutVal, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -444,7 +437,6 @@ class Checker:
         vt = _EXPRS[type(cmd.expr)](self, cmd.expr, seq_ctx)
         self.unify_or_fail(vt, head.msg, cmd.pos, cmd.chan, seq=True)
         chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
-        return _OPEN
 
     def check_get(self, cmd: GetVal, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -452,14 +444,12 @@ class Checker:
         head = self.shape(cmd.chan, entry, "get", cmd.pos)
         seq_ctx[cmd.binder] = head.msg
         chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
-        return _OPEN
 
     def check_close(self, cmd: Close, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
                                                        "close")
         self.shape(cmd.chan, entry, "close", cmd.pos)
         del chan_ctx[cmd.chan]
-        return _OPEN
 
     def check_halt(self, cmd: Halt, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -471,7 +461,7 @@ class Checker:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"halt on {cmd.chan!r} while other channel(s) are "
                       f"still live: {names}", channel=cmd.chan)
-        return _TERMINATED
+        return True
 
     # -- helpers ----------------------------------------------------------
 
@@ -589,7 +579,6 @@ class Checker:
         app = self.shape(cmd.chan, entry, "hput", cmd.pos, decl)
         chan_ctx[cmd.chan] = ChanEntry(self.unfold(decl, cmd.handle, app),
                                        entry.pol)
-        return _OPEN
 
     def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -638,21 +627,17 @@ class Checker:
         return entry[1]
 
     def merge_arms(self, cmd, kind: str, chan_ctx, results):
-        """hcase/race arms must agree: either every arm terminates (the
-        command ends the body) or every arm leaves the same live context
-        for the continuation."""
-        closed = 0
-        for state, ctx in results:
-            if state is _TERMINATED or not ctx:
-                closed += 1
-        if closed == len(results):
-            return _TERMINATED
-        if closed:
+        """hcase/race arms must agree: either every arm finishes its body
+        (the command ends the body) or every arm leaves the same live
+        context for the continuation."""
+        if not any(results):
+            return True
+        if not all(results):
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"{kind} arms disagree: some terminate and some "
                       f"leave channels live")
-        base = results[0][1]
-        for st, ctx in results[1:]:
+        base = results[0]
+        for ctx in results[1:]:
             if set(ctx) != set(base):
                 self.fail(dk.LINEARITY_DROP, cmd.pos,
                           f"{kind} arms consume different channel sets")
@@ -665,7 +650,6 @@ class Checker:
                               f"polarities", channel=name)
         chan_ctx.clear()
         chan_ctx.update(base)
-        return _OPEN
 
     def check_race(self, cmd: Race, seq_ctx, chan_ctx):
         for arm in cmd.arms:
@@ -696,38 +680,37 @@ class Checker:
         resolved = self.shape(cmd.chan, entry, "fork", cmd.pos)
         components = (resolved.left, resolved.right)
         self.fork_sites.append(ForkSite(cmd.pos, components))
-        rest = {n: e for n, e in chan_ctx.items() if n != cmd.chan}
+        del chan_ctx[cmd.chan]
         frees = []
         for arm in cmd.arms:
-            if arm.name in rest:
+            if arm.name in chan_ctx:
                 self.fail(dk.LINEARITY_REUSE, arm.pos,
                           f"fork binder {arm.name!r} shadows a live channel",
                           channel=arm.name)
             frees.append(self.exec_program.free_chans(arm.body)
                          - {arm.name})
-        overlap = frees[0] & frees[1] & set(rest)
+        overlap = frees[0] & frees[1] & chan_ctx.keys()
         if overlap:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
                       f"fork branches both use channel(s): "
                       f"{', '.join(sorted(overlap))}",
                       channel=sorted(overlap)[0])
-        uncovered = set(rest) - (frees[0] | frees[1])
+        uncovered = chan_ctx.keys() - (frees[0] | frees[1])
         if uncovered:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"fork branches leave channel(s) unused: "
                       f"{', '.join(sorted(uncovered))}",
                       channel=sorted(uncovered)[0])
         for arm, component, free in zip(cmd.arms, components, frees):
-            # `free` lacks only the binder, which is not in `rest`.
-            arm_ctx = {n: e for n, e in rest.items() if n in free}
+            # `free` lacks only the binder, which is not in `chan_ctx`.
+            arm_ctx = {n: e for n, e in chan_ctx.items() if n in free}
             arm_ctx[arm.name] = ChanEntry(component, entry.pol)
-            state, ctx = self.check_body(arm.body, dict(seq_ctx), arm_ctx)
-            if state is _OPEN and ctx:
+            ctx = self.check_body(arm.body, dict(seq_ctx), arm_ctx)
+            if ctx:
                 self.fail(dk.LINEARITY_DROP, arm.pos,
                           f"fork branch {arm.name!r} ends with live "
                           f"channel(s): {', '.join(sorted(ctx))}")
-        chan_ctx.clear()
-        return _TERMINATED
+        return True
 
     def check_split(self, cmd: Split, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -745,7 +728,6 @@ class Checker:
                       channel=cmd.left)
         chan_ctx[cmd.left] = ChanEntry(resolved.left, entry.pol)
         chan_ctx[cmd.right] = ChanEntry(resolved.right, entry.pol)
-        return _OPEN
 
     def check_plug(self, cmd: Plug, seq_ctx, chan_ctx):
         live = set(chan_ctx)
@@ -812,14 +794,12 @@ class Checker:
             for name in sorted(frees[idx] - live):
                 branch_ctx[name] = ChanEntry(types[name],
                                              polarity_of[name][idx])
-            sub_seq = dict(seq_ctx)
-            state, ctx = self.check_body(branch, sub_seq, branch_ctx)
-            if state is _OPEN and ctx:
+            ctx = self.check_body(branch, dict(seq_ctx), branch_ctx)
+            if ctx:
                 self.fail(dk.LINEARITY_DROP, branch[0].pos,
                           f"plug branch ends with live channel(s): "
                           f"{', '.join(sorted(ctx))}")
-        chan_ctx.clear()
-        return _TERMINATED
+        return True
 
     def _branch_evidence(self, branch: Body, name: str) -> Polarity | None:
         """Syntactic polarity evidence for a plugged channel: the matched
@@ -860,13 +840,11 @@ class Checker:
                       "channels")
 
     def check_call(self, cmd: Call, seq_ctx, chan_ctx):
-        target = self.exec_program.procs.get(cmd.callee)
         sig = self.sigs.get(cmd.callee)
-        if target is None or sig is None:
+        if sig is None:
             self.fail(dk.ILLEGAL_COMMAND, cmd.pos,
                       f"call to unknown process {cmd.callee!r}")
-        return self._check_invocation(cmd, sig, target.in_params,
-                                      target.out_params, seq_ctx, chan_ctx,
+        return self._check_invocation(cmd, sig, seq_ctx, chan_ctx,
                                       f"process {cmd.callee!r}")
 
     def check_use(self, cmd: Use, seq_ctx, chan_ctx):
@@ -877,16 +855,16 @@ class Checker:
                       f"use needs a stored process, found "
                       f"{self.uni.zonk(st)}; annotate the value if its "
                       f"type cannot be inferred here")
-        sig = st.sig
-        in_names = tuple(f"<in{i}>" for i in range(len(sig.in_chans)))
-        out_names = tuple(f"<out{i}>" for i in range(len(sig.out_chans)))
-        return self._check_invocation(cmd, sig, in_names, out_names,
-                                      seq_ctx, chan_ctx, "stored process")
+        return self._check_invocation(cmd, st.sig, seq_ctx, chan_ctx,
+                                      "stored process")
 
-    def _check_invocation(self, cmd, sig: ProcSignature, in_params,
-                          out_params, seq_ctx, chan_ctx, what: str):
+    def _check_invocation(self, cmd, sig: ProcSignature, seq_ctx, chan_ctx,
+                          what: str):
+        """Checks a call or use against `sig` alone: a process's signature
+        is sized by its context line (`_initial_sig`)."""
         args = cmd.chan_args
-        n_params = len(in_params) + len(out_params)
+        param_types = sig.in_chans + sig.out_chans
+        n_params = len(param_types)
         if len(cmd.seq_args) != len(sig.seq_params) or len(args) != n_params:
             self.fail(dk.ARITY_MISMATCH, cmd.pos,
                       f"{what} takes {len(sig.seq_params)} value(s) and "
@@ -895,8 +873,8 @@ class Checker:
         for e, want in zip(cmd.seq_args, sig.seq_params):
             got = _EXPRS[type(e)](self, e, seq_ctx)
             self.unify_or_fail(got, want, cmd.pos, None, seq=True)
-        param_types = sig.in_chans + sig.out_chans
-        param_pols = ([INPUT] * len(in_params)) + ([OUTPUT] * len(out_params))
+        param_pols = ([INPUT] * len(sig.in_chans)
+                      + [OUTPUT] * len(sig.out_chans))
         for name, want, pol in zip(args, param_types, param_pols):
             entry = chan_ctx.get(name) or self.unbound(name, cmd.pos, "pass")
             if entry.pol is not pol:
@@ -910,7 +888,7 @@ class Checker:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"call leaves channel(s) unconsumed: {names}",
                       channel=sorted(chan_ctx)[0])
-        return _TERMINATED
+        return True
 
     def check_link(self, cmd: Link, seq_ctx, chan_ctx):
         a = chan_ctx.get(cmd.left) or self.unbound(cmd.left, cmd.pos, "|=|")
@@ -927,7 +905,7 @@ class Checker:
             self.fail(dk.LINEARITY_DROP, cmd.pos,
                       f"|=| leaves channel(s) unconsumed: "
                       f"{', '.join(sorted(chan_ctx))}")
-        return _TERMINATED
+        return True
 
     def check_neg(self, cmd: NegIntro, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
@@ -939,7 +917,6 @@ class Checker:
                       channel=cmd.fresh)
         del chan_ctx[cmd.chan]
         chan_ctx[cmd.fresh] = ChanEntry(inner, entry.pol.flipped())
-        return _OPEN
 
 
 def _scc_order(procs: dict[str, ProcDef],

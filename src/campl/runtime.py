@@ -264,7 +264,7 @@ class ConsoleEndpoint:
             print(line, file=self.config.echo, flush=True)
 
     def _read_line(self) -> str:
-        if self.config.scripted:
+        if self.config.script is not None:
             if self._cursor >= len(self.config.script):
                 raise ScriptExhausted(
                     "console input script exhausted: a ConsoleGet had no "

@@ -2,9 +2,9 @@
 console configuration.  The machine's `ConsoleEndpoint` holds the output
 end of each `Console` channel and dispatches on the reserved handles.
 
-A scripted mode replaces terminal reads with a fixed list of input lines so
-runs are reproducible; output is captured either way (and echoed to a
-stream in live mode or when one is supplied).
+A script of input lines replaces terminal reads so runs are reproducible;
+with `script is None`, input is live.  Output is captured either way (and
+echoed to a stream in live mode or when one is supplied).
 """
 
 from __future__ import annotations
@@ -50,20 +50,20 @@ class ScriptExhausted(Exception):
 class ServiceConfig:
     """Console behaviour for one run.
 
-    In scripted mode, input lines come from `script` and the real terminal
-    is never read.  Captured output accumulates in `outputs` regardless of
-    mode; `echo` (when set) additionally receives each printed line.
+    Input lines come from `script` and the real terminal is never read;
+    live mode, `script is None`, reads the terminal.  Captured output
+    accumulates in `outputs` regardless of mode; `echo` (when set)
+    additionally receives each printed line.
     """
-    scripted: bool = True
-    script: list[str] = field(default_factory=list)
+    script: list[str] | None = field(default_factory=list)
     echo: TextIO | None = None
     outputs: list[str] = field(default_factory=list)
 
     @classmethod
     def live(cls, echo: TextIO | None = None) -> "ServiceConfig":
-        return cls(scripted=False, echo=echo if echo is not None else sys.stdout)
+        return cls(script=None, echo=echo if echo is not None else sys.stdout)
 
     @classmethod
     def from_script(cls, lines: list[str],
                     echo: TextIO | None = None) -> "ServiceConfig":
-        return cls(scripted=True, script=list(lines), echo=echo)
+        return cls(script=list(lines), echo=echo)

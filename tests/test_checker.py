@@ -287,12 +287,16 @@ def test_halt_with_other_channels_live():
 
 
 def test_command_after_terminator_rejected():
+    # The halt fails first, on the channel it leaves live, and that ends
+    # the body's check before the close is reached.
     src = ("proc p :: | TopBot, TopBot => =\n"
            "    | a, b => -> do\n"
            "        halt a\n"
            "        close b\n")
-    kinds = kinds_of(src)
-    assert dk.LINEARITY_DROP in kinds or dk.HALT_NOT_LAST in kinds
+    [d] = errors_of(src)
+    assert (d.kind, d.pos.line, d.pos.col, d.message) == (
+        dk.LINEARITY_DROP, 3, 9,
+        "halt on 'a' while other channel(s) are still live: b")
 
 
 def test_unreachable_after_call():
@@ -505,6 +509,34 @@ def test_sibling_arms_must_consume_alike(src, line, col, message):
         (dk.LINEARITY_DROP, line, col, message)
 
 
+# An arm finishes its body either with a command that ends it or with the
+# close of its last live channel; siblings that finish either way agree.
+@pytest.mark.parametrize("src", [
+    _TWO + "proc p :: | Two(| ), TopBot => =\n"
+           "    | c, d => -> hcase c of\n"
+           "        L -> do\n"
+           "            close c\n"
+           "            halt d\n"
+           "        R -> do\n"
+           "            close d\n"
+           "            close c\n",
+    "proc p :: | Put(Int|TopBot), Put(Int|TopBot) => =\n"
+    "    | a, b => -> race\n"
+    "        a -> do\n"
+    "            get x on a\n"
+    "            get y on b\n"
+    "            close a\n"
+    "            halt b\n"
+    "        b -> do\n"
+    "            get y on b\n"
+    "            get x on a\n"
+    "            close b\n"
+    "            close a\n",
+], ids=["hcase", "race"])
+def test_sibling_arms_may_finish_by_halt_or_by_last_close(src):
+    check_text(src)
+
+
 def test_fork_components_annotated():
     typed = check_text(corpus_text("listing5.campl"))
     assert typed.fork_sites
@@ -643,7 +675,7 @@ def test_fork_of_a_channel_carrying_console_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# one program for each checker diagnostic no other test raises
+# one program for each checker diagnostic no other test pins where it stands
 
 LONE_DIAGNOSTICS = {
     "declaration-name-taken": (
@@ -753,6 +785,23 @@ LONE_DIAGNOSTICS = {
         "            close x\n",
         dk.LINEARITY_REUSE, 2, 15,
         "plug branches 0 and 1 both use channel 'c'"),
+    # A command after one that ended the body is unreachable; after the
+    # close of the last live channel, the body is still open and the
+    # command finds its channel gone.
+    "command-after-halt": (
+        "proc p :: | TopBot => =\n"
+        "    | a => -> do\n"
+        "        halt a\n"
+        "        close a\n",
+        dk.HALT_NOT_LAST, 4, 9,
+        "unreachable command after a terminating command"),
+    "command-after-last-close": (
+        "proc p :: | TopBot => =\n"
+        "    | a => -> do\n"
+        "        close a\n"
+        "        close a\n",
+        dk.LINEARITY_REUSE, 4, 9,
+        "channel 'a' is not live here (already consumed or never bound)"),
     "plug-branch-leaves-live": (
         "proc run =\n"
         "    | => -> plug\n"
