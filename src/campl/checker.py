@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
-from .elaborate import ExecProgram, prepare, share_out
+from .elaborate import ExecProgram, cycle_edges, prepare, share_out
 from .model import (
     COMMAND_HEADS, INPUT, OUTPUT, TOPBOT, Body, BoolLit, Call, ChanType,
     CharLit, Close, CoprotoApp, DeclKind, Fork, Get, GetVal, Halt, HCase,
@@ -784,7 +784,17 @@ class Checker:
                 second = first.flipped()   # repair so checking continues
             polarity_of[name] = {where[0]: first, where[1]: second}
 
-        self._plug_graph(cmd, plugged, users, len(cmd.branches))
+        # The plugged channels, each joining two branches, must connect the
+        # branches as a tree: a forest with one edge fewer than nodes.
+        cycle = cycle_edges((name, *users[name]) for name in plugged)
+        if cycle:
+            self.fail(dk.PLUG_CYCLE, cmd.pos,
+                      f"plug channels form a cycle through {cycle[0]!r}",
+                      channel=cycle[0])
+        if len(plugged) != len(cmd.branches) - 1:
+            self.fail(dk.PLUG_CYCLE, cmd.pos,
+                      "plug branches are not connected by the plugged "
+                      "channels")
         self.plug_sites.append(PlugSite(cmd.pos, types))
 
         for idx, branch in enumerate(cmd.branches):
@@ -814,30 +824,6 @@ class Checker:
             if arg == name:
                 return (INPUT if param in target.in_params else OUTPUT)
         return None
-
-    def _plug_graph(self, cmd: Plug, plugged: list[str],
-                    users: dict[str, list[int]], n_branches: int) -> None:
-        """Fails unless the plugged channels, each joining the two
-        branches `users` gives it, connect the branches as a tree."""
-        parent = list(range(n_branches))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for name in plugged:
-            a, b = find(users[name][0]), find(users[name][1])
-            if a == b:
-                self.fail(dk.PLUG_CYCLE, cmd.pos,
-                          f"plug channels form a cycle through {name!r}",
-                          channel=name)
-            parent[a] = b
-        if len(set(map(find, range(n_branches)))) > 1:
-            self.fail(dk.PLUG_CYCLE, cmd.pos,
-                      "plug branches are not connected by the plugged "
-                      "channels")
 
     def check_call(self, cmd: Call, seq_ctx, chan_ctx):
         sig = self.sigs.get(cmd.callee)

@@ -4,8 +4,9 @@ the runtime.
 `on ch do` blocks elaborate into the same commands with the channel
 argument filled in; `free_chans` computes which channel names a command
 sequence uses from its environment, accounting for the binders introduced
-by fork, split, and neg and the channels a plug joins.  `share_out`, the
-rule for which plug branch or fork arm uses each name, is shared too.
+by fork, split, and neg and the channels a plug joins.  Shared too are
+`share_out`, the rule for which plug branch or fork arm uses each name,
+and `cycle_edges`, the forest test of plugs and of the running network.
 
 `prepare` is the only walk over the process bodies before checking: as it
 desugars a process it records the processes that process calls or stores
@@ -143,6 +144,29 @@ def share_out(frees: Iterable[frozenset[str]]) -> dict[str, list[int]]:
         for name in names:
             users.setdefault(name, []).append(i)
     return users
+
+
+def cycle_edges(edges: Iterable[tuple]) -> list:
+    """The keys of the `(key, a, b)` edges that close a cycle, in order:
+    those whose ends the edges before them already connect.  Empty when
+    the edges form a forest.  Nodes are any hashable values."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    closing = []
+    for key, a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            closing.append(key)
+        else:
+            parent[ra] = rb
+    return closing
 
 
 def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]

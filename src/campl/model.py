@@ -621,15 +621,11 @@ Body = tuple[Command, ...]
 # hold expressions.
 
 def sub_bodies(cmd) -> tuple[Body, ...]:
-    """The command sequences nested directly inside `cmd`, in order."""
-    k = type(cmd)
-    if k is HCase or k is Fork or k is Race:
-        return tuple(a.body for a in cmd.arms)
-    if k is Plug:
-        return cmd.branches
-    if k is OnDo:
-        return (cmd.body,)
-    return ()
+    """The command sequences nested directly inside `cmd`, in order: the
+    ones `map_command` visits."""
+    bodies: list[Body] = []
+    map_command(cmd, lambda b: bodies.append(b) or b, lambda e: e)
+    return tuple(bodies)
 
 
 def map_command(cmd, body, expr):

@@ -20,18 +20,20 @@ kind, chan, cid, payload)` row, which the machine appends to one list;
 `Machine.trace` is a read-only view that builds each `TraceEvent` when it
 is read, and a step builds one only for a `trace_hook`.
 
-A step applies a plan of how a plug, fork, call, use or hcase wires names.
-A topology monitor checks before every step that the graph of processes
-and live channels is a forest and that every end of a live channel has an
-owner.  A machine booted `checked` trusts the checker.  It memoises each
-plan per node in its own `plans`.  Its monitor scans the whole network
-at the first check and at any check not made right after one step;
-otherwise it checks only what that step recorded: nothing after a value,
-handle, race, call, use or neg step, where it returns at once; the pending
-ends of released ends; and the channels the step created, for cycles
-among themselves (one or two by comparing their owners).  Whatever a local
-check flags goes to the full scan, which raises the fault.  An unchecked
-machine runs the references: every plan built afresh, every check full.
+A step applies a plan of how a plug, fork, call or use wires names; a
+checked machine memoises a plug's, fork's or call's per node in its own
+`plans`.  An hcase takes its first arm for the handle it received.  A
+topology monitor checks before every step that the graph of processes and
+live channels is a forest (`cycle_edges`) and that every end of a live
+channel has an owner.  A machine booted `checked` trusts the checker.  Its
+monitor scans the whole network at the first check and at any check not
+made right after one step; otherwise it checks only what that step
+recorded: nothing after a value, handle, race, call, use or neg step,
+where it returns at once; the pending ends of released ends; and the
+channels the step created, for cycles among themselves (one or two by
+comparing their owners).  Whatever a local check flags goes to the full
+scan, which raises the fault.  An unchecked machine runs the references:
+every plan built afresh, every check full.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .elaborate import ExecProgram, share_out
+from .elaborate import ExecProgram, cycle_edges, share_out
 from .model import (
     BoolLit, Call, CharLit, Close, Expr, Fork, GetVal, Halt, HCase, HPut,
     IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split, StoreOf,
@@ -126,9 +128,9 @@ class BootError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# per-node plans, built on a node's first step and kept in `Machine.plans`
-# by a checked machine; a build that faults stores nothing, so every later
-# step checks again.
+# per-node plans; a checked machine keeps a plug's, fork's or call's in
+# `Machine.plans` from the node's first step.  A build that faults stores
+# nothing, so every later step checks again.
 
 class HandOff(NamedTuple):
     """How a plug or fork replaces its process by children."""
@@ -197,11 +199,6 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
                            f"argument counts")
     return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
                       tuple(zip(proc.chan_params, cmd.chan_args)))
-
-
-def _arm_table(program: ExecProgram, cmd: HCase) -> tuple[HCase, dict]:
-    """The node, and the body of the first arm for each handle."""
-    return cmd, {arm.handle: arm.body for arm in reversed(cmd.arms)}
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +397,8 @@ class Machine:
                  checked: bool = True):
         self.program = program
         self.checked = checked
-        # Plans by id(node) (a use's also by its stored process's); each
-        # holds its node, so no keyed id is reused.
+        # Plug, fork and call plans by id(node); each holds its node, so
+        # no keyed id is reused.
         self.plans: dict = {}
         self.rng = random.Random(seed)
         self.config = services if services is not None else ServiceConfig()
@@ -601,33 +598,19 @@ class Machine:
         return owner
 
     def check_topology(self, cids: list[int] | None = None) -> list[int]:
-        """Union-find acyclicity over live channels, or over the live ones
-        among `cids`; returns the channel ids that closed a cycle (empty
-        when those channels form a forest)."""
-        parent: dict[object, object] = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        bad: list[int] = []
+        """The ids of the live channels, all of them or the live ones among
+        `cids`, that close a cycle between their owners (`cycle_edges`);
+        empty when those channels form a forest."""
+        resolve = self.resolve_owner
+        edges = []
         for cid in sorted(self.channels) if cids is None else cids:
             ch = self.channels.get(cid)
             if ch is None or not ch.live:
                 continue
-            a = self.resolve_owner(ch.ends[0].owner)
-            b = self.resolve_owner(ch.ends[1].owner)
-            if a is None or b is None:
-                continue
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                bad.append(cid)
-            else:
-                parent[ra] = rb
-        return bad
+            a, b = resolve(ch.ends[0].owner), resolve(ch.ends[1].owner)
+            if a is not None and b is not None:
+                edges.append((cid, a, b))
+        return cycle_edges(edges)
 
     def assert_invariants(self) -> None:
         """Raise the fault `check_invariants` would raise on this state.
@@ -741,15 +724,15 @@ class Machine:
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> tuple:
         e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
-        table = (self.plans.get(id(cmd))
-                 or self._plan(id(cmd), _arm_table, cmd))
-        body = table[1].get(msg.handle)
-        if body is None:
+        for arm in cmd.arms:
+            if arm.handle == msg.handle:
+                break
+        else:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
                                f"handle {msg.handle}")
         row = (p.pid, "HCASE", cmd.chan, e.cid, msg.handle)
-        self._advance(p, push=body)
+        self._advance(p, push=arm.body)
         return row
 
     def _exec_close(self, p: ProcessInstance, cmd: Close) -> tuple:
@@ -954,9 +937,7 @@ class Machine:
                                    f"use of a non-process value "
                                    f"{render(value)}")
             d = value.proc
-            key = (id(cmd), id(d))
-            plan = (self.plans.get(key)
-                    or self._plan(key, _invocation, cmd, d))
+            plan = _invocation(self.program, cmd, d)
             kind, name, seq_env = "USE", f"use:{d.name}", dict(value.env)
         for param, e in plan.seq_pairs:
             seq_env[param] = self._eval(p, e)

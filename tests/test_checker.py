@@ -243,17 +243,49 @@ def test_fork_overlapping_partitions():
     assert dk.LINEARITY_REUSE in kinds_of(src)
 
 
+_NODE = ("proc node :: | TopBot => TopBot =\n"
+         "    | i => o -> do\n"
+         "        close i\n"
+         "        halt o\n")
+_TRIANGLE = ("        node( | a => b )\n"
+             "        node( | b => c )\n"
+             "        node( | c => a )\n")
+_PAIRS = ("proc a1 :: | TopBot => =\n"
+          "    | x => -> close x\n"
+          "\nproc a2 :: | => TopBot =\n"
+          "    | => x -> halt x\n")
+_CYCLE_THROUGH_C = "plug channels form a cycle through 'c'"
+
+
+def _lone_error(src):
+    [d] = errors_of(src)
+    return d.kind, d.pos.line, d.pos.col, d.message, d.channel
+
+
 def test_plug_triangle():
-    src = ("proc node :: | TopBot => TopBot =\n"
-           "    | i => o -> do\n"
-           "        close i\n"
-           "        halt o\n"
-           "\nproc run =\n"
-           "    | => -> plug\n"
-           "        node( | a => b )\n"
-           "        node( | b => c )\n"
-           "        node( | c => a )\n")
-    assert dk.PLUG_CYCLE in kinds_of(src)
+    src = _NODE + "\nproc run =\n    | => -> plug\n" + _TRIANGLE
+    assert _lone_error(src) == (dk.PLUG_CYCLE, 7, 13, _CYCLE_THROUGH_C, "c")
+
+
+def test_plug_cycle_is_reported_before_disconnection():
+    # Five branches: the triangle, and a pair joined to nothing else.
+    src = (_NODE + "\n" + _PAIRS + "\nproc run =\n    | => -> plug\n"
+           + _TRIANGLE
+           + "        a2( | => x )\n"
+             "        a1( | x => )\n")
+    # The cycle is reported first.
+    assert _lone_error(src) == (dk.PLUG_CYCLE, 13, 13, _CYCLE_THROUGH_C, "c")
+
+
+def test_plug_reports_its_first_cycle_in_channel_order():
+    # `b` and `c` each close a cycle between the same two branches.
+    branch = ("        do\n"
+              "            close a\n"
+              "            close b\n"
+              "            halt c\n")
+    src = "proc run =\n    | => -> plug\n" + branch + branch
+    assert _lone_error(src) == (
+        dk.PLUG_CYCLE, 2, 13, "plug channels form a cycle through 'b'", "b")
 
 
 def test_duplicate_handle_names():
@@ -545,17 +577,15 @@ def test_fork_components_annotated():
 
 
 def test_plug_connectivity_required():
-    src = ("proc a1 :: | TopBot => =\n"
-           "    | x => -> close x\n"
-           "\nproc a2 :: | => TopBot =\n"
-           "    | => x -> halt x\n"
-           "\nproc run =\n"
+    src = (_PAIRS + "\nproc run =\n"
            "    | => -> plug\n"
            "        a2( | => x )\n"
            "        a1( | x => )\n"
            "        a2( | => y )\n"
            "        a1( | y => )\n")
-    assert dk.PLUG_CYCLE in kinds_of(src)
+    assert _lone_error(src) == (
+        dk.PLUG_CYCLE, 8, 13,
+        "plug branches are not connected by the plugged channels", None)
 
 
 def test_split_binder_shadowing_rejected():

@@ -1,10 +1,12 @@
+import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
-from campl.elaborate import ExecProgram, free_chans, prepare
+from campl.elaborate import ExecProgram, cycle_edges, free_chans, prepare
 from campl.model import (
     WITH_CHAN, Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm,
     HPut, IntLit, Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm,
@@ -243,3 +245,44 @@ def test_free_chans_memo_agrees_with_the_reference(group):
                 kinds.add(kind)
     assert kinds == ({ProcDef, Fork, Plug, HCase, Race} if group == "corpus"
                      else {ProcDef, Fork, Plug})
+
+
+def _closing_edges(edges):
+    """The reference for `cycle_edges`: the keys of the edges, in order,
+    whose ends a breadth-first search over the edges before them finds
+    already connected."""
+    adjacent: dict = {}
+    closing = []
+    for key, a, b in edges:
+        seen, queue = {a}, deque([a])
+        while queue:
+            for y in adjacent.get(queue.popleft(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if b in seen:
+            closing.append(key)
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    return closing
+
+
+def test_cycle_edges_agrees_with_a_search_per_edge():
+    # Random multigraphs over pids and plain objects, as the monitor's
+    # owners are pids and `ConsoleEndpoint`s: self-loops and parallel
+    # edges arise, and both forests and graphs with cycles.
+    loops = parallels = forests = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes = [*range(rng.randint(1, 6)),
+                 *(object() for _ in range(rng.randint(0, 4)))]
+        edges = [(i, rng.choice(nodes), rng.choice(nodes))
+                 for i in range(rng.randint(0, 12))]
+        closing = cycle_edges(edges)
+        assert closing == _closing_edges(edges), seed
+        loops += any(a == b for _, a, b in edges)
+        pairs = [frozenset((a, b)) for _, a, b in edges]
+        parallels += len(set(pairs)) < len(pairs)
+        forests += not closing
+    assert min(loops, parallels, forests, 300 - forests) > 20, (
+        loops, parallels, forests)

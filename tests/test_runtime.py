@@ -837,6 +837,13 @@ def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
     assert console.ends[1].owner is None and console.ends[1].closed
 
 
+# A process of two input channels for a run to call or use.
+_F_TAKES_TWO = ("proc f =\n"
+                "    | a, b => -> do\n"
+                "        close a\n"
+                "        close b\n\n")
+
+
 @pytest.mark.parametrize("invoke, kind", [
     ("f( | console, phantom => )", "call"),
     ("use(store(f))( | console, phantom => )", "use"),
@@ -844,13 +851,23 @@ def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
 ], ids=["call", "use", "call-first-of-two"])
 def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
     # The fault names the first argument the process does not hold.
-    src = ("proc f =\n"
-           "    | a, b => -> do\n"
-           "        close a\n"
-           "        close b\n\n"
-           + _TWO_STEPS_THEN + f"        {invoke}\n")
+    src = _F_TAKES_TWO + _TWO_STEPS_THEN + f"        {invoke}\n"
     assert _unchecked_fault(src) == (
         f"IllegalCommand: {kind} passes unknown channel 'phantom'", 2)
+
+
+@pytest.mark.parametrize("invoke, fault", [
+    ("ghost( | console => )", "call to unknown process 'ghost'"),
+    ("f( | console => )", "call to 'f' with mismatched argument counts"),
+    ("f(1 | console, x => )", "call to 'f' with mismatched argument counts"),
+    ("use(store(f))( | console => )",
+     "use of 'f' with mismatched argument counts"),
+    ("use(3)( | console => )", "use of a non-process value 3"),
+], ids=["unknown-process", "call-channels", "call-values", "use-channels",
+        "use-non-process"])
+def test_unchecked_invocation_faults(invoke, fault):
+    src = _F_TAKES_TWO + _TWO_STEPS_THEN + f"        {invoke}\n"
+    assert _unchecked_fault(src) == (f"IllegalCommand: {fault}", 2)
 
 
 @pytest.mark.parametrize("asked", ["a", "b"])
