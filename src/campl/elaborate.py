@@ -2,11 +2,12 @@
 the runtime.
 
 `on ch do` blocks elaborate into the same commands with the channel
-argument filled in; `free_chans` computes which channel names a command
-sequence uses from its environment, accounting for the binders introduced
-by fork, split, and neg and the channels a plug joins.  Shared too are
-`share_out`, the rule for which plug branch or fork arm uses each name,
-and `cycle_edges`, the forest test of plugs and of the running network.
+argument filled in; `ExecProgram.free_chans` computes which channel names
+a command sequence uses from its environment, accounting for the binders
+introduced by fork, split, and neg and the channels a plug joins.  Shared
+too are `share_out`, the rule for which plug branch or fork arm uses each
+name, and `cycle_edges`, the forest test of plugs and of the running
+network.
 
 `prepare` is the only walk over the process bodies before checking: as it
 desugars a process it records the processes that process calls or stores
@@ -106,8 +107,9 @@ class ExecProgram:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def free_chans(self, body: Body) -> frozenset[str]:
-        """`free_chans(body)`, computed once per body of this program;
-        nested bodies come from the memo too."""
+        """The channel names `body` uses from its environment
+        (`_free_body`), computed once per body of this program; nested
+        bodies come from the memo too."""
         entry = self._free.get(id(body))
         if entry is None:
             entry = self._free[id(body)] = (
@@ -122,15 +124,6 @@ def prepare(src: SourceProgram) -> ExecProgram:
         procs[name] = walk.proc(d)
         refs[name] = walk.refs
     return ExecProgram(procs, refs)
-
-
-def free_chans(body: Body) -> frozenset[str]:
-    """Channel names a (desugared) command sequence uses from its
-    environment.  Names bound later in the sequence by split/neg binders
-    do not count; fork arm binders are local to their arm, and a plug
-    binds each name free in exactly two of its branches.  The reference
-    for `ExecProgram.free_chans`."""
-    return _free_body(body, free_chans)
 
 
 def share_out(frees: Iterable[frozenset[str]]) -> dict[str, list[int]]:
@@ -171,7 +164,11 @@ def cycle_edges(edges: Iterable[tuple]) -> list:
 
 def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
                ) -> frozenset[str]:
-    """`free_chans(body)`, with each nested body's set from `sub`."""
+    """Channel names a (desugared) command sequence uses from its
+    environment, with each nested body's set from `sub`.  Names bound
+    later in the sequence by split/neg binders do not count; fork arm
+    binders are local to their arm, and a plug binds each name free in
+    exactly two of its branches."""
     acc: set[str] = set()
     for cmd in reversed(body):
         if isinstance(cmd, (PutVal, GetVal, HPut, Close, Halt)):

@@ -620,19 +620,11 @@ Body = tuple[Command, ...]
 # command traversal: the one place that knows which commands nest bodies and
 # hold expressions.
 
-def sub_bodies(cmd) -> tuple[Body, ...]:
-    """The command sequences nested directly inside `cmd`, in order: the
-    ones `map_command` visits."""
-    bodies: list[Body] = []
-    map_command(cmd, lambda b: bodies.append(b) or b, lambda e: e)
-    return tuple(bodies)
-
-
 def map_command(cmd, body, expr):
-    """`cmd` rebuilt with `body` applied to each of its `sub_bodies` and
-    `expr` to each expression it holds, in source order.  `cmd` itself
-    when every part comes back unchanged (`is`), as commands with neither
-    always do."""
+    """`cmd` rebuilt with `body` applied to each command sequence nested
+    directly inside it and `expr` to each expression it holds, in source
+    order.  `cmd` itself when every part comes back unchanged (`is`), as
+    commands with neither always do."""
     k = type(cmd)
     if k is PutVal:
         e = expr(cmd.expr)

@@ -134,7 +134,6 @@ class BootError(Exception):
 
 class HandOff(NamedTuple):
     """How a plug or fork replaces its process by children."""
-    node: Plug | Fork
     joins: tuple            # (name, branch, branch) per plugged name, sorted
     payload: str | None     # the PLUG event's payload; a fork's, with a %d
                             # for each new channel's id
@@ -144,20 +143,19 @@ class HandOff(NamedTuple):
 
 class Invocation(NamedTuple):
     """How a call or use binds its arguments to `proc`'s parameters."""
-    node: Call | Use
     proc: ProcDef
     seq_pairs: tuple        # (parameter, argument expression)
     chan_pairs: tuple       # (parameter, argument channel name)
 
 
-def _hand_off_plan(node, held: dict, children: list, users: dict,
-                   joins: tuple, payload: str | None) -> HandOff:
+def _hand_off_plan(held: dict, children: list, users: dict, joins: tuple,
+                   payload: str | None) -> HandOff:
     """`children` as (name suffix, body): each held name goes to the first
     child that uses it, by `users` (`share_out`); the rest are released."""
     inherits: list[list[str]] = [[] for _ in children]
     for name in sorted(held.keys() & users.keys()):
         inherits[users[name][0]].append(name)
-    return HandOff(node, joins, payload, tuple(
+    return HandOff(joins, payload, tuple(
         (*child, tuple(names)) for child, names in zip(children, inherits)),
         tuple(sorted(held.keys() - users.keys())))
 
@@ -171,13 +169,13 @@ def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
             raise MachineFault("IllegalCommand", f"plug channel {name!r} "
                                f"must join exactly two branches")
     return _hand_off_plan(
-        cmd, held, [(f"/{i}", body) for i, body in enumerate(cmd.branches)],
+        held, [(f"/{i}", body) for i, body in enumerate(cmd.branches)],
         users, joins, ",".join(join[0] for join in joins) or None)
 
 
 def _fork_plan(program: ExecProgram, cmd: Fork, held: dict) -> HandOff:
     return _hand_off_plan(
-        cmd, held, [(f".{arm.name}", arm.body) for arm in cmd.arms],
+        held, [(f".{arm.name}", arm.body) for arm in cmd.arms],
         share_out(program.free_chans(arm.body) - {arm.name}
                   for arm in cmd.arms), (),
         ",".join(f"{arm.name}#%d" for arm in cmd.arms))
@@ -197,54 +195,47 @@ def _invocation(program: ExecProgram, cmd: Call | Use,
         raise MachineFault("IllegalCommand",
                            f"{target} {proc.name!r} with mismatched "
                            f"argument counts")
-    return Invocation(cmd, proc, tuple(zip(proc.seq_params, cmd.seq_args)),
+    return Invocation(proc, tuple(zip(proc.seq_params, cmd.seq_args)),
                       tuple(zip(proc.chan_params, cmd.chan_args)))
 
 
 # ---------------------------------------------------------------------------
 # the Console service
 
-_IDLE = "idle"
-_AWAIT_VAL = "await-val"
-_CLOSING = "closing"
-
-
 class ConsoleEndpoint:
     """State machine for one Console channel's service end.
 
     Driven by the machine with the messages that arrive in the service
-    end's inbox; replies are returned to be sent the other way.
+    end's inbox; replies are returned to be sent the other way.  `phase`
+    is the handle whose follow-up message is due (CONSOLE_PUT's string or
+    CONSOLE_CLOSE's close), or None.
     """
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self.phase = _IDLE
+        self.phase = None
         self.closed = False
         self._cursor = 0
 
     def handle(self, msg) -> object | None:
-        if self.phase == _AWAIT_VAL:
+        if self.phase == CONSOLE_PUT:
             if isinstance(msg, ValMsg) and isinstance(msg.value, StringLit):
                 self._emit(msg.value.value)
-                self.phase = _IDLE
+                self.phase = None
                 return None
             raise MachineFault("IllegalCommand",
                                "console expected a string after ConsolePut")
-        if self.phase == _CLOSING:
+        if self.phase == CONSOLE_CLOSE:
             if isinstance(msg, CloseMsg):
                 self.closed = True
                 return None
             raise MachineFault("IllegalCommand",
                                "console expected close after ConsoleClose")
-        # idle
         if isinstance(msg, HandleMsg):
-            if msg.handle == CONSOLE_PUT:
-                self.phase = _AWAIT_VAL
-                return None
             if msg.handle == CONSOLE_GET:
                 return ValMsg(StringLit(self._read_line()))
-            if msg.handle == CONSOLE_CLOSE:
-                self.phase = _CLOSING
+            if msg.handle in (CONSOLE_PUT, CONSOLE_CLOSE):
+                self.phase = msg.handle
                 return None
             raise MachineFault("IllegalCommand",
                                f"console got unknown handle {msg.handle}")
@@ -282,19 +273,18 @@ class ConsoleEndpoint:
 @dataclass(eq=False, slots=True)
 class EndState:
     """One end of a channel, and what a process binds a name to.  `cid`
-    and `index` say where it sits now: a |=| that moves it into the fused
-    channel re-points them, so every holder follows.  `owner` is the pid
-    holding it; the ConsoleEndpoint serving it; None; or, for an end a
-    fork created and no split has claimed yet, the carrier channel's
-    EndState whose holder will claim it.  `links` holds the ends a fork
-    left pending whose claim passes through this one, directly or through
-    ends a |=| redirected to it; some may have been claimed since.
-    `inbox` holds the messages sent to this end, oldest first."""
+    is the channel it sits in now and `peer` the channel's other end, to
+    whose inbox it sends: a |=| that moves it into the fused channel
+    re-points both, so every holder follows.  `owner` is the pid holding
+    it; the ConsoleEndpoint serving it; None; or, for an end a fork
+    created and no split has claimed yet, the carrier channel's EndState
+    whose holder will claim it.  `inbox` holds the messages sent to this
+    end, oldest first; a fork's `RewireMsg` there carries the ends left
+    pending through it."""
     cid: int
-    index: int
     owner: object = None
     closed: bool = False
-    links: tuple = field(default=(), repr=False)
+    peer: EndState | None = field(default=None, repr=False)
     inbox: deque = field(default_factory=deque, repr=False)
 
 
@@ -397,8 +387,8 @@ class Machine:
                  checked: bool = True):
         self.program = program
         self.checked = checked
-        # Plug, fork and call plans by id(node); each holds its node, so
-        # no keyed id is reused.
+        # Plug, fork and call plans by id(node); `program` holds every node
+        # a key names, so no keyed id is reused.
         self.plans: dict = {}
         self.rng = random.Random(seed)
         self.config = services if services is not None else ServiceConfig()
@@ -429,10 +419,9 @@ class Machine:
     def _new_channel(self, label: str) -> ChannelState:
         cid = self._next_cid
         self._next_cid += 1
-        ch = ChannelState(cid, label, [
-            EndState(cid, 0, None, False, (), deque()),
-            EndState(cid, 1, None, False, (), deque())])
-        self.channels[cid] = ch
+        a = EndState(cid, None, False, None, deque())
+        b = a.peer = EndState(cid, None, False, a, deque())
+        ch = self.channels[cid] = ChannelState(cid, label, [a, b])
         self._added.append(cid)
         return ch
 
@@ -586,7 +575,7 @@ class Machine:
     # -- invariants ---------------------------------------------------------
 
     def resolve_owner(self, owner):
-        """Follow a pending end's links to the pid or service that will
+        """Follow a pending end's owners to the pid or service that will
         claim it.  An acyclic chain visits each EndState at most once, so
         a longer one is a cycle (faulty unchecked programs only)."""
         hops = 0
@@ -626,7 +615,8 @@ class Machine:
         new cycle must therefore close among the channels the step created.
         An end loses its owner only through an end the step released or
         redirected (a fork whose carrier's far end has no owner releases the
-        carrier's last end), and such ends keep their pending ends in `links`.
+        carrier's last end), and the fork messages in such an end's inbox
+        carry the ends pending through it.
         When a local check flags anything, the full check decides and builds
         the fault.  Most steps record nothing, and then the check returns at
         once.  An unchecked machine makes the full check every time.
@@ -644,8 +634,8 @@ class Machine:
     def _step_checks_pass(self) -> bool:
         resolve = self.resolve_owner
         for e in self._released:
-            for pend in e.links:
-                if resolve(pend) is None:
+            for msg in e.inbox:
+                if type(msg) is RewireMsg and None in map(resolve, msg.ends):
                     return False
         if len(self._added) > 2:
             return not self.check_topology(self._added)
@@ -697,10 +687,9 @@ class Machine:
     def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> tuple:
         value = self._eval(p, cmd.expr)
         e = p.chan_env.get(cmd.chan)
-        ch = None if e is None else self.channels.get(e.cid)
-        if ch is None:
+        if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
-        ch.ends[1 - e.index].inbox.append(ValMsg(value))
+        e.peer.inbox.append(ValMsg(value))
         row = (p.pid, "PUT", cmd.chan, e.cid, render(value))
         self._advance(p)
         return row
@@ -714,10 +703,9 @@ class Machine:
 
     def _exec_hput(self, p: ProcessInstance, cmd: HPut) -> tuple:
         e = p.chan_env.get(cmd.chan)
-        ch = None if e is None else self.channels.get(e.cid)
-        if ch is None:
+        if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
-        ch.ends[1 - e.index].inbox.append(HandleMsg(cmd.handle))
+        e.peer.inbox.append(HandleMsg(cmd.handle))
         row = (p.pid, "HPUT", cmd.chan, e.cid, cmd.handle)
         self._advance(p)
         return row
@@ -810,7 +798,7 @@ class Machine:
         if ch is None:
             self._binding(p, chan)
         del p.chan_env[chan]
-        ch.ends[1 - e.index].inbox.append(_CLOSE)
+        e.peer.inbox.append(_CLOSE)
         e.closed = True
         self._reap(ch)
         return e
@@ -880,8 +868,7 @@ class Machine:
 
     def _exec_fork(self, p: ProcessInstance, cmd: Fork) -> tuple:
         e = p.chan_env.get(cmd.chan)
-        ch = None if e is None else self.channels.get(e.cid)
-        if ch is None:
+        if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
         del p.chan_env[cmd.chan]
         plan = (self.plans.get(id(cmd))
@@ -891,11 +878,9 @@ class Machine:
         # the carrier's far end, whose holder may change meanwhile.
         left, right = cmd.arms
         lch, rch = self._new_channel(left.name), self._new_channel(right.name)
-        far = ch.ends[1 - e.index]
         pending = lch.ends[1], rch.ends[1]
-        pending[0].owner = pending[1].owner = far
-        far.links += pending
-        far.inbox.append(RewireMsg(lch.cid, pending))
+        pending[0].owner = pending[1].owner = e.peer
+        e.peer.inbox.append(RewireMsg(lch.cid, pending))
         row = (p.pid, "FORK", cmd.chan, e.cid,
                plan.payload % (lch.cid, rch.cid))
         self._release(e)
@@ -960,22 +945,22 @@ class Machine:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
         lch, rch = self.channels[left.cid], self.channels[right.cid]
         fused = self._new_channel(f"{lch.label}|=|{rch.label}")
-        fused.ends[:] = lch.ends[1 - left.index], rch.ends[1 - right.index]
-        # The peers' ends move into the fused channel, and whoever holds or
-        # will claim them follows.  Right first: an end that is both
-        # (a |=| a) stays at index 0.
-        for index in (1, 0):
-            fused.ends[index].cid, fused.ends[index].index = fused.cid, index
+        # The peers' ends move into the fused channel, facing each other,
+        # and whoever holds or will claim them follows.  An end that is
+        # both (a |=| a) becomes its own peer.
+        a, b = fused.ends[:] = left.peer, right.peer
+        a.cid = b.cid = fused.cid
+        a.peer, b.peer = b, a
         # A pending end this process would have claimed goes to the
         # opposite peer, which now receives what was sent this way.
-        for moved, to in ((left, fused.ends[1]), (right, fused.ends[0])):
+        for moved, to in ((left, b), (right, a)):
             moved.owner = to
-            to.links += moved.links
             self._released.append(moved)
         # Each peer keeps what this process already sent it, then receives
-        # what the other peer had in flight toward this process.
-        fused.ends[1].inbox.extend(left.inbox)
-        fused.ends[0].inbox.extend(right.inbox)
+        # what the other peer had in flight toward this process.  The
+        # fork messages among them carry the pending ends just redirected.
+        b.inbox.extend(left.inbox)
+        a.inbox.extend(right.inbox)
         for old in (lch, rch):
             self.channels.pop(old.cid, None)
         row = (p.pid, "LINK", cmd.left, lch.cid, f"{cmd.right}->#{fused.cid}")
@@ -991,11 +976,10 @@ class Machine:
             ch = self.channels.get(service.cid)
             if ch is None:
                 continue
-            peer = ch.ends[1 - service.index]
             while service.inbox:
                 reply = endpoint.handle(service.inbox.popleft())
                 if reply is not None:
-                    peer.inbox.append(reply)
+                    service.peer.inbox.append(reply)
                 if endpoint.closed:
                     service.closed = True
                     self._reap(ch)

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from campl.elaborate import _free_body
+from campl.model import map_command
 from campl.runtime import (
     DEFAULT_MAX_STEPS, Machine, MachineFault, Outcome, OutcomeKind,
 )
@@ -32,6 +34,21 @@ def line_drops(text: str):
             yield i + 1, "".join(lines[:i] + lines[i + 1:])
 
 
+def free_chans(body) -> frozenset[str]:
+    """Channel names a (desugared) command sequence uses from its
+    environment, every nested body's set computed afresh: the reference
+    for the memo `ExecProgram.free_chans`."""
+    return _free_body(body, free_chans)
+
+
+def sub_bodies(cmd) -> tuple:
+    """The command sequences nested directly inside `cmd`, in order: the
+    ones `map_command` visits."""
+    bodies: list = []
+    map_command(cmd, lambda b: bodies.append(b) or b, lambda e: e)
+    return tuple(bodies)
+
+
 @functools.cache
 def load_perfbench(name: str):
     """Load `perfbench/<name>.py` by path; `perfbench` is not a package."""
@@ -43,22 +60,29 @@ def load_perfbench(name: str):
     return module
 
 
+def seated(machine, e) -> bool:
+    """`e` is one end of the channel its `cid` names and its `peer` is the
+    other one, which faces it back; an end that fills both places (after
+    an unchecked `x |=| x`) is its own peer."""
+    ends = tuple(machine.channels[e.cid].ends)
+    return ends in ((e, e.peer), (e.peer, e)) and e.peer.peer is e
+
+
 def assert_ownership_agrees(machine) -> None:
     """Every end a live process binds sits where it says in the channel
-    table, is owned by that process and is bound by no other process, and
-    every end of a live channel resolves to a live process or a service
-    (any owner that is not a pid)."""
+    table, facing its peer, is owned by that process and is bound by no
+    other process, and every end of a live channel resolves to a live
+    process or a service (any owner that is not a pid)."""
     holder: dict = {}
     for pid, p in machine.processes.items():
         for name, e in p.chan_env.items():
             assert holder.setdefault(e, pid) == pid, \
-                f"#{e.cid}.{e.index} is bound by pids {holder[e]} and {pid}"
-            assert machine.channels[e.cid].ends[e.index] is e, \
-                f"pid {pid} binds {name!r} to an end not at #{e.cid}." \
-                f"{e.index}"
+                f"an end of #{e.cid} is bound by pids {holder[e]} and {pid}"
+            assert seated(machine, e), \
+                f"pid {pid} binds {name!r} to an end not seated in #{e.cid}"
             assert e.owner == pid, \
-                f"pid {pid} binds {name!r} to #{e.cid}.{e.index}, which " \
-                f"it does not own"
+                f"pid {pid} binds {name!r} to an end of #{e.cid}, which it " \
+                f"does not own"
     for cid, ch in machine.channels.items():
         for end, e in enumerate(ch.ends):
             owner = machine.resolve_owner(e.owner)
@@ -94,8 +118,8 @@ def assert_schedule_agrees(machine):
     for e, endpoint in machine.services.items():
         ch = machine.channels.get(e.cid)
         if ch is not None:
-            assert ch.ends[e.index] is e and e.owner is endpoint, \
-                f"service end #{e.cid}.{e.index} is lost"
+            assert seated(machine, e) and e.owner is endpoint, \
+                f"a service end of #{e.cid} is lost"
     p = machine.pick()
     expected = next((machine.processes[pid] for pid in sorted(
         machine.processes) if machine.enabled(machine.processes[pid])), None)

@@ -505,12 +505,13 @@ def test_the_resolver_walks_no_body_without_an_inline_process(monkeypatch):
     hold types, never a command, and walks no body; since it resolves an
     inline stored process's signature in place, not even with one."""
     walked = []
-    for fname in ("map_command", "sub_bodies"):
-        def counting(cmd, *args, _real=getattr(model, fname)):
-            walked.append(cmd)
-            return _real(cmd, *args)
-        monkeypatch.setattr(model, fname, counting)
-        monkeypatch.setattr(parser, fname, counting, raising=False)
+    real_map = model.map_command
+
+    def counting(cmd, *args):
+        walked.append(cmd)
+        return real_map(cmd, *args)
+    monkeypatch.setattr(model, "map_command", counting)
+    monkeypatch.setattr(parser, "map_command", counting, raising=False)
     handed = []
     real_init = parser._Resolver.__init__
 

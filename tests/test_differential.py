@@ -33,9 +33,9 @@ from campl.checker import check_program
 from campl.diagnostics import (
     LEX_ERROR, PARSE_ERROR, CheckFailure, Diagnostic, ParseFailure, sort_key,
 )
-from campl.model import OnDo, ProcDef, sub_bodies
+from campl.model import OnDo, ProcDef
 from campl.printer import roundtrip_print
-from conftest import CORPUS, line_drops
+from conftest import CORPUS, line_drops, sub_bodies
 from genprog import gen_program
 from test_descent import BARE
 from test_goldens import FAULTS, LINKS, MESSAGES, PERFBENCH

@@ -6,14 +6,14 @@ import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
-from campl.elaborate import ExecProgram, cycle_edges, free_chans, prepare
+from campl.elaborate import ExecProgram, cycle_edges, prepare
 from campl.model import (
     WITH_CHAN, Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm,
     HPut, IntLit, Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm,
-    Split, SourceProgram, StoreOf, StringLit, sub_bodies,
+    Split, SourceProgram, StoreOf, StringLit,
 )
 from campl.parser import parse_source
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, corpus_text, free_chans, sub_bodies
 from genprog import gen_program
 from test_goldens import FAULTS, LINKS, MESSAGES
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from campl.model import sub_bodies
+from conftest import sub_bodies
 from genprog import gen_program, with_forwarder
 
 SEEDS = range(300)

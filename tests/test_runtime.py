@@ -164,10 +164,23 @@ def test_step_limit_outcome():
 # topology monitor
 
 def _wire(machine, cid, a, b):
-    ch = ChannelState(cid, f"c{cid}", [EndState(cid, 0, a),
-                                       EndState(cid, 1, b)])
+    ends = EndState(cid, a), EndState(cid, b)
+    ends[0].peer, ends[1].peer = ends[1], ends[0]
+    ch = ChannelState(cid, f"c{cid}", list(ends))
     machine.channels[cid] = ch
     return ch
+
+
+def test_resolve_owner_gives_up_on_a_cycle_of_ends():
+    # Two pending ends that each wait to be claimed through the other
+    # (faulty unchecked programs only) resolve to no one; a chain that
+    # ends resolves to its last owner.
+    m = Machine(prepare(parse_source("")), 0)
+    a, b = m._new_channel("a").ends[0], m._new_channel("b").ends[0]
+    a.owner, b.owner = b, a
+    assert m.resolve_owner(a) is None and m.resolve_owner(b) is None
+    b.owner = 7
+    assert m.resolve_owner(a) == 7
 
 
 def test_topology_two_nodes_one_edge():
@@ -854,6 +867,16 @@ def test_unchecked_invocation_of_an_unheld_channel(invoke, kind):
     src = _F_TAKES_TWO + _TWO_STEPS_THEN + f"        {invoke}\n"
     assert _unchecked_fault(src) == (
         f"IllegalCommand: {kind} passes unknown channel 'phantom'", 2)
+
+
+@pytest.mark.parametrize("command", [
+    "close ghost", "halt ghost",
+    "fork ghost as\n            l -> halt l\n            r -> halt r",
+], ids=["close", "halt", "fork"])
+def test_unchecked_end_command_on_an_unheld_channel(command):
+    src = _TWO_STEPS_THEN + f"        {command}\n"
+    assert _unchecked_fault(src) == (
+        "IllegalCommand: process 0 does not hold channel 'ghost'", 2)
 
 
 @pytest.mark.parametrize("invoke, fault", [

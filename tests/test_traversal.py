@@ -1,10 +1,11 @@
 """Guards for the traversal helpers in `campl.model`.
 
-Every pass over command bodies or types recurses through `sub_bodies` /
-`map_command` and `type_parts` / `map_type`.  These tests build one instance
-of every command and type constructor from its dataclass fields, so a new
-constructor the helpers do not know about fails here rather than being
-silently skipped by the checker or the resolver.
+Every pass over command bodies or types recurses through `map_command`
+(whose nested bodies `conftest.sub_bodies` lists) and `type_parts` /
+`map_type`.  These tests build one instance of every command and type
+constructor from its dataclass fields, so a new constructor the helpers do
+not know about fails here rather than being silently skipped by the
+checker or the resolver.
 """
 
 import itertools
@@ -20,10 +21,11 @@ from campl.checker import check_program
 from campl.elaborate import prepare
 from campl.model import (
     ChanType, Command, IntLit, NegT, ProcSignature, SeqType, SeqVar,
-    StateVar, map_command, map_type, sub_bodies, type_parts,
+    StateVar, map_command, map_type, type_parts,
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
+from conftest import sub_bodies
 from test_model import chan_types
 
 COMMANDS = get_args(Command)
