@@ -1,14 +1,15 @@
 """Deterministic cooperative machine for checked (or deliberately
 unchecked) programs.
 
-Processes are command-sequence continuations over a table of two-ended
-channels; each end holds a FIFO inbox of the messages sent to it.  Values
-are the program's own literal nodes and stored processes.  One command of
-one process runs per step, through a table of handlers keyed by command
-class; among the processes whose next command can make progress, the
-smallest pid goes first.  A step runs the Console service drain only when
-a service end holds mail.  Races are the only consumers of the seeded RNG,
-so a (program, seed, input script) triple fixes the whole trace.
+Processes are command-sequence continuations over channels, each a pair
+of ends that name each other as peers; each end holds a FIFO inbox of the
+messages sent to it.  Values are the program's own literal nodes and
+stored processes.  One command of one process runs per step, through a
+table of handlers keyed by command class; among the processes whose next
+command can make progress, the smallest pid goes first.  A step runs the
+Console service drain only when a service end holds mail.  Races are the
+only consumers of the seeded RNG, so a (program, seed, input script)
+triple fixes the whole trace.
 
 `run_to_completion` runs one loop iteration per step.  It writes out in
 line what `assert_invariants`, `pick` and `step` do, and calls out only for
@@ -273,30 +274,21 @@ class ConsoleEndpoint:
 @dataclass(eq=False, slots=True)
 class EndState:
     """One end of a channel, and what a process binds a name to.  `cid`
-    is the channel it sits in now and `peer` the channel's other end, to
-    whose inbox it sends: a |=| that moves it into the fused channel
-    re-points both, so every holder follows.  `owner` is the pid holding
-    it; the ConsoleEndpoint serving it; None; or, for an end a fork
-    created and no split has claimed yet, the carrier channel's EndState
-    whose holder will claim it.  `inbox` holds the messages sent to this
-    end, oldest first; a fork's `RewireMsg` there carries the ends left
-    pending through it."""
+    and `label` are the id and label of the channel it sits in now, and
+    `peer` the channel's other end, to whose inbox it sends: a |=| that
+    moves it into the fused channel re-points all three, so every holder
+    follows.  The channel is live while neither end is closed.  `owner` is
+    the pid holding it; the ConsoleEndpoint serving it; None; or, for an
+    end a fork created and no split has claimed yet, the carrier channel's
+    EndState whose holder will claim it.  `inbox` holds the messages sent
+    to this end, oldest first; a fork's `RewireMsg` there carries the ends
+    left pending through it."""
     cid: int
+    label: str
     owner: object = None
     closed: bool = False
     peer: EndState | None = field(default=None, repr=False)
     inbox: deque = field(default_factory=deque, repr=False)
-
-
-@dataclass(slots=True)
-class ChannelState:
-    cid: int
-    label: str
-    ends: list[EndState]
-
-    @property
-    def live(self) -> bool:
-        return not (self.ends[0].closed or self.ends[1].closed)
 
 
 @dataclass(slots=True)
@@ -394,13 +386,13 @@ class Machine:
         self.config = services if services is not None else ServiceConfig()
         self.trace_hook = trace_hook
         self.processes: dict[int, ProcessInstance] = {}
-        # Processes bind names to the EndStates in these channels' `ends`,
-        # which a |=| re-points when it moves them.
-        self.channels: dict[int, ChannelState] = {}
-        # The end each service holds (keyed by identity) with its endpoint,
-        # in boot order.  A |=| moves an end into the fused channel and
-        # re-points its `cid`, so the table is never re-keyed.
-        self.services: dict[EndState, ConsoleEndpoint] = {}
+        # Each channel's first end by its id: end 0 of a new channel, or
+        # the left peer a |=| moved in.  Processes bind names to ends, which
+        # a |=| re-points when it moves them.
+        self.channels: dict[int, EndState] = {}
+        # The end each service holds, in boot order; its `owner` is the
+        # ConsoleEndpoint, which nothing rewrites while the channel lives.
+        self.services: list[EndState] = []
         self.steps = 0
         # One row per step, as the handlers return them; `trace` reads
         # them as events.
@@ -416,14 +408,14 @@ class Machine:
 
     # -- construction -----------------------------------------------------
 
-    def _new_channel(self, label: str) -> ChannelState:
+    def _new_channel(self, label: str) -> tuple[EndState, EndState]:
         cid = self._next_cid
         self._next_cid += 1
-        a = EndState(cid, None, False, None, deque())
-        b = a.peer = EndState(cid, None, False, a, deque())
-        ch = self.channels[cid] = ChannelState(cid, label, [a, b])
+        a = self.channels[cid] = EndState(cid, label, None, False, None,
+                                          deque())
+        b = a.peer = EndState(cid, label, None, False, a, deque())
         self._added.append(cid)
-        return ch
+        return a, b
 
     def boot(self) -> "Machine":
         run = self.program.procs.get("run")
@@ -439,11 +431,11 @@ class Machine:
         chan_env: dict[str, EndState] = {}
         proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
         for name in run.in_params:
-            ch = self._new_channel(name)
-            ch.ends[0].owner = self.services[ch.ends[0]] = \
-                ConsoleEndpoint(self.config)
-            ch.ends[1].owner = pid
-            chan_env[name] = ch.ends[1]
+            service, e = self._new_channel(name)
+            service.owner = ConsoleEndpoint(self.config)
+            self.services.append(service)
+            e.owner = pid
+            chan_env[name] = e
         self.processes[pid] = proc
         return self
 
@@ -593,10 +585,10 @@ class Machine:
         resolve = self.resolve_owner
         edges = []
         for cid in sorted(self.channels) if cids is None else cids:
-            ch = self.channels.get(cid)
-            if ch is None or not ch.live:
+            e = self.channels.get(cid)
+            if e is None or e.closed or e.peer.closed:
                 continue
-            a, b = resolve(ch.ends[0].owner), resolve(ch.ends[1].owner)
+            a, b = resolve(e.owner), resolve(e.peer.owner)
             if a is not None and b is not None:
                 edges.append((cid, a, b))
         return cycle_edges(edges)
@@ -643,14 +635,11 @@ class Machine:
         # channels between the same pair of owners.
         edges = []
         for cid in self._added:
-            ch = self.channels.get(cid)
-            if ch is None:
+            e = self.channels.get(cid)
+            if e is None or e.closed or e.peer.closed:
                 continue
-            e0, e1 = ch.ends
-            if e0.closed or e1.closed:
-                continue
-            a = resolve(e0.owner)
-            b = resolve(e1.owner)
+            a = resolve(e.owner)
+            b = resolve(e.peer.owner)
             if a is None or b is None:
                 continue
             if a == b or (a, b) in edges or (b, a) in edges:
@@ -668,14 +657,16 @@ class Machine:
                 "CycleFound",
                 f"process network contains a cycle through channel(s) "
                 f"{', '.join(str(c) for c in bad)}")
-        for cid, ch in self.channels.items():
-            for e in ch.ends:
-                owner = self.resolve_owner(e.owner)
-                if ch.live and (owner is None or (
-                        type(owner) is int and owner not in self.processes)):
+        for cid, e in self.channels.items():
+            if e.closed or e.peer.closed:
+                continue
+            for end in (e, e.peer):
+                owner = self.resolve_owner(end.owner)
+                if owner is None or (
+                        type(owner) is int and owner not in self.processes):
                     raise MachineFault(
                         "Conservation",
-                        f"live channel {ch.label}#{cid} has an unowned end")
+                        f"live channel {e.label}#{cid} has an unowned end")
 
     # -- command execution ---------------------------------------------------
 
@@ -794,31 +785,30 @@ class Machine:
 
     def _close_end(self, p: ProcessInstance, chan: str) -> EndState:
         e = p.chan_env.get(chan)
-        ch = None if e is None else self.channels.get(e.cid)
-        if ch is None:
+        if e is None or e.cid not in self.channels:
             self._binding(p, chan)
         del p.chan_env[chan]
         e.peer.inbox.append(_CLOSE)
         e.closed = True
-        self._reap(ch)
+        self._reap(e)
         return e
 
     def _release(self, e: EndState) -> None:
         """Close and disown one end, if its channel is still there."""
-        ch = self.channels.get(e.cid)
-        if ch is not None:
+        if e.cid in self.channels:
             e.owner = None
             e.closed = True
             self._released.append(e)
-            self._reap(ch)
+            self._reap(e)
 
-    def _reap(self, ch: ChannelState) -> None:
-        if ch.ends[0].closed and ch.ends[1].closed:
-            self.channels.pop(ch.cid, None)
+    def _reap(self, e: EndState) -> None:
+        """Drop `e`'s channel once both its ends are closed."""
+        if e.closed and e.peer.closed:
+            self.channels.pop(e.cid, None)
             # pending ends that would be claimed through these now resolve
             # to no one
-            ch.ends[0].owner = ch.ends[1].owner = None
-            self._released += ch.ends
+            e.owner = e.peer.owner = None
+            self._released += e, e.peer
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, (IntLit, CharLit, StringLit, BoolLit)):
@@ -877,15 +867,14 @@ class Machine:
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
         left, right = cmd.arms
-        lch, rch = self._new_channel(left.name), self._new_channel(right.name)
-        pending = lch.ends[1], rch.ends[1]
-        pending[0].owner = pending[1].owner = e.peer
-        e.peer.inbox.append(RewireMsg(lch.cid, pending))
+        l0, l1 = self._new_channel(left.name)
+        r0, r1 = self._new_channel(right.name)
+        l1.owner = r1.owner = e.peer
+        e.peer.inbox.append(RewireMsg(l0.cid, (l1, r1)))
         row = (p.pid, "FORK", cmd.chan, e.cid,
-               plan.payload % (lch.cid, rch.cid))
+               plan.payload % (l0.cid, r0.cid))
         self._release(e)
-        self._hand_off(p, plan, [{left.name: lch.ends[0]},
-                                 {right.name: rch.ends[0]}])
+        self._hand_off(p, plan, [{left.name: l0}, {right.name: r0}])
         return row
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> tuple:
@@ -904,7 +893,7 @@ class Machine:
                 or self._plan(id(cmd), _plug_plan, cmd, p.chan_env))
         envs: list[dict] = [{} for _ in plan.children]
         for name, i, j in plan.joins:
-            envs[i][name], envs[j][name] = self._new_channel(name).ends
+            envs[i][name], envs[j][name] = self._new_channel(name)
         row = (p.pid, "PLUG", None, None, plan.payload)
         self._hand_off(p, plan, envs)
         return row
@@ -943,14 +932,20 @@ class Machine:
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> tuple:
         left, right = self._binding(p, cmd.left), self._binding(p, cmd.right)
-        lch, rch = self.channels[left.cid], self.channels[right.cid]
-        fused = self._new_channel(f"{lch.label}|=|{rch.label}")
-        # The peers' ends move into the fused channel, facing each other,
-        # and whoever holds or will claim them follows.  An end that is
-        # both (a |=| a) becomes its own peer.
-        a, b = fused.ends[:] = left.peer, right.peer
-        a.cid = b.cid = fused.cid
+        cid = self._next_cid
+        self._next_cid += 1
+        row = (p.pid, "LINK", cmd.left, left.cid, f"{cmd.right}->#{cid}")
+        # The peers' ends move into the fused channel, a fresh id under
+        # both labels, facing each other, and whoever holds or will claim
+        # them follows.  An end that is both (a |=| a) becomes its own peer.
+        a, b = left.peer, right.peer
+        a.label = b.label = f"{left.label}|=|{right.label}"
+        for old in (left.cid, right.cid):
+            self.channels.pop(old, None)
+        a.cid = b.cid = cid
         a.peer, b.peer = b, a
+        self.channels[cid] = a
+        self._added.append(cid)
         # A pending end this process would have claimed goes to the
         # opposite peer, which now receives what was sent this way.
         for moved, to in ((left, b), (right, a)):
@@ -961,28 +956,24 @@ class Machine:
         # fork messages among them carry the pending ends just redirected.
         b.inbox.extend(left.inbox)
         a.inbox.extend(right.inbox)
-        for old in (lch, rch):
-            self.channels.pop(old.cid, None)
-        row = (p.pid, "LINK", cmd.left, lch.cid, f"{cmd.right}->#{fused.cid}")
         p.chan_env.clear()
         del self.processes[p.pid]
-        self._reap(fused)
+        self._reap(a)
         return row
 
     # -- services ------------------------------------------------------------
 
     def _drain_services(self) -> None:
-        for service, endpoint in self.services.items():
-            ch = self.channels.get(service.cid)
-            if ch is None:
+        for service in self.services:
+            if service.cid not in self.channels:
                 continue
             while service.inbox:
-                reply = endpoint.handle(service.inbox.popleft())
+                reply = service.owner.handle(service.inbox.popleft())
                 if reply is not None:
                     service.peer.inbox.append(reply)
-                if endpoint.closed:
+                if service.owner.closed:
                     service.closed = True
-                    self._reap(ch)
+                    self._reap(service)
                     break
 
 

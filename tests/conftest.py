@@ -8,7 +8,8 @@ import pytest
 from campl.elaborate import _free_body
 from campl.model import map_command
 from campl.runtime import (
-    DEFAULT_MAX_STEPS, Machine, MachineFault, Outcome, OutcomeKind,
+    DEFAULT_MAX_STEPS, ConsoleEndpoint, Machine, MachineFault, Outcome,
+    OutcomeKind,
 )
 from campl.services import ScriptExhausted
 
@@ -49,6 +50,11 @@ def sub_bodies(cmd) -> tuple:
     return tuple(bodies)
 
 
+def command_count(body) -> int:
+    """The command nodes in `body`, nested bodies included."""
+    return sum(1 + sum(map(command_count, sub_bodies(cmd))) for cmd in body)
+
+
 @functools.cache
 def load_perfbench(name: str):
     """Load `perfbench/<name>.py` by path; `perfbench` is not a package."""
@@ -61,11 +67,13 @@ def load_perfbench(name: str):
 
 
 def seated(machine, e) -> bool:
-    """`e` is one end of the channel its `cid` names and its `peer` is the
-    other one, which faces it back; an end that fills both places (after
-    an unchecked `x |=| x`) is its own peer."""
-    ends = tuple(machine.channels[e.cid].ends)
-    return ends in ((e, e.peer), (e.peer, e)) and e.peer.peer is e
+    """`e` is one end of the channel its `cid` names, whose table entry is
+    `e` or its `peer`; the peer sits in the same channel under the same
+    label and faces it back.  An end that fills both places (after an
+    unchecked `x |=| x`) is its own peer."""
+    peer = e.peer
+    return (machine.channels[e.cid] in (e, peer) and peer.cid == e.cid
+            and peer.label == e.label and peer.peer is e)
 
 
 def assert_ownership_agrees(machine) -> None:
@@ -83,10 +91,12 @@ def assert_ownership_agrees(machine) -> None:
             assert e.owner == pid, \
                 f"pid {pid} binds {name!r} to an end of #{e.cid}, which it " \
                 f"does not own"
-    for cid, ch in machine.channels.items():
-        for end, e in enumerate(ch.ends):
+    for cid, first in machine.channels.items():
+        if first.closed or first.peer.closed:
+            continue
+        for end, e in enumerate((first, first.peer)):
             owner = machine.resolve_owner(e.owner)
-            if ch.live and (owner is None or isinstance(owner, int)):
+            if owner is None or isinstance(owner, int):
                 assert owner in machine.processes, \
                     f"live #{cid}.{end} resolves to {owner!r}"
 
@@ -112,13 +122,12 @@ def assert_monitor_agrees(machine) -> None:
 
 def assert_schedule_agrees(machine):
     """The process table is in pid order, every service end still in a
-    channel sits there owned by its endpoint, and `pick` returns the first
-    enabled process in sorted pid order.  Returns that pick."""
+    channel sits there owned by its Console endpoint, and `pick` returns
+    the first enabled process in sorted pid order.  Returns that pick."""
     assert list(machine.processes) == sorted(machine.processes)
-    for e, endpoint in machine.services.items():
-        ch = machine.channels.get(e.cid)
-        if ch is not None:
-            assert seated(machine, e) and e.owner is endpoint, \
+    for e in machine.services:
+        if e.cid in machine.channels:
+            assert seated(machine, e) and type(e.owner) is ConsoleEndpoint, \
                 f"a service end of #{e.cid} is lost"
     p = machine.pick()
     expected = next((machine.processes[pid] for pid in sorted(

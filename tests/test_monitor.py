@@ -241,6 +241,22 @@ LEFT_UNDER_NO_NAME = {
                               "            halt\n"
                               "        on z do\n"
                               "            close\n"),
+    # The end `g` drops is one that `fwd`'s |=| moves, so the fault names
+    # the fused channel, which carries both labels.
+    "link-moves-a-dropped-end": ("proc f =\n"
+                                 "    | a => -> close a\n"
+                                 "\nproc g =\n"
+                                 "    | a, b => -> f( | a => )\n"
+                                 "\nproc fwd =\n"
+                                 "    | u => v -> u |=| v\n"
+                                 "\nproc run =\n"
+                                 "    | => -> plug\n"
+                                 "        fwd( | w => v )\n"
+                                 "        g( | x, w => )\n"
+                                 "        on x do\n"
+                                 "            halt\n"
+                                 "        on v do\n"
+                                 "            halt\n"),
     "neg-onto-a-held-name": ("proc g =\n"
                              "    | a, b => -> do\n"
                              "        neg a as b\n"
@@ -271,8 +287,8 @@ LEFT_UNDER_NO_NAME = {
 
 @pytest.mark.parametrize("name,chan", [
     ("repeated-parameter", "x#0"), ("call-drops-an-end", "y#1"),
-    ("link-with-another-end", "y#1"), ("neg-onto-a-held-name", "y#1"),
-    ("split-onto-a-held-name", "q#1"),
+    ("link-with-another-end", "y#1"), ("link-moves-a-dropped-end", "w|=|v#3"),
+    ("neg-onto-a-held-name", "y#1"), ("split-onto-a-held-name", "q#1"),
 ])
 def test_an_end_left_with_an_ended_process_is_unowned(name, chan):
     # The full check counts an end owned by a pid that has ended as
@@ -285,6 +301,7 @@ def test_an_end_left_with_an_ended_process_is_unowned(name, chan):
     ("repeated-parameter", "LinearityReuse"),
     ("call-drops-an-end", "LinearityDrop"),
     ("link-with-another-end", "LinearityDrop"),
+    ("link-moves-a-dropped-end", "UnificationFailure"),
     ("neg-onto-a-held-name", "UnificationFailure"),
     ("split-onto-a-held-name", "LinearityReuse"),
     ("aliased", "UnificationFailure"),

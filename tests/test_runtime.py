@@ -13,7 +13,7 @@ from campl.model import (
 )
 from campl.parser import parse_source
 from campl.runtime import (
-    _HANDLERS, _WAITING, ChannelState, EndState, HandleMsg, Machine,
+    _HANDLERS, _WAITING, EndState, HandleMsg, Machine,
     MachineFault, BootError, OutcomeKind, ProcessInstance, RewireMsg,
     ValMsg, boot, resolve_race,
 )
@@ -127,7 +127,8 @@ def test_listing5_network_after_fork_and_split():
         if "SPLIT" in seen and "FORK" in seen:
             break
     assert len(m.processes) == 3
-    live = [c for c in m.channels.values() if c.live]
+    live = [e for e in m.channels.values()
+            if not (e.closed or e.peer.closed)]
     assert len(live) == 2
     assert m.check_topology() == []
 
@@ -164,11 +165,9 @@ def test_step_limit_outcome():
 # topology monitor
 
 def _wire(machine, cid, a, b):
-    ends = EndState(cid, a), EndState(cid, b)
-    ends[0].peer, ends[1].peer = ends[1], ends[0]
-    ch = ChannelState(cid, f"c{cid}", list(ends))
-    machine.channels[cid] = ch
-    return ch
+    x, y = EndState(cid, f"c{cid}", a), EndState(cid, f"c{cid}", b)
+    x.peer, y.peer = y, x
+    machine.channels[cid] = x
 
 
 def test_resolve_owner_gives_up_on_a_cycle_of_ends():
@@ -176,7 +175,7 @@ def test_resolve_owner_gives_up_on_a_cycle_of_ends():
     # (faulty unchecked programs only) resolve to no one; a chain that
     # ends resolves to its last owner.
     m = Machine(prepare(parse_source("")), 0)
-    a, b = m._new_channel("a").ends[0], m._new_channel("b").ends[0]
+    a, b = m._new_channel("a")[0], m._new_channel("b")[0]
     a.owner, b.owner = b, a
     assert m.resolve_owner(a) is None and m.resolve_owner(b) is None
     b.owner = 7
@@ -846,8 +845,9 @@ RELEASING = {
 def test_unchecked_hand_off_releases_what_no_child_uses(kind, steps):
     out, _ = run_text(RELEASING[kind], check=False)
     assert (out.kind, out.steps, out.stuck) == (OutcomeKind.STUCK, steps, {})
-    (console,) = out.machine.channels.values()
-    assert console.ends[1].owner is None and console.ends[1].closed
+    (service,) = out.machine.channels.values()
+    console = service.peer
+    assert console.owner is None and console.closed
 
 
 # A process of two input channels for a run to call or use.
@@ -1006,12 +1006,12 @@ def _waiting_at(cmd, message=None):
     """A machine with one process about to run `cmd`, holding end 1 of
     channel "c"; `message`, if any, is queued toward that end."""
     m = Machine(ExecProgram({}))
-    ch = m._new_channel("c")
-    ch.ends[0].owner = 99
-    ch.ends[1].owner = 0
+    far, end = m._new_channel("c")
+    far.owner = 99
+    end.owner = 0
     if message is not None:
-        ch.ends[1].inbox.append(message)
-    p = ProcessInstance(0, "t", {}, {"c": ch.ends[1]}, [[(cmd,), 0]])
+        end.inbox.append(message)
+    p = ProcessInstance(0, "t", {}, {"c": end}, [[(cmd,), 0]])
     m.processes[0] = p
     return m, p
 

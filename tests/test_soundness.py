@@ -23,7 +23,7 @@ from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import boot
 from campl.services import ServiceConfig
-from conftest import run_watched
+from conftest import command_count, run_watched
 from genprog import gen_program, with_forwarder
 
 
@@ -105,6 +105,44 @@ def test_generated_programs_run_clean_through_a_forwarder():
             run_watched(machine)
             assert not machine.processes and not machine.channels, \
                 f"seed {seed}, fwd first={first}:\n{text}"
+
+
+def _reached_from(refs: dict, name: str) -> set:
+    """The processes `name` reaches through one or more calls or stores."""
+    seen, todo = set(), list(refs[name])
+    while todo:
+        callee = todo.pop()
+        if callee not in seen:
+            seen.add(callee)
+            todo.extend(refs.get(callee, ()))
+    return seen
+
+
+@pytest.mark.parametrize("forwarder", [False, True],
+                         ids=["plain", "forwarder"])
+def test_formal_generated_programs_run_each_command_once(forwarder):
+    # The no-livelock claim for formal programs: when no process reaches
+    # itself through calls and none is called twice, no command node runs
+    # twice.  The generator emits no hcase or race arm that can go
+    # untaken, so each node runs exactly once; the bound becomes `<=` once
+    # it emits such arms.
+    for seed in range(300):
+        program = gen_program(seed)
+        if forwarder:
+            program = with_forwarder(program, seed % 2, seed)
+        exec_program = check_program(
+            parse_source(roundtrip_print(program))).exec_program
+        refs = exec_program.refs
+        called = [callee for callees in refs.values() for callee in callees]
+        assert len(called) == len(set(called)), f"seed {seed}"
+        assert not any(name in _reached_from(refs, name) for name in refs), \
+            f"seed {seed}"
+        machine = boot(exec_program, seed=seed,
+                       services=ServiceConfig.from_script([]))
+        out = machine.run_to_completion()
+        assert out.done and out.steps == sum(
+            command_count(d.body) for d in exec_program.procs.values()), \
+            f"seed {seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from campl.lexer import tokenize
 from campl.parser import parse_program, parse_source
 from campl.runtime import Machine, boot
 from campl.services import ServiceConfig
-from conftest import ROOT, corpus_text, load_perfbench, sub_bodies
+from conftest import ROOT, command_count, corpus_text, load_perfbench
 from test_runtime import FORWARDER_CHAIN, churn_text
 from test_traversal import _fork_tower
 
@@ -93,13 +93,21 @@ def test_machine_steps_stay_within_their_call_budget():
     # instead of looking up a plan (17,260 calls), 5.423 once the monitor
     # read the ends pending through a released end from the fork messages
     # in its inbox, so it no longer resolved ends already claimed (16,860
-    # calls).  The count is exact for a given interpreter, so a rise means
-    # new per-step calls.  It pauses the collector, as the CLI does: a gc
-    # callback an earlier test registered (Hypothesis's) would otherwise
-    # add two calls per collection.
-    calls, outcome = _count_calls(_churn_machine().run_to_completion)
+    # calls), 5.293 once a channel was its two ends and no `ChannelState`
+    # was built (16,456 calls).  The count is exact for a given
+    # interpreter, so a rise means new per-step calls.  It pauses the
+    # collector, as the CLI does: a gc callback an earlier test registered
+    # (Hypothesis's) would otherwise add two calls per collection.
+    calls, outcome = _count_calls(_booted(churn_text(100)).run_to_completion)
     assert outcome.done and outcome.steps == 3109
-    assert calls / outcome.steps <= 5.423, f"{calls} calls"
+    assert calls / outcome.steps <= 5.2931, f"{calls} calls"
+    # Churn runs no |=|, so the forwarder chain's six links make a second
+    # input: 295 calls over its 21 steps while a link built a channel and
+    # two ends only to drop the ends, 255 once it built none.
+    calls, outcome = _count_calls(_booted(FORWARDER_CHAIN).run_to_completion)
+    assert outcome.done and outcome.steps == 21
+    assert [ev.kind for ev in outcome.trace].count("LINK") == 6
+    assert calls <= 255, f"{calls} calls"
 
 
 def test_machine_steps_stay_within_their_bytecode_budget():
@@ -107,10 +115,11 @@ def test_machine_steps_stay_within_their_bytecode_budget():
     # budget cannot see work added inline.  958,299 over 3,109 steps (308.2
     # a step) with each end's pending ends kept in a `links` field and its
     # peer found by index arithmetic, 934,733 (300.7) once each end named
-    # its peer and the monitor read pending ends from fork messages.  The
-    # count is exact for a given interpreter and does not depend on the
-    # hash seed; like `_count_calls`, it pauses the collector.
-    machine = _churn_machine()
+    # its peer and the monitor read pending ends from fork messages,
+    # 916,636 (294.8) once a channel was its two ends.  The count is exact
+    # for a given interpreter and does not depend on the hash seed; like
+    # `_count_calls`, it pauses the collector.
+    machine = _booted(churn_text(100))
     ops = 0
 
     def local(frame, event, arg):
@@ -135,12 +144,12 @@ def test_machine_steps_stay_within_their_bytecode_budget():
         if enabled:
             gc.enable()
     assert outcome.done and outcome.steps == 3109
-    assert ops <= 934_733, f"{ops} bytecodes"
+    assert ops <= 916_636, f"{ops} bytecodes"
 
 
-def _churn_machine() -> Machine:
-    """A booted machine for a 100-message churn run, seed 0."""
-    program = check_program(parse_source(churn_text(100))).exec_program
+def _booted(text: str) -> Machine:
+    """A booted machine for the checked program `text`, seed 0."""
+    program = check_program(parse_source(text)).exec_program
     return boot(program, services=ServiceConfig.from_script([]))
 
 
@@ -164,7 +173,7 @@ def test_checker_stays_within_its_call_budget():
         program = parse_source(source)
         n, typed = _count_calls(check_program, program)
         calls += n
-        commands += sum(_command_count(d.body)
+        commands += sum(command_count(d.body)
                         for d in typed.exec_program.procs.values())
     assert commands == 9460
     assert calls / commands <= 17.223, f"{calls} calls"
@@ -222,10 +231,6 @@ def _count_calls(f, *args) -> tuple:
         if enabled:
             gc.enable()
     return calls, result
-
-
-def _command_count(body: tuple) -> int:
-    return sum(1 + sum(map(_command_count, sub_bodies(cmd))) for cmd in body)
 
 
 def _peak_depth(f, *args) -> int:
