@@ -4,12 +4,14 @@ unchecked) programs.
 Processes are command-sequence continuations over channels, each a pair
 of ends that name each other as peers; each end holds a FIFO inbox of the
 messages sent to it.  Values are the program's own literal nodes and
-stored processes.  One command of one process runs per step, through a
-table of handlers keyed by command class; among the processes whose next
-command can make progress, the smallest pid goes first.  A step runs the
-Console service drain only when a service end holds mail.  Races are the
-only consumers of the seeded RNG, so a (program, seed, input script)
-triple fixes the whole trace.
+stored processes.  A message is what it carries, so its kind is its type:
+a value, a handle's name (a `str`, which no value is), the one `CloseMsg`
+or a fork's `RewireMsg`.  One command of one process runs per step,
+through a table of handlers keyed by command class; among the processes
+whose next command can make progress, the smallest pid goes first.  A
+step runs the Console service drain only when a service end holds mail.
+Races are the only consumers of the seeded RNG, so a (program, seed,
+input script) triple fixes the whole trace.
 
 `run_to_completion` runs one loop iteration per step.  It writes out in
 line what `assert_invariants`, `pick` and `step` do, and calls out only for
@@ -88,16 +90,6 @@ def render(value: Value) -> str:
 
 
 @dataclass(slots=True)
-class ValMsg:
-    value: Value
-
-
-@dataclass(slots=True)
-class HandleMsg:
-    handle: str
-
-
-@dataclass(slots=True)
 class CloseMsg:
     pass
 
@@ -112,6 +104,13 @@ class RewireMsg:
     left channel's id at the fork, which its SPLIT event prints."""
     cid_left: int
     ends: tuple[EndState, EndState]
+
+
+def _kind(msg) -> str:
+    """A message's kind as the fault texts name it."""
+    if isinstance(msg, Value):
+        return "ValMsg"
+    return "HandleMsg" if type(msg) is str else type(msg).__name__
 
 
 class MachineFault(Exception):
@@ -207,9 +206,10 @@ class ConsoleEndpoint:
     """State machine for one Console channel's service end.
 
     Driven by the machine with the messages that arrive in the service
-    end's inbox; replies are returned to be sent the other way.  `phase`
-    is the handle whose follow-up message is due (CONSOLE_PUT's string or
-    CONSOLE_CLOSE's close), or None.
+    end's inbox (a handle's name, a `StringLit`, the close); a reply, the
+    `StringLit` a ConsoleGet reads, is returned to be sent the other way.
+    `phase` is the handle whose follow-up message is due (CONSOLE_PUT's
+    string or CONSOLE_CLOSE's close), or None.
     """
 
     def __init__(self, config: ServiceConfig):
@@ -218,34 +218,34 @@ class ConsoleEndpoint:
         self.closed = False
         self._cursor = 0
 
-    def handle(self, msg) -> object | None:
+    def handle(self, msg) -> StringLit | None:
         if self.phase == CONSOLE_PUT:
-            if isinstance(msg, ValMsg) and isinstance(msg.value, StringLit):
-                self._emit(msg.value.value)
+            if type(msg) is StringLit:
+                self._emit(msg.value)
                 self.phase = None
                 return None
             raise MachineFault("IllegalCommand",
                                "console expected a string after ConsolePut")
         if self.phase == CONSOLE_CLOSE:
-            if isinstance(msg, CloseMsg):
+            if type(msg) is CloseMsg:
                 self.closed = True
                 return None
             raise MachineFault("IllegalCommand",
                                "console expected close after ConsoleClose")
-        if isinstance(msg, HandleMsg):
-            if msg.handle == CONSOLE_GET:
-                return ValMsg(StringLit(self._read_line()))
-            if msg.handle in (CONSOLE_PUT, CONSOLE_CLOSE):
-                self.phase = msg.handle
+        if type(msg) is str:
+            if msg == CONSOLE_GET:
+                return StringLit(self._read_line())
+            if msg in (CONSOLE_PUT, CONSOLE_CLOSE):
+                self.phase = msg
                 return None
             raise MachineFault("IllegalCommand",
-                               f"console got unknown handle {msg.handle}")
-        if isinstance(msg, CloseMsg):
+                               f"console got unknown handle {msg}")
+        if type(msg) is CloseMsg:
             # Tolerated for unchecked programs that close without the handle.
             self.closed = True
             return None
         raise MachineFault("IllegalCommand",
-                           f"console cannot dispatch on {type(msg).__name__}")
+                           f"console cannot dispatch on {_kind(msg)}")
 
     def _emit(self, line: str) -> None:
         self.config.outputs.append(line)
@@ -298,9 +298,6 @@ class ProcessInstance:
     seq_env: dict[str, Value]
     chan_env: dict[str, EndState]
     frames: list[list]                       # stack of [body, index]
-
-    def next_command(self):
-        return self.frames[-1][0][self.frames[-1][1]]
 
 
 @dataclass(slots=True)
@@ -456,7 +453,7 @@ class Machine:
         return e
 
     def enabled(self, p: ProcessInstance) -> bool:
-        body, index = p.frames[-1]          # p.next_command(), inlined
+        body, index = p.frames[-1]
         cmd = body[index]
         kind = type(cmd)
         if kind not in _WAITING:
@@ -478,12 +475,13 @@ class Machine:
             if e is None or e.cid not in self.channels:
                 self._binding(p, arm.chan)
             q = e.inbox
-            if q and isinstance(q[0], ValMsg):
+            if q and isinstance(q[0], Value):
                 ready.append(arm)
         return ready
 
     def waiting_on(self, p: ProcessInstance) -> list[int]:
-        cmd = p.next_command()
+        body, index = p.frames[-1]
+        cmd = body[index]
         kind = type(cmd)
         if kind not in _WAITING:
             return []
@@ -502,7 +500,7 @@ class Machine:
     # -- running -----------------------------------------------------------
 
     def step(self, p: ProcessInstance) -> TraceEvent:
-        body, index = p.frames[-1]          # p.next_command(), inlined
+        body, index = p.frames[-1]
         cmd = body[index]
         row = _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd)
         self._rows.append(row)
@@ -680,15 +678,15 @@ class Machine:
         e = p.chan_env.get(cmd.chan)
         if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
-        e.peer.inbox.append(ValMsg(value))
+        e.peer.inbox.append(value)
         row = (p.pid, "PUT", cmd.chan, e.cid, render(value))
         self._advance(p)
         return row
 
     def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> tuple:
-        e, msg = self._pop(p, cmd.chan, ValMsg, "get")
-        p.seq_env[cmd.binder] = msg.value
-        row = (p.pid, "GET", cmd.chan, e.cid, render(msg.value))
+        e, value = self._pop(p, cmd.chan, Value, "get")
+        p.seq_env[cmd.binder] = value
+        row = (p.pid, "GET", cmd.chan, e.cid, render(value))
         self._advance(p)
         return row
 
@@ -696,21 +694,21 @@ class Machine:
         e = p.chan_env.get(cmd.chan)
         if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
-        e.peer.inbox.append(HandleMsg(cmd.handle))
+        e.peer.inbox.append(cmd.handle)
         row = (p.pid, "HPUT", cmd.chan, e.cid, cmd.handle)
         self._advance(p)
         return row
 
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> tuple:
-        e, msg = self._pop(p, cmd.chan, HandleMsg, "hcase")
+        e, handle = self._pop(p, cmd.chan, str, "hcase")
         for arm in cmd.arms:
-            if arm.handle == msg.handle:
+            if arm.handle == handle:
                 break
         else:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
-                               f"handle {msg.handle}")
-        row = (p.pid, "HCASE", cmd.chan, e.cid, msg.handle)
+                               f"handle {handle}")
+        row = (p.pid, "HCASE", cmd.chan, e.cid, handle)
         self._advance(p, push=arm.body)
         return row
 
@@ -780,7 +778,7 @@ class Machine:
         if not isinstance(msg, want):
             raise MachineFault("IllegalCommand",
                                f"{command} on {chan!r} found "
-                               f"{type(msg).__name__} at the queue head")
+                               f"{_kind(msg)} at the queue head")
         return e, msg
 
     def _close_end(self, p: ProcessInstance, chan: str) -> EndState:

@@ -22,7 +22,9 @@ import pytest
 from click.testing import CliRunner
 
 from campl.cli import main
+from campl.printer import roundtrip_print
 from conftest import load_perfbench
+from genprog import gen_program, with_forwarder
 from test_runtime import (
     FORWARDER_CHAIN, JOINER, SPLIT_AFTER_LINKS, TALKER, link_after_fork,
 )
@@ -251,6 +253,16 @@ PERFBENCH = {
 PERFBENCH_SEEDS = {"churn0.campl": (0, 5), "pipeline0.campl": (0,)}
 
 
+# Generated programs (`tests/genprog.py`), each plain and with one plugged
+# channel routed through a |=| forwarder: trees of up to six processes
+# whose checked runs put and get values, fork, split and close.
+GENERATED = {}
+for _s in range(10):
+    GENERATED[f"gen{_s}.campl"] = roundtrip_print(gen_program(_s))
+    GENERATED[f"gen{_s}_fwd.campl"] = roundtrip_print(
+        with_forwarder(gen_program(_s), _s % 2 == 0, _s))
+
+
 def cases() -> dict[str, list[str]]:
     """Case id -> CLI arguments, relative to a directory holding the
     corpus, the fault programs and `stdin.txt`."""
@@ -278,6 +290,8 @@ def cases() -> dict[str, list[str]]:
             out[f"run-perfbench/{f}/seed{s}"] = [
                 "run", f, "--trace", "--seed", str(s), "--stdin",
                 "stdin.txt"]
+    for f in sorted(GENERATED):
+        out[f"run-gen/{f}"] = ["run", f, "--trace", "--stdin", "stdin.txt"]
     for f in sorted(FAULTS):
         out[f"unchecked-fault/{f}"] = ["run", f, "--unchecked", "--trace",
                                        "--stdin", "stdin.txt"]
@@ -290,7 +304,8 @@ def cases() -> dict[str, list[str]]:
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
-    for name, text in {**LINKS, **MESSAGES, **FAULTS, **PERFBENCH}.items():
+    for name, text in {**LINKS, **MESSAGES, **FAULTS, **PERFBENCH,
+                       **GENERATED}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "stdin.txt").write_text(STDIN_SCRIPT, encoding="utf-8")
 

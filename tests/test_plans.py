@@ -25,7 +25,7 @@ from campl.model import Call, Fork, HCase, Plug, Use
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import (
-    BootError, HandleMsg, Machine, MachineFault, StoredProc, boot,
+    BootError, Machine, MachineFault, StoredProc, boot,
 )
 from campl.services import ScriptExhausted, ServiceConfig
 from conftest import (
@@ -100,12 +100,12 @@ def _reference(machine: Machine, p, cmd):
     if kind is HCase:
         e = p.chan_env.get(cmd.chan)
         if e is None or e.cid not in machine.channels or not e.inbox \
-                or type(e.inbox[0]) is not HandleMsg:
+                or type(e.inbox[0]) is not str:
             return None
         bodies = {}
         for a in cmd.arms:
             bodies.setdefault(a.handle, a.body)
-        return id(cmd), {"bodies": bodies, "handle": e.inbox[0].handle}
+        return id(cmd), {"bodies": bodies, "handle": e.inbox[0]}
     if kind is Call:
         proc, key = machine.program.procs.get(cmd.callee), id(cmd)
         if proc is None:

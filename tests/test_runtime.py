@@ -13,9 +13,8 @@ from campl.model import (
 )
 from campl.parser import parse_source
 from campl.runtime import (
-    _HANDLERS, _WAITING, EndState, HandleMsg, Machine,
-    MachineFault, BootError, OutcomeKind, ProcessInstance, RewireMsg,
-    ValMsg, boot, resolve_race,
+    _HANDLERS, _WAITING, EndState, Machine, MachineFault, BootError,
+    OutcomeKind, ProcessInstance, RewireMsg, boot, resolve_race,
 )
 from campl.services import ServiceConfig
 from conftest import corpus_text, load_perfbench, run_watched
@@ -293,7 +292,8 @@ def test_race_winner_had_a_deliverable_message():
             p = m.pick()
             if p is None:
                 break
-            cmd = p.next_command()
+            body, index = p.frames[-1]
+            cmd = body[index]
             from campl.model import Race
             if isinstance(cmd, Race):
                 ready = m._race_ready(p, cmd)
@@ -910,6 +910,48 @@ def test_unchecked_link_of_two_consoles_keeps_both_service_ends(asked):
         "IllegalCommand: console cannot dispatch on ValMsg", 2)
 
 
+def _do(header: str, commands: tuple) -> str:
+    """A process clause `header -> do` running `commands`, each indented
+    as one command of the block."""
+    return f"    {header} -> do\n" + "".join(
+        f"        {line}\n" for command in commands
+        for line in command.split("\n"))
+
+
+@pytest.mark.parametrize("talker, listener, fault, steps", [
+    (("put 1 on x", "halt x"), ("hcase x of\n    H -> halt x",),
+     "hcase on 'x' found ValMsg at the queue head", 5),
+    (("put 1 on x", "halt x"), ("split x into a, b",),
+     "split on 'x' found ValMsg at the queue head", 5),
+    (("halt x",), ("get v on x", "halt x"),
+     "get on 'x' found CloseMsg at the queue head", 4),
+    (("fork x as\n    l -> halt l\n    r -> halt r",),
+     ("get v on x", "halt x"),
+     "get on 'x' found RewireMsg at the queue head", 4),
+], ids=["hcase-value", "split-value", "get-close", "get-fork"])
+def test_unchecked_command_on_the_wrong_kind_of_message(talker, listener,
+                                                        fault, steps):
+    # The fault names the kind of message the waiting command found.
+    src = ("proc talker =\n" + _do("| => x", talker)
+           + "\nproc listener =\n" + _do("| x =>", listener)
+           + "\nproc run =\n"
+             "    | => -> plug\n"
+             "        talker( | => x )\n"
+             "        listener( | x => )\n")
+    assert _unchecked_fault(src) == (f"IllegalCommand: {fault}", steps)
+
+
+@pytest.mark.parametrize("body, fault, steps", [
+    (("fork console as\n    l -> halt l\n    r -> halt r",),
+     "console cannot dispatch on RewireMsg", 1),
+    (("hput ConsolePut on console", "put 5 on console", "halt console"),
+     "console expected a string after ConsolePut", 2),
+], ids=["fork", "put-int"])
+def test_unchecked_console_message_of_the_wrong_kind(body, fault, steps):
+    src = "proc run =\n" + _do("| console =>", body)
+    assert _unchecked_fault(src) == (f"IllegalCommand: {fault}", steps)
+
+
 THREE_WAY_RACE = (
     "proc shout :: | => Put(Int|TopBot) =\n"
     "    | => c ->\n"
@@ -1027,8 +1069,8 @@ def test_exactly_the_waiting_kinds_wait():
 
 
 @pytest.mark.parametrize("kind, message", [
-    (GetVal, ValMsg(IntLit(1))), (HCase, HandleMsg("H")),
-    (Split, RewireMsg(0, (None, None))), (Race, ValMsg(IntLit(1)))],
+    (GetVal, IntLit(1)), (HCase, "H"),
+    (Split, RewireMsg(0, (None, None))), (Race, IntLit(1))],
     ids=["GetVal", "HCase", "Split", "Race"])
 def test_a_waiting_kind_runs_once_its_message_is_queued(kind, message):
     m, p = _waiting_at(SAMPLES[kind], message)

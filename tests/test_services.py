@@ -6,9 +6,7 @@ from campl.checker import check_program
 from campl.elaborate import prepare
 from campl.parser import parse_source
 from campl.model import StringLit
-from campl.runtime import (
-    CloseMsg, ConsoleEndpoint, HandleMsg, ValMsg, boot,
-)
+from campl.runtime import CloseMsg, ConsoleEndpoint, boot
 from campl.services import CONSOLE_DECL, ScriptExhausted, ServiceConfig
 from conftest import corpus_text
 
@@ -25,9 +23,9 @@ def test_console_declaration_shape():
 def test_hello_world_dispatch_sequence():
     cfg = ServiceConfig.from_script([])
     ep = ConsoleEndpoint(cfg)
-    assert ep.handle(HandleMsg("ConsolePut")) is None
-    assert ep.handle(ValMsg(StringLit("Hello World!"))) is None
-    assert ep.handle(HandleMsg("ConsoleClose")) is None
+    assert ep.handle("ConsolePut") is None
+    assert ep.handle(StringLit("Hello World!")) is None
+    assert ep.handle("ConsoleClose") is None
     assert ep.handle(CloseMsg()) is None
     assert ep.closed
     assert cfg.outputs == ["Hello World!"]
@@ -36,24 +34,23 @@ def test_hello_world_dispatch_sequence():
 def test_console_get_pops_script_lines():
     cfg = ServiceConfig.from_script(["hi"])
     ep = ConsoleEndpoint(cfg)
-    reply = ep.handle(HandleMsg("ConsoleGet"))
-    assert isinstance(reply, ValMsg) and reply.value == StringLit("hi")
+    assert ep.handle("ConsoleGet") == StringLit("hi")
     with pytest.raises(ScriptExhausted):
-        ep.handle(HandleMsg("ConsoleGet"))
+        ep.handle("ConsoleGet")
 
 
 def test_console_get_exhausted_on_empty_script():
     ep = ConsoleEndpoint(ServiceConfig.from_script([]))
     with pytest.raises(ScriptExhausted):
-        ep.handle(HandleMsg("ConsoleGet"))
+        ep.handle("ConsoleGet")
 
 
 def test_echo_stream_receives_lines():
     sink = io.StringIO()
     cfg = ServiceConfig.from_script([], echo=sink)
     ep = ConsoleEndpoint(cfg)
-    ep.handle(HandleMsg("ConsolePut"))
-    ep.handle(ValMsg(StringLit("streamed")))
+    ep.handle("ConsolePut")
+    ep.handle(StringLit("streamed"))
     assert sink.getvalue() == "streamed\n"
 
 

@@ -94,13 +94,15 @@ def test_machine_steps_stay_within_their_call_budget():
     # read the ends pending through a released end from the fork messages
     # in its inbox, so it no longer resolved ends already claimed (16,860
     # calls), 5.293 once a channel was its two ends and no `ChannelState`
-    # was built (16,456 calls).  The count is exact for a given
-    # interpreter, so a rise means new per-step calls.  It pauses the
-    # collector, as the CLI does: a gc callback an earlier test registered
-    # (Hypothesis's) would otherwise add two calls per collection.
+    # was built (16,456 calls), 5.035 once a put sent its value and an
+    # hput its handle's name, unwrapped (15,654 calls).  The count is exact
+    # for a given interpreter, so a rise means new per-step calls.  It
+    # pauses the collector, as the CLI does: a gc callback an earlier test
+    # registered (Hypothesis's) would otherwise add two calls per
+    # collection.
     calls, outcome = _count_calls(_booted(churn_text(100)).run_to_completion)
     assert outcome.done and outcome.steps == 3109
-    assert calls / outcome.steps <= 5.2931, f"{calls} calls"
+    assert calls / outcome.steps <= 5.0351, f"{calls} calls"
     # Churn runs no |=|, so the forwarder chain's six links make a second
     # input: 295 calls over its 21 steps while a link built a channel and
     # two ends only to drop the ends, 255 once it built none.
@@ -116,8 +118,9 @@ def test_machine_steps_stay_within_their_bytecode_budget():
     # a step) with each end's pending ends kept in a `links` field and its
     # peer found by index arithmetic, 934,733 (300.7) once each end named
     # its peer and the monitor read pending ends from fork messages,
-    # 916,636 (294.8) once a channel was its two ends.  The count is exact
-    # for a given interpreter and does not depend on the hash seed; like
+    # 916,636 (294.8) once a channel was its two ends, 907,616 (291.9) once
+    # a message was what it carries.  The count is exact for a given
+    # interpreter and does not depend on the hash seed; like
     # `_count_calls`, it pauses the collector.
     machine = _booted(churn_text(100))
     ops = 0
@@ -144,7 +147,7 @@ def test_machine_steps_stay_within_their_bytecode_budget():
         if enabled:
             gc.enable()
     assert outcome.done and outcome.steps == 3109
-    assert ops <= 916_636, f"{ops} bytecodes"
+    assert ops <= 907_616, f"{ops} bytecodes"
 
 
 def _booted(text: str) -> Machine:
