@@ -1,17 +1,17 @@
 """Deterministic cooperative machine for checked (or deliberately
 unchecked) programs.
 
-Processes are command-sequence continuations over channels, each a pair
-of ends that name each other as peers; each end holds a FIFO inbox of the
-messages sent to it.  Values are the program's own literal nodes and
-stored processes.  A message is what it carries, so its kind is its type:
-a value, a handle's name (a `str`, which no value is), the one `CloseMsg`
-or a fork's `RewireMsg`.  One command of one process runs per step,
-through a table of handlers keyed by command class; among the processes
-whose next command can make progress, the smallest pid goes first.  A
-step runs the Console service drain only when a service end holds mail.
-Races are the only consumers of the seeded RNG, so a (program, seed,
-input script) triple fixes the whole trace.
+A process is one continuation, a tuple of commands and the index of the
+next, over channels, each a pair of ends that name each other as peers;
+each end holds a FIFO inbox of the messages sent to it.  Values are the
+program's own literal nodes and stored processes.  A message is what it
+carries, so its kind is its type: a value, a handle's name (a `str`, which
+no value is), the one `CloseMsg` or a fork's `RewireMsg`.  One command of
+one process runs per step, through a table of handlers keyed by command
+class; among the processes whose next command can make progress, the
+smallest pid goes first.  A step runs the Console service drain only when
+a service end holds mail.  Races are the only consumers of the seeded RNG,
+so a (program, seed, input script) triple fixes the whole trace.
 
 `run_to_completion` runs one loop iteration per step.  It writes out in
 line what `assert_invariants`, `pick` and `step` do, and calls out only for
@@ -25,14 +25,15 @@ is read, and a step builds one only for a `trace_hook`.
 
 A step applies a plan of how a plug, fork, call or use wires names; a
 checked machine memoises a plug's, fork's or call's per node in its own
-`plans`.  An hcase takes its first arm for the handle it received.  A
-topology monitor checks before every step that the graph of processes and
-live channels is a forest (`cycle_edges`) and that every end of a live
-channel has an owner.  A machine booted `checked` trusts the checker.  Its
-monitor scans the whole network at the first check and at any check not
-made right after one step; otherwise it checks only what that step
-recorded: nothing after a value, handle, race, call, use or neg step,
-where it returns at once; the pending ends of released ends; and the
+`plans`.  An hcase takes its first arm for the handle it received; an
+hcase or race continues with its arm's body and then the commands after
+it.  A topology monitor checks before every step that the graph of
+processes and live channels is a forest (`cycle_edges`) and that every end
+of a live channel has an owner.  A machine booted `checked` trusts the
+checker.  Its monitor scans the whole network at the first check and at
+any check not made right after one step; otherwise it checks only what
+that step recorded: nothing after a value, handle, race, call, use or neg
+step, where it returns at once; the pending ends of released ends; and the
 channels the step created, for cycles among themselves (one or two by
 comparing their owners).  Whatever a local check flags goes to the full
 scan, which raises the fault.  An unchecked machine runs the references:
@@ -293,11 +294,17 @@ class EndState:
 
 @dataclass(slots=True)
 class ProcessInstance:
+    """A process: its bindings and its continuation, the commands
+    `body[at:]`.  `at` indexes the next command, so a process whose body
+    has run out has finished and left the table.  An hcase or race
+    continues with its arm's body and then the commands after it; an arm
+    body is never empty, because the parser's `_block` needs an item."""
     pid: int
     name: str
     seq_env: dict[str, Value]
     chan_env: dict[str, EndState]
-    frames: list[list]                       # stack of [body, index]
+    body: tuple
+    at: int
 
 
 @dataclass(slots=True)
@@ -426,7 +433,7 @@ class Machine:
         pid = self._next_pid
         self._next_pid += 1
         chan_env: dict[str, EndState] = {}
-        proc = ProcessInstance(pid, "run", {}, chan_env, [[run.body, 0]])
+        proc = ProcessInstance(pid, "run", {}, chan_env, run.body, 0)
         for name in run.in_params:
             service, e = self._new_channel(name)
             service.owner = ConsoleEndpoint(self.config)
@@ -453,8 +460,7 @@ class Machine:
         return e
 
     def enabled(self, p: ProcessInstance) -> bool:
-        body, index = p.frames[-1]
-        cmd = body[index]
+        cmd = p.body[p.at]
         kind = type(cmd)
         if kind not in _WAITING:
             return True
@@ -480,8 +486,7 @@ class Machine:
         return ready
 
     def waiting_on(self, p: ProcessInstance) -> list[int]:
-        body, index = p.frames[-1]
-        cmd = body[index]
+        cmd = p.body[p.at]
         kind = type(cmd)
         if kind not in _WAITING:
             return []
@@ -500,8 +505,7 @@ class Machine:
     # -- running -----------------------------------------------------------
 
     def step(self, p: ProcessInstance) -> TraceEvent:
-        body, index = p.frames[-1]
-        cmd = body[index]
+        cmd = p.body[p.at]
         row = _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd)
         self._rows.append(row)
         self.steps += 1
@@ -533,8 +537,7 @@ class Machine:
                 return Outcome(OutcomeKind.DONE, self.steps, self.trace, self)
             # pick(): the least pid whose next command can run.
             for p in processes.values():
-                body, index = p.frames[-1]
-                cmd = body[index]
+                cmd = p.body[p.at]
                 kind = type(cmd)
                 if kind not in _WAITING or self.enabled(p):
                     break
@@ -708,9 +711,9 @@ class Machine:
             raise MachineFault("IllegalCommand",
                                f"hcase on {cmd.chan!r} has no arm for "
                                f"handle {handle}")
-        row = (p.pid, "HCASE", cmd.chan, e.cid, handle)
-        self._advance(p, push=arm.body)
-        return row
+        # The arm's first command is next: an arm body is never empty.
+        p.body, p.at = arm.body + p.body[p.at + 1:], 0
+        return p.pid, "HCASE", cmd.chan, e.cid, handle
 
     def _exec_close(self, p: ProcessInstance, cmd: Close) -> tuple:
         e = self._close_end(p, cmd.chan)
@@ -726,9 +729,8 @@ class Machine:
 
     def _exec_race(self, p: ProcessInstance, cmd: Race) -> tuple:
         arm = resolve_race(self._race_ready(p, cmd), self.rng)
-        row = (p.pid, "RACE", arm.chan, p.chan_env[arm.chan].cid, None)
-        self._advance(p, push=arm.body)
-        return row
+        p.body, p.at = arm.body + p.body[p.at + 1:], 0
+        return p.pid, "RACE", arm.chan, p.chan_env[arm.chan].cid, None
 
     def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> tuple:
         e = self._binding(p, cmd.chan)
@@ -740,19 +742,11 @@ class Machine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _advance(self, p: ProcessInstance, push=None) -> None:
-        """Move past the current command, optionally entering an arm body
-        as a nested frame, and finish the process when nothing remains."""
-        frames = p.frames
-        top = frames[-1]
-        top[1] += 1
-        if push is not None:
-            frames.append([push, 0])
-        elif top[1] < len(top[0]):
-            return
-        while frames and frames[-1][1] >= len(frames[-1][0]):
-            frames.pop()
-        if not frames:
+    def _advance(self, p: ProcessInstance) -> None:
+        """Move past the current command, and finish the process when its
+        body has run out."""
+        p.at += 1
+        if p.at == len(p.body):
             self._finish(p)
 
     def _finish(self, p: ProcessInstance) -> None:
@@ -848,7 +842,7 @@ class Machine:
             pid = self._next_pid
             self._next_pid += 1
             self.processes[pid] = ProcessInstance(
-                pid, p.name + suffix, dict(p.seq_env), env, [[body, 0]])
+                pid, p.name + suffix, dict(p.seq_env), env, body, 0)
             for e in env.values():
                 e.owner = pid
         for name in plan.released:
@@ -925,7 +919,7 @@ class Machine:
         p.name = name
         p.seq_env = seq_env
         p.chan_env = chan_env
-        p.frames = [[plan.proc.body, 0]]
+        p.body, p.at = plan.proc.body, 0
         return p.pid, kind, None, None, plan.proc.name
 
     def _exec_link(self, p: ProcessInstance, cmd: Link) -> tuple:

@@ -77,12 +77,15 @@ def seated(machine, e) -> bool:
 
 
 def assert_ownership_agrees(machine) -> None:
-    """Every end a live process binds sits where it says in the channel
-    table, facing its peer, is owned by that process and is bound by no
-    other process, and every end of a live channel resolves to a live
-    process or a service (any owner that is not a pid)."""
+    """Every live process has a next command; every end it binds sits
+    where it says in the channel table, facing its peer, is owned by that
+    process and is bound by no other process; and every end of a live
+    channel resolves to a live process or a service (any owner that is not
+    a pid)."""
     holder: dict = {}
     for pid, p in machine.processes.items():
+        assert 0 <= p.at < len(p.body), \
+            f"pid {pid} is at {p.at} of a {len(p.body)}-command body"
         for name, e in p.chan_env.items():
             assert holder.setdefault(e, pid) == pid, \
                 f"an end of #{e.cid} is bound by pids {holder[e]} and {pid}"

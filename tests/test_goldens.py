@@ -26,7 +26,8 @@ from campl.printer import roundtrip_print
 from conftest import load_perfbench
 from genprog import gen_program, with_forwarder
 from test_runtime import (
-    FORWARDER_CHAIN, JOINER, SPLIT_AFTER_LINKS, TALKER, link_after_fork,
+    CONTINUATION_FAULT, CONTINUING_ARMS, FORWARDER_CHAIN, JOINER,
+    SPLIT_AFTER_LINKS, TALKER, link_after_fork,
 )
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -163,6 +164,15 @@ LINKS = {
 }
 
 
+# A checked program whose hcase and race arms continue with the commands
+# after them, one race nested in an hcase arm; its Duel race is a tie that
+# seeds 0-3 resolve both ways.  Its unchecked variant faults in the
+# continuation after an arm, and runs with the other faults.
+ARMS = {"continuing_arms.campl": CONTINUING_ARMS}
+ARMS_SEEDS = range(4)
+ARMS_FAULTS = {"continuation.campl": CONTINUATION_FAULT}
+
+
 # Checked programs that pin what the machine prints for each kind of value
 # (the corpus sends no Char or Bool), and the order in which a |=| merges
 # the messages in flight on both channels it fuses.
@@ -281,6 +291,10 @@ def cases() -> dict[str, list[str]]:
         for s in range(3):
             out[f"run-link/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
                                             str(s), "--stdin", "stdin.txt"]
+    for f in sorted(ARMS):
+        for s in ARMS_SEEDS:
+            out[f"run-arms/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
+                                            str(s), "--stdin", "stdin.txt"]
     for f in sorted(MESSAGES):
         for s in range(3):
             out[f"run-msg/{f}/seed{s}"] = ["run", f, "--trace", "--seed",
@@ -292,7 +306,7 @@ def cases() -> dict[str, list[str]]:
                 "stdin.txt"]
     for f in sorted(GENERATED):
         out[f"run-gen/{f}"] = ["run", f, "--trace", "--stdin", "stdin.txt"]
-    for f in sorted(FAULTS):
+    for f in sorted({**FAULTS, **ARMS_FAULTS}):
         out[f"unchecked-fault/{f}"] = ["run", f, "--unchecked", "--trace",
                                        "--stdin", "stdin.txt"]
     out["step-limit/listing7.campl"] = ["run", "listing7.campl", "--trace",
@@ -304,8 +318,8 @@ def cases() -> dict[str, list[str]]:
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
-    for name, text in {**LINKS, **MESSAGES, **FAULTS, **PERFBENCH,
-                       **GENERATED}.items():
+    for name, text in {**LINKS, **ARMS, **MESSAGES, **FAULTS, **ARMS_FAULTS,
+                       **PERFBENCH, **GENERATED}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "stdin.txt").write_text(STDIN_SCRIPT, encoding="utf-8")
 

@@ -27,7 +27,9 @@ from conftest import (
     load_perfbench, run_watched,
 )
 from genprog import gen_program, with_forwarder
-from test_goldens import FAULTS, LINKS, MESSAGES, STDIN_SCRIPT
+from test_goldens import (
+    ARMS, ARMS_FAULTS, ARMS_SEEDS, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
+)
 from test_monitor import ALIASED, LEFT_UNDER_NO_NAME
 from test_runtime import RELEASING, churn_text
 
@@ -84,12 +86,19 @@ def test_loop_matches_stepwise_on_the_corpus(name):
 
 
 def test_loop_matches_stepwise_on_the_golden_programs():
-    # Faults of the monitor and of the handlers, |=| merges, values, and
-    # runs that end with channels left: every way a run can end.
-    programs = {**FAULTS, **LINKS, **MESSAGES, **RELEASING,
-                **LEFT_UNDER_NO_NAME, "aliased": ALIASED}
+    # Faults of the monitor and of the handlers, |=| merges, values, arms
+    # that continue, and runs that end with channels left: every way a run
+    # can end.
+    programs = {**FAULTS, **LINKS, **ARMS, **ARMS_FAULTS, **MESSAGES,
+                **RELEASING, **LEFT_UNDER_NO_NAME, "aliased": ALIASED}
     ends = {compare(text, 0)[0] for _, text in sorted(programs.items())}
     assert {OutcomeKind.DONE, OutcomeKind.STUCK, "MachineFault"} <= ends
+
+
+@pytest.mark.parametrize("seed", ARMS_SEEDS)
+def test_loop_matches_stepwise_on_continuing_arms(seed):
+    for text in ARMS.values():
+        assert compare(text, seed) == (OutcomeKind.DONE, 48, {})
 
 
 ECHO = ("proc run =\n"

@@ -14,6 +14,7 @@ again.  `elaborate.free_chans` is the reference for the free-channel sets,
 as for `ExecProgram.free_chans`.
 """
 
+import operator
 from collections import Counter
 
 import pytest
@@ -32,7 +33,9 @@ from conftest import (
     CORPUS, corpus_text, free_chans, line_drops, load_perfbench, sub_bodies,
 )
 from genprog import gen_program, with_forwarder
-from test_goldens import FAULTS, LINKS, MESSAGES, STDIN_SCRIPT
+from test_goldens import (
+    ARMS, ARMS_FAULTS, ARMS_SEEDS, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
+)
 from test_monitor import ALIASED, LEFT_UNDER_NO_NAME
 from test_runtime import RELEASING
 
@@ -135,8 +138,8 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
     `expected`; on any machine, what the step did against the reference:
     the fault it raised, the body an hcase entered, the ends a call or use
     bound, and the children a plug or fork made and the ends it released.
-    `parent` is the stepping process's name and the ends it held.  An
-    hcase or use step keeps no plan."""
+    `parent` is the stepping process's name, the ends it held and the
+    commands after the one it ran.  An hcase or use step keeps no plan."""
     plans = machine.plans
     if isinstance(expected, str):
         assert fault == expected
@@ -148,14 +151,19 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
     elif machine.checked:
         plan = plans[key]
         assert before is None or plan is before, "a memoised plan was rebuilt"
-    name, held = parent
+    name, held, rest = parent
     if type(cmd) is HCase:
         bodies, handle = expected["bodies"], expected["handle"]
         if handle not in bodies:
             assert fault == (f"IllegalCommand: hcase on {cmd.chan!r} has "
                              f"no arm for handle {handle}")
         elif fault is None and ev.pid in machine.processes:
-            assert machine.processes[ev.pid].frames[-1][0] is bodies[handle]
+            # The arm's own commands, then those after the hcase; with
+            # nothing after it, the arm's own tuple.
+            q, entered = machine.processes[ev.pid], bodies[handle] + rest
+            assert q.at == 0 and len(q.body) == len(entered)
+            assert all(map(operator.is_, q.body, entered))
+            assert rest or q.body is bodies[handle]
         return
     if type(cmd) in (Call, Use):
         if plan is not None:
@@ -167,7 +175,7 @@ def _compare(machine, parent, cmd, key, expected, before, ev, fault):
             # Each parameter binds the end its argument named, the last
             # one for a repeated parameter.
             q = machine.processes[ev.pid]
-            assert q.frames == [[expected["proc"].body, 0]]
+            assert q.body is expected["proc"].body and q.at == 0
             assert q.chan_env == {param: held[arg] for param, arg
                                   in expected["chan_pairs"]}
         return
@@ -207,8 +215,8 @@ def run_compared(machine: Machine, seen: Counter,
         p = machine.pick()
         if p is None:
             return
-        body, index = p.frames[-1]
-        cmd, parent = body[index], (p.name, dict(p.chan_env))
+        cmd = p.body[p.at]
+        parent = p.name, dict(p.chan_env), p.body[p.at + 1:]
         ref = _reference(machine, p, cmd) if type(cmd) in PLANNED else None
         before = None if ref is None else machine.plans.get(ref[0])
         ev = fault = None
@@ -300,6 +308,14 @@ def test_plans_agree_on_the_golden_programs():
                 **LEFT_UNDER_NO_NAME, "aliased": ALIASED}
     seen = _compare_all(sorted(programs.items()))
     assert set(seen) == {"Plug", "Fork", "Call", "Use"}, seen
+
+
+def test_plans_agree_on_continuing_arms():
+    # Hcases whose arm is followed by the commands after the hcase, and a
+    # run that faults in such a continuation.
+    seen = _compare_all(sorted({**ARMS, **ARMS_FAULTS}.items()),
+                        seeds=ARMS_SEEDS)
+    assert set(seen) == {"Plug", "Call", "HCase"}, seen
 
 
 def test_plans_agree_on_generated_programs():

@@ -292,8 +292,7 @@ def test_race_winner_had_a_deliverable_message():
             p = m.pick()
             if p is None:
                 break
-            body, index = p.frames[-1]
-            cmd = body[index]
+            cmd = p.body[p.at]
             from campl.model import Race
             if isinstance(cmd, Race):
                 ready = m._race_ready(p, cmd)
@@ -448,6 +447,125 @@ FORWARDER_CHAIN = (
 def test_rewire_in_flight_through_a_chain_of_forwarders():
     m = _run_watched_text(FORWARDER_CHAIN)
     assert [ev.kind for ev in m.trace].count("LINK") == 6
+
+
+# Hcase and race arms that leave channels live, so commands follow them.
+# A referee's hcase arms each close `a` and leave `b` and `out` live for
+# the commands after the hcase.  Its Duel arm races `a` against `b`, each
+# race arm leaving both live, and closes `a` after the race.  Both players
+# have sent before the Duel race commits, so the seed decides that tie.
+# The sink's race is not nested and continues too.
+CONTINUING_ARMS = (
+    "protocol Mode( | ) => S =\n"
+    "    Duel :: TopBot => S\n"
+    "    Turns :: TopBot => S\n"
+    + "".join(f"\nproc {name} :: | => Mode( | ) =\n"
+              f"    | => ctl -> do\n"
+              f"        hput {handle} on ctl\n"
+              f"        halt ctl\n"
+              for name, handle in (("duel", "Duel"), ("turns", "Turns"))) +
+    "\nproc player :: Int | => Put(Int|TopBot) =\n"
+    "    n | => p -> do\n"
+    "        put n on p\n"
+    "        halt p\n"
+    "\nproc referee :: | Mode( | ), Put(Int|TopBot), Put(Int|TopBot)"
+    " => Put(Int|Put(Int|TopBot)) =\n"
+    "    | ctl, a, b => out -> do\n"
+    "        hcase ctl of\n"
+    "            Duel -> do\n"
+    "                close ctl\n"
+    "                race\n"
+    "                    a -> do\n"
+    "                        get x on a\n"
+    "                        get y on b\n"
+    "                        put x on out\n"
+    "                    b -> do\n"
+    "                        get y on b\n"
+    "                        get x on a\n"
+    "                        put y on out\n"
+    "                close a\n"
+    "            Turns -> do\n"
+    "                close ctl\n"
+    "                get x on a\n"
+    "                get y on b\n"
+    "                put x on out\n"
+    "                close a\n"
+    "        close b\n"
+    "        put 0 on out\n"
+    "        halt out\n"
+    "\nproc sink :: | Put(Int|Put(Int|TopBot)), Put(Int|Put(Int|TopBot))"
+    " => =\n"
+    "    | o1, o2 => -> do\n"
+    "        race\n"
+    "            o1 -> do\n"
+    "                get r on o1\n"
+    "                get t on o2\n"
+    "            o2 -> do\n"
+    "                get t on o2\n"
+    "                get r on o1\n"
+    "        get s on o1\n"
+    "        close o1\n"
+    "        get u on o2\n"
+    "        halt o2\n"
+    "\nproc run =\n"
+    "    | => -> plug\n"
+    "        duel( | => c1 )\n"
+    "        player( 1 | => a1 )\n"
+    "        player( 2 | => b1 )\n"
+    "        referee( | c1, a1, b1 => o1 )\n"
+    "        sink( | o1, o2 => )\n"
+    "        turns( | => c2 )\n"
+    "        player( 3 | => a2 )\n"
+    "        player( 4 | => b2 )\n"
+    "        referee( | c2, a2, b2 => o2 )\n")
+
+# Unchecked: the referee's first command after its hcase names a channel
+# it does not hold, so the run faults in the continuation of an arm.
+CONTINUATION_FAULT = CONTINUING_ARMS.replace("        close b\n",
+                                             "        close ghost\n")
+
+
+def test_arms_continue_with_the_commands_after_them():
+    prog = check_program(parse_source(CONTINUING_ARMS)).exec_program
+    winners = set()
+    for seed in range(4):
+        m = boot(prog, seed, ServiceConfig.from_script([]))
+        run_watched(m)
+        assert not m.processes and not m.channels
+        duel = [(ev.kind, ev.chan, ev.payload) for ev in m.trace
+                if ev.pid == 4]
+        # CALL, HCASE, the close in the arm, the race and its arm, the
+        # close after the race, then the referee's commands after the
+        # hcase.
+        (_, won, _), first, second = duel[3:6]
+        winners.add(won)
+        lost = "b" if won == "a" else "a"
+        assert [d[:2] for d in duel] == [
+            ("CALL", None), ("HCASE", "ctl"), ("CLOSE", "ctl"),
+            ("RACE", won), ("GET", won), ("GET", lost), ("PUT", "out"),
+            ("CLOSE", "a"), ("CLOSE", "b"), ("PUT", "out"),
+            ("HALT", "out")]
+        assert (first[2], second[2]) == (("1", "2") if won == "a"
+                                         else ("2", "1"))
+        turns = [ev.kind for ev in m.trace if ev.pid == 9]
+        assert turns == ["CALL", "HCASE", "CLOSE", "GET", "GET", "PUT",
+                         "CLOSE", "CLOSE", "PUT", "HALT"]
+        sink = [ev.kind for ev in m.trace if ev.pid == 5]
+        assert sink == ["CALL", "RACE", "GET", "GET", "GET", "CLOSE",
+                        "GET", "HALT"]
+    assert winners == {"a", "b"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_fault_in_an_arms_continuation(seed):
+    prog = prepare(parse_source(CONTINUATION_FAULT))
+    m = boot(prog, seed, ServiceConfig.from_script([]), checked=False)
+    with pytest.raises(MachineFault) as fault:
+        m.run_to_completion()
+    assert str(fault.value) == \
+        "IllegalCommand: process 4 does not hold channel 'ghost'"
+    assert m.steps == 18
+    assert [ev.kind for ev in m.trace[-2:]] == ["PUT", "CLOSE"]
 
 
 # A fork arm links its new channel before the peer splits, and the holder
@@ -1053,7 +1171,7 @@ def _waiting_at(cmd, message=None):
     end.owner = 0
     if message is not None:
         end.inbox.append(message)
-    p = ProcessInstance(0, "t", {}, {"c": end}, [[(cmd,), 0]])
+    p = ProcessInstance(0, "t", {}, {"c": end}, (cmd,), 0)
     m.processes[0] = p
     return m, p
 

@@ -28,6 +28,7 @@ from test_traversal import _fork_tower
 
 
 TRACER = load_perfbench("tracer")
+LISTING7 = corpus_text("listing7.campl")
 
 
 @pytest.mark.parametrize("layer", sorted(TRACER.TIMED))
@@ -95,14 +96,16 @@ def test_machine_steps_stay_within_their_call_budget():
     # in its inbox, so it no longer resolved ends already claimed (16,860
     # calls), 5.293 once a channel was its two ends and no `ChannelState`
     # was built (16,456 calls), 5.035 once a put sent its value and an
-    # hput its handle's name, unwrapped (15,654 calls).  The count is exact
-    # for a given interpreter, so a rise means new per-step calls.  It
+    # hput its handle's name, unwrapped (15,654 calls), 4.970 once a
+    # process kept one continuation and `_advance` no longer walked a
+    # stack of frames (15,453 calls).  The count is exact for a given
+    # interpreter, so a rise means new per-step calls.  It
     # pauses the collector, as the CLI does: a gc callback an earlier test
     # registered (Hypothesis's) would otherwise add two calls per
     # collection.
     calls, outcome = _count_calls(_booted(churn_text(100)).run_to_completion)
     assert outcome.done and outcome.steps == 3109
-    assert calls / outcome.steps <= 5.0351, f"{calls} calls"
+    assert calls / outcome.steps <= 4.9705, f"{calls} calls"
     # Churn runs no |=|, so the forwarder chain's six links make a second
     # input: 295 calls over its 21 steps while a link built a channel and
     # two ends only to drop the ends, 255 once it built none.
@@ -110,6 +113,14 @@ def test_machine_steps_stay_within_their_call_budget():
     assert outcome.done and outcome.steps == 21
     assert [ev.kind for ev in outcome.trace].count("LINK") == 6
     assert calls <= 255, f"{calls} calls"
+    # Listing 7 makes a third, heavy in hcases: 8 of its 50 steps enter an
+    # arm, against 201 hcases and races in churn's 3,109 steps.  242 calls
+    # while an arm was a frame pushed on a stack, 234 once it became the
+    # process's continuation.
+    calls, outcome = _count_calls(_booted(LISTING7).run_to_completion)
+    assert outcome.done and outcome.steps == 50
+    assert [ev.kind for ev in outcome.trace].count("HCASE") == 8
+    assert calls <= 234, f"{calls} calls"
 
 
 def test_machine_steps_stay_within_their_bytecode_budget():
@@ -119,10 +130,24 @@ def test_machine_steps_stay_within_their_bytecode_budget():
     # peer found by index arithmetic, 934,733 (300.7) once each end named
     # its peer and the monitor read pending ends from fork messages,
     # 916,636 (294.8) once a channel was its two ends, 907,616 (291.9) once
-    # a message was what it carries.  The count is exact for a given
-    # interpreter and does not depend on the hash seed; like
+    # a message was what it carries, 860,986 (276.9) once a process kept
+    # one continuation in place of a stack of frames.  The count is exact
+    # for a given interpreter and does not depend on the hash seed; like
     # `_count_calls`, it pauses the collector.
-    machine = _booted(churn_text(100))
+    ops, outcome = _count_bytecodes(_booted(churn_text(100)))
+    assert outcome.done and outcome.steps == 3109
+    assert ops <= 860_986, f"{ops} bytecodes"
+    # Listing 7, whose hcases enter arms, as in the call budget: 13,367
+    # bytecodes with frames, 12,317 with one continuation.
+    ops, outcome = _count_bytecodes(_booted(LISTING7))
+    assert outcome.done and outcome.steps == 50
+    assert ops <= 12_317, f"{ops} bytecodes"
+
+
+def _count_bytecodes(machine: Machine) -> tuple:
+    """Bytecodes (`sys.settrace` "opcode" events) `machine`'s
+    `run_to_completion` runs, and its outcome, with the collector paused
+    as in `_count_calls`."""
     ops = 0
 
     def local(frame, event, arg):
@@ -146,8 +171,7 @@ def test_machine_steps_stay_within_their_bytecode_budget():
         sys.settrace(saved)
         if enabled:
             gc.enable()
-    assert outcome.done and outcome.steps == 3109
-    assert ops <= 907_616, f"{ops} bytecodes"
+    return ops, outcome
 
 
 def _booted(text: str) -> Machine:
