@@ -19,9 +19,12 @@ work that can cost: the monitor after a step that recorded a change (after
 every step, unchecked), `enabled` for a command that waits, the handler and
 the drain.  Those three methods keep their behaviour as the stepwise API
 and the loop's reference.  A handler returns its step as a plain `(pid,
-kind, chan, cid, payload)` row, which the machine appends to one list;
-`Machine.trace` is a read-only view that builds each `TraceEvent` when it
-is read, and a step builds one only for a `trace_hook`.
+kind, chan, cid, payload)` row, whose five fields the machine adds to one
+flat list; a put's or get's payload is the value itself, rendered only
+when an event is built.  `Machine.trace` is a read-only view that builds
+each `TraceEvent` when it is read, and a step builds one only for a
+`trace_hook`.  A channel's two ends stop naming each other as peers when
+it is reaped, so a run leaves no reference cycles for the collector.
 
 A step applies a plan of how a plug, fork, call or use wires names; a
 checked machine memoises a plug's, fork's or call's per node in its own
@@ -278,12 +281,13 @@ class EndState:
     and `label` are the id and label of the channel it sits in now, and
     `peer` the channel's other end, to whose inbox it sends: a |=| that
     moves it into the fused channel re-points all three, so every holder
-    follows.  The channel is live while neither end is closed.  `owner` is
-    the pid holding it; the ConsoleEndpoint serving it; None; or, for an
-    end a fork created and no split has claimed yet, the carrier channel's
-    EndState whose holder will claim it.  `inbox` holds the messages sent
-    to this end, oldest first; a fork's `RewireMsg` there carries the ends
-    left pending through it."""
+    follows; reaping the channel sets `peer` to None.  The channel is live
+    while neither end is closed.  `owner` is the pid holding it; the
+    ConsoleEndpoint serving it; None; or, for an end a fork created and no
+    split has claimed yet, the carrier channel's EndState whose holder
+    will claim it.  `inbox` holds the messages sent to this end, oldest
+    first; a fork's `RewireMsg` there carries the ends left pending
+    through it."""
     cid: int
     label: str
     owner: object = None
@@ -325,28 +329,38 @@ class TraceEvent:
         return " ".join(parts)
 
 
+def _event(step: int, pid: int, kind: str, chan: str | None,
+           cid: int | None, payload) -> TraceEvent:
+    """Step `step`'s event from its row, whose payload may be a value."""
+    if payload is not None and type(payload) is not str:
+        payload = render(payload)
+    return TraceEvent(step, pid, kind, chan, cid, payload)
+
+
 class Trace(Sequence):
     """A read-only view of a machine's steps, oldest first.  The machine
-    keeps one `(pid, kind, chan, cid, payload)` row per step and builds a
-    `TraceEvent`, whose `step` is the row's position, only when one is
-    read."""
+    keeps each step's `(pid, kind, chan, cid, payload)` row as five
+    consecutive items of one flat list, step `i`'s at `5 * i`, and builds a
+    `TraceEvent` only when one is read."""
 
-    def __init__(self, rows: list[tuple]):
+    def __init__(self, rows: list):
         self._rows = rows
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._rows) // 5
 
     def __getitem__(self, index):
         rows = self._rows
-        steps = range(len(rows))[index]
+        steps = range(len(rows) // 5)[index]
         if type(steps) is range:
-            return [TraceEvent(step, *rows[step]) for step in steps]
-        return TraceEvent(steps, *rows[steps])
+            return [_event(step, *rows[5 * step:5 * step + 5])
+                    for step in steps]
+        return _event(steps, *rows[5 * steps:5 * steps + 5])
 
     def __iter__(self):
-        for step, row in enumerate(self._rows):
-            yield TraceEvent(step, *row)
+        fields = iter(self._rows)
+        for step, row in enumerate(zip(*[fields] * 5)):
+            yield _event(step, *row)
 
 
 class OutcomeKind(Enum):
@@ -398,9 +412,9 @@ class Machine:
         # ConsoleEndpoint, which nothing rewrites while the channel lives.
         self.services: list[EndState] = []
         self.steps = 0
-        # One row per step, as the handlers return them; `trace` reads
-        # them as events.
-        self._rows: list[tuple] = []
+        # The handlers' rows, five fields a step (see `Trace`); `trace`
+        # reads them as events.
+        self._rows: list = []
         self.trace = Trace(self._rows)
         self._next_pid = 0
         self._next_cid = 0
@@ -507,9 +521,9 @@ class Machine:
     def step(self, p: ProcessInstance) -> TraceEvent:
         cmd = p.body[p.at]
         row = _HANDLERS.get(type(cmd), _cannot_execute)(self, p, cmd)
-        self._rows.append(row)
+        self._rows += row
         self.steps += 1
-        ev = TraceEvent(self.steps - 1, *row)
+        ev = _event(self.steps - 1, *row)
         if self.trace_hook is not None:
             self.trace_hook(ev)
         # Most steps send the services nothing.
@@ -550,10 +564,11 @@ class Machine:
                 return Outcome(OutcomeKind.STEP_LIMIT, self.steps,
                                self.trace, self)
             # step(p)
-            rows.append(_HANDLERS.get(kind, _cannot_execute)(self, p, cmd))
+            row = _HANDLERS.get(kind, _cannot_execute)(self, p, cmd)
+            rows += row
             self.steps += 1
             if hook is not None:
-                hook(TraceEvent(self.steps - 1, *rows[-1]))
+                hook(_event(self.steps - 1, *row))
             for e in services:
                 if e.inbox:
                     self._drain_services()
@@ -673,7 +688,8 @@ class Machine:
 
     # Each handler returns its step's trace row, `(pid, kind, chan, cid,
     # payload)`, built before `_advance` or `_finish` can end the process,
-    # from the end it bound.  The hot ones bind inline and call `_binding`
+    # from the end it bound.  A put's or get's payload is the value, which
+    # `_event` renders.  The hot ones bind inline and call `_binding`
     # only to raise its fault (unchecked programs only).
 
     def _exec_put(self, p: ProcessInstance, cmd: PutVal) -> tuple:
@@ -682,14 +698,14 @@ class Machine:
         if e is None or e.cid not in self.channels:
             self._binding(p, cmd.chan)
         e.peer.inbox.append(value)
-        row = (p.pid, "PUT", cmd.chan, e.cid, render(value))
+        row = (p.pid, "PUT", cmd.chan, e.cid, value)
         self._advance(p)
         return row
 
     def _exec_get(self, p: ProcessInstance, cmd: GetVal) -> tuple:
         e, value = self._pop(p, cmd.chan, Value, "get")
         p.seq_env[cmd.binder] = value
-        row = (p.pid, "GET", cmd.chan, e.cid, render(value))
+        row = (p.pid, "GET", cmd.chan, e.cid, value)
         self._advance(p)
         return row
 
@@ -794,13 +810,15 @@ class Machine:
             self._reap(e)
 
     def _reap(self, e: EndState) -> None:
-        """Drop `e`'s channel once both its ends are closed."""
+        """Drop `e`'s channel once both its ends are closed, and unlink
+        its ends: nothing reads the peer of an end whose channel is gone."""
         if e.closed and e.peer.closed:
             self.channels.pop(e.cid, None)
             # pending ends that would be claimed through these now resolve
             # to no one
-            e.owner = e.peer.owner = None
-            self._released += e, e.peer
+            peer = e.peer
+            e.owner = peer.owner = e.peer = peer.peer = None
+            self._released += e, peer
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, (IntLit, CharLit, StringLit, BoolLit)):

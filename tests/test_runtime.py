@@ -1,3 +1,4 @@
+import gc
 import random
 import typing
 
@@ -12,12 +13,15 @@ from campl.model import (
     VarRef,
 )
 from campl.parser import parse_source
+from campl.printer import roundtrip_print
 from campl.runtime import (
     _HANDLERS, _WAITING, EndState, Machine, MachineFault, BootError,
     OutcomeKind, ProcessInstance, RewireMsg, boot, resolve_race,
 )
 from campl.services import ServiceConfig
 from conftest import corpus_text, load_perfbench, run_watched
+from genprog import gen_program, with_forwarder
+from test_checker import POSITIVE
 
 
 def run_corpus(name, seed=0, script=(), max_steps=100_000):
@@ -233,6 +237,34 @@ def test_churn_is_watched_at_every_step(seed):
     assert not m.processes and not m.channels
     assert [ev.kind for ev in m.trace].count("RACE") == 12
     assert len(m.config.outputs) == 24
+
+
+def test_checked_runs_leave_no_cyclic_garbage():
+    # A channel's ends name each other until it is reaped, and then no
+    # longer, so a finished run is freed by reference counting alone: with
+    # the collector paused, a collection finds nothing once the machine
+    # and its outcome are dropped.  A reaped channel whose ends still
+    # named each other would leave both ends and their inboxes behind.
+    # Half the generated programs route a channel through a |=|.
+    programs = load_perfbench("programs")
+    texts = [corpus_text(name) for name in POSITIVE]
+    for s in range(10):
+        texts += [roundtrip_print(gen_program(s)), roundtrip_print(
+            with_forwarder(gen_program(s), s % 2 == 0, s))]
+    texts += [churn_text(100), programs.pipeline_source(
+        random.Random(0), 20, ["alpha", "beta"])]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            out, _ = run_text(text, script=["first line", "second line"])
+            assert out.done
+            del out
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +772,77 @@ def test_stored_process_captures_variables():
     out, cfg = run_text(src)
     assert out.done
     assert cfg.outputs == ["captured!"]
+
+
+# One put of each kind of value, the last a stored process that captures
+# `n`; the receiver answers with the string `n` reads.
+PAYLOADS = (
+    "proc greet :: | Console => =\n"
+    "    | c => -> do\n"
+    "        hput ConsoleClose on c\n"
+    "        halt c\n"
+    "\nproc sender =\n"
+    "    | => ch -> do\n"
+    "        put 7 on ch\n"
+    "        put -3 on ch\n"
+    "        put 'x' on ch\n"
+    '        put "say \\"hi\\"" on ch\n'
+    "        put True on ch\n"
+    "        put store(greet) on ch\n"
+    "        get n on ch\n"
+    "        put store(proc kept :: | Console => =\n"
+    "            | c => -> do\n"
+    "                hput ConsolePut on c\n"
+    "                put n on c\n"
+    "                hput ConsoleClose on c\n"
+    "                halt c\n"
+    "            ) on ch\n"
+    "        halt ch\n"
+    "\nproc receiver :: | Put(Int| Put(Int| Put(Char| Put([Char]| "
+    "Put(Bool| Put(Store(|Console=>)| Get([Char]| "
+    "Put(Store(|Console=>)| TopBot)))))))), Console => =\n"
+    "    | ch, console => -> do\n"
+    "        get a on ch\n"
+    "        get b on ch\n"
+    "        get c on ch\n"
+    "        get d on ch\n"
+    "        get e on ch\n"
+    "        get f on ch\n"
+    '        put "kept" on ch\n'
+    "        get g on ch\n"
+    "        close ch\n"
+    "        use(g)( | console => )\n"
+    "\nproc run =\n"
+    "    | console => -> plug\n"
+    "        sender( | => ch )\n"
+    "        receiver( | ch, console => )\n")
+
+
+def test_payloads_of_every_value_kind_render_alike_everywhere():
+    # A put's or get's row keeps the value itself, rendered only when an
+    # event is built: the view, its negative indices and slices, the hook
+    # and `step()` all print the same payload.
+    expected = ["7", "-3", "'x'", '"say "hi""', "True", "store(greet)",
+                '"kept"', "store(kept)"]
+    program = check_program(parse_source(PAYLOADS)).exec_program
+    streamed = []
+    m = boot(program, services=ServiceConfig.from_script([]),
+             trace_hook=streamed.append)
+    out = m.run_to_completion()
+    assert out.done and m.config.outputs == ["kept"]
+    events = list(m.trace)
+    for kind in ("PUT", "GET"):
+        assert [ev.payload for ev in events
+                if ev.kind == kind and ev.chan == "ch"] == expected
+    assert streamed == events == out.trace[:]
+    stepwise = boot(program, services=ServiceConfig.from_script([]))
+    stepped = []
+    while stepwise.processes:
+        stepped.append(stepwise.step(stepwise.pick()))
+    assert stepped == events == list(stepwise.trace)
+    assert m.trace[-7] == events[19]
+    assert (m.trace[-7].kind, m.trace[-7].payload) == ("GET", "store(kept)")
+    assert [ev.payload for ev in m.trace[2:8]] == expected[:6]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ refactor that drops or renames one of those names breaks the benchmark
 with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
 name it reaches, and compare the traces of both loops.  The last tests hold
-the machine to its budgets of Python calls and bytecodes per step, the
-checker to its budget of calls per command, the parser to its budget of
+the machine to its budgets of Python calls and bytecodes per step and of
+memory per run, the checker to its budget of calls per command, the parser to its budget of
 calls per token, and the parser and the checker to their budgets of stack
 frames per level of nesting.  The last test keeps `src/campl` free of
 module-level names nothing reads."""
@@ -12,6 +12,7 @@ module-level names nothing reads."""
 import ast
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -98,14 +99,15 @@ def test_machine_steps_stay_within_their_call_budget():
     # was built (16,456 calls), 5.035 once a put sent its value and an
     # hput its handle's name, unwrapped (15,654 calls), 4.970 once a
     # process kept one continuation and `_advance` no longer walked a
-    # stack of frames (15,453 calls).  The count is exact for a given
-    # interpreter, so a rise means new per-step calls.  It
-    # pauses the collector, as the CLI does: a gc callback an earlier test
-    # registered (Hypothesis's) would otherwise add two calls per
-    # collection.
+    # stack of frames (15,453 calls), 4.713 once a put's or get's row kept
+    # its value and `render` ran only when an event was built (14,653
+    # calls).  The count is exact for a given interpreter, so a rise means
+    # new per-step calls.  It pauses the collector, as the CLI does: a gc
+    # callback an earlier test registered (Hypothesis's) would otherwise
+    # add two calls per collection.
     calls, outcome = _count_calls(_booted(churn_text(100)).run_to_completion)
     assert outcome.done and outcome.steps == 3109
-    assert calls / outcome.steps <= 4.9705, f"{calls} calls"
+    assert calls / outcome.steps <= 4.7131, f"{calls} calls"
     # Churn runs no |=|, so the forwarder chain's six links make a second
     # input: 295 calls over its 21 steps while a link built a channel and
     # two ends only to drop the ends, 255 once it built none.
@@ -116,11 +118,11 @@ def test_machine_steps_stay_within_their_call_budget():
     # Listing 7 makes a third, heavy in hcases: 8 of its 50 steps enter an
     # arm, against 201 hcases and races in churn's 3,109 steps.  242 calls
     # while an arm was a frame pushed on a stack, 234 once it became the
-    # process's continuation.
+    # process's continuation, 219 once a row kept its value unrendered.
     calls, outcome = _count_calls(_booted(LISTING7).run_to_completion)
     assert outcome.done and outcome.steps == 50
     assert [ev.kind for ev in outcome.trace].count("HCASE") == 8
-    assert calls <= 234, f"{calls} calls"
+    assert calls <= 219, f"{calls} calls"
 
 
 def test_machine_steps_stay_within_their_bytecode_budget():
@@ -131,17 +133,53 @@ def test_machine_steps_stay_within_their_bytecode_budget():
     # its peer and the monitor read pending ends from fork messages,
     # 916,636 (294.8) once a channel was its two ends, 907,616 (291.9) once
     # a message was what it carries, 860,986 (276.9) once a process kept
-    # one continuation in place of a stack of frames.  The count is exact
-    # for a given interpreter and does not depend on the hash seed; like
-    # `_count_calls`, it pauses the collector.
+    # one continuation in place of a stack of frames, 841,400 (270.6) once
+    # a step added its row's fields to one flat list, a row kept its value
+    # unrendered and a reaped channel's ends were unlinked.  The count is
+    # exact for a given interpreter and does not depend on the hash seed;
+    # like `_count_calls`, it pauses the collector.
     ops, outcome = _count_bytecodes(_booted(churn_text(100)))
     assert outcome.done and outcome.steps == 3109
-    assert ops <= 860_986, f"{ops} bytecodes"
+    assert ops <= 841_400, f"{ops} bytecodes"
     # Listing 7, whose hcases enter arms, as in the call budget: 13,367
-    # bytecodes with frames, 12,317 with one continuation.
+    # bytecodes with frames, 12,317 with one continuation, 11,918 with
+    # flat rows of unrendered values.
     ops, outcome = _count_bytecodes(_booted(LISTING7))
     assert outcome.done and outcome.steps == 50
-    assert ops <= 12_317, f"{ops} bytecodes"
+    assert ops <= 11_918, f"{ops} bytecodes"
+
+
+def test_machine_steps_stay_within_their_memory_budget():
+    # The tracemalloc peak of the same run, the collector paused as in
+    # `_count_calls`, with this test run alone: 1,032,679 bytes (332.2 a
+    # step) while a step kept a row tuple and its rendered payload and
+    # each reaped channel's two ends, still naming each other, stayed for
+    # the paused collector with their inboxes; 173,269 (55.7) once a step
+    # added the row's five fields to one flat list, a payload stayed the
+    # value and reaping unlinked the ends.  The kept rows are nearly all
+    # of it, so a rise means more kept per step or a new reference cycle.
+    # After the rest of this file the two read 862,767 and 166,909,
+    # because objects the earlier tests freed are reused from free lists
+    # that tracemalloc does not see.
+    peak, outcome = _peak_bytes(_booted(churn_text(100)))
+    assert outcome.done and outcome.steps == 3109
+    assert peak <= 173_269, f"{peak} bytes"
+
+
+def _peak_bytes(machine: Machine) -> tuple:
+    """The tracemalloc peak of `machine`'s `run_to_completion`, and its
+    outcome, with the collector paused as in `_count_calls`."""
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        outcome = machine.run_to_completion()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    return peak, outcome
 
 
 def _count_bytecodes(machine: Machine) -> tuple:
