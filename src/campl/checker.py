@@ -11,6 +11,7 @@ mistakes in different processes are all reported in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import diagnostics as dk
 from .diagnostics import CheckFailure, Diagnostic, sort_key
@@ -583,23 +584,23 @@ class Checker:
     def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
         entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
                                                        "hcase")
-        decl = self.handles.get(cmd.arms[0].handle)
+        decl = self.handles.get(cmd.arms[0].label)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.arms[0].pos,
-                      f"unknown handle {cmd.arms[0].handle!r}",
+                      f"unknown handle {cmd.arms[0].label!r}",
                       channel=cmd.chan)
         seen = set()
         for arm in cmd.arms:
-            owner = self.handles.get(arm.handle)
+            owner = self.handles.get(arm.label)
             if owner is None or owner.name != decl.name:
                 self.fail(dk.HANDLE_UNKNOWN, arm.pos,
-                          f"handle {arm.handle!r} does not belong to "
+                          f"handle {arm.label!r} does not belong to "
                           f"{decl.name}", channel=cmd.chan)
-            if arm.handle in seen:
+            if arm.label in seen:
                 self.fail(dk.HANDLE_DUPLICATE, arm.pos,
-                          f"duplicate hcase arm for {arm.handle!r}")
-            seen.add(arm.handle)
-        if not seen.issuperset(decl.handle_defs):
+                          f"duplicate hcase arm for {arm.label!r}")
+            seen.add(arm.label)
+        if not seen.issuperset(map(attrgetter("name"), decl.handles)):
             missing = [h.name for h in decl.handles if h.name not in seen]
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
                       f"hcase on {cmd.chan!r} must cover every handle of "
@@ -610,7 +611,7 @@ class Checker:
         for arm in cmd.arms:
             arm_ctx = dict(chan_ctx)
             arm_ctx[cmd.chan] = ChanEntry(
-                self.unfold(decl, arm.handle, app), entry.pol)
+                self.unfold(decl, arm.label, app), entry.pol)
             results.append(self.check_body(arm.body, dict(seq_ctx), arm_ctx))
         return self.merge_arms(cmd, "hcase", chan_ctx, results)
 
@@ -653,20 +654,20 @@ class Checker:
 
     def check_race(self, cmd: Race, seq_ctx, chan_ctx):
         for arm in cmd.arms:
-            entry = chan_ctx.get(arm.chan)
+            entry = chan_ctx.get(arm.label)
             if entry is None:
                 self.fail(dk.LINEARITY_REUSE, arm.pos,
-                          f"raced channel {arm.chan!r} is not live",
-                          channel=arm.chan)
+                          f"raced channel {arm.label!r} is not live",
+                          channel=arm.label)
             resolved = self.uni.resolve(entry.type)
             want = COMMAND_HEADS["get"][entry.pol is INPUT]
             if type(resolved) is UVar:
                 self.uni.unify(resolved, self.fresh_head(want))
             elif type(resolved) is not want:
                 self.fail(dk.RACE_ARM_NOT_RECEIVING, arm.pos,
-                          f"race arm on {arm.chan!r} cannot receive: its "
+                          f"race arm on {arm.label!r} cannot receive: its "
                           f"next step is not a value get (type {resolved} "
-                          f"at {entry.pol})", channel=arm.chan,
+                          f"at {entry.pol})", channel=arm.label,
                           chan_type=resolved)
         results = []
         for arm in cmd.arms:
@@ -683,12 +684,12 @@ class Checker:
         del chan_ctx[cmd.chan]
         frees = []
         for arm in cmd.arms:
-            if arm.name in chan_ctx:
+            if arm.label in chan_ctx:
                 self.fail(dk.LINEARITY_REUSE, arm.pos,
-                          f"fork binder {arm.name!r} shadows a live channel",
-                          channel=arm.name)
+                          f"fork binder {arm.label!r} shadows a live channel",
+                          channel=arm.label)
             frees.append(self.exec_program.free_chans(arm.body)
-                         - {arm.name})
+                         - {arm.label})
         overlap = frees[0] & frees[1] & chan_ctx.keys()
         if overlap:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
@@ -704,11 +705,11 @@ class Checker:
         for arm, component, free in zip(cmd.arms, components, frees):
             # `free` lacks only the binder, which is not in `chan_ctx`.
             arm_ctx = {n: e for n, e in chan_ctx.items() if n in free}
-            arm_ctx[arm.name] = ChanEntry(component, entry.pol)
+            arm_ctx[arm.label] = ChanEntry(component, entry.pol)
             ctx = self.check_body(arm.body, dict(seq_ctx), arm_ctx)
             if ctx:
                 self.fail(dk.LINEARITY_DROP, arm.pos,
-                          f"fork branch {arm.name!r} ends with live "
+                          f"fork branch {arm.label!r} ends with live "
                           f"channel(s): {', '.join(sorted(ctx))}")
         return True
 

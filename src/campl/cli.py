@@ -44,10 +44,9 @@ def _load(path: str) -> str:
 @contextlib.contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, then restore the caller's
-    setting.  The front end's tokens and trees survive until it returns
-    and it makes no reference cycles, so a collection while it builds them
-    only rescans live objects; the next collection after the phase
-    reclaims what an error path left."""
+    setting.  A command's tokens, trees and machine survive until it
+    returns, and neither the front end nor a run makes reference cycles,
+    so a collection meanwhile would only rescan live objects."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -58,21 +57,19 @@ def _gc_paused():
 
 
 def _parse(path: str, as_json: bool) -> SourceProgram:
-    with _gc_paused():
-        try:
-            return parse_source(_load(path))
-        except ParseFailure as e:
-            _emit(e.errors, path, as_json)
-            raise SystemExit(1)
+    try:
+        return parse_source(_load(path))
+    except ParseFailure as e:
+        _emit(e.errors, path, as_json)
+        raise SystemExit(1)
 
 
 def _check(program: SourceProgram, path: str, as_json: bool) -> TypedProgram:
-    with _gc_paused():
-        try:
-            return check_program(program)
-        except CheckFailure as e:
-            _emit(e.errors, path, as_json)
-            raise SystemExit(1)
+    try:
+        return check_program(program)
+    except CheckFailure as e:
+        _emit(e.errors, path, as_json)
+        raise SystemExit(1)
 
 
 def _lint_run_position(program: SourceProgram) -> None:
@@ -84,8 +81,10 @@ def _lint_run_position(program: SourceProgram) -> None:
 
 
 @click.group()
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Check and execute .campl programs."""
+    ctx.with_resource(_gc_paused())
 
 
 @main.command()

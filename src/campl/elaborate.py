@@ -181,7 +181,7 @@ def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
                 acc.add(cmd.chan)
         elif isinstance(cmd, Fork):
             for a in cmd.arms:
-                acc |= sub(a.body) - {a.name}
+                acc |= sub(a.body) - {a.label}
             if cmd.chan:
                 acc.add(cmd.chan)
         elif isinstance(cmd, Split):
@@ -200,7 +200,7 @@ def _free_body(body: Body, sub: Callable[[Body], frozenset[str]]
         elif isinstance(cmd, Race):
             for a in cmd.arms:
                 acc |= sub(a.body)
-                acc.add(a.chan)
+                acc.add(a.label)
         elif isinstance(cmd, (Call, Use)):
             acc.update(cmd.chan_args)
         elif isinstance(cmd, Link):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import is_
+from operator import attrgetter, is_
 from typing import Union
 
 
@@ -348,15 +348,6 @@ class ProtocolDecl:
     state_var: str
     handles: tuple[HandleDef, ...]
     pos: Pos = pos_field()
-    # Handle name -> its first definition, for lookups without a scan (a
-    # repeated name is a diagnostic, and checking goes on with the first).
-    # The resolver sets each `HandleDef.body` in place, so this stays
-    # current.
-    handle_defs: dict[str, HandleDef] = field(init=False, repr=False,
-                                              compare=False)
-
-    def __post_init__(self):
-        self.handle_defs = {h.name: h for h in reversed(self.handles)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +385,10 @@ def unfold_handle(decl: ProtocolDecl, handle: str, app: ChanType) -> ChanType:
     """Expand `handle` of `decl` at the application `app`: sequential
     parameters are replaced by the application's arguments and the state
     variable by `app` itself (iso-recursive unfolding)."""
-    h = decl.handle_defs.get(handle)
-    if h is None:
+    for h in decl.handles:          # a repeated name: the first one wins
+        if h.name == handle:
+            break
+    else:
         raise UnknownHandle(f"{decl.name} has no handle {handle}")
     args = app.args if isinstance(app, (ProtoApp, CoprotoApp)) else ()
     if len(args) != len(decl.seq_params):
@@ -492,8 +485,10 @@ class HPut:
 
 
 @dataclass(slots=True)
-class HCaseArm:
-    handle: str
+class Arm:
+    """One arm of an hcase, fork or race: its handle, the channel name it
+    binds, or the channel it races on, and its body."""
+    label: str
     body: tuple["Command", ...]
     pos: Pos = pos_field()
 
@@ -501,7 +496,7 @@ class HCaseArm:
 @dataclass(slots=True)
 class HCase:
     chan: str | None
-    arms: tuple[HCaseArm, ...]
+    arms: tuple[Arm, ...]
     pos: Pos = pos_field()
 
 
@@ -518,16 +513,9 @@ class Halt:
 
 
 @dataclass(slots=True)
-class ForkArm:
-    name: str
-    body: tuple["Command", ...]
-    pos: Pos = pos_field()
-
-
-@dataclass(slots=True)
 class Fork:
     chan: str | None
-    arms: tuple[ForkArm, ForkArm]
+    arms: tuple[Arm, Arm]
     pos: Pos = pos_field()
 
 
@@ -546,15 +534,8 @@ class Plug:
 
 
 @dataclass(slots=True)
-class RaceArm:
-    chan: str
-    body: tuple["Command", ...]
-    pos: Pos = pos_field()
-
-
-@dataclass(slots=True)
 class Race:
-    arms: tuple[RaceArm, ...]
+    arms: tuple[Arm, ...]
     pos: Pos = pos_field()
 
 
@@ -639,11 +620,12 @@ def map_command(cmd, body, expr):
             return cmd
         return Use(stored, args, cmd.in_chans, cmd.out_chans, cmd.pos)
     if k is HCase or k is Fork or k is Race:
-        old = [a.body for a in cmd.arms]
+        old = list(map(attrgetter("body"), cmd.arms))
         new = list(map(body, old))
         if same_items(new, old):
             return cmd
-        arms = tuple(map(_REARM[k], cmd.arms, new))
+        arms = tuple(map(Arm, map(attrgetter("label"), cmd.arms), new,
+                         map(attrgetter("pos"), cmd.arms)))
         return Race(arms, cmd.pos) if k is Race else k(cmd.chan, arms, cmd.pos)
     if k is Plug:
         branches = tuple(map(body, cmd.branches))
@@ -655,13 +637,6 @@ def map_command(cmd, body, expr):
         return cmd if b is cmd.body else OnDo(cmd.chan, b, cmd.pos)
     return cmd
 
-
-# Each command's arm rebuilt with a new body.
-_REARM = {
-    HCase: lambda a, b: HCaseArm(a.handle, b, a.pos),
-    Fork: lambda a, b: ForkArm(a.name, b, a.pos),
-    Race: lambda a, b: RaceArm(a.chan, b, a.pos),
-}
 
 # Each command whose channel an `on` block may supply, rebuilt on `ch`.
 WITH_CHAN = {

@@ -24,13 +24,12 @@ from .diagnostics import (
 )
 from .lexer import CHARLIT, EOF, IDENT, INT, KW, OP, STRING
 from .model import (
-    BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT, WITH_CHAN,
-    BoolLit, Call, CharLit, Close, CoprotoApp, DeclKind, Expr, Fork, ForkArm,
-    Get, GetVal, Halt, HandleDef, HCase, HCaseArm, HPut, IntLit, Link,
-    NegIntro, NegT, OnDo, Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp,
-    ProtocolDecl, Put, PutVal, Race, RaceArm, SeqVar, Split, StateVar,
-    StoreOf, StoreType, StringLit, SourceProgram, Tensor, Use, VarRef,
-    map_signature, map_type, pos_field,
+    BOOL, CHAR, INT as INT_T, STRING as STRING_T, TOPBOT, WITH_CHAN, Arm,
+    BoolLit, Call, CharLit, Close, CoprotoApp, DeclKind, Expr, Fork, Get,
+    GetVal, Halt, HandleDef, HCase, HPut, IntLit, Link, NegIntro, NegT, OnDo,
+    Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp, ProtocolDecl, Put,
+    PutVal, Race, SeqVar, Split, StateVar, StoreOf, StoreType, StringLit,
+    SourceProgram, Tensor, Use, VarRef, map_signature, map_type, pos_field,
 )
 from .services import BUILTIN_DECLS
 
@@ -496,7 +495,7 @@ class Parser:
 
     def _cmd_hcase(self, kw: tuple, anchor: int):
         chan = self._opt_chan_before("of")
-        return HCase(chan, self._arms(anchor, "handle", HCaseArm),
+        return HCase(chan, self._arms(anchor, "handle"),
                      pos=Pos(kw[2], kw[3]))
 
     def _cmd_close(self, kw: tuple, anchor: int):
@@ -507,7 +506,7 @@ class Parser:
 
     def _cmd_fork(self, kw: tuple, anchor: int):
         chan = self._opt_chan_before("as")
-        arms = self._arms(anchor, "channel", ForkArm)
+        arms = self._arms(anchor, "channel")
         if len(arms) != 2:
             raise ParseError("fork takes exactly two branches", kw)
         return Fork(chan, arms, pos=Pos(kw[2], kw[3]))
@@ -528,7 +527,7 @@ class Parser:
         return Plug(tuple(branches), pos=Pos(kw[2], kw[3]))
 
     def _cmd_race(self, kw: tuple, anchor: int):
-        return Race(self._arms(anchor, "channel", RaceArm),
+        return Race(self._arms(anchor, "channel"),
                     pos=Pos(kw[2], kw[3]))
 
     def _cmd_use(self, kw: tuple, anchor: int):
@@ -562,16 +561,15 @@ class Parser:
         self.expect(")")
         return args
 
-    def _arms(self, parent_indent: int, what: str, arm) -> tuple:
-        """The block of `name -> body` arms of an hcase, fork or race, each
-        built as `arm(name, body)`."""
+    def _arms(self, parent_indent: int, what: str) -> tuple:
+        """The block of `label -> body` arms of an hcase, fork or race."""
         first = self.peek()
         arms = []
         for name in self._block(parent_indent, f"indented {what} arms",
                                 IDENT):
             self.take()
             self.expect("->")
-            arms.append(arm(name[1], self.parse_body(name[3]),
+            arms.append(Arm(name[1], self.parse_body(name[3]),
                             pos=Pos(name[2], name[3])))
         if not arms:
             raise ParseError(f"expected at least one {what} arm", first)

@@ -71,6 +71,7 @@ def _body(body: tuple, level: int) -> list[str]:
 def _command(cmd, level: int) -> list[str]:
     ind = STEP * level
     on = lambda c: f" on {c}" if c else ""
+    sp = lambda c: f" {c}" if c else ""
     if isinstance(cmd, PutVal):
         return [f"{ind}put {_expr(cmd.expr, level)}{on(cmd.chan)}"]
     if isinstance(cmd, GetVal):
@@ -78,16 +79,15 @@ def _command(cmd, level: int) -> list[str]:
     if isinstance(cmd, HPut):
         return [f"{ind}hput {cmd.handle}{on(cmd.chan)}"]
     if isinstance(cmd, Close):
-        return [f"{ind}close{' ' + cmd.chan if cmd.chan else ''}"]
+        return [f"{ind}close{sp(cmd.chan)}"]
     if isinstance(cmd, Halt):
-        return [f"{ind}halt{' ' + cmd.chan if cmd.chan else ''}"]
+        return [f"{ind}halt{sp(cmd.chan)}"]
     if isinstance(cmd, HCase):
-        return _arms(cmd, level, "hcase", " of", "handle")
+        return _arms(cmd, level, f"hcase{sp(cmd.chan)} of")
     if isinstance(cmd, Fork):
-        return _arms(cmd, level, "fork", " as", "name")
+        return _arms(cmd, level, f"fork{sp(cmd.chan)} as")
     if isinstance(cmd, Split):
-        ch = f" {cmd.chan}" if cmd.chan else ""
-        return [f"{ind}split{ch} into {cmd.left}, {cmd.right}"]
+        return [f"{ind}split{sp(cmd.chan)} into {cmd.left}, {cmd.right}"]
     if isinstance(cmd, Plug):
         lines = [f"{ind}plug"]
         for branch in cmd.branches:
@@ -95,7 +95,7 @@ def _command(cmd, level: int) -> list[str]:
             lines.extend(_body(branch, level + 2))
         return lines
     if isinstance(cmd, Race):
-        return _arms(cmd, level, "race", "", "chan")
+        return _arms(cmd, level, "race")
     if isinstance(cmd, Call):
         return [f"{ind}{cmd.callee}{_args(cmd, level)}"]
     if isinstance(cmd, Use):
@@ -111,15 +111,14 @@ def _command(cmd, level: int) -> list[str]:
     raise TypeError(f"cannot print {type(cmd).__name__}")
 
 
-def _arms(cmd, level: int, keyword: str, tail: str, label: str):
-    """The lines of an hcase, fork or race: `keyword`, its channel if it
-    names one, and `tail`; then each arm, headed by its `label` field, and
-    its body, printed here so a level of nesting costs two frames."""
+def _arms(cmd, level: int, head: str):
+    """The lines of an hcase, fork or race: its `head` line, then each arm,
+    headed by its label, and its body, printed here so a level of nesting
+    costs two frames."""
     ind = STEP * level
-    chan = getattr(cmd, "chan", None)
-    lines = [f"{ind}{keyword}{' ' + chan if chan else ''}{tail}"]
+    lines = [f"{ind}{head}"]
     for arm in cmd.arms:
-        lines.append(f"{ind}{STEP}{getattr(arm, label)} -> do")
+        lines.append(f"{ind}{STEP}{arm.label} -> do")
         for sub in arm.body:
             lines.extend(_command(sub, level + 2))
     return lines

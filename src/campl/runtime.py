@@ -179,10 +179,10 @@ def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
 
 def _fork_plan(program: ExecProgram, cmd: Fork, held: dict) -> HandOff:
     return _hand_off_plan(
-        held, [(f".{arm.name}", arm.body) for arm in cmd.arms],
-        share_out(program.free_chans(arm.body) - {arm.name}
+        held, [(f".{arm.label}", arm.body) for arm in cmd.arms],
+        share_out(program.free_chans(arm.body) - {arm.label}
                   for arm in cmd.arms), (),
-        ",".join(f"{arm.name}#%d" for arm in cmd.arms))
+        ",".join(f"{arm.label}#%d" for arm in cmd.arms))
 
 
 def _invocation(program: ExecProgram, cmd: Call | Use,
@@ -491,9 +491,9 @@ class Machine:
     def _race_ready(self, p: ProcessInstance, cmd: Race) -> list:
         ready = []
         for arm in cmd.arms:
-            e = p.chan_env.get(arm.chan)
+            e = p.chan_env.get(arm.label)
             if e is None or e.cid not in self.channels:
-                self._binding(p, arm.chan)
+                self._binding(p, arm.label)
             q = e.inbox
             if q and isinstance(q[0], Value):
                 ready.append(arm)
@@ -505,7 +505,7 @@ class Machine:
         if kind not in _WAITING:
             return []
         if kind is Race:
-            return [p.chan_env[a.chan].cid for a in cmd.arms]
+            return [p.chan_env[a.label].cid for a in cmd.arms]
         return [p.chan_env[cmd.chan].cid]
 
     def pick(self) -> ProcessInstance | None:
@@ -721,7 +721,7 @@ class Machine:
     def _exec_hcase(self, p: ProcessInstance, cmd: HCase) -> tuple:
         e, handle = self._pop(p, cmd.chan, str, "hcase")
         for arm in cmd.arms:
-            if arm.handle == handle:
+            if arm.label == handle:
                 break
         else:
             raise MachineFault("IllegalCommand",
@@ -746,7 +746,7 @@ class Machine:
     def _exec_race(self, p: ProcessInstance, cmd: Race) -> tuple:
         arm = resolve_race(self._race_ready(p, cmd), self.rng)
         p.body, p.at = arm.body + p.body[p.at + 1:], 0
-        return p.pid, "RACE", arm.chan, p.chan_env[arm.chan].cid, None
+        return p.pid, "RACE", arm.label, p.chan_env[arm.label].cid, None
 
     def _exec_neg(self, p: ProcessInstance, cmd: NegIntro) -> tuple:
         e = self._binding(p, cmd.chan)
@@ -877,14 +877,14 @@ class Machine:
         # waits for the peer's split; until then it is claimed through
         # the carrier's far end, whose holder may change meanwhile.
         left, right = cmd.arms
-        l0, l1 = self._new_channel(left.name)
-        r0, r1 = self._new_channel(right.name)
+        l0, l1 = self._new_channel(left.label)
+        r0, r1 = self._new_channel(right.label)
         l1.owner = r1.owner = e.peer
         e.peer.inbox.append(RewireMsg(l0.cid, (l1, r1)))
         row = (p.pid, "FORK", cmd.chan, e.cid,
                plan.payload % (l0.cid, r0.cid))
         self._release(e)
-        self._hand_off(p, plan, [{left.name: l0}, {right.name: r0}])
+        self._hand_off(p, plan, [{left.label: l0}, {right.label: r0}])
         return row
 
     def _exec_split(self, p: ProcessInstance, cmd: Split) -> tuple:

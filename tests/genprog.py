@@ -13,8 +13,8 @@ import random
 from dataclasses import replace
 
 from campl.model import (
-    BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, BoolLit, Call, CharLit,
-    Close, Fork, ForkArm, Get, GetVal, Halt, IntLit, Link, Plug, ProcDef,
+    BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, Arm, BoolLit, Call,
+    CharLit, Close, Fork, Get, GetVal, Halt, IntLit, Link, Plug, ProcDef,
     ProcSignature, Put, PutVal, SourceProgram, Split, StringLit, Tensor,
     Par, Polarity,
 )
@@ -93,8 +93,8 @@ class _BodyBuilder:
         cut = self.r.randint(0, len(mine))
         left, right = mine[:cut], mine[cut:]
         return (Fork(name, (
-            ForkArm(a, self.build([(a, t.left, pol)] + left)),
-            ForkArm(b, self.build([(b, t.right, pol)] + right)),
+            Arm(a, self.build([(a, t.left, pol)] + left)),
+            Arm(b, self.build([(b, t.right, pol)] + right)),
         )),)
 
     def _split(self, name, t, pol, rest):

@@ -12,7 +12,10 @@ from campl import cli
 from campl.cli import main
 from campl.checker import check_program
 from campl.diagnostics import CheckFailure, ParseFailure
+from campl.elaborate import prepare
 from campl.parser import MAX_TYPE_DEPTH, parse_source
+from campl.runtime import MachineFault, boot
+from campl.services import ServiceConfig
 from conftest import CORPUS, ROOT, corpus_text, load_perfbench
 
 
@@ -199,6 +202,22 @@ def test_run_trace_goes_to_stderr(runner):
     assert r.stdout == ""
     race_lines = [l for l in r.stderr.splitlines() if " RACE " in l]
     assert len(race_lines) == 1
+
+
+def test_trace_prints_string_payloads_unescaped(runner, tmp_path):
+    # Today's bytes, not a promise: with stderr not a terminal, click strips
+    # the ANSI escape from the trace line, though the Console's stdout keeps
+    # it, and a `\n` in a payload splits one event over two lines.
+    from test_goldens import ESCAPES
+    src = tmp_path / "escapes.campl"
+    src.write_text(ESCAPES["escapes.campl"], encoding="utf-8")
+    r = runner.invoke(main, ["run", str(src), "--trace"])
+    assert r.exit_code == 0
+    assert r.stdout == "a\x1b[31mb\na\nb\n"
+    events = r.stderr.splitlines()
+    assert events[2] == '#2 pid=0 PUT ch=console#0 payload="ab"'
+    assert events[4:6] == ['#4 pid=0 PUT ch=console#0 payload="a', 'b"']
+    assert events[6].startswith("#5 ")
 
 
 def test_run_seed_changes_trace_only_via_races(runner):
@@ -521,15 +540,15 @@ def test_a_plug_inside_a_plug_branch_checks_and_runs(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("command,text,code,checked", [
-    ("check", corpus_text("listing1.campl"), 0, True),
-    ("check", "proc p = | ch => -> put\n", 1, False),
-    ("check", corpus_text("appendix_b.campl"), 1, True),
-    ("run", corpus_text("listing1.campl"), 0, True),
-], ids=["accepted", "parse-error", "check-failure", "run"])
+@pytest.mark.parametrize("args,text,code,checked", [
+    (["check"], corpus_text("listing1.campl"), 0, True),
+    (["check"], "proc p = | ch => -> put\n", 1, False),
+    (["check"], corpus_text("appendix_b.campl"), 1, True),
+    (["run"], corpus_text("listing1.campl"), 0, True),
+    (["run", "--unchecked"], corpus_text("listing1.campl"), 0, False),
+], ids=["accepted", "parse-error", "check-failure", "run", "run-unchecked"])
 def test_front_end_pauses_the_collector_and_restores_it(
-        runner, tmp_path, monkeypatch, enabled, command, text, code,
-        checked):
+        runner, tmp_path, monkeypatch, enabled, args, text, code, checked):
     seen = {}
 
     def spy(name, real):
@@ -544,7 +563,7 @@ def test_front_end_pauses_the_collector_and_restores_it(
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        r = runner.invoke(main, [command, str(src)])
+        r = runner.invoke(main, [args[0], str(src), *args[1:]])
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
@@ -552,8 +571,8 @@ def test_front_end_pauses_the_collector_and_restores_it(
     assert after is enabled
     assert seen.pop("parse_source") == [False]
     assert seen.pop("check_program", []) == ([False] if checked else [])
-    # The machine runs under the caller's setting.
-    assert seen == ({"boot": [enabled]} if command == "run" else {})
+    # The machine runs paused too: one pause spans the whole command.
+    assert seen == ({"boot": [False]} if args[0] == "run" else {})
 
 
 def test_front_end_leaves_no_cyclic_garbage():
@@ -576,6 +595,43 @@ def test_front_end_leaves_no_cyclic_garbage():
     finally:
         if was:
             gc.enable()
+
+
+def test_unchecked_runs_make_no_cyclic_garbage_while_they_run():
+    # The collector stays paused over a whole command, an unchecked run
+    # included.  On the corpus and the golden programs, seeds 0-2, such a
+    # run leaves nothing for a collection to find while its machine is
+    # alive, whether it finishes, deadlocks or faults.
+    from test_goldens import (
+        ARMS, ARMS_FAULTS, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
+    )
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(CORPUS.glob("*.campl"))]
+    for golden in (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES):
+        texts += golden.values()
+    kinds = set()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for text in texts:
+            program = prepare(parse_source(text))
+            gc.collect()
+            for seed in range(3):
+                machine = boot(program, seed, ServiceConfig.from_script(
+                    STDIN_SCRIPT.splitlines()), checked=False)
+                try:
+                    kinds.add(machine.run_to_completion().kind.name)
+                except MachineFault:
+                    kinds.add("fault")
+                # Everything the run made is young, cycles included.
+                assert gc.collect(0) == 0
+                del machine
+                gc.collect(1)
+    finally:
+        if was:
+            gc.enable()
+    assert len(texts) * 3 == 96
+    assert kinds == {"DONE", "STUCK", "fault"}
 
 
 def test_dump_ast_reports_syntax_errors(runner, tmp_path):

@@ -8,9 +8,9 @@ from click.testing import CliRunner
 from campl.cli import main
 from campl.elaborate import ExecProgram, cycle_edges, prepare
 from campl.model import (
-    WITH_CHAN, Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm,
-    HPut, IntLit, Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, RaceArm,
-    Split, SourceProgram, StoreOf, StringLit,
+    WITH_CHAN, Arm, Call, Close, Fork, GetVal, Halt, HCase, HPut, IntLit,
+    Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, Split, SourceProgram,
+    StoreOf, StringLit,
 )
 from campl.parser import parse_source
 from conftest import CORPUS, corpus_text, free_chans, sub_bodies
@@ -29,11 +29,11 @@ WITHOUT_CHAN = {
     PutVal: PutVal(IntLit(1), None),
     GetVal: GetVal("v", None),
     HPut: HPut("H", None),
-    HCase: HCase(None, (HCaseArm("H", (Halt("d"),)),)),
+    HCase: HCase(None, (Arm("H", (Halt("d"),)),)),
     Close: Close(None),
     Halt: Halt(None),
-    Fork: Fork(None, (ForkArm("l", (Halt("l"),)),
-                      ForkArm("r", (Halt("r"),)))),
+    Fork: Fork(None, (Arm("l", (Halt("l"),)),
+                      Arm("r", (Halt("r"),)))),
     Split: Split(None, "l", "r"),
 }
 
@@ -112,10 +112,10 @@ def test_nested_on_do_inner_wins():
 
 def test_on_do_reaches_into_arms():
     body = (OnDo("c", (
-        HCase(None, (HCaseArm("H", (Halt(None),)),)),
+        HCase(None, (Arm("H", (Halt(None),)),)),
     )),)
     got = desugar_body(body)
-    assert got == (HCase("c", (HCaseArm("H", (Halt("c"),)),)),)
+    assert got == (HCase("c", (Arm("H", (Halt("c"),)),)),)
 
 
 def test_on_do_does_not_reach_into_an_inline_stored_process():
@@ -152,8 +152,8 @@ def test_free_chans_neg_rebinding():
 
 def test_free_chans_link_and_race():
     body = (Race((
-        RaceArm("a", (Link("a", "b"),)),
-        RaceArm("b", (Link("b", "a"),)),
+        Arm("a", (Link("a", "b"),)),
+        Arm("b", (Link("b", "a"),)),
     )),)
     assert free_chans(body) == {"a", "b"}
 
@@ -164,15 +164,15 @@ FREE_SETS = {
     # binders inside an arm do not.
     "hcase": ((PutVal(IntLit(1), "d"),
                HCase("c", (
-                   HCaseArm("A", (Close("c"), Halt("d"))),
-                   HCaseArm("B", (Split("c", "x", "y"), Close("x"),
+                   Arm("A", (Close("c"), Halt("d"))),
+                   Arm("B", (Split("c", "x", "y"), Close("x"),
                                   Close("y"), Halt("e"))),
-                   HCaseArm("C", (Fork("c", (
-                       ForkArm("l", (Halt("l"),)),
-                       ForkArm("r", (Close("r"), Halt("f"))))),))))),
+                   Arm("C", (Fork("c", (
+                       Arm("l", (Halt("l"),)),
+                       Arm("r", (Close("r"), Halt("f"))))),))))),
               {"c", "d", "e", "f"}),
     # The hcase's channel counts even where no arm names it.
-    "hcase-channel": ((HCase("c", (HCaseArm("A", (Halt("d"),)),)),),
+    "hcase-channel": ((HCase("c", (Arm("A", (Halt("d"),)),)),),
                       {"c", "d"}),
     # A plug binds each name free in exactly two of its branches: the
     # inner plug joins `q`, so its set is {p}, and the outer plug joins

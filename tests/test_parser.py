@@ -43,7 +43,7 @@ def test_listing5_fork_shape():
     assert len(body) == 1 and isinstance(body[0], Fork)
     fork = body[0]
     assert fork.chan == "two_ch"
-    assert fork.arms[0].name == "ch1" and fork.arms[1].name == "ch2"
+    assert fork.arms[0].label == "ch1" and fork.arms[1].label == "ch2"
     for arm in fork.arms:
         assert isinstance(arm.body[0], Call)
         assert arm.body[0].callee == "client"
@@ -91,7 +91,7 @@ def test_race_arm_shape():
     server = prog.procs["server"].body
     race = server[1]
     assert isinstance(race, Race)
-    assert [a.chan for a in race.arms] == ["ch1", "ch2"]
+    assert [a.label for a in race.arms] == ["ch1", "ch2"]
 
 
 def test_truncated_put_is_an_error():

@@ -91,13 +91,13 @@ def _reference(machine: Machine, p, cmd):
             return None
         held = frozenset(p.chan_env) - {cmd.chan}
         inherited, released = _inherits(held, [
-            (free_chans(a.body), {a.name}) for a in cmd.arms])
+            (free_chans(a.body), {a.label}) for a in cmd.arms])
         return id(cmd), {
             "joins": (),
-            "fork_payload": ",".join(f"{a.name}#{machine._next_cid + i}"
+            "fork_payload": ",".join(f"{a.label}#{machine._next_cid + i}"
                                      for i, a in enumerate(cmd.arms)),
-            "children": [(f".{a.name}", a.body, inherited[i],
-                          {a.name} | inherited[i])
+            "children": [(f".{a.label}", a.body, inherited[i],
+                          {a.label} | inherited[i])
                          for i, a in enumerate(cmd.arms)],
             "released": released}
     if kind is HCase:
@@ -107,7 +107,7 @@ def _reference(machine: Machine, p, cmd):
             return None
         bodies = {}
         for a in cmd.arms:
-            bodies.setdefault(a.handle, a.body)
+            bodies.setdefault(a.label, a.body)
         return id(cmd), {"bodies": bodies, "handle": e.inbox[0]}
     if kind is Call:
         proc, key = machine.program.procs.get(cmd.callee), id(cmd)

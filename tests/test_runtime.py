@@ -8,9 +8,8 @@ import campl.model as model
 from campl.checker import check_program
 from campl.elaborate import ExecProgram, prepare
 from campl.model import (
-    Call, Close, Fork, ForkArm, GetVal, Halt, HCase, HCaseArm, HPut,
-    IntLit, Link, NegIntro, OnDo, Plug, PutVal, Race, RaceArm, Split, Use,
-    VarRef,
+    Arm, Call, Close, Fork, GetVal, Halt, HCase, HPut, IntLit, Link,
+    NegIntro, OnDo, Plug, PutVal, Race, Split, Use, VarRef,
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
@@ -1231,14 +1230,14 @@ SAMPLES = {
     PutVal: PutVal(IntLit(1), "c"),
     GetVal: GetVal("v", "c"),
     HPut: HPut("H", "c"),
-    HCase: HCase("c", (HCaseArm("H", (Halt("c"),)),)),
+    HCase: HCase("c", (Arm("H", (Halt("c"),)),)),
     Close: Close("c"),
     Halt: Halt("c"),
-    Fork: Fork("c", (ForkArm("l", (Halt("l"),)),
-                     ForkArm("r", (Halt("r"),)))),
+    Fork: Fork("c", (Arm("l", (Halt("l"),)),
+                     Arm("r", (Halt("r"),)))),
     Split: Split("c", "l", "r"),
     Plug: Plug(((Halt("x"),), (Close("x"),))),
-    Race: Race((RaceArm("c", (Close("c"),)),)),
+    Race: Race((Arm("c", (Close("c"),)),)),
     Call: Call("p", (), ("c",), ()),
     Use: Use(VarRef("s"), (), ("c",), ()),
     Link: Link("c", "c"),

@@ -1,7 +1,7 @@
 """Checker/runtime agreement under mutation.
 
-Randomly corrupt generated programs; every mutant the checker still
-accepts must run to completion with no machine faults, no deadlock, and
+Randomly corrupt generated programs, and the corpus and golden programs
+token by token; every mutant the checker still accepts must run to completion with no machine faults, no deadlock, and
 the topology monitor quiet.  This is the teeth behind the static
 discipline: anything the checker lets through is safe to execute.  The
 pinned programs below are ones the checker once let through (or rejected
@@ -15,6 +15,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from campl import lexer
 from campl.checker import check_program
 from campl.cli import main
 from campl.diagnostics import CheckFailure, ParseFailure
@@ -22,9 +23,12 @@ from campl.elaborate import prepare
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import boot
-from campl.services import ServiceConfig
-from conftest import command_count, run_watched
+from campl.services import ScriptExhausted, ServiceConfig
+from conftest import CORPUS, command_count, run_watched
 from genprog import gen_program, with_forwarder
+from test_goldens import (
+    ARMS, ARMS_FAULTS, ESCAPES, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
+)
 
 
 def _one_mutation(lines: list[str], r: random.Random) -> None:
@@ -89,6 +93,72 @@ def test_every_accepted_mutant_runs_clean():
     # the harness must exercise both sides to mean anything
     assert accepted >= 20
     assert rejected >= 20
+
+
+def _token_mutants(text: str):
+    """`text` with one token, as `tokenize` finds it, deleted or swapped
+    with the next token of its kind; every fourth token is also
+    duplicated."""
+    lines = text.split("\n")
+    spans, kinds = [], []
+    for kind, _, line, col in lexer.tokenize(text)[:-1]:
+        end = lexer._TOKEN.match(lines[line - 1], col - 1).end()
+        spans.append((line - 1, col - 1, end))
+        kinds.append(kind)
+
+    def piece(span):
+        line, start, end = span
+        return lines[line][start:end]
+
+    def edit(*replacements):
+        new = list(lines)
+        for line, start, end, text in sorted(replacements, reverse=True):
+            new[line] = new[line][:start] + text + new[line][end:]
+        return "\n".join(new)
+
+    for k, span in enumerate(spans):
+        yield edit((*span, ""))
+        if k % 4 == 0:
+            yield edit((*span, f"{piece(span)} {piece(span)}"))
+        if kinds[k] in kinds[k + 1:]:
+            after = spans[kinds.index(kinds[k], k + 1)]
+            yield edit((*span, piece(after)), (*after, piece(span)))
+
+
+def test_every_accepted_token_mutant_runs_clean():
+    # Mutants of the corpus and the golden programs, beyond the generator's
+    # fragment: protocols, races, `store`/`use` and `|=|`.  A mutant the
+    # checker accepts runs, checked and watched step by step, until every
+    # process and channel is gone, or until the Console's script runs out.
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(CORPUS.glob("*.campl"))]
+    for golden in (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES, ESCAPES):
+        texts += golden.values()
+    script = STDIN_SCRIPT.splitlines()
+    seen = set(texts)
+    accepted = rejected = 0
+    for text in texts:
+        for mutant in _token_mutants(text):
+            if mutant in seen:
+                continue
+            seen.add(mutant)
+            try:
+                typed = check_program(parse_source(mutant))
+            except (ParseFailure, CheckFailure):
+                rejected += 1
+                continue
+            if "run" not in typed.exec_program.procs:
+                continue            # checks, but `campl run` has no entry
+            accepted += 1
+            machine = boot(typed.exec_program, seed=accepted,
+                           services=ServiceConfig.from_script(script))
+            try:
+                run_watched(machine)
+            except ScriptExhausted:
+                continue
+            assert not machine.processes and not machine.channels, \
+                f"mutant checked but did not finish:\n{mutant}"
+    assert accepted >= 100 and rejected >= 100, (accepted, rejected)
 
 
 def test_generated_programs_run_clean_through_a_forwarder():

@@ -52,7 +52,7 @@ def _sample(ann: str):
         return (_body(), _body())
     if "Command" in ann:
         return _body()
-    arm = re.search(r"\w+Arm", ann)
+    arm = re.search(r"\bArm\b", ann)
     if arm:
         return (_build(getattr(model, arm.group())),
                 _build(getattr(model, arm.group())))
