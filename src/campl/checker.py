@@ -10,7 +10,6 @@ mistakes in different processes are all reported in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from . import diagnostics as dk
@@ -23,7 +22,7 @@ from .model import (
     ProcSignature, ProtoApp, ProtocolDecl, Put, PutVal, Race, SeqType,
     SeqUVar, SourceProgram, Split, StoreOf, StoreType, StringLit, Tensor,
     TopBot, UVar, Use, VarRef, allowed_commands, map_signature, map_type,
-    type_parts, unfold_handle,
+    record, type_parts, unfold_handle,
     BOOL, CHAR, INT, STRING,
 )
 from .services import BUILTIN_DECLS, CONSOLE
@@ -227,7 +226,7 @@ def _handle_decls(decls: list[ProtocolDecl],
 # ---------------------------------------------------------------------------
 # checked-program artifacts
 
-@dataclass
+@record
 class ChanEntry:
     """A live channel's current type and polarity.  Never mutated, so
     copies of a context share their entries."""
@@ -235,19 +234,19 @@ class ChanEntry:
     pol: Polarity
 
 
-@dataclass
+@record
 class PlugSite:
     pos: Pos
     chan_types: dict[str, object]
 
 
-@dataclass
+@record
 class ForkSite:
     pos: Pos
     components: tuple[object, object]
 
 
-@dataclass
+@record
 class TypedProgram:
     """Checker output: the program readied for the machine, every
     process's solved signature, and the solved types of the channels each

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .model import Pos
+from .model import Pos, record
 
 # Kind names are part of the tool's stable output format.
 LEX_ERROR = "LexError"
@@ -25,7 +24,7 @@ UNIFICATION_FAILURE = "UnificationFailure"
 ARITY_MISMATCH = "ArityMismatch"
 
 
-@dataclass
+@record
 class Diagnostic:
     kind: str
     pos: Pos

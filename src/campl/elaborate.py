@@ -18,13 +18,12 @@ expression is kept as it is, unvisited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .model import (
-    WITH_CHAN, Body, Call, Close, Fork, GetVal, Halt, HCase, HPut, Link,
-    NegIntro, OnDo, Plug, ProcDef, PutVal, Race, SourceProgram, Split,
-    StoreOf, Use, map_command,
+    WITH_CHAN, Body, Call, Close, Field, Fork, GetVal, Halt, HCase, HPut,
+    Link, NegIntro, OnDo, Plug, ProcDef, PutVal, Race, SourceProgram, Split,
+    StoreOf, Use, map_command, record,
 )
 
 
@@ -93,18 +92,17 @@ class _Desugaring:
 _LEAVES = frozenset({GetVal, HPut, Close, Halt, Split, Link, NegIntro})
 
 
-@dataclass
+@record
 class ExecProgram:
     """A program readied for checking or execution: every process body is
     fully desugared.  `refs` holds, per process, the names of the
     processes it calls or stores, in order of mention: the call graph the
     checker orders its work by, recorded by the desugaring walk."""
     procs: dict[str, ProcDef]
-    refs: dict[str, list[str]] = field(default_factory=dict)
+    refs: dict[str, list[str]] = Field(factory=dict)
     # id(body) -> (body, its free channels); holding the body keeps its
     # id from being reused while the entry lives.
-    _free: dict[int, tuple[Body, frozenset[str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _free: dict[int, tuple[Body, frozenset[str]]] = Field(derived="{}")
 
     def free_chans(self, body: Body) -> frozenset[str]:
         """The channel names `body` uses from its environment

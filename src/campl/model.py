@@ -4,42 +4,120 @@ Holds the channel and sequential type grammars, the process AST, the
 per-type/per-polarity command permission matrix, and the unfolding rule
 that expands a protocol or coprotocol handle into a concrete channel type.
 
-Every node here is an immutable value by convention, not by `frozen=True`:
-once `parse_program` has returned, nothing assigns to a field of a type,
-signature, declaration or command (the parser's resolver sets the types it
-recorded in place before it returns).  So nodes are safe to share between
-any number of checks or machine runs, and rewrites share the subtrees they
-leave unchanged.  Type nodes hash by value (`unsafe_hash=True`), as a
-frozen dataclass would; a frozen `__init__` costs about five times as
-much, and the checker builds type nodes as it infers.  Command and
-expression nodes, of which a program has one per command or operand, are
-`slots=True` dataclasses: no per-instance `__dict__`, so each takes less
-memory and each field read is a slot lookup.
+Every node is a `record`, immutable by convention: once `parse_program`
+has returned, nothing assigns to a field of a type, signature, declaration
+or command (the parser's resolver sets the types it recorded in place
+before it returns).  So nodes are safe to share between any number of
+checks or machine runs, and rewrites share the subtrees they leave
+unchanged.  Type nodes and `Pos` hash by value; commands and declarations
+compare by value and are unhashable.  Command and expression nodes, one
+per command or operand, are slotted: no per-instance `__dict__`, so each
+takes less memory and each field read is a slot lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, is_
 from typing import Union
 
 
 # ---------------------------------------------------------------------------
+# records: the classes of plain fields every module builds its values from
+
+# No default given; as a parameter's default, no argument given.
+_UNSET = object()
+
+
+class Field:
+    """A record field's `default`, or the `factory` called for a fresh
+    one per instance.  A `hidden` field stays out of `==`, `hash` and
+    `repr`.  A `derived` field is hidden and no parameter: construction
+    sets it to `derived`, a source expression over the parameters."""
+
+    def __init__(self, default=_UNSET, *, factory=None, hidden=False,
+                 derived=None):
+        self.default, self.factory, self.derived = default, factory, derived
+        self.hidden = hidden or derived is not None
+
+
+def record(cls=None, *, slots=False, eq=True, hash=False, pos=False):
+    """`cls` with an `__init__` that takes its annotated fields, all but
+    the derived ones, by position or keyword; `pos` adds a last one, the
+    hidden source position `pos: Pos = NO_POS` of a syntax node.  With
+    `eq` it equals a record of its own class whose shown fields are
+    equal, and is unhashable unless `hash` hashes those fields; without
+    `eq` it keeps object identity.  `slots` rebuilds the class with one
+    slot per field.  These methods come from one exec'd source, each a
+    single frame."""
+    if cls is None:
+        return lambda cls: record(cls, slots=slots, eq=eq, hash=hash,
+                                  pos=pos)
+    if pos:
+        cls.__annotations__["pos"] = "Pos"
+        cls.pos = Field(NO_POS, hidden=True)
+    names = list(cls.__annotations__)
+    env, params, sets, shown = {"_UNSET": _UNSET}, ["self"], [], []
+    for name in names:
+        spec = cls.__dict__.get(name, _UNSET)
+        if type(spec) is not Field:
+            spec = Field(spec)
+        elif not slots:
+            delattr(cls, name)
+        value = spec.derived or name
+        if spec.factory:
+            env[f"_f_{name}"] = spec.factory
+            value = f"_f_{name}() if {name} is _UNSET else {name}"
+            params.append(f"{name}=_UNSET")
+        elif spec.default is not _UNSET:
+            env[f"_d_{name}"] = spec.default
+            params.append(f"{name}=_d_{name}")
+        elif not spec.derived:
+            params.append(name)
+        sets.append(f" self.{name} = {value}")
+        if not spec.hidden:
+            shown.append(name)
+    keys = "".join(f"self.{k}," for k in shown)
+    src = [f"def __init__({', '.join(params)}):", *sets, " pass"]
+    if eq:
+        src += ["def __eq__(self, other):",
+                " if other.__class__ is self.__class__:",
+                f"  return ({keys}) == ({keys.replace('self.', 'other.')})",
+                " return NotImplemented"]
+    if hash:
+        src.append(f"def __hash__(self): return hash(({keys}))")
+    exec("\n".join(src), env)
+    body = {"__init__": env["__init__"], "__repr__": _record_repr,
+            "__match_args__": tuple(p.partition("=")[0] for p in params[1:]),
+            "_shown": tuple(shown)}
+    if eq:
+        body.update(__eq__=env["__eq__"], __hash__=env.get("__hash__"))
+    if not slots:
+        for k, v in body.items():
+            setattr(cls, k, v)
+        return cls
+    kept = {k: v for k, v in cls.__dict__.items()
+            if k not in names and k not in ("__dict__", "__weakref__")}
+    return type(cls)(cls.__name__, cls.__bases__, kept | body | {
+        "__slots__": tuple(names), "__qualname__": cls.__qualname__})
+
+
+def _record_repr(self) -> str:
+    """The text a dataclass's `repr` prints: `Name(field=value, ...)`."""
+    shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown)
+    return f"{type(self).__qualname__}({shown})"
+
+
+# ---------------------------------------------------------------------------
 # source positions
 
-@dataclass(slots=True, unsafe_hash=True)
+@record(slots=True, hash=True)
 class Pos:
     line: int = 0
     col: int = 0
 
 
 NO_POS = Pos()
-
-
-def pos_field():
-    """Position slot that does not participate in equality or repr."""
-    return field(default=NO_POS, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +149,7 @@ class _Compound:
         return render_type(self)
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class BaseSeq:
     """A built-in atomic sequential type (Int, Char, Bool, [Char])."""
     name: str
@@ -86,13 +164,13 @@ BOOL = BaseSeq("Bool")
 STRING = BaseSeq("[Char]")     # `String` in source is sugar for `[Char]`
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class StoreType(_Compound):
     """Type of a stored process; `sig` is the signature it must be used at."""
     sig: "ProcSignature"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class SeqVar:
     """Sequential type parameter of a protocol/coprotocol declaration."""
     name: str
@@ -101,7 +179,7 @@ class SeqVar:
         return self.name
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class SeqUVar:
     """Sequential unification variable; never survives into checked output."""
     uid: int
@@ -116,7 +194,7 @@ SeqType = Union[BaseSeq, StoreType, SeqVar, SeqUVar]
 # ---------------------------------------------------------------------------
 # channel types
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class TopBot:
     def __str__(self) -> str:
         return "TopBot"
@@ -125,49 +203,49 @@ class TopBot:
 TOPBOT = TopBot()
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class Put(_Compound):
     msg: SeqType
     rest: "ChanType"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class Get(_Compound):
     msg: SeqType
     rest: "ChanType"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class Tensor(_Compound):
     left: "ChanType"
     right: "ChanType"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class Par(_Compound):
     left: "ChanType"
     right: "ChanType"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class NegT(_Compound):
     inner: "ChanType"
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class ProtoApp(_Compound):
     """Application of a named protocol to sequential type arguments."""
     name: str
     args: tuple[SeqType, ...] = ()
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class CoprotoApp(_Compound):
     name: str
     args: tuple[SeqType, ...] = ()
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class StateVar:
     """Recursion variable inside a protocol/coprotocol declaration body."""
     name: str
@@ -176,7 +254,7 @@ class StateVar:
         return self.name
 
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class UVar:
     """Channel-type unification variable used only during inference."""
     uid: int
@@ -193,7 +271,7 @@ ChanType = Union[
 # ---------------------------------------------------------------------------
 # process signatures and protocol declarations
 
-@dataclass(unsafe_hash=True)
+@record(hash=True)
 class ProcSignature:
     """Typed shape of a process: sequential params, then input channels,
     then output channels.  Order is binding order."""
@@ -327,14 +405,13 @@ class DeclKind(Enum):
     COPROTOCOL = "coprotocol"
 
 
-@dataclass
+@record(pos=True)
 class HandleDef:
     name: str
     body: ChanType
-    pos: Pos = pos_field()
 
 
-@dataclass
+@record(pos=True)
 class ProtocolDecl:
     """A protocol or coprotocol declaration.
 
@@ -347,7 +424,6 @@ class ProtocolDecl:
     seq_params: tuple[str, ...]
     state_var: str
     handles: tuple[HandleDef, ...]
-    pos: Pos = pos_field()
 
 
 # ---------------------------------------------------------------------------
@@ -420,41 +496,35 @@ class _Unfolding:
 # ---------------------------------------------------------------------------
 # expressions
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class IntLit:
     value: int
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class CharLit:
     value: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class StringLit:
     value: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class BoolLit:
     value: bool
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class VarRef:
     name: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class StoreOf:
     """`store(name)` or `store(proc ... )` with an inline definition."""
     target: Union[str, "ProcDef"]
-    pos: Pos = pos_field()
 
 
 Expr = Union[IntLit, CharLit, StringLit, BoolLit, VarRef, StoreOf]
@@ -463,132 +533,110 @@ Expr = Union[IntLit, CharLit, StringLit, BoolLit, VarRef, StoreOf]
 # ---------------------------------------------------------------------------
 # process commands
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class PutVal:
     expr: Expr
     chan: str | None
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class GetVal:
     binder: str
     chan: str | None
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class HPut:
     handle: str
     chan: str | None
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Arm:
     """One arm of an hcase, fork or race: its handle, the channel name it
     binds, or the channel it races on, and its body."""
     label: str
     body: tuple["Command", ...]
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class HCase:
     chan: str | None
     arms: tuple[Arm, ...]
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Close:
     chan: str | None
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Halt:
     chan: str | None
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Fork:
     chan: str | None
     arms: tuple[Arm, Arm]
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Split:
     chan: str | None
     left: str
     right: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Plug:
     branches: tuple[tuple["Command", ...], ...]
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Race:
     arms: tuple[Arm, ...]
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Call:
     callee: str
     seq_args: tuple[Expr, ...]
     in_chans: tuple[str, ...]
     out_chans: tuple[str, ...]
-    pos: Pos = pos_field()
     # The section split at a call site is documentation; channel
     # arguments bind to the callee's channel parameters in order.  Set
     # once per node, as are `Use.chan_args` and `ProcDef.chan_params`.
-    chan_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.chan_args = self.in_chans + self.out_chans
+    chan_args: tuple[str, ...] = Field(derived="in_chans + out_chans")
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Use:
     stored: Expr
     seq_args: tuple[Expr, ...]
     in_chans: tuple[str, ...]
     out_chans: tuple[str, ...]
-    pos: Pos = pos_field()
-    chan_args: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.chan_args = self.in_chans + self.out_chans
+    chan_args: tuple[str, ...] = Field(derived="in_chans + out_chans")
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class Link:
     left: str
     right: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class NegIntro:
     chan: str
     fresh: str
-    pos: Pos = pos_field()
 
 
-@dataclass(slots=True)
+@record(slots=True, pos=True)
 class OnDo:
     """`on ch do ...`: sugar that supplies the channel argument to every
     command in its block."""
     chan: str
     body: tuple["Command", ...]
-    pos: Pos = pos_field()
 
 
 Command = Union[PutVal, GetVal, HPut, HCase, Close, Halt, Fork, Split,
@@ -654,7 +702,7 @@ WITH_CHAN = {
 # ---------------------------------------------------------------------------
 # declarations and programs
 
-@dataclass
+@record(pos=True)
 class ProcDef:
     name: str
     signature: ProcSignature | None
@@ -662,17 +710,13 @@ class ProcDef:
     in_params: tuple[str, ...]
     out_params: tuple[str, ...]
     body: Body
-    pos: Pos = pos_field()
-    chan_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.chan_params = self.in_params + self.out_params
+    chan_params: tuple[str, ...] = Field(derived="in_params + out_params")
 
 
 Decl = Union[ProcDef, ProtocolDecl]
 
 
-@dataclass
+@record
 class SourceProgram:
     decls: tuple[Decl, ...]
 

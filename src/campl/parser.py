@@ -16,8 +16,6 @@ top-level declaration keyword, so one pass reports every syntax error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lexer
 from .diagnostics import (
     LEX_ERROR, PARSE_ERROR, Diagnostic, ParseFailure, sort_key,
@@ -29,7 +27,7 @@ from .model import (
     GetVal, Halt, HandleDef, HCase, HPut, IntLit, Link, NegIntro, NegT, OnDo,
     Par, Plug, Pos, ProcDef, ProcSignature, ProtoApp, ProtocolDecl, Put,
     PutVal, Race, SeqVar, Split, StateVar, StoreOf, StoreType, StringLit,
-    SourceProgram, Tensor, Use, VarRef, map_signature, map_type, pos_field,
+    SourceProgram, Tensor, Use, VarRef, map_signature, map_type, record,
 )
 from .services import BUILTIN_DECLS
 
@@ -43,17 +41,15 @@ BARE_COMMAND = ("this command needs a channel: write 'on <channel>' or "
 
 
 # Raw named type references; replaced during resolution.
-@dataclass
+@record(pos=True)
 class ChanName:
     name: str
     args: tuple | None   # None: bare name, tuple: applied
-    pos: Pos = pos_field()
 
 
-@dataclass
+@record(pos=True)
 class SeqName:
     name: str
-    pos: Pos = pos_field()
 
 
 class ParseError(Exception):

@@ -48,15 +48,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
 from .elaborate import ExecProgram, cycle_edges, share_out
 from .model import (
-    BoolLit, Call, CharLit, Close, Expr, Fork, GetVal, Halt, HCase, HPut,
-    IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split, StoreOf,
-    StringLit, Use, VarRef,
+    BoolLit, Call, CharLit, Close, Expr, Field, Fork, GetVal, Halt, HCase,
+    HPut, IntLit, Link, NegIntro, Plug, ProcDef, PutVal, Race, Split,
+    StoreOf, StringLit, Use, VarRef, record,
 )
 from .services import (
     CONSOLE_CLOSE, CONSOLE_GET, CONSOLE_PUT, ScriptExhausted, ServiceConfig,
@@ -71,7 +70,7 @@ _WAITING = frozenset({GetVal, HCase, Split, Race})
 # ---------------------------------------------------------------------------
 # values and messages
 
-@dataclass(frozen=True)
+@record
 class StoredProc:
     """A process encoded as a sequential value: its definition plus the
     captured variable environment.  Channels are never captured."""
@@ -93,7 +92,7 @@ def render(value: Value) -> str:
     return str(value.value)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class CloseMsg:
     pass
 
@@ -102,7 +101,7 @@ class CloseMsg:
 _CLOSE = CloseMsg()
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class RewireMsg:
     """A fork's message to the splitter: the ends it will claim, and the
     left channel's id at the fork, which its SPLIT event prints."""
@@ -275,7 +274,7 @@ class ConsoleEndpoint:
 # ---------------------------------------------------------------------------
 # machine state
 
-@dataclass(eq=False, slots=True)
+@record(slots=True, eq=False)
 class EndState:
     """One end of a channel, and what a process binds a name to.  `cid`
     and `label` are the id and label of the channel it sits in now, and
@@ -292,11 +291,11 @@ class EndState:
     label: str
     owner: object = None
     closed: bool = False
-    peer: EndState | None = field(default=None, repr=False)
-    inbox: deque = field(default_factory=deque, repr=False)
+    peer: EndState | None = Field(None, hidden=True)
+    inbox: deque = Field(factory=deque, hidden=True)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ProcessInstance:
     """A process: its bindings and its continuation, the commands
     `body[at:]`.  `at` indexes the next command, so a process whose body
@@ -311,7 +310,7 @@ class ProcessInstance:
     at: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class TraceEvent:
     step: int
     pid: int
@@ -369,13 +368,13 @@ class OutcomeKind(Enum):
     STEP_LIMIT = "step-limit"
 
 
-@dataclass
+@record
 class Outcome:
     kind: OutcomeKind
     steps: int
     trace: Trace
     machine: "Machine"
-    stuck: dict[int, list[int]] = field(default_factory=dict)
+    stuck: dict[int, list[int]] = Field(factory=dict)
 
     @property
     def done(self) -> bool:

@@ -10,11 +10,11 @@ echoed to a stream in live mode or when one is supplied).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import TextIO
 
 from .model import (
-    TOPBOT, DeclKind, Get, HandleDef, ProtocolDecl, Put, StateVar, STRING,
+    TOPBOT, DeclKind, Field, Get, HandleDef, ProtocolDecl, Put, StateVar,
+    STRING, record,
 )
 
 CONSOLE = "Console"
@@ -46,7 +46,7 @@ class ScriptExhausted(Exception):
     or live input ended."""
 
 
-@dataclass
+@record
 class ServiceConfig:
     """Console behaviour for one run.
 
@@ -55,9 +55,9 @@ class ServiceConfig:
     accumulates in `outputs` regardless of mode; `echo` (when set)
     additionally receives each printed line.
     """
-    script: list[str] | None = field(default_factory=list)
+    script: list[str] | None = Field(factory=list)
     echo: TextIO | None = None
-    outputs: list[str] = field(default_factory=list)
+    outputs: list[str] = Field(factory=list)
 
     @classmethod
     def live(cls, echo: TextIO | None = None) -> "ServiceConfig":

@@ -35,6 +35,21 @@ def line_drops(text: str):
             yield i + 1, "".join(lines[:i] + lines[i + 1:])
 
 
+def fields(record) -> dict:
+    """A record's constructor parameters, in order, each with its
+    annotation: the names `__match_args__` lists, the annotations as
+    `__annotations__` holds them (source text)."""
+    cls = record if isinstance(record, type) else type(record)
+    return {name: cls.__annotations__[name] for name in cls.__match_args__}
+
+
+def replace(record, **changes):
+    """A new record of `record`'s class, with `changes` in place of the
+    fields they name; derived fields are derived afresh."""
+    return type(record)(**{name: getattr(record, name)
+                           for name in fields(record)} | changes)
+
+
 def free_chans(body) -> frozenset[str]:
     """Channel names a (desugared) command sequence uses from its
     environment, every nested body's set computed afresh: the reference

@@ -10,7 +10,6 @@ depth 3.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from campl.model import (
     BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, Arm, BoolLit, Call,
@@ -18,6 +17,7 @@ from campl.model import (
     ProcSignature, Put, PutVal, SourceProgram, Split, StringLit, Tensor,
     Par, Polarity,
 )
+from conftest import replace
 
 MAX_PROCS = 6
 MAX_DEPTH = 3

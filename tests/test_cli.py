@@ -391,7 +391,7 @@ def test_dump_ast_prints_deeply_nested_types(runner, tmp_path):
     assert "Traceback" not in r.stderr
     assert r.stdout == text
     again, want = parse_source(r.stdout), parse_source(text)
-    # The dataclass `==` recurses once per level of the type.
+    # A record's `==` recurses once per level of the type.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 4 * depth)
     try:

@@ -1,6 +1,5 @@
 import random
 from collections import deque
-from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +12,7 @@ from campl.model import (
     StoreOf, StringLit,
 )
 from campl.parser import parse_source
-from conftest import CORPUS, corpus_text, free_chans, sub_bodies
+from conftest import CORPUS, corpus_text, free_chans, replace, sub_bodies
 from genprog import gen_program
 from test_goldens import FAULTS, LINKS, MESSAGES
 

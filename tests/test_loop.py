@@ -7,7 +7,6 @@ same way both ways, with the same trace and Console output.  The machine
 keeps one row per step and `Machine.trace` builds the events when read.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -24,7 +23,7 @@ from campl.runtime import (
 from campl.services import ServiceConfig
 from conftest import (
     CORPUS, assert_loop_matches_stepwise, corpus_text, line_drops,
-    load_perfbench, run_watched,
+    load_perfbench, replace, run_watched,
 )
 from genprog import gen_program, with_forwarder
 from test_goldens import (
@@ -66,7 +65,7 @@ def upstream_pipeline(stages: int, msgs: list[str]) -> str:
     for d in parse_source(text).decls:
         if isinstance(d, ProcDef) and d.name == "run":
             (plug,) = d.body
-            d = dataclasses.replace(d, body=(dataclasses.replace(
+            d = replace(d, body=(replace(
                 plug, branches=plug.branches[::-1]),))
         decls.append(d)
     return roundtrip_print(SourceProgram(tuple(decls)))

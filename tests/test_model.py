@@ -2,12 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from campl import model
+from campl.diagnostics import Diagnostic
+from campl.elaborate import ExecProgram
 from campl.model import (
-    BOOL, CHAR, INPUT, INT, OUTPUT, STRING, TOPBOT, CoprotoApp, DeclKind,
-    Get, HandleDef, NegT, Par, ProcSignature, ProtoApp, ProtocolDecl, Put,
-    SeqUVar, SeqVar, StateVar, StoreType, Tensor, UnknownHandle, UVar,
-    allowed_commands, unfold_handle,
+    BOOL, CHAR, INPUT, INT, NO_POS, OUTPUT, STRING, TOPBOT, Arm, Call, Close,
+    CoprotoApp, DeclKind, Get, GetVal, Halt, HandleDef, IntLit, NegT, Par,
+    Pos, ProcDef, ProcSignature, ProtoApp, ProtocolDecl, Put, PutVal,
+    SeqUVar, SeqVar, SourceProgram, StateVar, StoreType, Tensor,
+    UnknownHandle, Use, UVar, VarRef, allowed_commands, unfold_handle,
 )
+from campl.runtime import (
+    EndState, Outcome, OutcomeKind, StoredProc, TraceEvent,
+)
+from campl.services import ServiceConfig
 
 PASS_MESSAGES = ProtocolDecl(
     name="PassMessages", kind=DeclKind.PROTOCOL, seq_params=("A",),
@@ -261,3 +269,100 @@ def test_render_has_no_depth_limit():
     text = str(t)
     assert text.startswith("Store(Int|Put(Int|Store(")
     assert text.count("Store(") == 5000
+
+
+# ---------------------------------------------------------------------------
+# record semantics: what construction, `==`, `hash` and `repr` of a node do
+
+def test_equality_ignores_positions_and_derived_fields():
+    at = Pos(3, 4)
+    assert PutVal(IntLit(1, at), "c", at) == PutVal(IntLit(1), "c")
+    assert HandleDef("H", TOPBOT, at) == HandleDef("H", TOPBOT)
+    call = Call("p", (IntLit(1),), ("a",), ("b",), at)
+    assert call.chan_args == ("a", "b")
+    assert call == Call("p", (IntLit(1),), ("a",), ("b",))
+    use = Use(VarRef("s"), (), ("a",), ("b", "c"))
+    assert use.chan_args == ("a", "b", "c")
+    d = ProcDef("p", None, (), ("a",), ("b",), (Halt("a"),), at)
+    assert d.chan_params == ("a", "b")
+    assert d == ProcDef("p", None, (), ("a",), ("b",), (Halt("a"),))
+    exec_program = ExecProgram({"p": d})
+    assert exec_program.refs == {} and exec_program._free == {}
+    exec_program.free_chans(d.body)
+    assert exec_program == ExecProgram({"p": d})
+    assert PutVal(IntLit(1), "c") != PutVal(IntLit(2), "c")
+    assert PutVal(IntLit(1), "c") != GetVal("x", "c")
+
+
+def test_types_and_positions_hash_by_value():
+    assert hash(Pos(1, 2)) == hash(Pos(1, 2)) and Pos(1, 2) == Pos(1, 2)
+    assert Pos() == NO_POS == Pos(0, 0)
+    for t in (TOPBOT, INT, Put(INT, TOPBOT), Tensor(TOPBOT, NegT(TOPBOT)),
+              ProtoApp("P", (STRING,)), SeqVar("A"), UVar(3), SeqUVar(4),
+              StoreType(ProcSignature((INT,), (TOPBOT,), ()))):
+        copy = eval(repr(t), vars(model))
+        assert copy is not t and copy == t and hash(copy) == hash(t)
+    assert len({Put(INT, TOPBOT), Put(INT, TOPBOT), Get(INT, TOPBOT)}) == 2
+
+
+@pytest.mark.parametrize("node", [
+    PutVal(IntLit(1), "c"), Halt("c"), Close(None), IntLit(1),
+    Arm("x", (Halt("x"),)), ProcDef("p", None, (), (), (), ()),
+    HandleDef("H", TOPBOT), SourceProgram(()), ServiceConfig(),
+    Diagnostic("k", NO_POS, "m"),
+    StoredProc(ProcDef("p", None, (), (), (), ()), ()),
+], ids=lambda n: type(n).__name__)
+def test_commands_and_declarations_are_unhashable(node):
+    with pytest.raises(TypeError):
+        hash(node)
+
+
+def test_channel_ends_compare_by_identity():
+    a, b = EndState(1, "c"), EndState(1, "c")
+    assert a == a and a != b and hash(a) != hash(b)
+    assert len({a, b}) == 2
+    assert repr(a) == "EndState(cid=1, label='c', owner=None, closed=False)"
+    assert a.peer is None and a.inbox is not b.inbox and not a.inbox
+
+
+def test_repr_prints_the_shown_fields_in_order():
+    assert repr(PutVal(IntLit(1), "c")) == \
+        "PutVal(expr=IntLit(value=1), chan='c')"
+    assert repr(Call("p", (), ("a",), ())) == \
+        "Call(callee='p', seq_args=(), in_chans=('a',), out_chans=())"
+    assert repr(Put(INT, TOPBOT)) == \
+        "Put(msg=BaseSeq(name='Int'), rest=TopBot())"
+    assert repr(Pos(2, 5)) == "Pos(line=2, col=5)"
+    assert repr(TraceEvent(0, 1, "PUT")) == \
+        "TraceEvent(step=0, pid=1, kind='PUT', chan=None, cid=None, " \
+        "payload=None)"
+
+
+def test_default_factories_make_fresh_containers():
+    a, b = ServiceConfig(), ServiceConfig()
+    assert a.outputs == [] and a.outputs is not b.outputs
+    assert a.script == [] and a.script is not b.script
+    assert ServiceConfig(script=None).script is None
+    assert ExecProgram({}).refs is not ExecProgram({}).refs
+
+
+@pytest.mark.parametrize("node", [
+    Pos(), IntLit(1), VarRef("x"), PutVal(IntLit(1), "c"), Close("c"),
+    Arm("x", ()), Call("p", (), (), ()), Use(VarRef("s"), (), (), ()),
+    EndState(0, "c"), TraceEvent(0, 1, "PUT"),
+], ids=lambda n: type(n).__name__)
+def test_slotted_nodes_have_no_instance_dict(node):
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.not_a_field = 1
+
+
+def test_outcome_takes_its_fields_in_order():
+    out = Outcome(OutcomeKind.DONE, 3, (), None)
+    assert (out.kind, out.steps, out.trace, out.machine, out.stuck) == \
+        (OutcomeKind.DONE, 3, (), None, {})
+    assert out.done and out.stuck is not Outcome(OutcomeKind.DONE, 3, (),
+                                                 None).stuck
+    keyed = Outcome(steps=3, trace=(), machine=None, kind=OutcomeKind.STUCK,
+                    stuck={1: [2]})
+    assert keyed.stuck == {1: [2]} and not keyed.done

@@ -2,15 +2,20 @@
 refactor that drops or renames one of those names breaks the benchmark
 with an AttributeError, and its hand-driven run loop must replay the
 machine's own.  These tests load the tracer from its file, check every
-name it reaches, and compare the traces of both loops.  The last tests hold
+name it reaches, and compare the traces of both loops.  The next tests hold
 the machine to its budgets of Python calls and bytecodes per step and of
-memory per run, the checker to its budget of calls per command, the parser to its budget of
-calls per token, and the parser and the checker to their budgets of stack
-frames per level of nesting.  The last test keeps `src/campl` free of
-module-level names nothing reads."""
+memory per run, the checker to its budget of calls per command, the parser
+to its budget of calls per token, a record to one frame per construction,
+`==` and `hash`, `import campl.cli` to its budget of calls, and the parser
+and the checker to their budgets of stack frames per level of nesting.
+The last tests keep `src/campl` free of module-level names nothing reads
+and of `dataclasses`."""
 
 import ast
 import gc
+import operator
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -19,9 +24,11 @@ import pytest
 import campl
 import campl.runtime
 from campl.checker import check_program
+from campl.elaborate import ExecProgram
 from campl.lexer import tokenize
+from campl.model import INT, TOPBOT, Call, Pos, ProcDef, Put
 from campl.parser import parse_program, parse_source
-from campl.runtime import Machine, boot
+from campl.runtime import EndState, Machine, boot
 from campl.services import ServiceConfig
 from conftest import ROOT, command_count, corpus_text, load_perfbench
 from test_runtime import FORWARDER_CHAIN, churn_text
@@ -232,9 +239,12 @@ def test_checker_stays_within_its_call_budget():
     # placeholder names (162,923), 16.893 once hcase, fork and race arms
     # were one `Arm` class that `map_command` reads and rebuilds in C, with
     # no per-kind lambda (159,808; 17.026 while it still read the arms'
-    # bodies in a list comprehension).  `check_program` includes `prepare`,
-    # so desugaring counts too.  The count is exact for a given
-    # interpreter, so a rise means new per-command calls.
+    # bodies in a list comprehension), 16.795 once call, use and process
+    # nodes set their channel lists in `__init__`, with no `__post_init__`
+    # call (158,873).
+    # `check_program` includes `prepare`, so desugaring counts too.  The
+    # count is exact for a given interpreter, so a rise means new
+    # per-command calls.
     programs = load_perfbench("programs")
     calls = commands = 0
     for source in _answered_frontend_sources(programs):
@@ -244,7 +254,7 @@ def test_checker_stays_within_its_call_budget():
         commands += sum(command_count(d.body)
                         for d in typed.exec_program.procs.values())
     assert commands == 9460
-    assert calls / commands <= 16.8931, f"{calls} calls"
+    assert calls / commands <= 16.7942, f"{calls} calls"
 
 
 def test_parser_stays_within_its_call_budget():
@@ -255,8 +265,9 @@ def test_parser_stays_within_its_call_budget():
     # calls for 58,798 tokens), 3.12 once `parse_command` passed the
     # keyword to the handler and those readers indexed the token list
     # (183,419), 3.093 once hcase, fork and split read their optional
-    # channel through one such reader (181,844).  Exact for a given
-    # interpreter, as above.
+    # channel through one such reader (181,844), 3.060 once call and
+    # process nodes set their channel lists in `__init__` (179,919).
+    # Exact for a given interpreter, as above.
     programs = load_perfbench("programs")
     calls = tokens = 0
     for source in _answered_frontend_sources(programs):
@@ -265,7 +276,60 @@ def test_parser_stays_within_its_call_budget():
         calls += n
         tokens += len(toks)
     assert tokens == 58798
-    assert calls / tokens <= 3.093, f"{calls} calls"
+    assert calls / tokens <= 3.0600, f"{calls} calls"
+
+
+@pytest.mark.parametrize("f, args", [
+    (Call, ("p", (), ("a",), ("b",), Pos(1, 2))),
+    (ProcDef, ("p", None, (), ("a",), ("b",), ())),
+    (EndState, (0, "c")),
+    (ServiceConfig, ()),
+    (ExecProgram, ({},)),
+    (operator.eq, (Put(INT, TOPBOT), Put(INT, TOPBOT))),
+    (hash, (Pos(1, 2),)),
+], ids=["Call", "ProcDef", "EndState", "ServiceConfig", "ExecProgram",
+        "type-eq", "Pos-hash"])
+def test_a_record_constructs_compares_and_hashes_in_one_frame(f, args):
+    # The checker and the machine build, compare and hash nodes in their
+    # inner loops, and the budgets above count every frame.  A derived
+    # field (`Call.chan_args`, `ProcDef.chan_params`) is set in the one
+    # `__init__`, and a default factory is called from it.
+    calls, _ = _count_calls(f, *args)
+    assert calls == 1
+
+
+# Counts the Python-level calls of `import campl.cli` once the heavy
+# imports it shares with other programs are loaded; prints the count.
+IMPORT_PROBE = """\
+import gc, sys
+import click, dataclasses, enum, inspect, re, typing
+calls = 0
+def count(frame, event, arg):
+    global calls
+    if event == "call":
+        calls += 1
+gc.disable()
+sys.setprofile(count)
+import campl.cli
+sys.setprofile(None)
+print(calls)
+"""
+
+
+def test_import_stays_within_its_call_budget(tmp_path):
+    # Python-level calls of `import campl.cli` in a fresh process that
+    # compiles campl from source (no bytecode written, an empty private
+    # cache), after `click` and the standard modules campl uses are
+    # loaded: 13,901 while `dataclasses` built the record classes, 5,622
+    # once `model.record` built each from one exec'd source.  Exact for a
+    # given interpreter and hash seed alike, so a rise means new work at
+    # import: more classes, or a class built more dearly.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    calls = int(done.stdout)
+    assert calls <= 5_622, f"{calls} calls"
 
 
 def _answered_frontend_sources(programs) -> list[str]:
@@ -395,3 +459,18 @@ def _unread_module_names() -> set[str]:
 def test_every_module_level_name_is_read():
     # References only the tests use live in `tests/conftest.py`.
     assert _unread_module_names() == set()
+
+
+def test_no_campl_module_imports_dataclasses():
+    # `model.record` builds every record class.  Built by `dataclasses`,
+    # they cost `import campl.cli` 2.5 times as many Python calls (see
+    # `test_import_stays_within_its_call_budget`).
+    for path in sorted((ROOT / "src" / "campl").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name

@@ -3,14 +3,13 @@
 Every pass over command bodies or types recurses through `map_command`
 (whose nested bodies `conftest.sub_bodies` lists) and `type_parts` /
 `map_type`.  These tests build one instance of every command and type
-constructor from its dataclass fields, so a new constructor the helpers do
-not know about fails here rather than being silently skipped by the
-checker or the resolver.
+constructor from its fields (`conftest.fields`), so a new constructor the
+helpers do not know about fails here rather than being silently skipped
+by the checker or the resolver.
 """
 
 import itertools
 import re
-from dataclasses import fields, is_dataclass
 from typing import get_args
 
 import pytest
@@ -25,7 +24,7 @@ from campl.model import (
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
-from conftest import sub_bodies
+from conftest import fields, sub_bodies
 from test_model import chan_types
 
 COMMANDS = get_args(Command)
@@ -66,8 +65,8 @@ def _sample(ann: str):
 
 
 def _build(cls):
-    return cls(*(_sample(f.type) for f in fields(cls)
-                 if f.init and f.name != "pos"))
+    return cls(*(_sample(ann) for name, ann in fields(cls).items()
+                 if name != "pos"))
 
 
 def _is_body(v) -> bool:
@@ -78,14 +77,14 @@ def _is_body(v) -> bool:
 def _nested(cmd):
     """Bodies and expressions of `cmd`, found from its fields alone."""
     bodies, exprs = [], []
-    for f in fields(cmd):
-        v = getattr(cmd, f.name)
+    for name in fields(cmd):
+        v = getattr(cmd, name)
         for x in v if isinstance(v, tuple) and not _is_body(v) else (v,):
             if _is_body(x):
                 bodies.append(x)
             elif isinstance(x, IntLit):
                 exprs.append(x)
-            elif is_dataclass(x) and hasattr(x, "body"):
+            elif hasattr(x, "body"):
                 bodies.append(x.body)
     return bodies, exprs
 
@@ -146,20 +145,20 @@ def _type_sample(ann: str):
 def _components(t) -> list:
     """The types directly inside `t`, found from its fields alone."""
     out = []
-    for f in fields(t):
-        v = getattr(t, f.name)
+    for name in fields(t):
+        v = getattr(t, name)
         if isinstance(v, ProcSignature):
             out += [*v.seq_params, *v.in_chans, *v.out_chans]
         elif isinstance(v, tuple):
             out += v
-        elif is_dataclass(v):
+        elif not isinstance(v, (str, int)):
             out.append(v)
     return out
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
 def test_type_helpers_cover_every_constructor(cls):
-    t = cls(*(_type_sample(f.type) for f in fields(cls)))
+    t = cls(*map(_type_sample, fields(cls).values()))
     assert list(type_parts(t)) == _components(t)
     assert map_type(t, lambda x: x) is t
     out = map_type(t, NegT)
