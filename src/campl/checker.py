@@ -416,9 +416,13 @@ class Checker:
         """Returns the live context the body leaves, or None when a command
         ended it; either way the body is finished when nothing is left live.
         Each command goes straight to its `_CHECKS` handler, so a level of
-        nesting costs two frames: this one and the handler's."""
+        nesting costs two frames: this one and the handler's.  A command
+        on one channel finds it live here first, or fails."""
         for i, cmd in enumerate(body):
-            if _CHECKS[type(cmd)](self, cmd, seq_ctx, chan_ctx):
+            handler, word = _CHECKS[type(cmd)]
+            entry = word and (chan_ctx.get(cmd.chan)
+                              or self.unbound(cmd.chan, cmd.pos, word))
+            if handler(self, cmd, entry, seq_ctx, chan_ctx):
                 if i + 1 < len(body):
                     self.fail(dk.HALT_NOT_LAST, body[i + 1].pos,
                               "unreachable command after a terminating "
@@ -426,34 +430,27 @@ class Checker:
                 return None
         return chan_ctx
 
-    # Each handler takes (cmd, seq_ctx, chan_ctx) and updates `chan_ctx` in
-    # place.  It returns True when `cmd` ends the body, and falls through
-    # otherwise.
+    # Each handler takes (cmd, entry, seq_ctx, chan_ctx), `entry` being the
+    # live `ChanEntry` of the one channel `cmd` acts on (None for commands
+    # on several), and updates `chan_ctx` in place.  It returns True when
+    # `cmd` ends the body, and falls through otherwise.
 
-    def check_put(self, cmd: PutVal, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "put")
+    def check_put(self, cmd: PutVal, entry, seq_ctx, chan_ctx):
         head = self.shape(cmd.chan, entry, "put", cmd.pos)
         vt = _EXPRS[type(cmd.expr)](self, cmd.expr, seq_ctx)
         self.unify_or_fail(vt, head.msg, cmd.pos, cmd.chan, seq=True)
         chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
 
-    def check_get(self, cmd: GetVal, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "get")
+    def check_get(self, cmd: GetVal, entry, seq_ctx, chan_ctx):
         head = self.shape(cmd.chan, entry, "get", cmd.pos)
         seq_ctx[cmd.binder] = head.msg
         chan_ctx[cmd.chan] = ChanEntry(head.rest, entry.pol)
 
-    def check_close(self, cmd: Close, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "close")
+    def check_close(self, cmd: Close, entry, seq_ctx, chan_ctx):
         self.shape(cmd.chan, entry, "close", cmd.pos)
         del chan_ctx[cmd.chan]
 
-    def check_halt(self, cmd: Halt, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "halt")
+    def check_halt(self, cmd: Halt, entry, seq_ctx, chan_ctx):
         self.shape(cmd.chan, entry, "halt", cmd.pos)
         del chan_ctx[cmd.chan]
         if chan_ctx:
@@ -467,7 +464,7 @@ class Checker:
 
     def unbound(self, chan: str | None, pos: Pos, command: str):
         """Fails `command` on `chan`, which the context does not hold.
-        Handlers call it only when their `chan_ctx.get` misses."""
+        Called only when a `chan_ctx.get` misses."""
         if chan is None:
             self.fail(dk.ILLEGAL_COMMAND, pos,
                       f"{command} without a channel outside an 'on' block")
@@ -562,16 +559,16 @@ class Checker:
                 self.fail(dk.ILLEGAL_COMMAND, e.pos,
                           f"store of unknown process {e.target!r}")
             return StoreType(sig)
-        # Inline definition: check it now against its mandatory signature.
+        # Inline definition: check it now against its mandatory signature,
+        # which must match its context line as a top-level process's must.
         d = e.target
-        self.check_def(d, d.signature, seq_ctx)
-        return StoreType(d.signature)
+        sig = self._initial_sig(d)
+        self.check_def(d, sig, seq_ctx)
+        return StoreType(sig)
 
     # -- structured commands ----------------------------------------------
 
-    def check_hput(self, cmd: HPut, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "hput")
+    def check_hput(self, cmd: HPut, entry, seq_ctx, chan_ctx):
         decl = self.handles.get(cmd.handle)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.pos,
@@ -580,9 +577,7 @@ class Checker:
         chan_ctx[cmd.chan] = ChanEntry(self.unfold(decl, cmd.handle, app),
                                        entry.pol)
 
-    def check_hcase(self, cmd: HCase, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "hcase")
+    def check_hcase(self, cmd: HCase, entry, seq_ctx, chan_ctx):
         decl = self.handles.get(cmd.arms[0].label)
         if decl is None:
             self.fail(dk.HANDLE_UNKNOWN, cmd.arms[0].pos,
@@ -651,7 +646,7 @@ class Checker:
         chan_ctx.clear()
         chan_ctx.update(base)
 
-    def check_race(self, cmd: Race, seq_ctx, chan_ctx):
+    def check_race(self, cmd: Race, entry, seq_ctx, chan_ctx):
         for arm in cmd.arms:
             entry = chan_ctx.get(arm.label)
             if entry is None:
@@ -674,9 +669,7 @@ class Checker:
                                            dict(chan_ctx)))
         return self.merge_arms(cmd, "race", chan_ctx, results)
 
-    def check_fork(self, cmd: Fork, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "fork")
+    def check_fork(self, cmd: Fork, entry, seq_ctx, chan_ctx):
         resolved = self.shape(cmd.chan, entry, "fork", cmd.pos)
         components = (resolved.left, resolved.right)
         self.fork_sites.append(ForkSite(cmd.pos, components))
@@ -712,9 +705,7 @@ class Checker:
                           f"channel(s): {', '.join(sorted(ctx))}")
         return True
 
-    def check_split(self, cmd: Split, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "split")
+    def check_split(self, cmd: Split, entry, seq_ctx, chan_ctx):
         resolved = self.shape(cmd.chan, entry, "split", cmd.pos)
         del chan_ctx[cmd.chan]
         for name in (cmd.left, cmd.right):
@@ -729,7 +720,7 @@ class Checker:
         chan_ctx[cmd.left] = ChanEntry(resolved.left, entry.pol)
         chan_ctx[cmd.right] = ChanEntry(resolved.right, entry.pol)
 
-    def check_plug(self, cmd: Plug, seq_ctx, chan_ctx):
+    def check_plug(self, cmd: Plug, entry, seq_ctx, chan_ctx):
         live = set(chan_ctx)
         frees = list(map(self.exec_program.free_chans, cmd.branches))
         users = share_out(frees)
@@ -825,7 +816,7 @@ class Checker:
                 return (INPUT if param in target.in_params else OUTPUT)
         return None
 
-    def check_call(self, cmd: Call, seq_ctx, chan_ctx):
+    def check_call(self, cmd: Call, entry, seq_ctx, chan_ctx):
         sig = self.sigs.get(cmd.callee)
         if sig is None:
             self.fail(dk.ILLEGAL_COMMAND, cmd.pos,
@@ -833,7 +824,7 @@ class Checker:
         return self._check_invocation(cmd, sig, seq_ctx, chan_ctx,
                                       f"process {cmd.callee!r}")
 
-    def check_use(self, cmd: Use, seq_ctx, chan_ctx):
+    def check_use(self, cmd: Use, entry, seq_ctx, chan_ctx):
         st = self.uni.resolve(
             _EXPRS[type(cmd.stored)](self, cmd.stored, seq_ctx))
         if not isinstance(st, StoreType):
@@ -876,7 +867,7 @@ class Checker:
                       channel=sorted(chan_ctx)[0])
         return True
 
-    def check_link(self, cmd: Link, seq_ctx, chan_ctx):
+    def check_link(self, cmd: Link, entry, seq_ctx, chan_ctx):
         a = chan_ctx.get(cmd.left) or self.unbound(cmd.left, cmd.pos, "|=|")
         b = chan_ctx.get(cmd.right) or self.unbound(cmd.right, cmd.pos, "|=|")
         if a.pol is b.pol:
@@ -893,9 +884,7 @@ class Checker:
                       f"{', '.join(sorted(chan_ctx))}")
         return True
 
-    def check_neg(self, cmd: NegIntro, seq_ctx, chan_ctx):
-        entry = chan_ctx.get(cmd.chan) or self.unbound(cmd.chan, cmd.pos,
-                                                       "neg")
+    def check_neg(self, cmd: NegIntro, entry, seq_ctx, chan_ctx):
         inner = self.shape(cmd.chan, entry, "neg", cmd.pos).inner
         if cmd.fresh in chan_ctx and cmd.fresh != cmd.chan:
             self.fail(dk.LINEARITY_REUSE, cmd.pos,
@@ -958,23 +947,24 @@ def check_program(src: SourceProgram) -> TypedProgram:
     return Checker(src).run()
 
 
-# `check_body`'s handler for each command class.  `OnDo` is absent:
-# `prepare` desugars it away.
+# `check_body`'s handler for each command class, and the keyword of the one
+# channel it acts on, which `check_body` looks up; None for a command on
+# several.  `OnDo` is absent: `prepare` desugars it away.
 _CHECKS = {
-    PutVal: Checker.check_put,
-    GetVal: Checker.check_get,
-    HPut: Checker.check_hput,
-    HCase: Checker.check_hcase,
-    Close: Checker.check_close,
-    Halt: Checker.check_halt,
-    Fork: Checker.check_fork,
-    Split: Checker.check_split,
-    Plug: Checker.check_plug,
-    Race: Checker.check_race,
-    Call: Checker.check_call,
-    Use: Checker.check_use,
-    Link: Checker.check_link,
-    NegIntro: Checker.check_neg,
+    PutVal: (Checker.check_put, "put"),
+    GetVal: (Checker.check_get, "get"),
+    HPut: (Checker.check_hput, "hput"),
+    HCase: (Checker.check_hcase, "hcase"),
+    Close: (Checker.check_close, "close"),
+    Halt: (Checker.check_halt, "halt"),
+    Fork: (Checker.check_fork, "fork"),
+    Split: (Checker.check_split, "split"),
+    Plug: (Checker.check_plug, None),
+    Race: (Checker.check_race, None),
+    Call: (Checker.check_call, None),
+    Use: (Checker.check_use, None),
+    Link: (Checker.check_link, None),
+    NegIntro: (Checker.check_neg, "neg"),
 }
 
 # Each expression class's type, through a handler like the commands'.

@@ -10,9 +10,9 @@ or command (the parser's resolver sets the types it recorded in place
 before it returns).  So nodes are safe to share between any number of
 checks or machine runs, and rewrites share the subtrees they leave
 unchanged.  Type nodes and `Pos` hash by value; commands and declarations
-compare by value and are unhashable.  Command and expression nodes, one
-per command or operand, are slotted: no per-instance `__dict__`, so each
-takes less memory and each field read is a slot lookup.
+compare by value and are unhashable.  Every record is slotted: no
+per-instance `__dict__`, so each takes less memory and each field read
+is a slot lookup.
 """
 
 from __future__ import annotations
@@ -41,29 +41,27 @@ class Field:
         self.hidden = hidden or derived is not None
 
 
-def record(cls=None, *, slots=False, eq=True, hash=False, pos=False):
-    """`cls` with an `__init__` that takes its annotated fields, all but
-    the derived ones, by position or keyword; `pos` adds a last one, the
-    hidden source position `pos: Pos = NO_POS` of a syntax node.  With
-    `eq` it equals a record of its own class whose shown fields are
-    equal, and is unhashable unless `hash` hashes those fields; without
-    `eq` it keeps object identity.  `slots` rebuilds the class with one
-    slot per field.  These methods come from one exec'd source, each a
-    single frame."""
+def record(cls=None, *, eq=True, hash=False, pos=False):
+    """`cls` rebuilt with one slot per annotated field and an `__init__`
+    that takes them, all but the derived ones, by position or keyword;
+    `pos` adds a last one, the hidden source position `pos: Pos = NO_POS`
+    of a syntax node.  With `eq` it equals a record of its own class whose
+    shown fields are equal, and is unhashable unless `hash` hashes those
+    fields; without `eq` it keeps object identity.  These methods come
+    from one exec'd source, each a single frame."""
     if cls is None:
-        return lambda cls: record(cls, slots=slots, eq=eq, hash=hash,
-                                  pos=pos)
+        return lambda cls: record(cls, eq=eq, hash=hash, pos=pos)
     if pos:
         cls.__annotations__["pos"] = "Pos"
         cls.pos = Field(NO_POS, hidden=True)
-    names = list(cls.__annotations__)
-    env, params, sets, shown = {"_UNSET": _UNSET}, ["self"], [], []
+    names = tuple(cls.__annotations__)
+    body = dict(cls.__dict__)
+    env, params, sets, match, shown = {"_UNSET": _UNSET}, ["self"], [], [], []
+    keys = ""
     for name in names:
-        spec = cls.__dict__.get(name, _UNSET)
+        spec = body.pop(name, _UNSET)
         if type(spec) is not Field:
             spec = Field(spec)
-        elif not slots:
-            delattr(cls, name)
         value = spec.derived or name
         if spec.factory:
             env[f"_f_{name}"] = spec.factory
@@ -74,10 +72,12 @@ def record(cls=None, *, slots=False, eq=True, hash=False, pos=False):
             params.append(f"{name}=_d_{name}")
         elif not spec.derived:
             params.append(name)
+        if not spec.derived:
+            match.append(name)
         sets.append(f" self.{name} = {value}")
         if not spec.hidden:
             shown.append(name)
-    keys = "".join(f"self.{k}," for k in shown)
+            keys += f"self.{name},"
     src = [f"def __init__({', '.join(params)}):", *sets, " pass"]
     if eq:
         src += ["def __eq__(self, other):",
@@ -87,19 +87,14 @@ def record(cls=None, *, slots=False, eq=True, hash=False, pos=False):
     if hash:
         src.append(f"def __hash__(self): return hash(({keys}))")
     exec("\n".join(src), env)
-    body = {"__init__": env["__init__"], "__repr__": _record_repr,
-            "__match_args__": tuple(p.partition("=")[0] for p in params[1:]),
-            "_shown": tuple(shown)}
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body.update(__init__=env["__init__"], __repr__=_record_repr,
+                __match_args__=tuple(match), _shown=tuple(shown),
+                __slots__=names, __qualname__=cls.__qualname__)
     if eq:
         body.update(__eq__=env["__eq__"], __hash__=env.get("__hash__"))
-    if not slots:
-        for k, v in body.items():
-            setattr(cls, k, v)
-        return cls
-    kept = {k: v for k, v in cls.__dict__.items()
-            if k not in names and k not in ("__dict__", "__weakref__")}
-    return type(cls)(cls.__name__, cls.__bases__, kept | body | {
-        "__slots__": tuple(names), "__qualname__": cls.__qualname__})
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 def _record_repr(self) -> str:
@@ -111,7 +106,7 @@ def _record_repr(self) -> str:
 # ---------------------------------------------------------------------------
 # source positions
 
-@record(slots=True, hash=True)
+@record(hash=True)
 class Pos:
     line: int = 0
     col: int = 0
@@ -144,6 +139,8 @@ INPUT = Polarity.INPUT
 class _Compound:
     """A type with parts, sequential or channel: it prints through
     `render_type`, which nests without recursion."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render_type(self)
@@ -496,32 +493,32 @@ class _Unfolding:
 # ---------------------------------------------------------------------------
 # expressions
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class IntLit:
     value: int
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class CharLit:
     value: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class StringLit:
     value: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class BoolLit:
     value: bool
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class VarRef:
     name: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class StoreOf:
     """`store(name)` or `store(proc ... )` with an inline definition."""
     target: Union[str, "ProcDef"]
@@ -533,25 +530,25 @@ Expr = Union[IntLit, CharLit, StringLit, BoolLit, VarRef, StoreOf]
 # ---------------------------------------------------------------------------
 # process commands
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class PutVal:
     expr: Expr
     chan: str | None
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class GetVal:
     binder: str
     chan: str | None
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class HPut:
     handle: str
     chan: str | None
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Arm:
     """One arm of an hcase, fork or race: its handle, the channel name it
     binds, or the channel it races on, and its body."""
@@ -559,46 +556,46 @@ class Arm:
     body: tuple["Command", ...]
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class HCase:
     chan: str | None
     arms: tuple[Arm, ...]
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Close:
     chan: str | None
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Halt:
     chan: str | None
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Fork:
     chan: str | None
     arms: tuple[Arm, Arm]
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Split:
     chan: str | None
     left: str
     right: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Plug:
     branches: tuple[tuple["Command", ...], ...]
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Race:
     arms: tuple[Arm, ...]
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Call:
     callee: str
     seq_args: tuple[Expr, ...]
@@ -610,7 +607,7 @@ class Call:
     chan_args: tuple[str, ...] = Field(derived="in_chans + out_chans")
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Use:
     stored: Expr
     seq_args: tuple[Expr, ...]
@@ -619,19 +616,19 @@ class Use:
     chan_args: tuple[str, ...] = Field(derived="in_chans + out_chans")
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class Link:
     left: str
     right: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class NegIntro:
     chan: str
     fresh: str
 
 
-@record(slots=True, pos=True)
+@record(pos=True)
 class OnDo:
     """`on ch do ...`: sugar that supplies the channel argument to every
     command in its block."""

@@ -92,7 +92,7 @@ def render(value: Value) -> str:
     return str(value.value)
 
 
-@record(slots=True)
+@record
 class CloseMsg:
     pass
 
@@ -101,7 +101,7 @@ class CloseMsg:
 _CLOSE = CloseMsg()
 
 
-@record(slots=True)
+@record
 class RewireMsg:
     """A fork's message to the splitter: the ends it will claim, and the
     left channel's id at the fork, which its SPLIT event prints."""
@@ -274,7 +274,7 @@ class ConsoleEndpoint:
 # ---------------------------------------------------------------------------
 # machine state
 
-@record(slots=True, eq=False)
+@record(eq=False)
 class EndState:
     """One end of a channel, and what a process binds a name to.  `cid`
     and `label` are the id and label of the channel it sits in now, and
@@ -295,7 +295,7 @@ class EndState:
     inbox: deque = Field(factory=deque, hidden=True)
 
 
-@record(slots=True)
+@record
 class ProcessInstance:
     """A process: its bindings and its continuation, the commands
     `body[at:]`.  `at` indexes the next command, so a process whose body
@@ -310,7 +310,7 @@ class ProcessInstance:
     at: int
 
 
-@record(slots=True)
+@record
 class TraceEvent:
     step: int
     pid: int

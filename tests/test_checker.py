@@ -851,3 +851,116 @@ def test_each_checker_diagnostic_is_reported_where_it_stands(name):
     [d] = errors_of(src)
     assert (d.kind, d.pos.line, d.pos.col, d.message) == (
         kind, line, col, message)
+
+
+# ---------------------------------------------------------------------------
+# a one-channel command looks its channel up before anything else
+
+# Each command that acts on one channel, on `x`, which is not live, and
+# with a second fault where the command can hold one: an unknown handle,
+# a foreign arm, a binder that shadows the live `c`, an ill-typed value.
+NOT_LIVE = {
+    "put": "put y on x\n",
+    "get": "get v on x\n",
+    "hput": "hput Nope on x\n",
+    "hcase": ("hcase x of\n"
+              "            Ax -> halt x\n"
+              "            Bx -> halt x\n"),
+    "close": "close x\n",
+    "halt": "halt x\n",
+    "fork": ("fork x as\n"
+             "            c -> halt c\n"
+             "            r -> halt r\n"),
+    "split": "split x into c, r\n",
+    "neg": "neg x as c\n",
+}
+
+_AB = ("protocol A( | ) => S =\n"
+       "    Ax :: TopBot => S\n"
+       "\nprotocol B( | ) => S =\n"
+       "    Bx :: TopBot => S\n"
+       "\n")
+
+
+@pytest.mark.parametrize("word", NOT_LIVE)
+def test_a_command_on_a_channel_not_live_reports_that_first(word):
+    [d] = errors_of(_AB + "proc p :: | TopBot => =\n"
+                          "    | c => -> do\n"
+                          "        " + NOT_LIVE[word] +
+                          "        close c\n")
+    assert (d.kind, d.pos.line, d.pos.col, d.message) == (
+        dk.LINEARITY_REUSE, 9, 9,
+        "channel 'x' is not live here (already consumed or never bound)")
+
+
+# Each command whose channel an `on` block may supply, with none, inside an
+# inline stored process: the parser leaves those to the checker.
+BARE_INLINE = {
+    "put": "put 2\n",
+    "get": "get v\n",
+    "hput": "hput Ax\n",
+    "hcase": ("hcase of\n"
+              "                    Ax -> halt c\n"),
+    "close": "close\n",
+    "halt": "halt\n",
+    "fork": ("fork as\n"
+             "                    l -> halt l\n"
+             "                    r -> halt r\n"),
+    "split": "split into l, r\n",
+}
+
+
+@pytest.mark.parametrize("word", BARE_INLINE)
+def test_a_bare_command_in_an_inline_stored_process_is_illegal(word):
+    [d] = errors_of(_AB + "proc sender :: | => Put(Store(|TopBot=>)|TopBot)"
+                          " =\n"
+                          "    | => ch -> do\n"
+                          "        put store(proc anon :: | TopBot => =\n"
+                          "            | c => -> do\n"
+                          "                " + BARE_INLINE[word] +
+                          "                close c\n"
+                          "            ) on ch\n"
+                          "        halt ch\n")
+    assert (d.kind, d.pos.line, d.pos.col, d.message) == (
+        dk.ILLEGAL_COMMAND, 11, 17,
+        f"{word} without a channel outside an 'on' block")
+
+
+# ---------------------------------------------------------------------------
+# an inline stored process's signature must match its context line, as a
+# top-level process's must: `use` passes what the signature lists
+
+def _stored_anon(context: str) -> str:
+    return ("proc sender =\n"
+            "    | => ch -> do\n"
+            "        put store(proc anon :: Int | Console => =\n"
+            f"            {context} -> do\n"
+            "                hput ConsoleClose on c\n"
+            "                halt c\n"
+            "            ) on ch\n"
+            "        halt ch\n"
+            "\nproc runner :: | Put(Store(Int|Console=>)|TopBot), Console"
+            " => =\n"
+            "    | ch, console => -> do\n"
+            "        get sp on ch\n"
+            "        close ch\n"
+            "        use(sp)( 1 | console => )\n"
+            "\nproc run =\n"
+            "    | console => -> plug\n"
+            "        sender( | => ch )\n"
+            "        runner( | ch, console => )\n")
+
+
+@pytest.mark.parametrize("context, binds", [
+    ("n, m | c =>", "2|1=>0"),
+    ("n | c, d =>", "1|2=>0"),
+    ("n | c => d", "1|1=>1"),
+], ids=["seq", "input", "output"])
+def test_an_inline_stored_process_must_match_its_signature(context, binds):
+    # The body is then checked under fresh types, which may clash with the
+    # signature the runner expects, so other diagnostics may follow.
+    [d] = [d for d in errors_of(_stored_anon(context))
+           if d.kind == dk.ARITY_MISMATCH]
+    assert (d.pos.line, d.pos.col, d.message) == (
+        3, 19, f"signature of 'anon' lists 1|1=>0 but the context line "
+               f"binds {binds}")

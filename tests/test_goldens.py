@@ -272,6 +272,33 @@ ESCAPES = {
 }
 
 
+# A checked program that sends an inline stored process, whose value
+# parameter `n` goes unused, for another process to run with `use`: the
+# corpus stores only named processes.
+STORED = {
+    "stored_inline.campl": (
+        "proc sender =\n"
+        "    | => ch -> do\n"
+        "        put store(proc anon :: Int | Console => =\n"
+        "            n | c => -> do\n"
+        "                hput ConsolePut on c\n"
+        "                put \"stored\" on c\n"
+        "                hput ConsoleClose on c\n"
+        "                halt c\n"
+        "            ) on ch\n"
+        "        halt ch\n"
+        "\nproc runner :: | Put(Store(Int|Console=>)|TopBot), Console => =\n"
+        "    | ch, console => -> do\n"
+        "        get sp on ch\n"
+        "        close ch\n"
+        "        use(sp)( 1 | console => )\n"
+        "\nproc run =\n"
+        "    | console => -> plug\n"
+        "        sender( | => ch )\n"
+        "        runner( | ch, console => )\n"),
+}
+
+
 # Benchmark programs: the only inputs that interleave a thousand race
 # draws with plug, fork and split (churn), and a 200-stage network
 # (pipeline).
@@ -296,8 +323,8 @@ for _s in range(10):
 # Every golden program by file name, for `populate` and the front-end
 # differential (`tests/test_differential.py`), which names the ones it
 # covers.
-PROGRAMS = {**LINKS, **ARMS, **MESSAGES, **ESCAPES, **FAULTS, **ARMS_FAULTS,
-            **PERFBENCH, **GENERATED}
+PROGRAMS = {**LINKS, **ARMS, **MESSAGES, **ESCAPES, **STORED, **FAULTS,
+            **ARMS_FAULTS, **PERFBENCH, **GENERATED}
 
 
 def cases() -> dict[str, list[str]]:
@@ -328,6 +355,9 @@ def cases() -> dict[str, list[str]]:
                                            str(s), "--stdin", "stdin.txt"]
     for f in sorted(ESCAPES):
         out[f"run-escape/{f}"] = ["run", f, "--trace", "--stdin",
+                                  "stdin.txt"]
+    for f in sorted(STORED):
+        out[f"run-stored/{f}"] = ["run", f, "--trace", "--stdin",
                                   "stdin.txt"]
     for f in sorted(PERFBENCH):
         for s in PERFBENCH_SEEDS[f]:

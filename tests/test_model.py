@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import campl
 from campl import model
 from campl.diagnostics import Diagnostic
 from campl.elaborate import ExecProgram
@@ -346,11 +350,37 @@ def test_default_factories_make_fresh_containers():
     assert ExecProgram({}).refs is not ExecProgram({}).refs
 
 
-@pytest.mark.parametrize("node", [
+def _record_classes() -> dict[str, type]:
+    """Every record class a module of `src/campl` defines, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(campl.__path__):
+        module = importlib.import_module(f"campl.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ \
+                    and "_shown" in vars(obj):
+                found[obj.__name__] = obj
+    return found
+
+
+# Some nodes built as a program holds them, then one instance of each other
+# record class, with `()` for every parameter: the layout does not depend
+# on the values.
+_NODES = [
     Pos(), IntLit(1), VarRef("x"), PutVal(IntLit(1), "c"), Close("c"),
     Arm("x", ()), Call("p", (), (), ()), Use(VarRef("s"), (), (), ()),
     EndState(0, "c"), TraceEvent(0, 1, "PUT"),
-], ids=lambda n: type(n).__name__)
+]
+_NODES += [cls(*[()] * len(cls.__match_args__))
+           for name, cls in sorted(_record_classes().items())
+           if name not in {type(n).__name__ for n in _NODES}]
+
+
+def test_every_record_class_has_a_sample_node():
+    assert {type(n) for n in _NODES} == set(_record_classes().values())
+    assert len(_NODES) == 58
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
 def test_slotted_nodes_have_no_instance_dict(node):
     assert not hasattr(node, "__dict__")
     with pytest.raises(AttributeError):

@@ -28,6 +28,7 @@ from conftest import CORPUS, command_count, run_watched
 from genprog import gen_program, with_forwarder
 from test_goldens import (
     ARMS, ARMS_FAULTS, ESCAPES, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
+    STORED,
 )
 
 
@@ -132,7 +133,8 @@ def test_every_accepted_token_mutant_runs_clean():
     # process and channel is gone, or until the Console's script runs out.
     texts = [p.read_text(encoding="utf-8")
              for p in sorted(CORPUS.glob("*.campl"))]
-    for golden in (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES, ESCAPES):
+    for golden in (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES, ESCAPES,
+                   STORED):
         texts += golden.values()
     script = STDIN_SCRIPT.splitlines()
     seen = set(texts)

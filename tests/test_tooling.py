@@ -7,7 +7,9 @@ the machine to its budgets of Python calls and bytecodes per step and of
 memory per run, the checker to its budget of calls per command, the parser
 to its budget of calls per token, a record to one frame per construction,
 `==` and `hash`, `import campl.cli` to its budget of calls, and the parser
-and the checker to their budgets of stack frames per level of nesting.
+and the checker to their budgets of stack frames per level of nesting;
+one checks that each channel keyword the checker looks up has a row in
+the command matrix.
 The last tests keep `src/campl` free of module-level names nothing reads
 and of `dataclasses`."""
 
@@ -23,10 +25,11 @@ import pytest
 
 import campl
 import campl.runtime
+from campl import checker
 from campl.checker import check_program
 from campl.elaborate import ExecProgram
 from campl.lexer import tokenize
-from campl.model import INT, TOPBOT, Call, Pos, ProcDef, Put
+from campl.model import COMMAND_HEADS, INT, TOPBOT, Call, Pos, ProcDef, Put
 from campl.parser import parse_program, parse_source
 from campl.runtime import EndState, Machine, boot
 from campl.services import ServiceConfig
@@ -321,15 +324,18 @@ def test_import_stays_within_its_call_budget(tmp_path):
     # compiles campl from source (no bytecode written, an empty private
     # cache), after `click` and the standard modules campl uses are
     # loaded: 13,901 while `dataclasses` built the record classes, 5,622
-    # once `model.record` built each from one exec'd source.  Exact for a
-    # given interpreter and hash seed alike, so a rise means new work at
-    # import: more classes, or a class built more dearly.
+    # once `model.record` built each from one exec'd source, 5,191 once
+    # every record was slotted through one build path whose field loop
+    # also gathers `__match_args__` and the `__eq__` keys (no generator
+    # frames).  Exact for a given interpreter and hash seed alike, so a
+    # rise means new work at import: more classes, or a class built more
+    # dearly.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     calls = int(done.stdout)
-    assert calls <= 5_622, f"{calls} calls"
+    assert calls <= 5_191, f"{calls} calls"
 
 
 def _answered_frontend_sources(programs) -> list[str]:
@@ -386,6 +392,13 @@ def _peak_depth(f, *args) -> int:
     finally:
         sys.setprofile(saved)
     return peak
+
+
+def test_every_checked_channel_keyword_names_a_command_row():
+    # `check_body` looks up the one channel of each command `_CHECKS` gives
+    # a keyword, and the handler's `shape` reads that keyword's row.
+    words = {word for _, word in checker._CHECKS.values()} - {None}
+    assert len(words) == 9 and words <= COMMAND_HEADS.keys()
 
 
 def test_the_parser_spends_at_most_four_frames_per_fork_level():
