@@ -35,18 +35,21 @@ processes and live channels is a forest (`cycle_edges`) and that every end
 of a live channel has an owner.  A machine booted `checked` trusts the
 checker.  Its monitor scans the whole network at the first check and at
 any check not made right after one step; otherwise it checks only what
-that step recorded: nothing after a value, handle, race, call, use or neg
-step, where it returns at once; the pending ends of released ends; and the
-channels the step created, for cycles among themselves (one or two by
-comparing their owners).  Whatever a local check flags goes to the full
-scan, which raises the fault.  An unchecked machine runs the references:
-every plan built afresh, every check full.
+that step recorded.  A plug's or fork's plan says once whether the
+channels it adds can close a cycle (`HandOff.forest`), so only a |=| and a
+plug whose plan is not a forest record their new channels, checked for
+cycles among themselves (one or two by comparing their owners).  An end
+that loses its owner is recorded only while fork messages in its inbox
+carry ends pending through it, checked for an owner.  A step that
+recorded nothing passes at once.  Whatever a local check flags goes to
+the full scan, which raises the fault.  An unchecked machine runs the
+references: every plan built afresh, every check full.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -135,13 +138,17 @@ class BootError(Exception):
 # `Machine.plans` from the node's first step.  A build that faults stores
 # nothing, so every later step checks again.
 
-class HandOff(NamedTuple):
-    """How a plug or fork replaces its process by children."""
-    joins: tuple            # (name, branch, branch) per plugged name, sorted
-    payload: str | None     # the PLUG event's payload; a fork's, with a %d
-                            # for each new channel's id
-    children: tuple         # (name suffix, body, held names it inherits)
-    released: tuple         # the held names no child inherits
+# How a plug or fork replaces its process by children:
+#   joins     (name, branch, branch) per plugged name, sorted
+#   payload   the PLUG event's payload; a fork's, with a %d for each new
+#             channel's id
+#   children  (name suffix, body, held names it inherits) per child
+#   released  the held names no child inherits
+#   forest    whether the new channels close no cycle, so a checked step
+#             need not record them for the monitor
+# A plain namedtuple: `typing.NamedTuple` spends about 12 Python calls per
+# field at import (`test_import_stays_within_its_call_budget`).
+HandOff = namedtuple("HandOff", "joins payload children released forest")
 
 
 class Invocation(NamedTuple):
@@ -152,7 +159,7 @@ class Invocation(NamedTuple):
 
 
 def _hand_off_plan(held: dict, children: list, users: dict, joins: tuple,
-                   payload: str | None) -> HandOff:
+                   payload: str | None, forest: bool) -> HandOff:
     """`children` as (name suffix, body): each held name goes to the first
     child that uses it, by `users` (`share_out`); the rest are released."""
     inherits: list[list[str]] = [[] for _ in children]
@@ -160,7 +167,7 @@ def _hand_off_plan(held: dict, children: list, users: dict, joins: tuple,
         inherits[users[name][0]].append(name)
     return HandOff(joins, payload, tuple(
         (*child, tuple(names)) for child, names in zip(children, inherits)),
-        tuple(sorted(held.keys() - users.keys())))
+        tuple(sorted(held.keys() - users.keys())), forest)
 
 
 def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
@@ -171,17 +178,22 @@ def _plug_plan(program: ExecProgram, cmd: Plug, held: dict) -> HandOff:
         if len(where) != 2:
             raise MachineFault("IllegalCommand", f"plug channel {name!r} "
                                f"must join exactly two branches")
+    # The joined channels link fresh children only, so they close a cycle
+    # exactly when they do among themselves.
     return _hand_off_plan(
         held, [(f"/{i}", body) for i, body in enumerate(cmd.branches)],
-        users, joins, ",".join(join[0] for join in joins) or None)
+        users, joins, ",".join(join[0] for join in joins) or None,
+        not cycle_edges(joins))
 
 
 def _fork_plan(program: ExecProgram, cmd: Fork, held: dict) -> HandOff:
+    # A fork's two channels join its two fresh children to the carrier's
+    # far holder, which on a forest is neither the forker nor a child.
     return _hand_off_plan(
         held, [(f".{arm.label}", arm.body) for arm in cmd.arms],
         share_out(program.free_chans(arm.body) - {arm.label}
                   for arm in cmd.arms), (),
-        ",".join(f"{arm.label}#%d" for arm in cmd.arms))
+        ",".join(f"{arm.label}#%d" for arm in cmd.arms), True)
 
 
 def _invocation(program: ExecProgram, cmd: Call | Use,
@@ -418,7 +430,9 @@ class Machine:
         self._next_pid = 0
         self._next_cid = 0
         # For the monitor: the step count at the last passed check, and
-        # the channels created and the ends released or redirected since.
+        # what the steps since recorded: the channels a |=| or a plug whose
+        # plan is not a forest created, the ends a |=| redirected, and the
+        # ends released while fork messages in their inbox pended on them.
         self._checked_at: int | None = None
         self._added: list[int] = []
         self._released: list[EndState] = []
@@ -431,7 +445,6 @@ class Machine:
         a = self.channels[cid] = EndState(cid, label, None, False, None,
                                           deque())
         b = a.peer = EndState(cid, label, None, False, a, deque())
-        self._added.append(cid)
         return a, b
 
     def boot(self) -> "Machine":
@@ -620,10 +633,19 @@ class Machine:
         fork hand each of the process's channels to one child, so those lead
         into disjoint subtrees, and |=| joins its two peers by one channel.  A
         new cycle must therefore close among the channels the step created.
+        A plug's new channels join fresh children only, so they close one
+        exactly when they do among themselves, which its plan works out once
+        (`HandOff.forest`); the step records them only then.  A fork's two
+        join its two fresh children to the holder its carrier's far end
+        resolves to, through any ends still pending: on a forest that is
+        neither the forker (the carrier would have been a loop) nor a
+        child, so they never close one and the step records none.  A |=|
+        records its channel.
         An end loses its owner only through an end the step released or
         redirected (a fork whose carrier's far end has no owner releases the
-        carrier's last end), and the fork messages in such an end's inbox
-        carry the ends pending through it.
+        carrier's last end), and only the fork messages in such an end's
+        inbox carry ends pending through it, so a released end is recorded
+        only while it holds one; a |=| records the ends it redirects.
         When a local check flags anything, the full check decides and builds
         the fault.  Most steps record nothing, and then the check returns at
         once.  An unchecked machine makes the full check every time.
@@ -805,7 +827,10 @@ class Machine:
         if e.cid in self.channels:
             e.owner = None
             e.closed = True
-            self._released.append(e)
+            # The monitor reads a released end only for the fork messages
+            # in its inbox, which carry the ends pending through it.
+            if RewireMsg in map(type, e.inbox):
+                self._released.append(e)
             self._reap(e)
 
     def _reap(self, e: EndState) -> None:
@@ -817,7 +842,10 @@ class Machine:
             # to no one
             peer = e.peer
             e.owner = peer.owner = e.peer = peer.peer = None
-            self._released += e, peer
+            if RewireMsg in map(type, e.inbox):
+                self._released.append(e)
+            if RewireMsg in map(type, peer.inbox):
+                self._released.append(peer)
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, (IntLit, CharLit, StringLit, BoolLit)):
@@ -901,8 +929,11 @@ class Machine:
         plan = (self.plans.get(id(cmd))
                 or self._plan(id(cmd), _plug_plan, cmd, p.chan_env))
         envs: list[dict] = [{} for _ in plan.children]
+        first = self._next_cid
         for name, i, j in plan.joins:
             envs[i][name], envs[j][name] = self._new_channel(name)
+        if not plan.forest:
+            self._added += range(first, self._next_cid)
         row = (p.pid, "PLUG", None, None, plan.payload)
         self._hand_off(p, plan, envs)
         return row

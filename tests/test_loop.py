@@ -18,7 +18,8 @@ from campl.model import ProcDef, SourceProgram
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import (
-    BootError, MachineFault, OutcomeKind, Trace, TraceEvent, boot,
+    BootError, HandOff, Machine, MachineFault, OutcomeKind, Trace,
+    TraceEvent, boot,
 )
 from campl.services import ServiceConfig
 from conftest import (
@@ -29,7 +30,7 @@ from genprog import gen_program, with_forwarder
 from test_goldens import (
     ARMS, ARMS_FAULTS, ARMS_SEEDS, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
 )
-from test_monitor import ALIASED, LEFT_UNDER_NO_NAME
+from test_monitor import ALIASED, LEFT_UNDER_NO_NAME, MONITOR_FAULTS
 from test_runtime import RELEASING, churn_text
 
 
@@ -151,6 +152,13 @@ def test_loop_matches_stepwise_on_an_upstream_pipeline():
     assert ended[0] is OutcomeKind.DONE
 
 
+def test_loop_matches_stepwise_on_a_200_stage_upstream_pipeline():
+    # The scheduler passes up to 200 blocked stages a step here, with
+    # few messages to keep the run short.
+    ended = compare(upstream_pipeline(200, UPSTREAM_MSGS[:2]), 0)
+    assert ended == (OutcomeKind.DONE, 3023, {})
+
+
 def test_upstream_pipeline_is_watched_at_every_step():
     # The consumer has the lowest pid, so the scheduler's first candidate
     # is blocked on almost every step; the monitor, ownership and the
@@ -164,6 +172,64 @@ def test_upstream_pipeline_is_watched_at_every_step():
     assert config.outputs == UPSTREAM_MSGS
     calls = [(ev.pid, ev.payload) for ev in m.trace if ev.kind == "CALL"]
     assert calls[0] == (1, "consume") and calls[21] == (22, "produce")
+
+
+# ---------------------------------------------------------------------------
+# the monitor inside the loop
+
+def _downstream_pipeline(stages: int) -> str:
+    return load_perfbench("programs").pipeline_source(
+        random.Random(stages), stages, UPSTREAM_MSGS)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: churn_text(100), lambda: _downstream_pipeline(20),
+    lambda: upstream_pipeline(20, UPSTREAM_MSGS),
+], ids=["churn", "downstream", "upstream"])
+def test_checked_loop_makes_no_local_check(make, monkeypatch):
+    # Plug and fork plans carry their shape, and a released end is
+    # recorded only with fork messages in its inbox, so after the full
+    # check at boot every step of these runs passes the loop's in-line
+    # "nothing recorded" test.
+    local = Machine._step_checks_pass
+    calls = []
+
+    def counted(machine):
+        calls.append(machine.steps)
+        return local(machine)
+
+    monkeypatch.setattr(Machine, "_step_checks_pass", counted)
+    program = check_program(parse_source(make())).exec_program
+    assert boot(program, 0, ServiceConfig.from_script([])
+                ).run_to_completion().done
+    assert calls == []
+
+
+def test_benchmark_churn_plans_are_forests():
+    # churn(1)'s churn0 runs 31,009 steps on three plug plans and a fork's.
+    source = load_perfbench("programs").churn(1).sources["churn0"]
+    m = boot(check_program(parse_source(source)).exec_program, 0,
+             ServiceConfig.from_script([]))
+    assert m.run_to_completion().steps == 31009
+    plans = [plan for plan in m.plans.values() if type(plan) is HandOff]
+    assert [len(plan.joins) for plan in plans] == [1, 1, 0, 1]
+    assert all(plan.forest for plan in plans)
+
+
+def test_loop_flags_a_cyclic_plug_where_the_reference_raises():
+    # The plug joins `a` and `b` by two channels, so its plan is not a
+    # forest: a checked step records those channels, and the local check
+    # sends them to the full one.
+    ends = []
+    for checked in (True, False):
+        m = boot(prepare(parse_source(FAULTS["cycle_plug.campl"])), 0,
+                 ServiceConfig.from_script([]), checked=checked)
+        with pytest.raises(MachineFault) as fault:
+            m.run_to_completion()
+        ends.append((str(fault.value), m.steps,
+                     [plan.forest for plan in m.plans.values()]))
+    assert ends == [(MONITOR_FAULTS["cycle_plug.campl"], 1, [False]),
+                    (MONITOR_FAULTS["cycle_plug.campl"], 1, [])]
 
 
 # ---------------------------------------------------------------------------

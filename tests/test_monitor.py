@@ -10,19 +10,22 @@ import random
 
 import pytest
 
+from campl import runtime
 from campl.checker import check_program
 from campl.diagnostics import CheckFailure, ParseFailure
 from campl.elaborate import prepare
+from campl.model import Fork
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
-from campl.runtime import BootError, Machine, MachineFault, boot
+from campl.runtime import BootError, EndState, Machine, MachineFault, boot
 from campl.services import ScriptExhausted, ServiceConfig
 from conftest import (
     CORPUS, assert_monitor_agrees, assert_schedule_agrees, corpus_text,
-    line_drops, load_perfbench,
+    line_drops, load_perfbench, run_watched,
 )
 from genprog import gen_program, with_forwarder
 from test_goldens import FAULTS, STDIN_SCRIPT
+from test_traversal import _fork_tower
 
 
 def run_text_watched(text: str, seed: int,
@@ -171,6 +174,61 @@ def test_full_check_runs_once_on_a_pipeline(full_checks):
     assert outcome.done and config.outputs == msgs
     assert outcome.steps > 500
     assert full_checks == [0]
+
+
+# `_fork_tower`'s tower with its splitter `final` called from a process
+# that `mid`'s plug creates after the tower's first fork.  The tower's
+# second fork then runs first, on a carrier whose far end is still pending
+# through the first carrier.
+DEFERRED_SPLITTER = ("proc mid =\n"
+                     "    | t => -> plug\n"
+                     "        hold( | t, c => )\n"
+                     "        nop( | => c )\n"
+                     "\nproc hold =\n"
+                     "    | t, c => -> do\n"
+                     "        close c\n"
+                     "        final( | t => )\n"
+                     "\nproc nop =\n"
+                     "    | => c -> halt c\n"
+                     "\nproc run =\n"
+                     "    | => -> plug\n"
+                     "        tower( | => t )\n"
+                     "        mid( | t => )\n")
+
+
+def _deferred_tower(depth: int) -> str:
+    tower = _fork_tower(depth)
+    return tower[:tower.index("proc run")] + DEFERRED_SPLITTER
+
+
+@pytest.mark.parametrize("make, depth, steps, pending", [
+    ("frontend", 12, 118, 0), ("frontend", 40, 286, 0),
+    ("deferred", 12, 83, 1),
+])
+def test_fork_towers_are_watched_to_the_end(make, depth, steps, pending,
+                                             monkeypatch):
+    # A checked fork records nothing for its local check: on a forest, the
+    # far holder of its carrier is neither the forker nor a child, also
+    # when it is reached through an end still pending.  In the `frontend`
+    # towers `final` has a lower pid than the tower's children, so it
+    # splits each carrier before the next fork; the deferred one's cannot.
+    programs = load_perfbench("programs")
+    text = (programs.frontend_source(random.Random(3), 4, depth)
+            if make == "frontend" else _deferred_tower(depth))
+    far_pending = []
+    fork = runtime._HANDLERS[Fork]
+
+    def spied(machine, p, cmd):
+        far = p.chan_env[cmd.chan].peer
+        far_pending.append(type(far.owner) is EndState)
+        return fork(machine, p, cmd)
+
+    monkeypatch.setitem(runtime._HANDLERS, Fork, spied)
+    m = boot(check_program(parse_source(text)).exec_program, 0,
+             ServiceConfig.from_script([]))
+    run_watched(m)
+    assert not m.processes and not m.channels and m.steps == steps
+    assert len(far_pending) == depth and sum(far_pending) == pending
 
 
 # `twice` receives x's end as both `a` and `b` (step 2); its plug hands
