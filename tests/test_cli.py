@@ -630,7 +630,7 @@ def test_unchecked_runs_make_no_cyclic_garbage_while_they_run():
     finally:
         if was:
             gc.enable()
-    assert len(texts) * 3 == 96
+    assert len(texts) * 3 == 102
     assert kinds == {"DONE", "STUCK", "fault"}
 
 

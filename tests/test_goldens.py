@@ -40,8 +40,9 @@ STDIN_SCRIPT = "first line\nsecond line\nthird line\n"
 
 # Unchecked programs that fault at run time (exit 1).  Between them they
 # reach every fault message of process invocation, and the topology
-# monitor's cycle (after a plug and after a |=|) and conservation (a
-# fork's pending ends, directly and through a |=|) faults.
+# monitor's cycle (after a plug of two channels or of three, and after a
+# |=|) and conservation (a fork's pending ends, directly, through a |=| and
+# through a reaped channel) faults.
 FAULTS = {
     "cycle_plug.campl": (
         "proc a =\n"
@@ -92,6 +93,39 @@ FAULTS = {
         "    | => -> plug\n"
         "        talker( | => x )\n"
         "        joiner( | x => )\n"),
+    # Three plugged channels that close one cycle among themselves.
+    "cycle_plug3.campl": (
+        "proc a =\n"
+        "    | z => x -> do\n"
+        "        close z\n"
+        "        halt x\n"
+        "\nproc b =\n"
+        "    | x => y -> do\n"
+        "        close x\n"
+        "        halt y\n"
+        "\nproc c =\n"
+        "    | y => z -> do\n"
+        "        close y\n"
+        "        halt z\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        a( | z => x )\n"
+        "        b( | x => y )\n"
+        "        c( | y => z )\n"),
+    # A fork on a channel whose far end has halted: reaping the channel
+    # leaves the fork's message, and the ends pending through it, with no
+    # one to claim them.
+    "close_then_fork.campl": (
+        "proc closer =\n"
+        "    | x => -> halt x\n"
+        "\nproc forker =\n"
+        "    | => x -> fork x as\n"
+        "        l -> halt l\n"
+        "        r -> halt r\n"
+        "\nproc run =\n"
+        "    | => -> plug\n"
+        "        closer( | x => )\n"
+        "        forker( | => x )\n"),
     "desync.campl": (
         "proc a =\n"
         "    | => ch -> do\n"

@@ -93,6 +93,10 @@ MONITOR_FAULTS = {
                                  "unowned end",
     "link_cycle.campl": "CycleFound: process network contains a cycle "
                         "through channel(s) 1",
+    "cycle_plug3.campl": "CycleFound: process network contains a cycle "
+                         "through channel(s) 2",
+    "close_then_fork.campl": "Conservation: live channel l#1 has an "
+                             "unowned end",
 }
 
 
