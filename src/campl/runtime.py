@@ -35,15 +35,16 @@ processes and live channels is a forest (`cycle_edges`) and that every end
 of a live channel has an owner.  A machine booted `checked` trusts the
 checker.  Its monitor scans the whole network at the first check and at
 any check not made right after one step; otherwise it checks only what
-that step recorded.  A plug's or fork's plan says once whether the
-channels it adds can close a cycle (`HandOff.forest`), so only a |=| and a
-plug whose plan is not a forest record their new channels, checked for
-cycles among themselves (one or two by comparing their owners).  An end
-that loses its owner is recorded only while fork messages in its inbox
-carry ends pending through it, checked for an owner.  A step that
-recorded nothing passes at once.  Whatever a local check flags goes to
-the full scan, which raises the fault.  An unchecked machine runs the
-references: every plan built afresh, every check full.
+that step recorded, in one record of ends.  A plug's or fork's plan says
+once whether the channels it adds can close a cycle (`HandOff.forest`), so
+only a |=| and a plug whose plan is not a forest record their new
+channels' first ends, and an end that loses its owner is recorded only
+while fork messages in its inbox carry ends pending through it.  The
+local check tests each recorded end's fork messages for an owner and a
+lone recorded channel for a loop; anything else goes to the full scan,
+which alone raises the fault.  A step that recorded nothing passes at
+once.  An unchecked machine runs the references: every plan built afresh,
+every check full.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import random
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .elaborate import ExecProgram, cycle_edges, share_out
 from .model import (
@@ -151,11 +152,11 @@ class BootError(Exception):
 HandOff = namedtuple("HandOff", "joins payload children released forest")
 
 
-class Invocation(NamedTuple):
-    """How a call or use binds its arguments to `proc`'s parameters."""
-    proc: ProcDef
-    seq_pairs: tuple        # (parameter, argument expression)
-    chan_pairs: tuple       # (parameter, argument channel name)
+# How a call or use binds its arguments to `proc`'s parameters:
+#   proc        the ProcDef it runs
+#   seq_pairs   (parameter, argument expression)
+#   chan_pairs  (parameter, argument channel name)
+Invocation = namedtuple("Invocation", "proc seq_pairs chan_pairs")
 
 
 def _hand_off_plan(held: dict, children: list, users: dict, joins: tuple,
@@ -429,13 +430,13 @@ class Machine:
         self.trace = Trace(self._rows)
         self._next_pid = 0
         self._next_cid = 0
-        # For the monitor: the step count at the last passed check, and
-        # what the steps since recorded: the channels a |=| or a plug whose
-        # plan is not a forest created, the ends a |=| redirected, and the
-        # ends released while fork messages in their inbox pended on them.
+        # For the monitor: the step count at the last passed check, and one
+        # record of the ends the steps since changed: the first end of each
+        # channel a |=| or a plug whose plan is not a forest created, the
+        # ends a |=| moved, and the ends released while fork messages in
+        # their inbox pended on them.
         self._checked_at: int | None = None
-        self._added: list[int] = []
-        self._released: list[EndState] = []
+        self._recorded: list[EndState] = []
 
     # -- construction -----------------------------------------------------
 
@@ -552,8 +553,8 @@ class Machine:
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
         processes, services = self.processes, self.services
-        added, released = self._added, self._released
-        rows, hook, checked = self._rows, self.trace_hook, self.checked
+        recorded, rows = self._recorded, self._rows
+        hook, checked = self.trace_hook, self.checked
         self.assert_invariants()
         while True:
             if not processes:
@@ -569,7 +570,7 @@ class Machine:
                     break
             else:
                 stuck = {pid: self.waiting_on(q)
-                         for pid, q in sorted(processes.items())}
+                         for pid, q in processes.items()}
                 return Outcome(OutcomeKind.STUCK, self.steps, self.trace,
                                self, stuck)
             if self.steps >= max_steps:
@@ -587,7 +588,7 @@ class Machine:
                     break
             # assert_invariants(): this check comes right after one step,
             # so a checked step that recorded nothing passes at once.
-            if checked and not added and not released:
+            if checked and not recorded:
                 self._checked_at = self.steps
             else:
                 self.assert_invariants()
@@ -606,15 +607,15 @@ class Machine:
                 return None
         return owner
 
-    def check_topology(self, cids: list[int] | None = None) -> list[int]:
-        """The ids of the live channels, all of them or the live ones among
-        `cids`, that close a cycle between their owners (`cycle_edges`);
-        empty when those channels form a forest."""
+    def check_topology(self) -> list[int]:
+        """The ids of the live channels that close a cycle between their
+        owners (`cycle_edges`), in id order; empty when they form a forest.
+        Ids only grow and each channel enters the table when created, so
+        its order is id order."""
         resolve = self.resolve_owner
         edges = []
-        for cid in sorted(self.channels) if cids is None else cids:
-            e = self.channels.get(cid)
-            if e is None or e.closed or e.peer.closed:
+        for cid, e in self.channels.items():
+            if e.closed or e.peer.closed:
                 continue
             a, b = resolve(e.owner), resolve(e.peer.owner)
             if a is not None and b is not None:
@@ -625,64 +626,60 @@ class Machine:
         """Raise the fault `check_invariants` would raise on this state.
 
         Right after one step of a checked machine whose last check passed,
-        only that step's record is checked.  The network was then a forest
-        with every live end owned, and the checker promises that every end a
-        step moves belongs to the stepping process and every end a live
-        process owns is bound to one of its names.  A step that changes
-        ownership replaces one process or channel by a small tree: plug and
-        fork hand each of the process's channels to one child, so those lead
-        into disjoint subtrees, and |=| joins its two peers by one channel.  A
-        new cycle must therefore close among the channels the step created.
-        A plug's new channels join fresh children only, so they close one
-        exactly when they do among themselves, which its plan works out once
-        (`HandOff.forest`); the step records them only then.  A fork's two
-        join its two fresh children to the holder its carrier's far end
-        resolves to, through any ends still pending: on a forest that is
-        neither the forker (the carrier would have been a loop) nor a
-        child, so they never close one and the step records none.  A |=|
-        records its channel.
+        only the ends that step recorded are checked, in one walk of one
+        record.  The network was then a forest with every live end owned,
+        and the checker promises that every end a step moves belongs to the
+        stepping process and every end a live process owns is bound to one
+        of its names.  A step that changes ownership replaces one process or
+        channel by a small tree: plug and fork hand each of the process's
+        channels to one child, so those lead into disjoint subtrees, and |=|
+        joins its two peers by one channel.  A new cycle must therefore
+        close among the channels the step created.  A plug's new channels
+        join fresh children only, so they close one exactly when they do
+        among themselves, which its plan works out once (`HandOff.forest`);
+        the step records their first ends only then, so more than one
+        recorded channel always closes a cycle.  A fork's two join its two
+        fresh children to the holder its carrier's far end resolves to,
+        through any ends still pending: on a forest that is neither the
+        forker (the carrier would have been a loop) nor a child, so they
+        never close one and the step records none.  A |=| records its
+        channel's first end, which closes a cycle only as a loop.
         An end loses its owner only through an end the step released or
         redirected (a fork whose carrier's far end has no owner releases the
         carrier's last end), and only the fork messages in such an end's
         inbox carry ends pending through it, so a released end is recorded
-        only while it holds one; a |=| records the ends it redirects.
-        When a local check flags anything, the full check decides and builds
-        the fault.  Most steps record nothing, and then the check returns at
-        once.  An unchecked machine makes the full check every time.
+        only while it holds one; a |=| records the two ends it redirects.
+        When the local check flags anything, the full check decides and
+        builds the fault.  Most steps record nothing, and then the check
+        returns at once.  An unchecked machine makes the full check every
+        time.
         """
         local = self.checked and self._checked_at == self.steps - 1
-        if local and not self._added and not self._released:
+        if local and not self._recorded:
             self._checked_at = self.steps
             return
         if not (local and self._step_checks_pass()):
             self.check_invariants()
         self._checked_at = self.steps
-        self._added.clear()
-        self._released.clear()
+        self._recorded.clear()
 
     def _step_checks_pass(self) -> bool:
-        resolve = self.resolve_owner
-        for e in self._released:
+        resolve, channels = self.resolve_owner, self.channels
+        live = None
+        for e in self._recorded:
             for msg in e.inbox:
                 if type(msg) is RewireMsg and None in map(resolve, msg.ends):
                     return False
-        if len(self._added) > 2:
-            return not self.check_topology(self._added)
-        # One or two new channels close a cycle only as a loop, or as two
-        # channels between the same pair of owners.
-        edges = []
-        for cid in self._added:
-            e = self.channels.get(cid)
-            if e is None or e.closed or e.peer.closed:
-                continue
-            a = resolve(e.owner)
-            b = resolve(e.peer.owner)
-            if a is None or b is None:
-                continue
-            if a == b or (a, b) in edges or (b, a) in edges:
-                return False
-            edges.append((a, b))
-        return True
+            if channels.get(e.cid) is e:
+                if live is not None:
+                    return False
+                live = e
+        # One channel, which only a |=| records, closes a cycle only as a
+        # loop.
+        if live is None or live.closed or live.peer.closed:
+            return True
+        a, b = resolve(live.owner), resolve(live.peer.owner)
+        return a is None or a != b
 
     def check_invariants(self) -> None:
         """The full check, and the tests' reference: acyclicity over every
@@ -830,7 +827,7 @@ class Machine:
             # The monitor reads a released end only for the fork messages
             # in its inbox, which carry the ends pending through it.
             if RewireMsg in map(type, e.inbox):
-                self._released.append(e)
+                self._recorded.append(e)
             self._reap(e)
 
     def _reap(self, e: EndState) -> None:
@@ -843,9 +840,9 @@ class Machine:
             peer = e.peer
             e.owner = peer.owner = e.peer = peer.peer = None
             if RewireMsg in map(type, e.inbox):
-                self._released.append(e)
+                self._recorded.append(e)
             if RewireMsg in map(type, peer.inbox):
-                self._released.append(peer)
+                self._recorded.append(peer)
 
     def _eval(self, p: ProcessInstance, e: Expr) -> Value:
         if isinstance(e, (IntLit, CharLit, StringLit, BoolLit)):
@@ -933,7 +930,8 @@ class Machine:
         for name, i, j in plan.joins:
             envs[i][name], envs[j][name] = self._new_channel(name)
         if not plan.forest:
-            self._added += range(first, self._next_cid)
+            self._recorded += map(self.channels.get,
+                                  range(first, self._next_cid))
         row = (p.pid, "PLUG", None, None, plan.payload)
         self._hand_off(p, plan, envs)
         return row
@@ -985,12 +983,10 @@ class Machine:
         a.cid = b.cid = cid
         a.peer, b.peer = b, a
         self.channels[cid] = a
-        self._added.append(cid)
         # A pending end this process would have claimed goes to the
         # opposite peer, which now receives what was sent this way.
-        for moved, to in ((left, b), (right, a)):
-            moved.owner = to
-            self._released.append(moved)
+        left.owner, right.owner = b, a
+        self._recorded += a, left, right
         # Each peer keeps what this process already sent it, then receives
         # what the other peer had in flight toward this process.  The
         # fork messages among them carry the pending ends just redirected.

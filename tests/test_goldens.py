@@ -306,9 +306,11 @@ ESCAPES = {
 }
 
 
-# A checked program that sends an inline stored process, whose value
+# Checked programs that pass an inline stored process, whose value
 # parameter `n` goes unused, for another process to run with `use`: the
-# corpus stores only named processes.
+# corpus stores only named processes.  The first sends it on a channel;
+# the others pass it as a call's or a use's value argument, and write its
+# body as an `on` block, so desugaring rebuilds that call or use.
 STORED = {
     "stored_inline.campl": (
         "proc sender =\n"
@@ -330,6 +332,29 @@ STORED = {
         "    | console => -> plug\n"
         "        sender( | => ch )\n"
         "        runner( | ch, console => )\n"),
+    "stored_call.campl": (
+        "proc runner :: Store(Int|Console=>) | Console => =\n"
+        "    sp | console => -> use(sp)( 1 | console => )\n"
+        "\nproc run =\n"
+        "    | console => -> runner( store(proc anon :: Int | Console => =\n"
+        "            n | c => -> on c do\n"
+        "                hput ConsolePut\n"
+        "                put \"called\"\n"
+        "                hput ConsoleClose\n"
+        "                halt\n"
+        "            ) | console => )\n"),
+    "stored_use.campl": (
+        "proc runner :: Store(Int|Console=>) | Console => =\n"
+        "    sp | console => -> use(sp)( 2 | console => )\n"
+        "\nproc run =\n"
+        "    | console => -> use(store(runner))( store(proc anon ::\n"
+        "            Int | Console => =\n"
+        "            n | c => -> on c do\n"
+        "                hput ConsolePut\n"
+        "                put \"used\"\n"
+        "                hput ConsoleClose\n"
+        "                halt\n"
+        "            ) | console => )\n"),
 }
 
 

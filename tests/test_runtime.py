@@ -1130,6 +1130,26 @@ def test_unchecked_link_of_two_consoles_keeps_both_service_ends(asked):
         "IllegalCommand: console cannot dispatch on ValMsg", 2)
 
 
+def test_unchecked_drain_skips_a_reaped_console():
+    # `close a` ends the first Console's channel, so the drain that serves
+    # the second passes over the first one's service end.
+    src = ("proc run =\n"
+           "    | a, b => -> do\n"
+           "        hput ConsoleClose on a\n"
+           "        close a\n"
+           "        hput ConsolePut on b\n"
+           "        put \"second\" on b\n"
+           "        hput ConsoleClose on b\n"
+           "        close b\n")
+    config = ServiceConfig.from_script([])
+    m = boot(prepare(parse_source(src)), services=config, checked=False)
+    run_watched(m)
+    first, second = m.services
+    assert first.cid not in m.channels and second.cid not in m.channels
+    assert config.outputs == ["second"]
+    assert not m.processes and m.steps == 6
+
+
 def _do(header: str, commands: tuple) -> str:
     """A process clause `header -> do` running `commands`, each indented
     as one command of the block."""
