@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import io
 import pathlib
 import sys
 
@@ -24,6 +25,56 @@ def corpus_dir() -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
+
+
+class Result:
+    """What one in-process `campl` call left behind."""
+
+    def __init__(self, exit_code, stdout, stderr, output, exception):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = output        # both streams, in write order
+        self.exception = exception  # None when the call exited 0
+
+
+class _Capture(io.StringIO):
+    """A stream that keeps what it is given and copies it to `both`."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, s: str) -> int:
+        self.both.write(s)
+        return super().write(s)
+
+
+class Runner:
+    """Runs `campl` in process with `input` as stdin and the output
+    streams captured, neither of them a terminal."""
+
+    @staticmethod
+    def invoke(main, args, input: str | None = None,
+               prog_name: str = "campl") -> Result:
+        both = io.StringIO()
+        out, err = _Capture(both), _Capture(both)
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), out, err
+        exception, code = None, 0
+        try:
+            main.main(args=list(args), prog_name=prog_name)
+        except SystemExit as e:
+            code = 0 if e.code is None else \
+                e.code if isinstance(e.code, int) else 1
+            if code:
+                exception = e
+        except Exception as e:
+            exception, code = e, 1
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue(),
+                      exception)
 
 
 def line_drops(text: str):

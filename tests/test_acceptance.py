@@ -7,7 +7,6 @@ report.
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from campl import diagnostics as dk
 from campl.checker import check_program
@@ -21,7 +20,7 @@ from campl.model import (
 from campl.parser import parse_source
 from campl.runtime import OutcomeKind, boot
 from campl.services import ServiceConfig
-from conftest import CORPUS, corpus_text
+from conftest import CORPUS, Runner, corpus_text
 from genprog import gen_program
 
 RUNNABLE = [
@@ -45,7 +44,7 @@ def _passed(n, label):
 
 
 def test_criterion_01_corpus_positivity():
-    runner = CliRunner()
+    runner = Runner()
     for name in RUNNABLE:
         path = str(CORPUS / name)
         r = runner.invoke(main, ["check", path])
@@ -60,7 +59,7 @@ def test_criterion_01_corpus_positivity():
 
 
 def test_criterion_02_hello_world():
-    r = CliRunner().invoke(main, ["run", str(CORPUS / "listing1.campl")])
+    r = Runner().invoke(main, ["run", str(CORPUS / "listing1.campl")])
     assert r.exit_code == 0
     assert r.stdout == "Hello World!\n"
     _passed(2, "hello world prints exactly one line")
@@ -77,7 +76,7 @@ def test_criterion_03_polarity_free_program_rejected_then_deadlocks():
     assert len(outcome.stuck) == 2
     assert len({tuple(v) for v in outcome.stuck.values()}) == 1
 
-    r = CliRunner().invoke(
+    r = Runner().invoke(
         main, ["run", str(CORPUS / "appendix_b.campl"), "--unchecked"])
     assert r.exit_code == 3
     _passed(3, "unpolarized program rejected; unchecked run deadlocks")

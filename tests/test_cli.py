@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import random
@@ -6,7 +7,6 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from campl import cli
 from campl.cli import main
@@ -14,14 +14,15 @@ from campl.checker import check_program
 from campl.diagnostics import CheckFailure, ParseFailure
 from campl.elaborate import prepare
 from campl.parser import MAX_TYPE_DEPTH, parse_source
+from campl.printer import roundtrip_print
 from campl.runtime import MachineFault, boot
 from campl.services import ServiceConfig
-from conftest import CORPUS, ROOT, corpus_text, load_perfbench
+from conftest import CORPUS, ROOT, Runner, corpus_text, load_perfbench
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def corpus(name: str) -> str:
@@ -218,6 +219,43 @@ def test_trace_prints_string_payloads_unescaped(runner, tmp_path):
     assert events[2] == '#2 pid=0 PUT ch=console#0 payload="ab"'
     assert events[4:6] == ['#4 pid=0 PUT ch=console#0 payload="a', 'b"']
     assert events[6].startswith("#5 ")
+
+
+class _Terminal(io.StringIO):
+    def isatty(self) -> bool:
+        return True
+
+
+@pytest.mark.parametrize("terminal", ["stdout", "stderr"])
+def test_ansi_escapes_are_stripped_only_off_a_terminal(tmp_path, terminal,
+                                                       monkeypatch):
+    # The CLI's own writes drop ANSI escape sequences unless their stream
+    # is a terminal: so a piped `dump-ast` prints a different program than
+    # `roundtrip_print` returns.  The Console's output is never stripped.
+    from test_goldens import ESCAPES
+    src = tmp_path / "escapes.campl"
+    src.write_text(ESCAPES["escapes.campl"], encoding="utf-8")
+    printed = roundtrip_print(parse_source(ESCAPES["escapes.campl"]))
+    assert 'put "a\x1b[31mb" on console' in printed
+    kept = {"stdout": terminal == "stdout", "stderr": terminal == "stderr"}
+    for args in (["dump-ast", str(src)], ["run", str(src), "--trace"]):
+        streams = {"stdout": io.StringIO(), "stderr": io.StringIO(),
+                   terminal: _Terminal()}
+        monkeypatch.setattr(sys, "stdout", streams["stdout"])
+        monkeypatch.setattr(sys, "stderr", streams["stderr"])
+        with pytest.raises(SystemExit) as e:
+            main.main(args=args, prog_name="campl")
+        monkeypatch.undo()
+        assert e.value.code == 0
+        out, err = (streams[s].getvalue() for s in ("stdout", "stderr"))
+        if args[0] == "dump-ast":
+            assert out == (printed if kept["stdout"]
+                           else printed.replace("\x1b[31m", ""))
+        else:
+            assert out == "a\x1b[31mb\na\nb\n"
+            assert err.splitlines()[2] == \
+                '#2 pid=0 PUT ch=console#0 payload="a%sb"' % (
+                    "\x1b[31m" if kept["stderr"] else "")
 
 
 def test_run_seed_changes_trace_only_via_races(runner):

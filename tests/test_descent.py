@@ -13,7 +13,6 @@ process wherever it sits without walking any body.
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from campl import model, parser
 from campl.cli import main
@@ -24,7 +23,7 @@ from campl.model import (
 )
 from campl.parser import parse_source
 from campl.printer import roundtrip_print
-from conftest import CORPUS
+from conftest import CORPUS, Runner
 from genprog import gen_program
 
 BARE = ("this command needs a channel: write 'on <channel>' or wrap it in "
@@ -34,7 +33,7 @@ BARE = ("this command needs a channel: write 'on <channel>' or wrap it in "
 def _cli(tmp_path, text: str, *args: str):
     src = tmp_path / "prog.campl"
     src.write_text(text, encoding="utf-8")
-    return CliRunner().invoke(main, [*args, str(src)]), str(src)
+    return Runner().invoke(main, [*args, str(src)]), str(src)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import random
 from collections import deque
 
 import pytest
-from click.testing import CliRunner
 
 from campl.cli import main
 from campl.elaborate import ExecProgram, cycle_edges, prepare
@@ -12,7 +11,9 @@ from campl.model import (
     StoreOf, StringLit,
 )
 from campl.parser import parse_source
-from conftest import CORPUS, corpus_text, free_chans, replace, sub_bodies
+from conftest import (
+    CORPUS, Runner, corpus_text, free_chans, replace, sub_bodies,
+)
 from genprog import gen_program
 from test_goldens import FAULTS, LINKS, MESSAGES
 
@@ -80,7 +81,7 @@ proc run :: | => =
 def test_fork_and_split_take_their_channel_from_an_on_block(tmp_path):
     src = tmp_path / "listing5_on.campl"
     src.write_text(LISTING5_ON_BLOCKS, encoding="utf-8")
-    runner = CliRunner()
+    runner = Runner()
     r = runner.invoke(main, ["check", str(src)])
     assert (r.exit_code, r.stdout, r.stderr) == (0, "", "")
     want = runner.invoke(main, ["run", "--trace",

@@ -16,14 +16,14 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from campl.cli import main
 from campl.printer import roundtrip_print
-from conftest import load_perfbench
+from conftest import Runner, load_perfbench
 from genprog import gen_program, with_forwarder
 from test_runtime import (
     CONTINUATION_FAULT, CONTINUING_ARMS, FORWARDER_CHAIN, JOINER,
@@ -415,6 +415,7 @@ def cases() -> dict[str, list[str]]:
     for f in sorted(ESCAPES):
         out[f"run-escape/{f}"] = ["run", f, "--trace", "--stdin",
                                   "stdin.txt"]
+        out[f"dump-ast-escape/{f}"] = ["dump-ast", f]
     for f in sorted(STORED):
         out[f"run-stored/{f}"] = ["run", f, "--trace", "--stdin",
                                   "stdin.txt"]
@@ -434,6 +435,62 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+# The CLI's own surface: help screens and usage errors, each kept as its
+# exit code, stdout and stderr, with the usage name `campl` and 80 columns.
+# Run in the golden directory, where `.` is a directory and `no_such.*` is
+# missing.
+SURFACE = {
+    "help": ["--help"],
+    "help-check": ["check", "--help"],
+    "help-run": ["run", "--help"],
+    "help-dump-ast": ["dump-ast", "--help"],
+    "help-over-a-bad-value": ["run", "--seed", "x", "--help"],
+    "help-after-double-dash": ["check", "--", "--help"],
+    "no-arguments": [],
+    "unknown-command": ["frobnicate", "listing1.campl"],
+    "unknown-command-near-one": ["chek", "listing1.campl"],
+    "missing-command": ["--"],
+    "option-as-command": ["--", "--help"],
+    "help-with-a-value": ["--help=1"],
+    "unknown-group-option": ["--verbose", "check", "listing1.campl"],
+    "unknown-option": ["run", "listing1.campl", "--sed", "1"],
+    "unknown-option-near-one": ["check", "listing1.campl", "--json"],
+    "unknown-short-option": ["check", "-x", "listing1.campl"],
+    "missing-file": ["check", "no_such.campl"],
+    "directory-file": ["dump-ast", "."],
+    "missing-argument": ["check"],
+    "extra-argument": ["check", "listing1.campl", "listing2.campl"],
+    "extra-arguments": ["dump-ast", "listing1.campl", "a", "b"],
+    "seed-negative": ["run", "listing1.campl", "--seed", "-1"],
+    "seed-not-an-integer": ["run", "listing1.campl", "--seed", "x"],
+    "seed-without-a-value": ["run", "listing1.campl", "--seed"],
+    "max-steps-zero": ["run", "listing1.campl", "--max-steps", "0"],
+    "trace-with-a-value": ["run", "listing1.campl", "--trace=1"],
+    "stdin-missing": ["run", "listing1.campl", "--stdin", "no_such.txt"],
+    "options-before-the-file": ["run", "no_such.campl", "--seed", "x"],
+    "values-after-equals": ["run", "--seed=3", "--max-steps=9", "--",
+                            "listing1.campl"],
+}
+SURFACE_GOLDENS = HERE / "surface_goldens.json"
+
+
+def surface(args: list[str]) -> dict:
+    r = Runner().invoke(main, args)
+    return {"code": r.exit_code, "stdout": r.stdout, "stderr": r.stderr}
+
+
+def surface_of_module_run() -> dict:
+    """`python -m campl.cli --help`, run as a fresh process."""
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "campl.cli", "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path,
+                               "COLUMNS": "80"})
+    return {"code": done.returncode, "stdout": done.stdout,
+            "stderr": done.stderr}
+
+
 def populate(directory: pathlib.Path) -> None:
     for p in CORPUS.glob("*.campl"):
         shutil.copy(p, directory / p.name)
@@ -443,7 +500,7 @@ def populate(directory: pathlib.Path) -> None:
 
 
 def digest(args: list[str]) -> str:
-    r = CliRunner().invoke(main, args)
+    r = Runner().invoke(main, args)
     crashed = ("" if r.exception is None or isinstance(r.exception,
                                                         SystemExit)
                else type(r.exception).__name__)
@@ -471,6 +528,25 @@ def test_golden_digest(case, golden_dir, monkeypatch):
     assert digest(cases()[case]) == EXPECTED.get(case)
 
 
+EXPECTED_SURFACE = json.loads(SURFACE_GOLDENS.read_text()) \
+    if SURFACE_GOLDENS.exists() else {}
+
+
+def test_surface_goldens_cover_every_case():
+    assert sorted(EXPECTED_SURFACE) == sorted([*SURFACE, "python-m-help"])
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE))
+def test_surface_golden(case, golden_dir, monkeypatch):
+    monkeypatch.chdir(golden_dir)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert surface(SURFACE[case]) == EXPECTED_SURFACE.get(case)
+
+
+def test_module_run_names_itself_in_its_help():
+    assert surface_of_module_run() == EXPECTED_SURFACE.get("python-m-help")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -478,9 +554,16 @@ if __name__ == "__main__":
         populate(pathlib.Path(tmp))
         home = os.getcwd()
         os.chdir(tmp)
+        os.environ["COLUMNS"] = "80"
         try:
             table = {case: digest(args) for case, args in cases().items()}
+            texts = {case: surface(args) for case, args in SURFACE.items()}
         finally:
             os.chdir(home)
+    texts["python-m-help"] = surface_of_module_run()
     GOLDENS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {GOLDENS}", file=sys.stderr)
+    SURFACE_GOLDENS.write_text(json.dumps(texts, indent=1, sort_keys=True)
+                               + "\n")
+    print(f"wrote {len(texts)} surfaces to {SURFACE_GOLDENS}",
+          file=sys.stderr)

@@ -13,7 +13,6 @@ import random
 import re
 
 import pytest
-from click.testing import CliRunner
 
 from campl import lexer
 from campl.checker import check_program
@@ -24,7 +23,7 @@ from campl.parser import parse_source
 from campl.printer import roundtrip_print
 from campl.runtime import boot
 from campl.services import ScriptExhausted, ServiceConfig
-from conftest import CORPUS, command_count, run_watched
+from conftest import CORPUS, Runner, command_count, run_watched
 from genprog import gen_program, with_forwarder
 from test_goldens import (
     ARMS, ARMS_FAULTS, ESCAPES, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
@@ -291,7 +290,7 @@ def test_a_handle_command_at_the_wrong_end_is_rejected(tmp_path, name,
     text, line, col, message = HANDLES[name]
     src = tmp_path / "prog.campl"
     src.write_text(text, encoding="utf-8")
-    r = CliRunner().invoke(main, [command, str(src)])
+    r = Runner().invoke(main, [command, str(src)])
     assert r.exit_code == 1
     assert r.stdout == ""
     assert r.stderr == f"{src}:{line}:{col}: PolarityViolation: {message}\n"

@@ -19,11 +19,10 @@ import functools
 import random
 
 import pytest
-from click.testing import CliRunner
 
 from campl.cli import main
 from campl.parser import MAX_TYPE_DEPTH
-from conftest import load_perfbench
+from conftest import Runner, load_perfbench
 from test_cli import _deep_type
 
 EXIT_CODES = {0, 1, 2, 3, 4}
@@ -95,7 +94,7 @@ def _cases():
 def test_the_cli_answers_a_large_input(name, command, code, tmp_path):
     path = tmp_path / f"{name}.campl"
     path.write_text(_source(name), encoding="utf-8")
-    r = CliRunner().invoke(main, [command, str(path)])
+    r = Runner().invoke(main, [command, str(path)])
     assert r.exception is None or isinstance(r.exception, SystemExit), \
         f"{command} raised {type(r.exception).__name__}"
     assert r.exit_code in EXIT_CODES
