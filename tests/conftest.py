@@ -55,15 +55,14 @@ class Runner:
     streams captured, neither of them a terminal."""
 
     @staticmethod
-    def invoke(main, args, input: str | None = None,
-               prog_name: str = "campl") -> Result:
+    def invoke(main, args, input: str | None = None) -> Result:
         both = io.StringIO()
         out, err = _Capture(both), _Capture(both)
         saved = sys.stdin, sys.stdout, sys.stderr
         sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), out, err
         exception, code = None, 0
         try:
-            main.main(args=list(args), prog_name=prog_name)
+            main.main(args=list(args), prog_name="campl")
         except SystemExit as e:
             code = 0 if e.code is None else \
                 e.code if isinstance(e.code, int) else 1

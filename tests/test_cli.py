@@ -206,9 +206,10 @@ def test_run_trace_goes_to_stderr(runner):
 
 
 def test_trace_prints_string_payloads_unescaped(runner, tmp_path):
-    # Today's bytes, not a promise: with stderr not a terminal, click strips
-    # the ANSI escape from the trace line, though the Console's stdout keeps
-    # it, and a `\n` in a payload splits one event over two lines.
+    # Today's bytes, not a promise: with stderr not a terminal, the CLI
+    # strips the ANSI escape from the trace line, as it strips all it
+    # writes to such a stream, though the Console's stdout keeps it; and a
+    # `\n` in a payload splits one event over two lines.
     from test_goldens import ESCAPES
     src = tmp_path / "escapes.campl"
     src.write_text(ESCAPES["escapes.campl"], encoding="utf-8")
@@ -643,11 +644,13 @@ def test_unchecked_runs_make_no_cyclic_garbage_while_they_run():
     from test_goldens import (
         ARMS, ARMS_FAULTS, FAULTS, LINKS, MESSAGES, STDIN_SCRIPT,
     )
-    texts = [p.read_text(encoding="utf-8")
-             for p in sorted(CORPUS.glob("*.campl"))]
-    for golden in (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES):
+    goldens = (FAULTS, LINKS, ARMS, ARMS_FAULTS, MESSAGES)
+    corpus = sorted(CORPUS.glob("*.campl"))
+    texts = [p.read_text(encoding="utf-8") for p in corpus]
+    for golden in goldens:
         texts += golden.values()
     kinds = set()
+    runs = 0
     was = gc.isenabled()
     gc.disable()
     try:
@@ -661,6 +664,7 @@ def test_unchecked_runs_make_no_cyclic_garbage_while_they_run():
                     kinds.add(machine.run_to_completion().kind.name)
                 except MachineFault:
                     kinds.add("fault")
+                runs += 1
                 # Everything the run made is young, cycles included.
                 assert gc.collect(0) == 0
                 del machine
@@ -668,7 +672,7 @@ def test_unchecked_runs_make_no_cyclic_garbage_while_they_run():
     finally:
         if was:
             gc.enable()
-    assert len(texts) * 3 == 102
+    assert runs == 3 * (len(corpus) + sum(map(len, goldens)))
     assert kinds == {"DONE", "STUCK", "fault"}
 
 
@@ -780,9 +784,37 @@ def test_live_console_reads_piped_stdin(runner, tmp_path):
     assert "typed at terminal" in r.stdout
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, EOFError])
+def test_an_interrupt_prints_aborted_and_exits_one(runner, monkeypatch,
+                                                   interrupt):
+    def stop(text):
+        raise interrupt
+    monkeypatch.setattr(cli, "parse_source", stop)
+    r = runner.invoke(main, ["check", corpus("listing1.campl")])
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", "\nAborted!\n")
+
+
+def test_a_reader_that_goes_away_ends_the_command_quietly(tmp_path):
+    # More than a pipe holds, written to a pipe nobody reads: the write
+    # fails with EPIPE, and campl exits 1 with nothing on stderr, not even
+    # from the interpreter's last flush.
+    src = tmp_path / "wide.campl"
+    frontend = load_perfbench("programs").frontend_source
+    src.write_text(frontend(random.Random(1), 200, 20), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    p = subprocess.Popen(
+        [sys.executable, "-m", "campl.cli", "dump-ast", str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    p.stdout.close()
+    _, stderr = p.communicate(timeout=60)
+    assert (p.returncode, stderr) == (1, b"")
+
+
 def test_live_console_at_end_of_input_is_a_runtime_error(runner, tmp_path):
     # With nothing left to read, a ConsoleGet is the scripted mode's
-    # exhausted script: a one-line error and exit 1, not click's "Aborted!".
+    # exhausted script: a one-line error and exit 1, not "Aborted!".
     src = tmp_path / "ask.campl"
     src.write_text(
         "proc run =\n"

@@ -287,10 +287,10 @@ MESSAGES = {
 
 
 # A checked program whose string payloads hold an ANSI escape and a `\n`,
-# which the trace prints unescaped: on a pipe click strips the escape from
-# the trace (the Console's stdout keeps it), and the `\n` splits one event
-# over two lines.  Pinned as today's bytes, before any change to the trace
-# format.
+# which the trace prints unescaped: on a pipe the CLI strips the escape
+# from the trace and from `dump-ast`'s program text (the Console's stdout
+# keeps it), and the `\n` splits one event over two lines.  Pinned as
+# today's bytes, before any change to the trace format.
 ESCAPES = {
     "escapes.campl": (
         "proc speak :: | Console => =\n"
